@@ -1,4 +1,5 @@
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from mgsched.formulation import (
     schedule_to_vector,
     symbol_audit,
 )
-from mgsched.lpcore import LpProblem, check_point, solve_lp, solve_milp
+from mgsched.lpcore import LpProblem, check_point, export_mps, solve_lp, solve_milp
 from mgsched.model import (
     ChpUnit,
     GridTariff,
@@ -25,6 +26,24 @@ from mgsched.model import (
     evaluate_cost,
 )
 from mgsched.scenario import ScenarioSet, generate
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# one frozen build per formulation mode: tests/golden/build_<name>.mps
+GOLDEN_BUILDS = {
+    "fully_adaptive": FormulationOptions(),
+    "day_ahead_chp": FormulationOptions(stage_mode="day-ahead-chp"),
+    "exclusivity": FormulationOptions(exclusivity_binaries=True),
+    "decision_parking": FormulationOptions(parking_mode="decision-binary"),
+    "curtailment": FormulationOptions(curtailment_penalty=1.0),
+}
+
+
+def golden_build_instance():
+    """Half-hour periods, a serving window inside the horizon and parking
+    gaps in the scenarios, so every coefficient family is exercised."""
+    cfg = make_config(T=5, n_chp=2, n_phev=2, n_def=1, period_hours=0.5)
+    return cfg, generate(make_genspec(cfg, seed=31), cfg, 3)
 
 
 def chp_only_config(T=2):
@@ -115,6 +134,13 @@ def test_counting_formulas_cover_all_option_combinations():
         expect = expected_counts(cfg, 3, opts)
         assert problem.n_cols == expect["n_cols"]
         assert problem.n_rows == expect["n_rows"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BUILDS))
+def test_build_matches_golden_mps(name):
+    cfg, ss = golden_build_instance()
+    problem, _ = build(cfg, ss, GOLDEN_BUILDS[name])
+    assert export_mps(problem) == (GOLDEN / f"build_{name}.mps").read_text()
 
 
 def test_symbol_audit_mentions_every_column_and_row_kind():
