@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 
 from mgsched.config_io import load_config, load_generation_spec
-from mgsched.lpcore import export_mps
+from mgsched.experiments import solve_stochastic, write_problem_mps
+from mgsched.formulation import FormulationOptions
 from mgsched.model import check_balance, evaluate_cost
-from mgsched.experiments import solve_stochastic
 from mgsched.scenario import generate, reduce_fast_forward
 
 here = Path(__file__).parent
@@ -19,7 +19,7 @@ scenarios, report = reduce_fast_forward(generate(spec, config, 500), 10)
 print(f"solving over {len(scenarios)} scenarios "
       f"(reduced from 500, distance {report.kantorovich_distance:.2f})")
 
-schedule, solve_report, problem, index = solve_stochastic(config, scenarios)
+schedule, solve_report = solve_stochastic(config, scenarios)
 print(f"\nstatus: {solve_report.status}")
 print(f"expected operating cost: {solve_report.objective:.2f} $")
 print(f"problem size: {solve_report.n_rows} rows x {solve_report.n_cols} columns"
@@ -48,7 +48,6 @@ print("\nevery scenario balances:", all(balances))
 print("fleet stored energy, first vehicle (kWh):",
       np.round(schedule.storage[0, :, s], 1))
 
-out = here / "demo_out"
-out.mkdir(exist_ok=True)
-(out / "dispatch.mps").write_text(export_mps(problem))
-print(f"\nwrote the full deterministic equivalent to {out / 'dispatch.mps'}")
+path = here / "demo_out" / "dispatch.mps"
+write_problem_mps(config, scenarios, FormulationOptions(), path)
+print(f"\nwrote the full deterministic equivalent to {path}")

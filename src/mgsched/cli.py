@@ -22,14 +22,14 @@ from .experiments import (
     RunManifest,
     SolverLimit,
     load_manifest,
+    load_scenario_set,
     prepare_scenarios,
     run_compare,
     run_single,
     run_solar_sweep,
     run_window_sweep,
+    write_problem_mps,
 )
-from .formulation import build
-from .lpcore import export_mps
 
 log = logging.getLogger("mgsched")
 
@@ -196,11 +196,8 @@ def _dispatch(args) -> int:
         manifest = _manifest_from_args(args, "single")
         config = load_config(manifest.config_path)
         scenarios, _, _ = prepare_scenarios(manifest, config)
-        problem, _ = build(config, scenarios, manifest.options)
-        out = Path(manifest.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "problem.mps"
-        path.write_text(export_mps(problem))
+        path = Path(manifest.out_dir) / "problem.mps"
+        problem = write_problem_mps(config, scenarios, manifest.options, path)
         print(f"wrote {path} ({problem.n_rows} rows, {problem.n_cols} cols)")
         return EXIT_OK
 
@@ -223,11 +220,7 @@ def _dispatch_scenarios(args) -> int:
         return EXIT_OK
 
     if args.scen_command == "reduce":
-        p = Path(args.input)
-        try:
-            sset = scn.load_csv_bundle(p) if p.is_dir() else scn.load_json(p)
-        except (OSError, KeyError, ValueError) as e:
-            raise IngestError(f"cannot load scenario set from {p}: {e}") from e
+        sset = load_scenario_set(args.input)
         try:
             reduced, report = scn.reduce_fast_forward(sset, args.keep)
         except ValueError as e:

@@ -4,8 +4,9 @@ stochastic-versus-deterministic comparison.
 
 In fully-adaptive mode without binary columns the deterministic
 equivalent separates by scenario, so the pipeline solves one subproblem
-per scenario and assembles the full schedule; the assembled point is
-still verified against the full problem's rows.  The deterministic
+per scenario, checks each subproblem's point against its own rows and
+bounds, and assembles the full schedule; the full problem is built only
+for the joint path and for MPS export.  The deterministic
 baseline solves the probability-weighted mean scenario and its rigid
 schedule is then priced under every scenario: grid exchange re-adjusts
 within its caps, and anything the rigid plan cannot absorb (parking
@@ -28,7 +29,15 @@ from . import scenario as scn
 from .config_io import IngestError, generation_spec_from_dict, load_config, load_generation_spec
 from .formulation import FormulationOptions, build, extract_schedule, schedule_to_vector
 from .lpcore import SolveSettings, check_point, export_mps, solve_lp, solve_milp
-from .model import MicrogridConfig, Schedule, check_balance, derive_storage, evaluate_cost
+from .model import (
+    MicrogridConfig,
+    Schedule,
+    check_balance,
+    derive_storage,
+    evaluate_cost,
+    validate_config,
+    validate_scenario,
+)
 
 log = logging.getLogger(__name__)
 
@@ -157,11 +166,28 @@ class SolverLimit(RuntimeError):
 # scenario preparation
 
 
+def load_scenario_set(path) -> scn.ScenarioSet:
+    """Read a CSV bundle directory or a JSON file; failures are IngestError."""
+    p = Path(path)
+    try:
+        return scn.load_csv_bundle(p) if p.is_dir() else scn.load_json(p)
+    except (OSError, KeyError, ValueError) as e:
+        raise IngestError(f"cannot load scenario set from {p}: {e}") from e
+
+
 def prepare_scenarios(manifest: RunManifest, config: MicrogridConfig):
-    """Load or generate scenarios, then fast-forward reduce to `keep`."""
+    """Load or generate scenarios, then fast-forward reduce to `keep`.
+
+    Loaded scenarios are validated against the config; generated ones are
+    valid by construction.
+    """
     if manifest.scenarios_path:
-        p = Path(manifest.scenarios_path)
-        full = scn.load_csv_bundle(p) if p.is_dir() else scn.load_json(p)
+        full = load_scenario_set(manifest.scenarios_path)
+        for s, sc in enumerate(full.scenarios):
+            errors = validate_scenario(sc, config).errors
+            if errors:
+                raise IngestError(f"{manifest.scenarios_path}: scenario {s}: "
+                                  + "; ".join(i.message for i in errors))
     else:
         if manifest.generation is None:
             raise IngestError("manifest needs either 'generation' or 'scenarios'")
@@ -194,31 +220,25 @@ def _decomposable(options: FormulationOptions) -> bool:
 def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
                      options: FormulationOptions | None = None,
                      settings: SolveSettings | None = None):
-    """Solve the deterministic equivalent; returns (schedule, report, problem, index).
+    """Solve the deterministic equivalent; returns (schedule, report).
 
-    Decomposes by scenario whenever the formulation permits; the
-    assembled point is checked against the full problem either way.
+    Decomposes by scenario whenever the formulation permits, checking
+    each subproblem's point against its own rows and bounds; otherwise
+    solves and checks the full problem.
     """
     options = options or FormulationOptions()
     settings = settings or SolveSettings()
-    problem, index = build(config, scenarios, options)
     S = len(scenarios.scenarios)
-    T = config.horizon
 
     if _decomposable(options) and S > 1:
-        chp = np.zeros((config.n_chp, T, S))
-        charge = np.zeros((config.n_phev, T, S))
-        discharge = np.zeros((config.n_phev, T, S))
-        serve = np.zeros((config.n_deferrable, T, S))
-        buy = np.zeros((T, S))
-        sell = np.zeros((T, S))
-        total = 0.0
-        iters = 0
-        probs = scenarios.probabilities
-        for s in range(S):
-            sub, sub_index = build(config, scenarios.single(s), options)
+        report = SolveReport(status="optimal", objective=0.0, iterations=0, nodes=S,
+                             n_cols=0, n_rows=0, decomposed=True)
+        parts = []
+        for s, prob in enumerate(scenarios.probabilities):
+            single = scenarios.single(s)
+            sub, sub_index = build(config, single, options)
             sol = solve_lp(sub, settings)
-            iters += sol.iterations
+            report.iterations += sol.iterations
             if sol.status == "infeasible":
                 rows = [_shift_scenario_name(sub.row_name(i), s) for i in sol.infeasible_rows]
                 raise InfeasibleProblem(rows)
@@ -226,25 +246,22 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
                 raise SolverLimit(f"iteration limit in scenario {s}")
             if sol.status == "unbounded":
                 raise RuntimeError(f"scenario {s} subproblem unbounded")
-            sub_sched = extract_schedule(sol, sub_index, config, scenarios.single(s))
-            chp[:, :, s] = sub_sched.chp_power[:, :, 0]
-            charge[:, :, s] = sub_sched.charge[:, :, 0]
-            discharge[:, :, s] = sub_sched.discharge[:, :, 0]
-            serve[:, :, s] = sub_sched.serve[:, :, 0]
-            buy[:, s] = sub_sched.grid_buy[:, 0]
-            sell[:, s] = sub_sched.grid_sell[:, 0]
-            total += probs[s] * sol.objective
-        schedule = Schedule.from_decisions(config, chp, charge, discharge, serve, buy, sell)
-        rep = check_point(problem, schedule_to_vector(schedule, index), settings.feasibility_tol)
-        report = SolveReport(
-            status="optimal", objective=total, iterations=iters, nodes=S,
-            n_cols=problem.n_cols, n_rows=problem.n_rows, decomposed=True,
-            max_row_violation=rep.max_row_violation,
-            max_bound_violation=rep.max_bound_violation,
-            row_violations={problem.row_name(i): v for i, v in rep.row_violations.items()},
-        )
-        return schedule, report, problem, index
+            part = extract_schedule(sol, sub_index, config, single)
+            rep = check_point(sub, schedule_to_vector(part, sub_index), settings.feasibility_tol)
+            report.objective += prob * sol.objective
+            report.n_cols += sub.n_cols
+            report.n_rows += sub.n_rows
+            report.max_row_violation = max(report.max_row_violation, rep.max_row_violation)
+            report.max_bound_violation = max(report.max_bound_violation, rep.max_bound_violation)
+            report.row_violations.update(
+                (_shift_scenario_name(sub.row_name(i), s), v) for i, v in rep.row_violations.items())
+            parts.append(part)
+        schedule = Schedule.from_decisions(config, *(
+            np.concatenate([getattr(p, name) for p in parts], axis=-1)
+            for name in ("chp_power", "charge", "discharge", "serve", "grid_buy", "grid_sell")))
+        return schedule, report
 
+    problem, index = build(config, scenarios, options)
     sol = solve_milp(problem, settings) if problem.binary_cols else solve_lp(problem, settings)
     if sol.status == "infeasible":
         raise InfeasibleProblem([problem.row_name(i) for i in sol.infeasible_rows])
@@ -261,7 +278,7 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
         max_bound_violation=rep.max_bound_violation,
         row_violations={problem.row_name(i): v for i, v in rep.row_violations.items()},
     )
-    return schedule, report, problem, index
+    return schedule, report
 
 
 def _shift_scenario_name(name: str, s: int) -> str:
@@ -354,9 +371,9 @@ def compare_policies(config, scenarios, options=None, settings=None):
     """Stochastic solve versus mean-scenario policy; VSS is their gap."""
     options = options or FormulationOptions()
     settings = settings or SolveSettings()
-    sched, report, _, _ = solve_stochastic(config, scenarios, options, settings)
+    sched, report = solve_stochastic(config, scenarios, options, settings)
     stochastic_cost = report.objective
-    det_sched, det_report, _, _ = solve_deterministic(config, scenarios, options, settings)
+    det_sched, det_report = solve_deterministic(config, scenarios, options, settings)
     penalty = options.curtailment_penalty
     policy_cost, per_scenario = evaluate_policy(config, scenarios, det_sched, penalty)
     return {
@@ -392,6 +409,14 @@ def _write_csv(path: Path, header, rows):
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
+def write_problem_mps(config, scenarios, options, path: Path):
+    """Build the full deterministic equivalent and write it atomically as
+    MPS; returns the problem."""
+    problem, _ = build(config, scenarios, options)
+    _write_atomic(path, export_mps(problem))
+    return problem
+
+
 def _verified_balance(config, scenarios, schedule, tol=1e-6):
     """Balance reports for every scenario; raises if any period is off."""
     reports = []
@@ -415,7 +440,7 @@ def run_single(manifest: RunManifest) -> dict:
     out = Path(manifest.out_dir)
 
     try:
-        schedule, report, problem, index = solve_stochastic(
+        schedule, report = solve_stochastic(
             config, scenarios, manifest.options, manifest.settings
         )
     except InfeasibleProblem as e:
@@ -440,7 +465,7 @@ def run_single(manifest: RunManifest) -> dict:
     _write_json(out / "solution.json", payload)
     _write_json(out / "balance_report.json", {"tol": 1e-6, "scenarios": balance})
     if manifest.write_mps:
-        _write_atomic(out / "problem.mps", export_mps(problem))
+        write_problem_mps(config, scenarios, manifest.options, out / "problem.mps")
     return payload
 
 
@@ -463,9 +488,9 @@ def run_solar_sweep(manifest: RunManifest) -> list:
     for level in manifest.levels:
         lvl_config = dataclasses.replace(config, solar_capacity=config.solar_capacity * level)
         lvl_scen = _scale_solar(scenarios, level)
-        _, report, _, _ = solve_stochastic(lvl_config, lvl_scen, manifest.options, manifest.settings)
-        det_sched, _, _, _ = solve_deterministic(lvl_config, lvl_scen, manifest.options,
-                                                 manifest.settings)
+        _, report = solve_stochastic(lvl_config, lvl_scen, manifest.options, manifest.settings)
+        det_sched, _ = solve_deterministic(lvl_config, lvl_scen, manifest.options,
+                                           manifest.settings)
         det_cost, _ = evaluate_policy(lvl_config, lvl_scen, det_sched,
                                       manifest.options.curtailment_penalty)
         rows.append((float(level), float(report.objective), float(det_cost)))
@@ -494,8 +519,10 @@ def resize_window(load, width: int, horizon: int):
 def run_window_sweep(manifest: RunManifest) -> list:
     """Average stochastic cost as deferrable windows widen.
 
-    Widths that make a load's energy undeliverable produce an error row
-    and the sweep continues.  Writes window_sweep.csv.
+    Widths that make a load's energy undeliverable (the config check
+    WINDOW_INFEASIBLE, or an infeasible deterministic equivalent) produce
+    an error row and the sweep continues; any other error propagates.
+    Writes window_sweep.csv.
     """
     config = load_config(manifest.config_path)
     scenarios, _, _ = prepare_scenarios(manifest, config)
@@ -503,13 +530,19 @@ def run_window_sweep(manifest: RunManifest) -> list:
     for width in manifest.widths:
         defs = tuple(resize_window(d, int(width), config.horizon) for d in config.deferrables)
         w_config = dataclasses.replace(config, deferrables=defs)
-        try:
-            _, report, _, _ = solve_stochastic(w_config, scenarios, manifest.options,
-                                               manifest.settings)
-            rows.append((int(width), float(report.objective), "optimal"))
-        except (ValueError, InfeasibleProblem) as e:
-            log.warning("width %d infeasible: %s", width, e)
-            rows.append((int(width), "", "infeasible"))
+        undeliverable = [i.message for i in validate_config(w_config).errors
+                         if i.code == "WINDOW_INFEASIBLE"]
+        if not undeliverable:
+            try:
+                _, report = solve_stochastic(w_config, scenarios, manifest.options,
+                                             manifest.settings)
+            except InfeasibleProblem as e:
+                undeliverable = [str(e)]
+            else:
+                rows.append((int(width), float(report.objective), "optimal"))
+                continue
+        log.warning("width %d infeasible: %s", width, "; ".join(undeliverable))
+        rows.append((int(width), "", "infeasible"))
     _write_csv(Path(manifest.out_dir) / "window_sweep.csv",
                ["width", "avg_cost", "status"], rows)
     return rows

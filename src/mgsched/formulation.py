@@ -13,6 +13,7 @@ vehicle's final stored energy to its initial value.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -70,7 +71,7 @@ class VariableIndex:
         self.dims = {"T": T, "S": S, "chp": config.n_chp, "phev": config.n_phev,
                      "deferrable": config.n_deferrable}
         self.has_curtail = options.curtailment_penalty is not None
-        self.has_mode = options.exclusivity_binaries or options.parking_mode == "decision-binary"
+        has_mode = options.exclusivity_binaries or options.parking_mode == "decision-binary"
         units = {
             "chp": config.n_chp,
             "charge": config.n_phev,
@@ -80,7 +81,7 @@ class VariableIndex:
             "buy": 1,
             "sell": 1,
             "curtail": 1 if self.has_curtail else 0,
-            "mode": config.n_phev if self.has_mode else 0,
+            "mode": config.n_phev if has_mode else 0,
         }
         self._units = units
         self._offset = {}
@@ -90,14 +91,19 @@ class VariableIndex:
             pos += S * T * units[kind]
         self.n_cols = pos
 
+    def columns(self, kind: str) -> np.ndarray:
+        """Column ids of one kind as an (S, T, n_unit) array; n_unit is 0
+        for a kind this formulation leaves out."""
+        shape = (self.dims["S"], self.dims["T"], self._units[kind])
+        return self._offset[kind] + np.arange(np.prod(shape)).reshape(shape)
+
     def column(self, kind: str, s: int, t: int, unit: int = 0) -> int:
-        nu = self._units[kind]
-        if nu == 0:
+        cols = self.columns(kind)
+        if cols.shape[2] == 0:
             raise KeyError(f"column kind {kind!r} not present in this formulation")
-        T, S = self.dims["T"], self.dims["S"]
-        if not (0 <= s < S and 0 <= t < T and 0 <= unit < nu):
+        if not all(0 <= i < n for i, n in zip((s, t, unit), cols.shape)):
             raise IndexError(f"{kind}({unit}, t={t}, s={s}) out of range")
-        return self._offset[kind] + (s * T + t) * nu + unit
+        return int(cols[s, t, unit])
 
     def describe(self, col: int):
         """Inverse map: column id -> (kind, scenario, period, unit)."""
@@ -116,17 +122,16 @@ class VariableIndex:
                  "serve": "srv", "buy": "buy", "sell": "sel", "curtail": "cur",
                  "mode": "mod"}
         names = []
-        T, S = self.dims["T"], self.dims["S"]
         for kind in COLUMN_KINDS:
-            nu = self._units[kind]
-            for s in range(S):
-                for t in range(T):
-                    for u in range(nu):
-                        if kind in ("buy", "sell", "curtail"):
-                            names.append(f"{short[kind]}_t{t}_s{s}")
-                        else:
-                            names.append(f"{short[kind]}{u}_t{t}_s{s}")
+            unit = "" if kind in ("buy", "sell", "curtail") else "{2}"
+            names += _labels((short[kind] + unit + "_t{1}_s{0}").format,
+                             self.columns(kind).shape)
         return names
+
+
+def _labels(name, shape):
+    """name(*idx) for every index of an array of `shape`, in C order."""
+    return [name(*idx) for idx in product(*map(range, shape))]
 
 
 def expected_counts(config: MicrogridConfig, n_scenarios: int,
@@ -210,177 +215,134 @@ def build(config: MicrogridConfig, scenarios, options: FormulationOptions | None
 
     index = VariableIndex(config, S, options)
     h = config.period_hours
-    probs = [sc.probability for sc in scenarios.scenarios]
-    decision_parking = options.parking_mode == "decision-binary"
+    cols = {kind: index.columns(kind) for kind in COLUMN_KINDS}
+
+    def unit_params(units, *fields):
+        return [np.array([getattr(u, f) for u in units], dtype=float) for f in fields]
+
+    p_min, p_max, chp_cost, alpha = unit_params(
+        config.chp_units, "p_min", "p_max", "cost_per_kwh", "alpha")
+    e_min, e_max, e_init, c_max, d_max, deg, eta_c, eta_d = unit_params(
+        config.phevs, "e_min", "e_max", "e_initial", "charge_rate_max",
+        "discharge_rate_max", "degradation_cost_per_kwh", "eta_charge", "eta_discharge")
+    rate_min, rate_max = unit_params(config.deferrables, "rate_min", "rate_max")
+    windows = [d.window_range() for d in config.deferrables]
+    period = np.arange(T)[:, None]
+    in_window = (period >= [r.start for r in windows]) & (period < [r.stop for r in windows])
+    parking = scenarios.parking_tensor().transpose(0, 2, 1)  # (S, T, n_phev)
+    gate = 1.0 if options.parking_mode == "decision-binary" else parking
+    w = (scenarios.probabilities * h)[:, None, None]
+    cap = config.tariff.exchange_cap[:, None]
 
     n = index.n_cols
     obj = np.zeros(n)
     lo = np.zeros(n)
     hi = np.zeros(n)
-    binary_cols = []
+    # kind -> (lower, upper, cost), each broadcast over the kind's (S, T, n_unit)
+    for kind, (lower, upper, cost) in {
+        "chp": (p_min, p_max, w * chp_cost),
+        "charge": (0.0, c_max * gate, w * deg * eta_c),
+        "discharge": (0.0, d_max * gate, w * deg / eta_d),
+        "storage": (e_min, e_max, 0.0),
+        "serve": (np.where(in_window, rate_min, 0.0), np.where(in_window, rate_max, 0.0), 0.0),
+        "buy": (0.0, cap, w * config.tariff.price_buy[:, None]),
+        "sell": (0.0, cap, -w * config.tariff.price_sell[:, None]),
+        "curtail": (0.0, np.inf, w * options.curtailment_penalty if index.has_curtail else 0.0),
+        "mode": (0.0, 1.0, 0.0),
+    }.items():
+        lo[cols[kind]], hi[cols[kind]], obj[cols[kind]] = lower, upper, cost
 
-    for s in range(S):
-        scen = scenarios.scenarios[s]
-        w = probs[s] * h
-        for t in range(T):
-            for i, u in enumerate(config.chp_units):
-                j = index.column("chp", s, t, i)
-                lo[j], hi[j] = u.p_min, u.p_max
-                obj[j] = w * u.cost_per_kwh
-            for m, ev in enumerate(config.phevs):
-                jc = index.column("charge", s, t, m)
-                jd = index.column("discharge", s, t, m)
-                gate = 1.0 if decision_parking else scen.parking[m, t]
-                lo[jc], hi[jc] = 0.0, ev.charge_rate_max * gate
-                lo[jd], hi[jd] = 0.0, ev.discharge_rate_max * gate
-                obj[jc] = w * ev.degradation_cost_per_kwh * ev.eta_charge
-                obj[jd] = w * ev.degradation_cost_per_kwh / ev.eta_discharge
-                js = index.column("storage", s, t, m)
-                lo[js], hi[js] = ev.e_min, ev.e_max
-            for jdx, d in enumerate(config.deferrables):
-                jl = index.column("serve", s, t, jdx)
-                if t in d.window_range():
-                    lo[jl], hi[jl] = d.rate_min, d.rate_max
-                else:
-                    lo[jl], hi[jl] = 0.0, 0.0
-            jb = index.column("buy", s, t)
-            jsell = index.column("sell", s, t)
-            cap = config.tariff.exchange_cap[t]
-            lo[jb], hi[jb] = 0.0, cap
-            lo[jsell], hi[jsell] = 0.0, cap
-            obj[jb] = w * config.tariff.price_buy[t]
-            obj[jsell] = -w * config.tariff.price_sell[t]
-            if index.has_curtail:
-                jcur = index.column("curtail", s, t)
-                lo[jcur], hi[jcur] = 0.0, np.inf
-                obj[jcur] = w * options.curtailment_penalty
-            if index.has_mode:
-                for m in range(config.n_phev):
-                    jm = index.column("mode", s, t, m)
-                    lo[jm], hi[jm] = 0.0, 1.0
-                    binary_cols.append(jm)
+    senses, rhs, names, trips = [], [], [], []
 
-    rows = []  # (sense, rhs, name)
-    trips = []
+    def add_rows(sense, b, name, shape, *coefs):
+        """Append a row family of `shape`, in C order.  `name(*idx)` labels
+        each row; each coef (rows, cols, vals) is broadcast over ids[rows]."""
+        ids = len(senses) + np.arange(np.prod(shape, dtype=int)).reshape(shape)
+        senses.extend([sense] * ids.size)
+        rhs.append(np.broadcast_to(b, shape).ravel())
+        names.extend(_labels(name, shape))
+        for where, c, v in coefs:
+            trips.append([a.ravel() for a in np.broadcast_arrays(ids[where], c, v)])
 
-    def add_row(sense, rhs, name):
-        rows.append((sense, rhs, name))
-        return len(rows) - 1
+    every = np.s_[...]
+    sto = cols["storage"]
+    link_rhs = np.zeros(sto.shape)
+    link_rhs[:, 0] = e_init
+    add_rows("=", link_rhs, "link_m{2}_t{1}_s{0}".format, sto.shape,
+             (every, sto, 1.0),
+             (np.s_[:, 1:], sto[:, :-1], -1.0),
+             (every, cols["charge"], -h * eta_c),
+             (every, cols["discharge"], h / eta_d))
+    add_rows("=", e_init, "term_m{1}_s{0}".format, (S, config.n_phev),
+             (every, sto[:, T - 1], 1.0))
+    add_rows("=", scenarios.deferrable_matrix(), "dsum_j{1}_s{0}".format,
+             (S, config.n_deferrable), (np.s_[:, None], cols["serve"], h * in_window))
+    per_period = np.s_[:, :, None]
+    add_rows("=", config.base_power - scenarios.solar_matrix(), "bal_t{1}_s{0}".format,
+             (S, T), *((per_period, cols[kind], sign) for kind, sign in (
+                 ("chp", 1.0), ("discharge", 1.0), ("charge", -1.0), ("buy", 1.0),
+                 ("sell", -1.0), ("serve", -1.0), ("curtail", -1.0))))
+    add_rows(">=", config.base_heat, "heat_t{1}_s{0}".format, (S, T),
+             (per_period, cols["chp"], alpha))
 
-    for s in range(S):
-        for t in range(T):
-            for m, ev in enumerate(config.phevs):
-                r = add_row("=", ev.e_initial if t == 0 else 0.0, f"link_m{m}_t{t}_s{s}")
-                trips.append((r, index.column("storage", s, t, m), 1.0))
-                if t > 0:
-                    trips.append((r, index.column("storage", s, t - 1, m), -1.0))
-                trips.append((r, index.column("charge", s, t, m), -h * ev.eta_charge))
-                trips.append((r, index.column("discharge", s, t, m), h / ev.eta_discharge))
-    for s in range(S):
-        for m, ev in enumerate(config.phevs):
-            r = add_row("=", ev.e_initial, f"term_m{m}_s{s}")
-            trips.append((r, index.column("storage", s, T - 1, m), 1.0))
-    for s in range(S):
-        scen = scenarios.scenarios[s]
-        for jdx, d in enumerate(config.deferrables):
-            r = add_row("=", float(scen.deferrable_energy[jdx]), f"dsum_j{jdx}_s{s}")
-            for t in d.window_range():
-                trips.append((r, index.column("serve", s, t, jdx), h))
-    for s in range(S):
-        scen = scenarios.scenarios[s]
-        for t in range(T):
-            r = add_row("=", config.base_power[t] - scen.solar[t], f"bal_t{t}_s{s}")
-            for i in range(config.n_chp):
-                trips.append((r, index.column("chp", s, t, i), 1.0))
-            for m in range(config.n_phev):
-                trips.append((r, index.column("discharge", s, t, m), 1.0))
-                trips.append((r, index.column("charge", s, t, m), -1.0))
-            trips.append((r, index.column("buy", s, t), 1.0))
-            trips.append((r, index.column("sell", s, t), -1.0))
-            for jdx in range(config.n_deferrable):
-                trips.append((r, index.column("serve", s, t, jdx), -1.0))
-            if index.has_curtail:
-                trips.append((r, index.column("curtail", s, t), -1.0))
-    for s in range(S):
-        for t in range(T):
-            r = add_row(">=", config.base_heat[t], f"heat_t{t}_s{s}")
-            for i, u in enumerate(config.chp_units):
-                trips.append((r, index.column("chp", s, t, i), u.alpha))
+    # mode coupling: per (s, t, m) a charge row, then a discharge row
+    def pair_name(charge_label, discharge_label):
+        return lambda s, t, m, k: f"{(charge_label, discharge_label)[k]}_m{m}_t{t}_s{s}"
 
+    chg, dis = np.s_[..., 0], np.s_[..., 1]
+    mode = cols["mode"]
     if options.exclusivity_binaries:
-        for s in range(S):
-            scen = scenarios.scenarios[s]
-            for t in range(T):
-                for m, ev in enumerate(config.phevs):
-                    gate_c = ev.charge_rate_max * scen.parking[m, t]
-                    gate_d = ev.discharge_rate_max * scen.parking[m, t]
-                    r = add_row("<=", 0.0, f"exc_m{m}_t{t}_s{s}")
-                    trips.append((r, index.column("charge", s, t, m), 1.0))
-                    if gate_c:
-                        trips.append((r, index.column("mode", s, t, m), -gate_c))
-                    r = add_row("<=", gate_d, f"exd_m{m}_t{t}_s{s}")
-                    trips.append((r, index.column("discharge", s, t, m), 1.0))
-                    if gate_d:
-                        trips.append((r, index.column("mode", s, t, m), gate_d))
-    if decision_parking:
-        for s in range(S):
-            for t in range(T):
-                for m, ev in enumerate(config.phevs):
-                    r = add_row("<=", 0.0, f"pkc_m{m}_t{t}_s{s}")
-                    trips.append((r, index.column("charge", s, t, m), 1.0))
-                    trips.append((r, index.column("mode", s, t, m), -ev.charge_rate_max))
-                    r = add_row("<=", 0.0, f"pkd_m{m}_t{t}_s{s}")
-                    trips.append((r, index.column("discharge", s, t, m), 1.0))
-                    trips.append((r, index.column("mode", s, t, m), -ev.discharge_rate_max))
+        gate_c, gate_d = c_max * parking, d_max * parking
+        add_rows("<=", np.stack([np.zeros_like(gate_d), gate_d], axis=-1),
+                 pair_name("exc", "exd"), sto.shape + (2,),
+                 (chg, cols["charge"], 1.0), (chg, mode, -gate_c),
+                 (dis, cols["discharge"], 1.0), (dis, mode, gate_d))
+    if options.parking_mode == "decision-binary":
+        add_rows("<=", 0.0, pair_name("pkc", "pkd"), sto.shape + (2,),
+                 (chg, cols["charge"], 1.0), (chg, mode, -c_max),
+                 (dis, cols["discharge"], 1.0), (dis, mode, -d_max))
     if options.stage_mode == "day-ahead-chp":
-        for s in range(1, S):
-            for t in range(T):
-                for i in range(config.n_chp):
-                    r = add_row("=", 0.0, f"nac_i{i}_t{t}_s{s}")
-                    trips.append((r, index.column("chp", s, t, i), 1.0))
-                    trips.append((r, index.column("chp", 0, t, i), -1.0))
+        chp = cols["chp"]
+        add_rows("=", 0.0, lambda s, t, i: f"nac_i{i}_t{t}_s{s + 1}", chp[1:].shape,
+                 (every, chp[1:], 1.0), (every, chp[:1], -1.0))
 
     expect = expected_counts(config, S, options)
-    if len(rows) != expect["n_rows"] or n != expect["n_cols"]:
+    if len(senses) != expect["n_rows"] or n != expect["n_cols"]:
         raise AssertionError(
-            f"formulation self-audit failed: built {n} cols / {len(rows)} rows, "
+            f"formulation self-audit failed: built {n} cols / {len(senses)} rows, "
             f"formulas give {expect['n_cols']} / {expect['n_rows']}"
         )
 
     problem = LpProblem(
         n_cols=n,
-        n_rows=len(rows),
+        n_rows=len(senses),
         objective=obj,
-        triplets=trips,
-        row_sense=[r[0] for r in rows],
-        rhs=[r[1] for r in rows],
+        triplets=tuple(np.concatenate(part) for part in zip(*trips)),
+        row_sense=senses,
+        rhs=np.concatenate(rhs),
         col_lower=lo,
         col_upper=hi,
-        binary_cols=binary_cols,
-        row_names=[r[2] for r in rows],
+        binary_cols=mode.ravel(),
+        row_names=names,
         col_names=index.column_names(),
         name="MICROGRID",
     )
     return problem, index
 
 
+# schedule field -> column kind; grid exchange gets a unit axis of length 1
+_SCHEDULE_KINDS = (("chp_power", "chp"), ("charge", "charge"), ("discharge", "discharge"),
+                   ("storage", "storage"), ("serve", "serve"), ("grid_buy", "buy"),
+                   ("grid_sell", "sell"))
+
+
 def schedule_to_vector(schedule: Schedule, index: VariableIndex) -> np.ndarray:
     """Embed a schedule as a primal point of the built problem (spill and
     mode columns, when present, are left at zero)."""
     x = np.zeros(index.n_cols)
-    T, S = index.dims["T"], index.dims["S"]
-    for s in range(S):
-        for t in range(T):
-            for i in range(index.dims["chp"]):
-                x[index.column("chp", s, t, i)] = schedule.chp_power[i, t, s]
-            for m in range(index.dims["phev"]):
-                x[index.column("charge", s, t, m)] = schedule.charge[m, t, s]
-                x[index.column("discharge", s, t, m)] = schedule.discharge[m, t, s]
-                x[index.column("storage", s, t, m)] = schedule.storage[m, t, s]
-            for j in range(index.dims["deferrable"]):
-                x[index.column("serve", s, t, j)] = schedule.serve[j, t, s]
-            x[index.column("buy", s, t)] = schedule.grid_buy[t, s]
-            x[index.column("sell", s, t)] = schedule.grid_sell[t, s]
+    for field, kind in _SCHEDULE_KINDS:
+        arr = getattr(schedule, field)
+        x[index.columns(kind)] = (arr if arr.ndim == 3 else arr[None]).transpose(2, 1, 0)
     return x
 
 
@@ -393,34 +355,13 @@ def extract_schedule(solution, index: VariableIndex, config: MicrogridConfig,
     """
     if solution.status in ("infeasible", "unbounded") or solution.x is None:
         raise ValueError(f"cannot extract a schedule from status {solution.status!r}")
-    x = solution.x
-    T, S = index.dims["T"], index.dims["S"]
-    nc, nev, nj = index.dims["chp"], index.dims["phev"], index.dims["deferrable"]
-
-    def grab(kind, nu):
-        out = np.zeros((nu, T, S))
-        for s in range(S):
-            for t in range(T):
-                for u in range(nu):
-                    out[u, t, s] = x[index.column(kind, s, t, u)]
-        return out
-
-    chp = grab("chp", nc)
-    charge = grab("charge", nev)
-    discharge = grab("discharge", nev)
-    lp_storage = grab("storage", nev)
-    serve = grab("serve", nj)
-    buy = np.zeros((T, S))
-    sell = np.zeros((T, S))
-    for s in range(S):
-        for t in range(T):
-            buy[t, s] = x[index.column("buy", s, t)]
-            sell[t, s] = x[index.column("sell", s, t)]
+    chp, charge, discharge, lp_storage, serve, buy, sell = (
+        solution.x[index.columns(kind)].transpose(2, 1, 0) for _, kind in _SCHEDULE_KINDS)
 
     derived = derive_storage(config, charge, discharge)
-    if nev and np.abs(derived - lp_storage).max() > storage_tol:
+    if index.dims["phev"] and np.abs(derived - lp_storage).max() > storage_tol:
         raise ValueError(
             "storage columns disagree with the recursion by "
             f"{np.abs(derived - lp_storage).max():.3g} kWh"
         )
-    return Schedule.from_decisions(config, chp, charge, discharge, serve, buy, sell)
+    return Schedule.from_decisions(config, chp, charge, discharge, serve, buy[0], sell[0])

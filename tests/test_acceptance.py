@@ -219,7 +219,7 @@ def grid_oracle_scenario(cfg, scen, step=0.5):
 def test_criterion_03_micro_instance_grid_search():
     t0 = time.perf_counter()
     cfg, ss = micro_instance()
-    _, report, _, _ = solve_stochastic(cfg, ss)
+    _, report = solve_stochastic(cfg, ss)
     lp_opt = report.objective
     oracle = 0.0
     bound = 0.0
@@ -242,8 +242,9 @@ def case_study_solution():
     full = generate(make_genspec(cfg, seed=4242), cfg, 300)
     scenarios, _ = reduce_fast_forward(full, 25)
     t0 = time.perf_counter()
-    schedule, report, problem, index = solve_stochastic(cfg, scenarios)
+    schedule, report = solve_stochastic(cfg, scenarios)
     elapsed = time.perf_counter() - t0
+    problem, _ = build(cfg, scenarios)
     return cfg, scenarios, schedule, report, problem, elapsed
 
 
@@ -350,7 +351,7 @@ def test_criterion_09_exclusivity(case_study_solution):
     # and on a smaller independent instance
     cfg2 = make_config(T=12, n_chp=1, n_phev=3, n_def=1)
     ss2 = generate(make_genspec(cfg2, seed=909), cfg2, 6)
-    sched2, _, _, _ = solve_stochastic(cfg2, ss2)
+    sched2, _ = solve_stochastic(cfg2, ss2)
     assert float(np.max(sched2.grid_buy * sched2.grid_sell)) <= 1e-6
 
 

@@ -55,6 +55,33 @@ def test_infeasible_instance_exits_three(tmp_path, capsys):
     assert any(r.startswith("bal_") for r in report["infeasible_rows"])
 
 
+def run_on_scenario_file(tmp_path, scenarios_path):
+    config, _ = write_inputs(tmp_path)
+    manifest = {"config": str(config), "scenarios": str(scenarios_path), "keep": 2,
+                "out": str(tmp_path / "out")}
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    return main(["run", "--manifest", str(tmp_path / "m.json")])
+
+
+def test_invalid_loaded_scenarios_exit_two(tmp_path, capsys):
+    config, gen = write_inputs(tmp_path)
+    assert main(["scenarios", "generate", "--config", str(config), "--genspec", str(gen),
+                 "--generate", "4", "--out", str(tmp_path / "bundle")]) == 0
+    data = json.loads((tmp_path / "bundle" / "scenarios.json").read_text())
+    data["scenarios"][1]["parking"][0][0] = 0.5
+    data["scenarios"][1]["solar"][0] = -1.0
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    assert run_on_scenario_file(tmp_path, tmp_path / "bad.json") == 2
+    err = capsys.readouterr().err
+    assert "scenario 1" in err and "negative" in err and "0 or 1" in err
+    assert not (tmp_path / "out" / "solution.json").exists()
+
+
+def test_missing_scenario_file_exits_two(tmp_path, capsys):
+    assert run_on_scenario_file(tmp_path, tmp_path / "nope.json") == 2
+    assert "nope.json" in capsys.readouterr().err
+
+
 def test_solver_limit_exits_four(tmp_path):
     config, gen = write_inputs(tmp_path)
     manifest = {

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_config, make_genspec
+from mgsched import experiments
 from mgsched.experiments import (
     InfeasibleProblem,
     RunManifest,
@@ -21,8 +22,8 @@ from mgsched.experiments import (
     solve_stochastic,
 )
 from mgsched.config_io import IngestError
-from mgsched.formulation import FormulationOptions, build
-from mgsched.lpcore import SolveSettings, solve_lp
+from mgsched.formulation import FormulationOptions, build, schedule_to_vector
+from mgsched.lpcore import SolveSettings, check_point, solve_lp
 from mgsched.model import (
     ChpUnit,
     DeferrableLoad,
@@ -61,18 +62,26 @@ def test_decomposed_solve_matches_full_lp():
     # strong cross-validation of the pipeline: two independent solve routes
     cfg = make_config(T=4, n_chp=2, n_phev=2, n_def=1)
     ss = generate(make_genspec(cfg, seed=37), cfg, 4)
-    sched, report, problem, _ = solve_stochastic(cfg, ss)
+    sched, report = solve_stochastic(cfg, ss)
     assert report.decomposed
+    problem, index = build(cfg, ss)
+    assert (report.n_cols, report.n_rows) == (problem.n_cols, problem.n_rows)
     full = solve_lp(problem)
     assert full.status == "optimal"
     assert report.objective == pytest.approx(full.objective, abs=1e-6)
     assert report.max_row_violation <= 1e-6
+    # the per-subproblem checks report what a check of the full problem would
+    rep = check_point(problem, schedule_to_vector(sched, index), SolveSettings().feasibility_tol)
+    assert report.max_row_violation == rep.max_row_violation
+    assert report.max_bound_violation == rep.max_bound_violation
+    assert report.row_violations == {problem.row_name(i): v
+                                     for i, v in rep.row_violations.items()}
 
 
 def test_day_ahead_mode_solves_jointly():
     cfg = make_config(T=3, n_chp=1, n_phev=1, n_def=0)
     ss = generate(make_genspec(cfg, seed=43), cfg, 3)
-    sched, report, _, _ = solve_stochastic(
+    sched, report = solve_stochastic(
         cfg, ss, FormulationOptions(stage_mode="day-ahead-chp"))
     assert not report.decomposed
     assert report.status == "optimal"
@@ -84,7 +93,7 @@ def test_buy_sell_exclusivity_at_optimum():
     # price_sell < price_buy forbids profitable simultaneous buy and sell
     cfg = make_config(T=6, n_chp=1, n_phev=2, n_def=1)
     ss = generate(make_genspec(cfg, seed=47), cfg, 5)
-    sched, _, _, _ = solve_stochastic(cfg, ss)
+    sched, _ = solve_stochastic(cfg, ss)
     assert np.max(sched.grid_buy * sched.grid_sell) <= 1e-6
 
 
@@ -114,10 +123,10 @@ def test_solver_limit_surfaces():
 def test_two_scenario_toy_matches_hand_computation():
     cfg, ss = toy_two_scenario()
     # stochastic: CHP serves load at 0.09 when dark, surplus sold when sunny
-    _, report, _, _ = solve_stochastic(cfg, ss)
+    _, report = solve_stochastic(cfg, ss)
     assert report.objective == pytest.approx(0.25, abs=1e-9)
     # expected-value problem sees solar 50, net zero, does nothing
-    det_sched, det_report, _, _ = solve_deterministic(cfg, ss)
+    det_sched, det_report = solve_deterministic(cfg, ss)
     assert det_report.objective == pytest.approx(0.0, abs=1e-9)
     # rigid policy: buy 50 when dark (5.0), sell 50 when sunny (-4.0)
     policy_cost, per_scenario = evaluate_policy(cfg, ss, det_sched)
@@ -145,7 +154,7 @@ def test_vss_nonnegative_on_random_sets():
 def test_policy_violations_are_flagged_and_priced():
     cfg, ss = toy_two_scenario()
     cfg = dataclasses.replace(cfg, tariff=GridTariff([0.10], [0.08], [30.0]))
-    det_sched, _, _, _ = solve_deterministic(cfg, ss)
+    det_sched, _ = solve_deterministic(cfg, ss)
     cost, per_scenario = evaluate_policy(cfg, ss, det_sched)
     sunny = per_scenario[1]
     assert sunny["flagged"]
@@ -157,7 +166,7 @@ def test_policy_violations_are_flagged_and_priced():
 def test_policy_cost_upper_bounds_every_scenario_optimum():
     cfg = make_config(T=4, n_chp=1, n_phev=1, n_def=1)
     ss = generate(make_genspec(cfg, seed=71), cfg, 5)
-    det_sched, _, _, _ = solve_deterministic(cfg, ss)
+    det_sched, _ = solve_deterministic(cfg, ss)
     _, per_scenario = evaluate_policy(cfg, ss, det_sched)
     for s, entry in enumerate(per_scenario):
         sub, _ = build(cfg, ss.single(s))
@@ -329,6 +338,17 @@ def test_window_sweep_monotone_with_error_rows(tmp_path):
     assert all(b <= a + 1e-6 for a, b in zip(costs, costs[1:]))
     text = (tmp_path / "out" / "window_sweep.csv").read_text()
     assert "infeasible" in text
+
+
+def test_window_sweep_propagates_errors_other_than_infeasibility(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("storage columns disagree with the recursion")
+
+    monkeypatch.setattr(experiments, "extract_schedule", broken)
+    m = manifest_for(tmp_path, experiment="window-sweep", widths=(2, 4),
+                     generate_count=10, keep=2)
+    with pytest.raises(ValueError, match="storage"):
+        run_window_sweep(m)
 
 
 def test_run_compare_writes_report(tmp_path):

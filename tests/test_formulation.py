@@ -29,7 +29,7 @@ from mgsched.scenario import ScenarioSet, generate
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# one frozen build per formulation mode: tests/golden/build_<name>.mps
+# one frozen build per formulation mode: tests/golden/build/<name>.mps
 GOLDEN_BUILDS = {
     "fully_adaptive": FormulationOptions(),
     "day_ahead_chp": FormulationOptions(stage_mode="day-ahead-chp"),
@@ -140,7 +140,7 @@ def test_counting_formulas_cover_all_option_combinations():
 def test_build_matches_golden_mps(name):
     cfg, ss = golden_build_instance()
     problem, _ = build(cfg, ss, GOLDEN_BUILDS[name])
-    assert export_mps(problem) == (GOLDEN / f"build_{name}.mps").read_text()
+    assert export_mps(problem) == (GOLDEN / "build" / f"{name}.mps").read_text()
 
 
 def test_symbol_audit_mentions_every_column_and_row_kind():
