@@ -21,6 +21,7 @@ from .experiments import (
     InfeasibleProblem,
     RunManifest,
     SolverLimit,
+    _write_atomic,
     load_manifest,
     load_scenario_set,
     prepare_scenarios,
@@ -228,7 +229,7 @@ def _dispatch_scenarios(args) -> int:
         out = Path(args.out)
         scn.save_csv_bundle(reduced, out)
         scn.save_json(reduced, out / "scenarios.json")
-        (out / "reduction_report.json").write_text(report.to_json() + "\n")
+        _write_atomic(out / "reduction_report.json", report.to_json() + "\n")
         print(f"kept {len(reduced)} of {len(sset)} scenarios; "
               f"distance {report.kantorovich_distance:.6g}")
         return EXIT_OK

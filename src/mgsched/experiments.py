@@ -166,13 +166,24 @@ class SolverLimit(RuntimeError):
 # scenario preparation
 
 
-def load_scenario_set(path) -> scn.ScenarioSet:
-    """Read a CSV bundle directory or a JSON file; failures are IngestError."""
+def load_scenario_set(path, config: MicrogridConfig | None = None) -> scn.ScenarioSet:
+    """Read a CSV bundle directory or a JSON file and validate every
+    scenario, against `config` when given, else for consistent shapes
+    across scenarios.  Failures are IngestError."""
     p = Path(path)
     try:
-        return scn.load_csv_bundle(p) if p.is_dir() else scn.load_json(p)
+        sset = scn.load_csv_bundle(p) if p.is_dir() else scn.load_json(p)
     except (OSError, KeyError, ValueError) as e:
         raise IngestError(f"cannot load scenario set from {p}: {e}") from e
+    first = sset.scenarios[0]
+    for s, sc in enumerate(sset.scenarios):
+        errors = [i.message for i in validate_scenario(sc, config).errors]
+        if config is None and any(getattr(sc, k).shape != getattr(first, k).shape
+                                  for k in ("solar", "parking", "deferrable_energy")):
+            errors.append("shapes differ from scenario 0")
+        if errors:
+            raise IngestError(f"{p}: scenario {s}: " + "; ".join(errors))
+    return sset
 
 
 def prepare_scenarios(manifest: RunManifest, config: MicrogridConfig):
@@ -182,12 +193,7 @@ def prepare_scenarios(manifest: RunManifest, config: MicrogridConfig):
     valid by construction.
     """
     if manifest.scenarios_path:
-        full = load_scenario_set(manifest.scenarios_path)
-        for s, sc in enumerate(full.scenarios):
-            errors = validate_scenario(sc, config).errors
-            if errors:
-                raise IngestError(f"{manifest.scenarios_path}: scenario {s}: "
-                                  + "; ".join(i.message for i in errors))
+        full = load_scenario_set(manifest.scenarios_path, config)
     else:
         if manifest.generation is None:
             raise IngestError("manifest needs either 'generation' or 'scenarios'")
@@ -231,7 +237,7 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
     S = len(scenarios.scenarios)
 
     if _decomposable(options) and S > 1:
-        report = SolveReport(status="optimal", objective=0.0, iterations=0, nodes=S,
+        report = SolveReport(status="optimal", objective=0.0, iterations=0, nodes=0,
                              n_cols=0, n_rows=0, decomposed=True)
         parts = []
         for s, prob in enumerate(scenarios.probabilities):

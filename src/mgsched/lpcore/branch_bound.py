@@ -5,7 +5,9 @@ resolves to the lowest column index so runs are reproducible.  Nodes are
 LP relaxations with tightened binary bounds.  The incumbent is accepted
 when all binary columns are integral within the integrality tolerance,
 and the search stops once the relative gap between incumbent and best
-open bound is below mip_gap.
+open bound is below mip_gap.  A node LP that stops at its iteration limit
+ends the search with status "limit" (its parent stays open), and an
+unbounded node LP makes the whole problem "unbounded".
 """
 
 import heapq
@@ -108,12 +110,22 @@ def solve_milp(problem: LpProblem, settings: SolveSettings | None = None) -> LpS
             child = solve_lp(_with_bounds(problem, child_lo, child_hi), settings)
             nodes_done += 1
             total_iters += child.iterations
+            if child.status == "unbounded":
+                return LpSolution(status="unbounded", iterations=total_iters, nodes=nodes_done)
+            if child.status == "limit":
+                # the unsolved child keeps the node open at the parent's bound
+                status = "limit"
+                counter += 1
+                heapq.heappush(heap, (sol.objective, counter, sol, lo, hi))
+                break
             if child.status != "optimal":
                 continue
             if incumbent is not None and _gap(incumbent_obj, child.objective) <= settings.mip_gap:
                 continue
             counter += 1
             heapq.heappush(heap, (child.objective, counter, child, child_lo, child_hi))
+        if status == "limit":
+            break
 
     best_bound = min([h[0] for h in heap], default=incumbent_obj)
     if incumbent is None:

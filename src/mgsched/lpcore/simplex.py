@@ -2,18 +2,19 @@
 
 Two-phase method on the equality form A x + s = b, where one slack column
 is appended per row and artificial columns absorb any initial bound
-violation of the slacks.  The basis is held as a dense LU factorization
-(scipy) plus a product-form eta file, refactorized periodically.  Pivot
-selection is Dantzig pricing with largest-pivot tie-breaking; after a run
-of stalled (degenerate) iterations the solver falls back to Bland's rule,
-which guarantees termination.  All tie-breaks resolve to the lowest
-column index, so repeated solves of the same problem are bit-identical.
+violation of the slacks.  The columns [A | I | artificials] are held in
+one sparse matrix; the basis is a sparse LU factorization of its basic
+columns (SuperLU with a fixed COLAMD ordering) plus a product-form eta
+file, refactorized periodically.  Pivot selection is Dantzig pricing with
+largest-pivot tie-breaking; after a run of stalled (degenerate) iterations
+the solver falls back to Bland's rule, which guarantees termination.  All
+tie-breaks resolve to the lowest column index, so repeated solves of the
+same problem are bit-identical.
 """
 
 import logging
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor
 
 from .problem import LpError, LpProblem, LpSolution, SolveSettings
 
@@ -29,12 +30,14 @@ class _Core:
     """Equality-form workspace shared by the two phases."""
 
     def __init__(self, problem: LpProblem, settings: SolveSettings):
+        # scipy.sparse is imported on first use, as in LpProblem.matrix_csc,
+        # so that importing the package does not load it
+        import scipy.sparse as sp
+
         self.settings = settings
-        self.m = problem.n_rows
-        self.n = problem.n_cols
-        self.A = problem.matrix_csc()
-        self.AT = self.A.T.tocsr()
-        self._getrs = get_lapack_funcs(("getrs",), (np.empty((1, 1)),))[0]
+        self.m = m = problem.n_rows
+        self.n = n = problem.n_cols
+        A = problem.matrix_csc()
 
         blo, bhi = problem.row_bounds()
         b = np.where(np.isfinite(bhi), bhi, blo)
@@ -44,56 +47,35 @@ class _Core:
         slack_lo = np.where(np.isfinite(bhi), 0.0, -np.inf)
         slack_hi = np.where(np.isfinite(bhi), bhi - blo, 0.0)
 
-        self.lo = np.concatenate([problem.lower_inf(), slack_lo])
-        self.hi = np.concatenate([problem.upper_inf(), slack_hi])
-        self.n_art = 0
-        self.art_row = np.zeros(0, dtype=np.int64)
-        self.art_sign = np.zeros(0)
-
-        n, m = self.n, self.m
-        x = np.zeros(n + m)
-        fin_lo = np.isfinite(self.lo[:n])
-        fin_hi = np.isfinite(self.hi[:n])
-        x[:n] = np.where(fin_lo, self.lo[:n], np.where(fin_hi, self.hi[:n], 0.0))
-        self.vstat = np.full(n + m, AT_LOWER, dtype=np.int8)
-        self.vstat[:n][~fin_lo & fin_hi] = AT_UPPER
-        self.vstat[:n][~fin_lo & ~fin_hi] = FREE
+        lo, hi = problem.lower_inf(), problem.upper_inf()
+        fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
+        x = np.where(fin_lo, lo, np.where(fin_hi, hi, 0.0))
+        vstat = np.full(n + m, AT_LOWER, dtype=np.int8)
+        vstat[:n][~fin_lo & fin_hi] = AT_UPPER
+        vstat[:n][~fin_lo & ~fin_hi] = FREE
 
         # candidate slack values; violations get an artificial column
-        act = self.A @ x[:n]
-        cand = self.b - act
-        basis = np.empty(m, dtype=np.int64)
-        art_row, art_sign, art_val = [], [], []
-        for i in range(m):
-            ls, us = slack_lo[i], slack_hi[i]
-            if ls - 1e-12 <= cand[i] <= us + 1e-12:
-                x[n + i] = cand[i]
-                self.vstat[n + i] = BASIC
-                basis[i] = n + i
-            else:
-                if cand[i] > us:
-                    x[n + i] = us
-                    self.vstat[n + i] = AT_UPPER
-                    sign, val = 1.0, cand[i] - us
-                else:
-                    x[n + i] = ls
-                    self.vstat[n + i] = AT_LOWER
-                    sign, val = -1.0, ls - cand[i]
-                basis[i] = n + m + len(art_row)
-                art_row.append(i)
-                art_sign.append(sign)
-                art_val.append(val)
-        self.n_art = len(art_row)
-        self.art_row = np.array(art_row, dtype=np.int64)
-        self.art_sign = np.array(art_sign)
-        self.lo = np.concatenate([self.lo, np.zeros(self.n_art)])
-        self.hi = np.concatenate([self.hi, np.full(self.n_art, np.inf)])
-        self.x = np.concatenate([x, np.array(art_val)])
-        self.vstat = np.concatenate(
-            [self.vstat, np.full(self.n_art, BASIC, dtype=np.int8)]
-        )
-        self.basis = basis
-        self.lu = None
+        cand = b - A @ x
+        inside = (slack_lo - 1e-12 <= cand) & (cand <= slack_hi + 1e-12)
+        above = ~inside & (cand > slack_hi)
+        slack = np.where(inside, cand, np.where(above, slack_hi, slack_lo))
+        vstat[n:][inside] = BASIC
+        vstat[n:][above] = AT_UPPER
+        art_row = np.nonzero(~inside)[0]
+        self.n_art = n_art = art_row.size
+        art = sp.csc_matrix((np.where(above[art_row], 1.0, -1.0), (art_row, np.arange(n_art))),
+                            shape=(m, n_art))
+        self.full = sp.hstack([A, sp.identity(m, format="csc"), art], format="csc")
+        self.fullT = self.full.T
+        self.art_row = art_row
+
+        self.lo = np.concatenate([lo, slack_lo, np.zeros(n_art)])
+        self.hi = np.concatenate([hi, slack_hi, np.full(n_art, np.inf)])
+        art_val = np.where(above, cand - slack_hi, slack_lo - cand)[art_row]
+        self.x = np.concatenate([x, slack, art_val])
+        self.vstat = np.concatenate([vstat, np.full(n_art, BASIC, dtype=np.int8)])
+        self.basis = n + np.arange(m)
+        self.basis[art_row] = n + m + np.arange(n_art)
         self.etas = []
         self.iterations = 0
         self._refactor()
@@ -101,52 +83,28 @@ class _Core:
     # -- columns and factorization ---------------------------------------
 
     def column(self, j):
+        f = self.full
         v = np.zeros(self.m)
-        if j < self.n:
-            a = self.A
-            v[a.indices[a.indptr[j]:a.indptr[j + 1]]] = a.data[a.indptr[j]:a.indptr[j + 1]]
-        elif j < self.n + self.m:
-            v[j - self.n] = 1.0
-        else:
-            k = j - self.n - self.m
-            v[self.art_row[k]] = self.art_sign[k]
+        v[f.indices[f.indptr[j]:f.indptr[j + 1]]] = f.data[f.indptr[j]:f.indptr[j + 1]]
         return v
 
     def _refactor(self):
-        m, n = self.m, self.n
-        B = np.zeros((m, m))
-        struct = np.nonzero(self.basis < n)[0]
-        if struct.size:
-            B[:, struct] = self.A[:, self.basis[struct]].toarray()
-        slack = np.nonzero((self.basis >= n) & (self.basis < n + m))[0]
-        if slack.size:
-            B[self.basis[slack] - n, slack] = 1.0
-        art = np.nonzero(self.basis >= n + m)[0]
-        if art.size:
-            k = self.basis[art] - n - m
-            B[self.art_row[k], art] = self.art_sign[k]
-        self.lu = lu_factor(B, check_finite=False)
+        from scipy.sparse.linalg import splu
+
+        try:
+            self.lu = splu(self.full[:, self.basis], permc_spec="COLAMD")
+        except RuntimeError as e:
+            raise LpError("basis factorization failed") from e
         self.etas = []
         self._recompute_basics()
-
-    def _lu_solve(self, b, trans):
-        x, info = self._getrs(self.lu[0], self.lu[1], b, trans=trans)
-        if info != 0:
-            raise LpError("basis factorization failed")
-        return x
 
     def _recompute_basics(self):
         xn = self.x.copy()
         xn[self.basis] = 0.0
-        act = self.A @ xn[: self.n]
-        act += xn[self.n : self.n + self.m]
-        if self.n_art:
-            np.add.at(act, self.art_row, self.art_sign * xn[self.n + self.m :])
-        xb = self.ftran(self.b - act)
-        self.x[self.basis] = xb
+        self.x[self.basis] = self.ftran(self.b - self.full @ xn)
 
     def ftran(self, v):
-        r = self._lu_solve(v, trans=0)
+        r = self.lu.solve(v)
         for p, d in self.etas:
             t = r[p] / d[p]
             r -= t * d
@@ -157,7 +115,7 @@ class _Core:
         y = w.copy()
         for p, d in reversed(self.etas):
             y[p] = (y[p] - (d @ y - d[p] * y[p])) / d[p]
-        return self._lu_solve(y, trans=1)
+        return self.lu.solve(y, trans="T")
 
     # -- main loop ---------------------------------------------------------
 
@@ -174,11 +132,7 @@ class _Core:
             if limit is not None and self.iterations >= limit:
                 return "limit"
             y = self.btran(costs[self.basis])
-            z = costs.copy()
-            z[: self.n] -= self.AT @ y
-            z[self.n : self.n + self.m] -= y
-            if self.n_art:
-                z[self.n + self.m :] -= self.art_sign * y[self.art_row]
+            z = costs - self.fullT @ y
 
             down = (self.vstat == AT_LOWER) & movable & (z < -opt_tol)
             up = (self.vstat == AT_UPPER) & movable & (z > opt_tol)

@@ -247,22 +247,25 @@ def validate_config(config: MicrogridConfig) -> ValidationReport:
     return rep
 
 
-def validate_scenario(scenario: Scenario, config: MicrogridConfig) -> ValidationReport:
+def validate_scenario(scenario: Scenario, config: MicrogridConfig | None = None) -> ValidationReport:
+    """Check one scenario's values; with a config, also its shapes and the
+    solar capacity."""
     rep = ValidationReport()
-    T = config.horizon
     if scenario.probability < 0:
         rep.add("PROBABILITY_NEGATIVE", f"probability {scenario.probability} < 0")
+    if np.any(scenario.solar < 0):
+        rep.add("SOLAR_NEGATIVE", "solar has negative entries")
+    if not np.all((scenario.parking == 0) | (scenario.parking == 1)):
+        rep.add("PARKING_NOT_BINARY", "parking entries must be 0 or 1")
+    if config is None:
+        return rep
+    T = config.horizon
     if scenario.solar.shape != (T,):
         rep.add("SOLAR_LENGTH", f"solar must have length {T}")
-    else:
-        if np.any(scenario.solar < 0):
-            rep.add("SOLAR_NEGATIVE", "solar has negative entries")
-        if np.any(scenario.solar > config.solar_capacity + 1e-9):
-            rep.add("SOLAR_ABOVE_CAPACITY", "solar exceeds installed capacity")
+    elif np.any(scenario.solar > config.solar_capacity + 1e-9):
+        rep.add("SOLAR_ABOVE_CAPACITY", "solar exceeds installed capacity")
     if scenario.parking.shape != (config.n_phev, T):
         rep.add("PARKING_SHAPE", f"parking must be ({config.n_phev}, {T})")
-    elif not np.all((scenario.parking == 0) | (scenario.parking == 1)):
-        rep.add("PARKING_NOT_BINARY", "parking entries must be 0 or 1")
     if scenario.deferrable_energy.shape != (config.n_deferrable,):
         rep.add("DEFER_ENERGY_LENGTH", f"deferrable_energy must have length {config.n_deferrable}")
     return rep

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  The case-study-sized
-solve (criterion 4) takes a few minutes; everything else is fast.
+Run with `pytest tests/test_acceptance.py -v -s`.  Criterion 4 solves
+the case-study-sized instance; everything else is small.
 """
 
 import functools

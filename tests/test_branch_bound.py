@@ -92,3 +92,23 @@ def test_node_limit_yields_limit_status():
     assert sol.status in ("limit", "optimal")
     if sol.status == "limit":
         assert sol.nodes >= 2
+
+
+@pytest.mark.parametrize("seed", [6, 24])
+def test_child_at_iteration_limit_is_not_reported_optimal(seed):
+    # with this budget some child LPs stop early; pruning them silently
+    # once returned a wrong objective with status "optimal"
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(0, 5, size=(5, 8))
+    b = A.sum(axis=1) / 2
+    c = -rng.uniform(1, 5, size=8)
+    p = build(c, A, ["<="] * 5, b, np.zeros(8), np.ones(8), binary_cols=range(8))
+    st, obj, _ = brute_force_milp(c, A, ["<="] * 5, b, np.zeros(8), np.ones(8), range(8))
+    assert st == "optimal"
+    sol = solve_milp(p, SolveSettings(iteration_limit=7))
+    assert sol.status == "limit"
+    assert sol.best_bound <= obj + 1e-9
+    if sol.x is not None:
+        assert sol.objective >= obj - 1e-9
+        assert check_point(p, sol.x, 1e-7).ok(1e-6)
+    assert solve_milp(p).objective == pytest.approx(obj, abs=1e-7)

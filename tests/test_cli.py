@@ -123,6 +123,18 @@ def test_scenarios_reduce_keep_out_of_range_exits_two(tmp_path):
                  "--keep", "9", "--out", str(tmp_path / "r")]) == 2
 
 
+def test_scenarios_reduce_rejects_fractional_parking(tmp_path):
+    config, gen = write_inputs(tmp_path)
+    main(["scenarios", "generate", "--config", str(config), "--genspec", str(gen),
+          "--generate", "5", "--out", str(tmp_path / "bundle")])
+    data = json.loads((tmp_path / "bundle" / "scenarios.json").read_text())
+    data["scenarios"][2]["parking"][0][1] = 0.5
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    assert main(["scenarios", "reduce", "--input", str(tmp_path / "bad.json"),
+                 "--keep", "2", "--out", str(tmp_path / "r")]) == 2
+    assert not (tmp_path / "r").exists()
+
+
 def test_export_mps_subcommand(tmp_path):
     config, gen = write_inputs(tmp_path)
     code = main(["export-mps", "--config", str(config), "--genspec", str(gen),

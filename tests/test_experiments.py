@@ -64,6 +64,7 @@ def test_decomposed_solve_matches_full_lp():
     ss = generate(make_genspec(cfg, seed=37), cfg, 4)
     sched, report = solve_stochastic(cfg, ss)
     assert report.decomposed
+    assert report.nodes == 0  # no branch-and-bound on this path
     problem, index = build(cfg, ss)
     assert (report.n_cols, report.n_rows) == (problem.n_cols, problem.n_rows)
     full = solve_lp(problem)

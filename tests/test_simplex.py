@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
+from conftest import make_config, make_genspec
+from mgsched.formulation import build as build_formulation
 from mgsched.lpcore import (
+    LpError,
     LpProblem,
     SolveSettings,
     check_point,
     dual_objective,
     solve_lp,
 )
+from mgsched.lpcore.simplex import _Core
+from mgsched.scenario import generate
 from oracles import brute_force_lp
 
 
@@ -105,6 +110,20 @@ def test_deterministic_repeat_solves():
     assert np.array_equal(s1.x, s2.x)
 
 
+def test_case_study_scenario_lp_repeats_bit_for_bit():
+    # one scenario of the case study: 1303 rows x 3840 columns; guards
+    # against any run-to-run variation in the sparse basis factorization
+    cfg = make_config(T=24, n_chp=3, n_phev=50, n_def=5)
+    p, _ = build_formulation(cfg, generate(make_genspec(cfg, seed=4242), cfg, 1))
+    assert (p.n_rows, p.n_cols) == (1303, 3840)
+    s1, s2 = solve_lp(p), solve_lp(p)
+    assert s1.status == s2.status == "optimal"
+    assert s1.iterations == s2.iterations
+    assert s1.objective == s2.objective
+    assert np.array_equal(s1.x, s2.x)
+    assert np.array_equal(s1.duals, s2.duals)
+
+
 def test_beale_degenerate_example_terminates():
     # classic cycling-prone instance; optimum -0.05
     c = [-0.75, 150.0, -0.02, 6.0]
@@ -149,3 +168,13 @@ def test_iteration_limit_reports_limit_status():
     p = build(c, A, senses, b, lo, hi)
     sol = solve_lp(p, SolveSettings(iteration_limit=1))
     assert sol.status in ("limit", "optimal")  # tiny instances may finish in 1
+
+
+def test_singular_basis_raises_lp_error():
+    # columns 0 and 1 are equal, so a basis holding both is singular
+    p = build([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], ["<=", "<="], [1.0, 2.0],
+              [0.0, 0.0], [1.0, 1.0])
+    core = _Core(p, SolveSettings())
+    core.basis[:] = [0, 1]
+    with pytest.raises(LpError, match="basis factorization failed"):
+        core._refactor()
