@@ -5,11 +5,14 @@ resolves to the lowest column index so runs are reproducible.  Nodes are
 LP relaxations with tightened binary bounds.  The incumbent is accepted
 when all binary columns are integral within the integrality tolerance,
 and the search stops once the relative gap between incumbent and best
-open bound is below mip_gap.  A node LP that stops at its iteration limit
-ends the search with status "limit" (its parent stays open), and an
-unbounded node LP makes the whole problem "unbounded".
+open bound is below mip_gap.  `iteration_limit` bounds the simplex
+iterations of the whole search: each node LP gets what is left of it, and
+a node LP that stops at its limit ends the search with status "limit"
+(its parent stays open, so the best bound stays valid).  An unbounded
+node LP makes the whole problem "unbounded".
 """
 
+import dataclasses
 import heapq
 import logging
 import time
@@ -72,7 +75,8 @@ def solve_milp(problem: LpProblem, settings: SolveSettings | None = None) -> LpS
         root.nodes = nodes_done
         return root
     if root.status == "limit":
-        return LpSolution(status="limit", iterations=total_iters, nodes=nodes_done)
+        return LpSolution(status="limit", iterations=total_iters, nodes=nodes_done,
+                          best_bound=-np.inf)
     heapq.heappush(heap, (root.objective, counter, root, root_lo, root_hi))
 
     status = "optimal"
@@ -107,7 +111,11 @@ def solve_milp(problem: LpProblem, settings: SolveSettings | None = None) -> LpS
                 child_hi[j] = 0.0
             else:
                 child_lo[j] = 1.0
-            child = solve_lp(_with_bounds(problem, child_lo, child_hi), settings)
+            node_settings = settings
+            if settings.iteration_limit is not None:
+                node_settings = dataclasses.replace(
+                    settings, iteration_limit=settings.iteration_limit - total_iters)
+            child = solve_lp(_with_bounds(problem, child_lo, child_hi), node_settings)
             nodes_done += 1
             total_iters += child.iterations
             if child.status == "unbounded":

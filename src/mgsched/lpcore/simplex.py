@@ -1,15 +1,18 @@
 """Revised simplex method for LPs with general column bounds.
 
 Two-phase method on the equality form A x + s = b, where one slack column
-is appended per row and artificial columns absorb any initial bound
-violation of the slacks.  The columns [A | I | artificials] are held in
-one sparse matrix; the basis is a sparse LU factorization of its basic
-columns (SuperLU with a fixed COLAMD ordering) plus a product-form eta
-file, refactorized periodically.  Pivot selection is Dantzig pricing with
-largest-pivot tie-breaking; after a run of stalled (degenerate) iterations
-the solver falls back to Bland's rule, which guarantees termination.  All
-tie-breaks resolve to the lowest column index, so repeated solves of the
-same problem are bit-identical.
+is appended per row.  The starting basis comes from a triangular crash
+(Bixby 1992): structural columns take the place of the fixed slacks of
+equality rows wherever that keeps the basis lower-triangular and the
+column within its bounds.  The other rows start on their slack, and
+artificial columns absorb any bound violation of those slacks.  The
+columns [A | I | artificials] are held in one sparse matrix; the basis is
+a sparse LU factorization of its basic columns (SuperLU with a fixed
+COLAMD ordering) plus a product-form eta file, refactorized periodically.
+Pivot selection is Dantzig pricing with largest-pivot tie-breaking; after
+a run of stalled (degenerate) iterations the solver falls back to Bland's
+rule, which guarantees termination.  All tie-breaks resolve to the lowest
+column index, so repeated solves of the same problem are bit-identical.
 """
 
 import logging
@@ -54,14 +57,21 @@ class _Core:
         vstat[:n][~fin_lo & fin_hi] = AT_UPPER
         vstat[:n][~fin_lo & ~fin_hi] = FREE
 
-        # candidate slack values; violations get an artificial column
+        crash_cols, crash_rows = _crash(A, b, lo, hi, x, eq_row=slack_lo == slack_hi)
+        vstat[crash_cols] = BASIC
+        self.n_crash = crash_cols.size
+
+        # candidate slack values of the rows the crash left; violations get
+        # an artificial column.  Crashed rows keep their slack nonbasic at 0.
+        open_row = np.ones(m, dtype=bool)
+        open_row[crash_rows] = False
         cand = b - A @ x
-        inside = (slack_lo - 1e-12 <= cand) & (cand <= slack_hi + 1e-12)
-        above = ~inside & (cand > slack_hi)
+        inside = open_row & (slack_lo - 1e-12 <= cand) & (cand <= slack_hi + 1e-12)
+        above = open_row & ~inside & (cand > slack_hi)
         slack = np.where(inside, cand, np.where(above, slack_hi, slack_lo))
         vstat[n:][inside] = BASIC
         vstat[n:][above] = AT_UPPER
-        art_row = np.nonzero(~inside)[0]
+        art_row = np.nonzero(open_row & ~inside)[0]
         self.n_art = n_art = art_row.size
         art = sp.csc_matrix((np.where(above[art_row], 1.0, -1.0), (art_row, np.arange(n_art))),
                             shape=(m, n_art))
@@ -76,8 +86,11 @@ class _Core:
         self.vstat = np.concatenate([vstat, np.full(n_art, BASIC, dtype=np.int8)])
         self.basis = n + np.arange(m)
         self.basis[art_row] = n + m + np.arange(n_art)
+        self.basis[crash_rows] = crash_cols
         self.etas = []
         self.iterations = 0
+        self.phase1_iterations = 0
+        self.refactors = 0
         self._refactor()
 
     # -- columns and factorization ---------------------------------------
@@ -95,6 +108,7 @@ class _Core:
             self.lu = splu(self.full[:, self.basis], permc_spec="COLAMD")
         except RuntimeError as e:
             raise LpError("basis factorization failed") from e
+        self.refactors += 1
         self.etas = []
         self._recompute_basics()
 
@@ -211,6 +225,65 @@ class _Core:
         self.x[snap] = self.hi[snap]
 
 
+def _crash(A, b, lo, hi, x, eq_row):
+    """Triangular crash: structural columns made basic in equality rows.
+
+    Candidates are columns with lo < hi whose largest entry in an equality
+    row is at least 0.1 of their largest entry overall; that entry's row
+    (lowest on ties) is the column's pivot row.  They are tried by
+    decreasing bound range, lowest index first on ties.  A column is taken
+    when none of its nonzeros lies in a row already taken, which keeps the
+    crash basis lower-triangular and so nonsingular, and when the value
+    that makes its pivot row exact, with every other column at its current
+    value, lies within its bounds.  `x` is updated in place to those
+    values.  Returns (cols, rows): column cols[k] is basic in row rows[k].
+    """
+    A.sort_indices()
+    n = A.shape[1]
+    nnz = np.diff(A.indptr)
+    starts = A.indptr[:-1][nnz > 0]
+    mag = np.abs(A.data)
+    eq_mag = np.where(eq_row[A.indices], mag, 0.0)
+    col_max = np.zeros(n)
+    eq_max = np.zeros(n)
+    col_max[nnz > 0] = np.maximum.reduceat(mag, starts)
+    eq_max[nnz > 0] = np.maximum.reduceat(eq_mag, starts)
+    ok = (lo < hi) & (eq_max > 0.0) & (eq_max >= 0.1 * col_max)
+
+    # pivot entry: first (lowest-row) entry of the column attaining eq_max
+    entry_col = np.repeat(np.arange(n), nnz)
+    hit = np.nonzero((eq_mag > 0.0) & (eq_mag == eq_max[entry_col]) & ok[entry_col])[0]
+    pcols, first = np.unique(entry_col[hit], return_index=True)
+    pivot = hit[first]
+    order = np.argsort(-(hi[pcols] - lo[pcols]), kind="stable")
+    pcols, pivot = pcols[order], pivot[order]
+
+    indptr, indices, data = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+    resid = (b - A @ x).tolist()
+    xs = x.tolist()
+    taken = bytearray(len(resid))
+    cols, rows = [], []
+    for j, i, a, lj, hj in zip(pcols.tolist(), A.indices[pivot].tolist(), A.data[pivot].tolist(),
+                               lo[pcols].tolist(), hi[pcols].tolist()):
+        s, e = indptr[j], indptr[j + 1]
+        col_rows = indices[s:e]
+        if any(map(taken.__getitem__, col_rows)):
+            continue
+        delta = resid[i] / a
+        v = xs[j] + delta
+        if not lj <= v <= hj:
+            continue
+        for r, ar in zip(col_rows, data[s:e]):
+            resid[r] -= ar * delta
+        xs[j] = v
+        taken[i] = 1
+        cols.append(j)
+        rows.append(i)
+    cols = np.array(cols, dtype=np.int64)
+    x[cols] = np.array(xs)[cols]
+    return cols, np.array(rows, dtype=np.int64)
+
+
 def solve_lp(problem: LpProblem, settings: SolveSettings | None = None) -> LpSolution:
     """Solve a pure LP (binary marks ignored) to proven optimality.
 
@@ -240,12 +313,25 @@ def solve_lp(problem: LpProblem, settings: SolveSettings | None = None) -> LpSol
         )
 
     core = _Core(problem, settings)
-    scale = max(1.0, np.abs(core.b).max() if m else 1.0)
+    sol = _two_phase(core, problem, settings)
+    log.debug(
+        "LP %s %s: %d crash columns, %d artificials, %d phase-1 + %d phase-2 iterations, "
+        "%d refactorizations", problem.name, sol.status, core.n_crash, core.n_art,
+        core.phase1_iterations, core.iterations - core.phase1_iterations, core.refactors,
+    )
+    return sol
+
+
+def _two_phase(core, problem, settings):
+    """Phase 1 on the artificials, if there are any, then phase 2."""
+    n = core.n
+    scale = max(1.0, np.abs(core.b).max())
 
     if core.n_art:
         phase1 = np.zeros(core.x.size)
         phase1[core.n + core.m :] = 1.0
         status = core.run(phase1, phase=1)
+        core.phase1_iterations = core.iterations
         if status == "limit":
             return LpSolution(status="limit", iterations=core.iterations)
         core.cleanup()

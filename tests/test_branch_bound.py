@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mgsched.lpcore.branch_bound as bb
 from mgsched.lpcore import LpProblem, SolveSettings, check_point, solve_lp, solve_milp
 from oracles import brute_force_milp
 
@@ -112,3 +113,33 @@ def test_child_at_iteration_limit_is_not_reported_optimal(seed):
         assert sol.objective >= obj - 1e-9
         assert check_point(p, sol.x, 1e-7).ok(1e-6)
     assert solve_milp(p).objective == pytest.approx(obj, abs=1e-7)
+
+
+def test_iteration_limit_bounds_the_whole_search(monkeypatch):
+    # every node LP needs at most 6 iterations, the whole search 31; a
+    # per-node limit of 20 would never fire and the result would read optimal
+    rng = np.random.default_rng(3)
+    n = 8
+    value = np.round(rng.uniform(1, 10, n), 1)
+    weight = np.round(rng.uniform(1, 6, n), 1)
+    cap = round(float(weight.sum()) * 0.5, 1)
+    p = build(-value, weight[None, :], ["<="], [cap], np.zeros(n), np.ones(n),
+              binary_cols=range(n))
+    node_iters = []
+    real_solve_lp = bb.solve_lp
+
+    def spy(*args):
+        sol = real_solve_lp(*args)
+        node_iters.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(bb, "solve_lp", spy)
+    full = solve_milp(p)
+    assert full.status == "optimal"
+    assert max(node_iters) < 20 < full.iterations
+
+    for limit in (node_iters[0] - 1, 20):  # the root LP alone, then the search
+        sol = solve_milp(p, SolveSettings(iteration_limit=limit))
+        assert sol.status == "limit"
+        assert sol.iterations <= limit
+        assert sol.best_bound <= full.objective + 1e-9

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from conftest import make_config, make_genspec
 from mgsched.formulation import build as build_formulation
@@ -11,7 +14,7 @@ from mgsched.lpcore import (
     dual_objective,
     solve_lp,
 )
-from mgsched.lpcore.simplex import _Core
+from mgsched.lpcore.simplex import BASIC, _Core
 from mgsched.scenario import generate
 from oracles import brute_force_lp
 
@@ -122,6 +125,100 @@ def test_case_study_scenario_lp_repeats_bit_for_bit():
     assert s1.objective == s2.objective
     assert np.array_equal(s1.x, s2.x)
     assert np.array_equal(s1.duals, s2.duals)
+
+
+@pytest.fixture(scope="module")
+def case_study_lp():
+    cfg = make_config(T=24, n_chp=3, n_phev=50, n_def=5)
+    p, _ = build_formulation(cfg, generate(make_genspec(cfg, seed=4242), cfg, 1))
+    return p
+
+
+def test_case_study_scenario_lp_iteration_count(case_study_lp):
+    # 2694 iterations from the all-slack start; the crash basis cuts this
+    # to 658, and iteration counts are deterministic
+    sol = solve_lp(case_study_lp)
+    assert sol.status == "optimal"
+    assert sol.iterations <= 1200
+
+
+def test_crash_basis_on_case_study_scenario_lp(case_study_lp):
+    p = case_study_lp
+    core = _Core(p, SolveSettings())
+    crashed = np.nonzero(core.basis < core.n)[0]  # basis position = row
+    assert crashed.size == core.n_crash >= 1200
+    cols = core.basis[crashed]
+    assert np.all(core.x[cols] >= core.lo[cols] - 1e-9)
+    assert np.all(core.x[cols] <= core.hi[cols] + 1e-9)
+    assert not np.isin(core.art_row, crashed).any()
+    assert np.all(core.vstat[core.n + crashed] != BASIC)  # their slacks stay nonbasic
+    splu(core.full[:, core.basis], permc_spec="COLAMD")
+    assert np.abs(core.full @ core.x - core.b).max() <= 1e-9
+
+
+def test_infeasible_equality_lp_names_rows():
+    # x0 free, x1 in [0, 2]: x0 + x1 = 1 and x0 + x1 = 3 clash; the crash
+    # makes x0 basic in the first row, so the clash lands on artificials
+    p = build([0.0, 1.0], [[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]], ["=", "=", "="],
+              [1.0, 3.0, 0.5], [-np.inf, 0.0], [np.inf, 2.0])
+    sol = solve_lp(p)
+    assert sol.status == "infeasible"
+    assert sol.infeasible_rows
+
+
+KINDS = ("bounded", "lower", "upper", "free", "fixed")
+
+
+@st.composite
+def equality_lps(draw):
+    """Small LPs, mostly `=` rows, over every column bound kind.
+
+    Integer data keep every sum exact.  Costs are c = A'y + d with a
+    dual-feasible (y, d), so each instance is optimal or infeasible, the
+    two outcomes the vertex-enumeration oracle can tell apart.
+    """
+    def ints(k, a, b):
+        return np.array(draw(st.lists(st.integers(a, b), min_size=k, max_size=k)), dtype=float)
+
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 6))
+    kind = np.array(draw(st.lists(st.sampled_from(KINDS), min_size=n, max_size=n)))
+    senses = draw(st.lists(st.sampled_from(["=", "=", "=", "<=", ">="]), min_size=m, max_size=m))
+    le, ge = np.array(senses) == "<=", np.array(senses) == ">="
+    A = ints(m * n, -3, 3).reshape(m, n)
+    free = kind == "free"
+    # the oracle keeps free columns basic, so they must be independent
+    assume(not free.any() or np.linalg.matrix_rank(A[:, free]) == free.sum())
+
+    base, width, step = ints(n, -3, 3), ints(n, 1, 4), ints(n, 0, 4)
+    lo = np.where(np.isin(kind, ["bounded", "lower", "fixed"]), base, -np.inf)
+    hi = np.select([kind == "bounded", np.isin(kind, ["upper", "fixed"])],
+                   [base + width, base], np.inf)
+    x0 = np.select([kind == "bounded", kind == "lower", kind == "upper", free],
+                   [base + np.minimum(step, width), base + step, base - step, step - 2], base)
+    if draw(st.booleans()):
+        b = A @ x0 + np.select([le, ge], [1.0, -1.0], 0.0) * ints(m, 0, 2)
+    else:
+        b = ints(m, -6, 6)
+
+    y = ints(m, -2, 2)
+    y = np.select([le, ge], [-np.abs(y), np.abs(y)], y)
+    d = ints(n, -2, 2)
+    d = np.select([kind == "lower", kind == "upper", free], [np.abs(d), -np.abs(d), 0.0], d)
+    return A.T @ y + d, A, senses, b, lo, hi
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(equality_lps())
+def test_equality_dominated_lps_match_oracle(lp):
+    c, A, senses, b, lo, hi = lp
+    p = build(c, A, senses, b, lo, hi)
+    sol = solve_lp(p)
+    status, obj, _ = brute_force_lp(c, A, senses, b, lo, hi)
+    assert sol.status == status
+    if status == "optimal":
+        assert sol.objective == pytest.approx(obj, abs=1e-7)
+        assert check_point(p, sol.x, 1e-7).ok(1e-6)
 
 
 def test_beale_degenerate_example_terminates():
