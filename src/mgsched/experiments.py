@@ -2,18 +2,21 @@
 -> reports, plus the solar-penetration and serving-window sweeps and the
 stochastic-versus-deterministic comparison.
 
-In fully-adaptive mode without binary columns the deterministic
-equivalent separates by scenario, so the pipeline solves one subproblem
-per scenario, checks each subproblem's point against its own rows and
-bounds, and assembles the full schedule; the full problem is built only
-for the joint path and for MPS export.  The deterministic
-baseline solves the probability-weighted mean scenario and its rigid
-schedule is then priced under every scenario: grid exchange re-adjusts
+`solve_stochastic` runs one loop over blocks.  In fully-adaptive mode
+without binary columns the deterministic equivalent separates by
+scenario, so each scenario is a block weighted by its probability;
+otherwise the whole set is a single block.  Each block is built, solved,
+mapped to a schedule and checked against its own rows and bounds, and
+the blocks' schedules are joined; the full problem is built only for the
+joint modes and for MPS export.  The deterministic baseline solves the
+probability-weighted mean scenario and its rigid schedule is then priced
+under every scenario with `evaluate_cost`: grid exchange re-adjusts
 within its caps, and anything the rigid plan cannot absorb (parking
 shortfalls, storage excursions, energy mismatches, exchange overflow) is
-charged at a penalty price and flagged.  Every artifact write is atomic
-and timestamp-free, so identical manifests and seeds produce
-byte-identical outputs.
+charged at a penalty price and flagged.  The solar sweep runs that
+comparison at every level.  Every artifact write is atomic and
+timestamp-free, so identical manifests and seeds produce byte-identical
+outputs.
 """
 
 import dataclasses
@@ -33,7 +36,6 @@ from .model import (
     MicrogridConfig,
     Schedule,
     check_balance,
-    derive_storage,
     evaluate_cost,
     validate_config,
     validate_scenario,
@@ -228,62 +230,53 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
                      settings: SolveSettings | None = None):
     """Solve the deterministic equivalent; returns (schedule, report).
 
-    Decomposes by scenario whenever the formulation permits, checking
-    each subproblem's point against its own rows and bounds; otherwise
-    solves and checks the full problem.
+    The problem is solved as a list of blocks.  When the formulation
+    separates by scenario (fully adaptive, no binaries) and there is more
+    than one scenario, each scenario is a block of its own, weighted by
+    its probability; otherwise the whole set is one block of weight 1.
+    Every block is built, solved, mapped to a schedule and checked the
+    same way: the schedule's embedding (plus the solver's mode binaries)
+    against the block's rows and bounds, with row names carrying the
+    scenario index, so the report reads as a check of the full problem.
     """
     options = options or FormulationOptions()
     settings = settings or SolveSettings()
-    S = len(scenarios.scenarios)
-
-    if _decomposable(options) and S > 1:
-        report = SolveReport(status="optimal", objective=0.0, iterations=0, nodes=0,
-                             n_cols=0, n_rows=0, decomposed=True)
-        parts = []
-        for s, prob in enumerate(scenarios.probabilities):
-            single = scenarios.single(s)
-            sub, sub_index = build(config, single, options)
-            sol = solve_lp(sub, settings)
-            report.iterations += sol.iterations
-            if sol.status == "infeasible":
-                rows = [_shift_scenario_name(sub.row_name(i), s) for i in sol.infeasible_rows]
-                raise InfeasibleProblem(rows)
-            if sol.status == "limit":
-                raise SolverLimit(f"iteration limit in scenario {s}")
-            if sol.status == "unbounded":
-                raise RuntimeError(f"scenario {s} subproblem unbounded")
-            part = extract_schedule(sol, sub_index, config, single)
-            rep = check_point(sub, schedule_to_vector(part, sub_index), settings.feasibility_tol)
-            report.objective += prob * sol.objective
-            report.n_cols += sub.n_cols
-            report.n_rows += sub.n_rows
-            report.max_row_violation = max(report.max_row_violation, rep.max_row_violation)
-            report.max_bound_violation = max(report.max_bound_violation, rep.max_bound_violation)
-            report.row_violations.update(
-                (_shift_scenario_name(sub.row_name(i), s), v) for i, v in rep.row_violations.items())
-            parts.append(part)
-        schedule = Schedule.from_decisions(config, *(
-            np.concatenate([getattr(p, name) for p in parts], axis=-1)
-            for name in ("chp_power", "charge", "discharge", "serve", "grid_buy", "grid_sell")))
-        return schedule, report
-
-    problem, index = build(config, scenarios, options)
-    sol = solve_milp(problem, settings) if problem.binary_cols else solve_lp(problem, settings)
-    if sol.status == "infeasible":
-        raise InfeasibleProblem([problem.row_name(i) for i in sol.infeasible_rows])
-    if sol.status == "limit":
-        raise SolverLimit("node or iteration limit reached")
-    if sol.status == "unbounded":
-        raise RuntimeError("deterministic equivalent unbounded")
-    schedule = extract_schedule(sol, index, config, scenarios)
-    rep = check_point(problem, sol.x, settings.feasibility_tol)
-    report = SolveReport(
-        status=sol.status, objective=sol.objective, iterations=sol.iterations,
-        nodes=sol.nodes, n_cols=problem.n_cols, n_rows=problem.n_rows,
-        decomposed=False, max_row_violation=rep.max_row_violation,
-        max_bound_violation=rep.max_bound_violation,
-        row_violations={problem.row_name(i): v for i, v in rep.row_violations.items()},
-    )
+    decomposed = _decomposable(options) and len(scenarios.scenarios) > 1
+    blocks = ([(scenarios.single(s), p) for s, p in enumerate(scenarios.probabilities)]
+              if decomposed else [(scenarios, 1.0)])
+    report = SolveReport(status="optimal", objective=0.0, iterations=0, nodes=0,
+                         n_cols=0, n_rows=0, decomposed=decomposed)
+    parts = []
+    for s, (block, weight) in enumerate(blocks):
+        problem, index = build(config, block, options)
+        sol = solve_milp(problem, settings) if problem.binary_cols else solve_lp(problem, settings)
+        report.iterations += sol.iterations
+        where = f" in scenario {s}" if decomposed else ""
+        if sol.status == "infeasible":
+            raise InfeasibleProblem(
+                [_shift_scenario_name(problem.row_name(i), s) for i in sol.infeasible_rows])
+        if sol.status == "limit":
+            raise SolverLimit(f"node or iteration limit reached{where}")
+        if sol.status == "unbounded":
+            raise RuntimeError(f"deterministic equivalent unbounded{where}")
+        part = extract_schedule(sol, index, config, block)
+        x = schedule_to_vector(part, index)
+        mode = index.columns("mode")
+        x[mode] = sol.x[mode]
+        rep = check_point(problem, x, settings.feasibility_tol)
+        report.objective += weight * sol.objective
+        report.nodes += sol.nodes
+        report.n_cols += problem.n_cols
+        report.n_rows += problem.n_rows
+        report.max_row_violation = max(report.max_row_violation, rep.max_row_violation)
+        report.max_bound_violation = max(report.max_bound_violation, rep.max_bound_violation)
+        report.row_violations.update(
+            (_shift_scenario_name(problem.row_name(i), s), v) for i, v in rep.row_violations.items())
+        parts.append(part)
+    schedule = Schedule.from_decisions(config, *(
+        np.concatenate([getattr(p, name) for p in parts], axis=-1)
+        for name in ("chp_power", "charge", "discharge", "serve", "grid_buy", "grid_sell",
+                     "curtail")))
     return schedule, report
 
 
@@ -312,7 +305,8 @@ def evaluate_policy(config: MicrogridConfig, scenarios: scn.ScenarioSet,
     The internal decisions (CHP, charge/discharge, serving) are kept as
     planned, except that charging or discharging while the vehicle is
     away simply does not happen.  Grid exchange re-optimizes each period
-    within its caps; remaining imbalance, storage-bound excursions,
+    within its caps, and the realized schedule is priced with
+    `evaluate_cost`; remaining imbalance, storage-bound excursions,
     terminal-energy mismatch, and unmet deferrable energy are charged at
     the penalty price and flag the scenario.  Returns (expected_cost,
     per_scenario list of dicts).
@@ -321,48 +315,35 @@ def evaluate_policy(config: MicrogridConfig, scenarios: scn.ScenarioSet,
         raise ValueError("policy must be a single-scenario schedule")
     penalty = default_penalty(config) if penalty is None else float(penalty)
     h = config.period_hours
-    T = config.horizon
-    chp = policy.chp_power[:, :, 0]
+    cap = config.tariff.exchange_cap
     serve = policy.serve[:, :, 0]
-    c_chp = np.array([u.cost_per_kwh for u in config.chp_units])
-    c_ev = np.array([ev.degradation_cost_per_kwh for ev in config.phevs])
-    eta_c = np.array([ev.eta_charge for ev in config.phevs])
-    eta_d = np.array([ev.eta_discharge for ev in config.phevs])
     e_min = np.array([ev.e_min for ev in config.phevs])
     e_max = np.array([ev.e_max for ev in config.phevs])
     e_init = np.array([ev.e_initial for ev in config.phevs])
 
-    chp_cost = float(h * (c_chp @ chp).sum()) if config.n_chp else 0.0
     results = []
     expected = 0.0
     for s, scen in enumerate(scenarios.scenarios):
         charge = policy.charge[:, :, 0] * scen.parking
         discharge = policy.discharge[:, :, 0] * scen.parking
-        violation = 0.0  # kWh of unabsorbable deviation
-
-        if config.n_phev:
-            storage = derive_storage(config, charge[:, :, None], discharge[:, :, None])[:, :, 0]
-            violation += float(np.maximum(storage - e_max[:, None], 0.0).sum())
-            violation += float(np.maximum(e_min[:, None] - storage, 0.0).sum())
-            violation += float(np.abs(storage[:, -1] - e_init).sum())
-        if config.n_deferrable:
-            delivered = serve.sum(axis=1) * h
-            violation += float(np.abs(delivered - scen.deferrable_energy).sum())
-
         demand = config.base_power + charge.sum(axis=0) + serve.sum(axis=0)
-        supply = (chp.sum(axis=0) if config.n_chp else np.zeros(T)) \
-            + discharge.sum(axis=0) + scen.solar
+        supply = policy.chp_power[:, :, 0].sum(axis=0) + discharge.sum(axis=0) + scen.solar
         net = demand - supply
-        cap = config.tariff.exchange_cap
         buy = np.clip(net, 0.0, cap)
         sell = np.clip(-net, 0.0, cap)
-        overflow = np.abs(net - (buy - sell))
-        violation += float(overflow.sum() * h)
+        realized = Schedule.from_decisions(config, policy.chp_power, charge[:, :, None],
+                                           discharge[:, :, None], policy.serve,
+                                           buy[:, None], sell[:, None])
 
-        ev_cost = float(h * (c_ev @ (eta_c[:, None] * charge + discharge / eta_d[:, None])).sum()) \
-            if config.n_phev else 0.0
-        grid_cost = float(h * (config.tariff.price_buy @ buy - config.tariff.price_sell @ sell))
-        cost = chp_cost + ev_cost + grid_cost + penalty * violation
+        # kWh of unabsorbable deviation; every term is 0 for an absent fleet
+        storage = realized.storage[:, :, 0]
+        violation = float(np.maximum(storage - e_max[:, None], 0.0).sum())
+        violation += float(np.maximum(e_min[:, None] - storage, 0.0).sum())
+        violation += float(np.abs(storage[:, -1] - e_init).sum())
+        violation += float(np.abs(serve.sum(axis=1) * h - scen.deferrable_energy).sum())
+        violation += float(np.abs(net - (buy - sell)).sum() * h)
+
+        cost = evaluate_cost(config, scenarios.single(s), realized) + penalty * violation
         expected += scen.probability * cost
         results.append({
             "scenario": s,
@@ -458,6 +439,10 @@ def run_single(manifest: RunManifest) -> dict:
 
     balance = _verified_balance(config, scenarios, schedule)
     cost = evaluate_cost(config, scenarios, schedule)
+    penalty = manifest.options.curtailment_penalty
+    if penalty is not None:
+        spill = float(scenarios.probabilities @ schedule.curtail.sum(axis=0))
+        cost += penalty * config.period_hours * spill
     payload = {
         "status": report.status,
         "objective": report.objective,
@@ -494,14 +479,10 @@ def run_solar_sweep(manifest: RunManifest) -> list:
     for level in manifest.levels:
         lvl_config = dataclasses.replace(config, solar_capacity=config.solar_capacity * level)
         lvl_scen = _scale_solar(scenarios, level)
-        _, report = solve_stochastic(lvl_config, lvl_scen, manifest.options, manifest.settings)
-        det_sched, _ = solve_deterministic(lvl_config, lvl_scen, manifest.options,
-                                           manifest.settings)
-        det_cost, _ = evaluate_policy(lvl_config, lvl_scen, det_sched,
-                                      manifest.options.curtailment_penalty)
-        rows.append((float(level), float(report.objective), float(det_cost)))
-        log.info("solar level %.3g: stochastic %.6g, deterministic %.6g",
-                 level, report.objective, det_cost)
+        result = compare_policies(lvl_config, lvl_scen, manifest.options, manifest.settings)
+        rows.append((float(level), float(result["stochastic_cost"]),
+                     float(result["deterministic_policy_cost"])))
+        log.info("solar level %.3g: stochastic %.6g, deterministic %.6g", *rows[-1])
     _write_csv(Path(manifest.out_dir) / "solar_sweep.csv",
                ["level", "avg_cost_stochastic", "avg_cost_deterministic"], rows)
     return rows

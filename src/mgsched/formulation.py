@@ -330,15 +330,16 @@ def build(config: MicrogridConfig, scenarios, options: FormulationOptions | None
     return problem, index
 
 
-# schedule field -> column kind; grid exchange gets a unit axis of length 1
+# schedule field -> column kind; grid exchange and spill get a unit axis of
+# length 1 (length 0 for spill when the formulation leaves it out)
 _SCHEDULE_KINDS = (("chp_power", "chp"), ("charge", "charge"), ("discharge", "discharge"),
                    ("storage", "storage"), ("serve", "serve"), ("grid_buy", "buy"),
-                   ("grid_sell", "sell"))
+                   ("grid_sell", "sell"), ("curtail", "curtail"))
 
 
 def schedule_to_vector(schedule: Schedule, index: VariableIndex) -> np.ndarray:
-    """Embed a schedule as a primal point of the built problem (spill and
-    mode columns, when present, are left at zero)."""
+    """Embed a schedule as a primal point of the built problem (mode
+    columns, when present, are left at zero)."""
     x = np.zeros(index.n_cols)
     for field, kind in _SCHEDULE_KINDS:
         arr = getattr(schedule, field)
@@ -355,7 +356,7 @@ def extract_schedule(solution, index: VariableIndex, config: MicrogridConfig,
     """
     if solution.status in ("infeasible", "unbounded") or solution.x is None:
         raise ValueError(f"cannot extract a schedule from status {solution.status!r}")
-    chp, charge, discharge, lp_storage, serve, buy, sell = (
+    chp, charge, discharge, lp_storage, serve, buy, sell, curtail = (
         solution.x[index.columns(kind)].transpose(2, 1, 0) for _, kind in _SCHEDULE_KINDS)
 
     derived = derive_storage(config, charge, discharge)
@@ -364,4 +365,5 @@ def extract_schedule(solution, index: VariableIndex, config: MicrogridConfig,
             "storage columns disagree with the recursion by "
             f"{np.abs(derived - lp_storage).max():.3g} kWh"
         )
-    return Schedule.from_decisions(config, chp, charge, discharge, serve, buy[0], sell[0])
+    return Schedule.from_decisions(config, chp, charge, discharge, serve, buy[0], sell[0],
+                                   curtail.sum(axis=0))

@@ -15,7 +15,6 @@ node LP makes the whole problem "unbounded".
 import dataclasses
 import heapq
 import logging
-import time
 
 import numpy as np
 
@@ -54,7 +53,6 @@ def solve_milp(problem: LpProblem, settings: SolveSettings | None = None) -> LpS
         return solve_lp(problem, settings)
 
     itol = settings.integrality_tol
-    t_start = time.monotonic()
 
     root_lo = problem.col_lower.copy()
     root_hi = problem.col_upper.copy()
@@ -85,9 +83,6 @@ def solve_milp(problem: LpProblem, settings: SolveSettings | None = None) -> LpS
         if incumbent is not None and _gap(incumbent_obj, best_bound) <= settings.mip_gap:
             break
         if settings.node_limit is not None and nodes_done >= settings.node_limit:
-            status = "limit"
-            break
-        if settings.time_limit is not None and time.monotonic() - t_start > settings.time_limit:
             status = "limit"
             break
 

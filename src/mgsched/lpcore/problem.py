@@ -26,10 +26,7 @@ class SolveSettings:
     integrality_tol: float = 1e-6
     mip_gap: float = 1e-6
     node_limit: int | None = None
-    time_limit: float | None = None
     iteration_limit: int | None = None
-    refactor_interval: int = 50
-    stall_limit: int = 1000
 
     def __post_init__(self):
         for name in ("feasibility_tol", "optimality_tol", "integrality_tol", "mip_gap"):

@@ -25,6 +25,8 @@ log = logging.getLogger(__name__)
 
 _PIVOT_TOL = 1e-9
 _DRIFT_CLEAN = 1e-11
+_REFACTOR_INTERVAL = 50  # eta-file length that triggers a fresh LU
+_STALL_LIMIT = 1000  # degenerate iterations in a row before Bland's rule
 
 AT_LOWER, AT_UPPER, FREE, BASIC = 0, 1, 2, 3
 
@@ -184,7 +186,7 @@ class _Core:
 
             if step <= 1e-10:
                 stall += 1
-                if stall >= st.stall_limit and not bland:
+                if stall >= _STALL_LIMIT and not bland:
                     bland = True
                     log.debug("switching to Bland's rule after %d stalled iterations", stall)
             else:
@@ -213,7 +215,7 @@ class _Core:
             self.basis[p] = q
             self.vstat[q] = BASIC
             self.etas.append((p, d))
-            if len(self.etas) >= st.refactor_interval:
+            if len(self.etas) >= _REFACTOR_INTERVAL:
                 self._refactor()
 
     def cleanup(self):

@@ -280,8 +280,10 @@ class Schedule:
     """Per-scenario decision trajectories plus the derived storage path.
 
     Shapes: chp_power (n_chp, T, S); charge/discharge/storage (n_phev, T, S);
-    serve (n_deferrable, T, S); grid_buy/grid_sell (T, S).  `storage` is
-    always recomputed from charge/discharge, never set independently.
+    serve (n_deferrable, T, S); grid_buy/grid_sell/curtail (T, S).  `curtail`
+    is spilled power, zero unless the formulation has a spill column.
+    `storage` is always recomputed from charge/discharge, never set
+    independently.
     """
 
     chp_power: np.ndarray
@@ -290,11 +292,12 @@ class Schedule:
     serve: np.ndarray
     grid_buy: np.ndarray
     grid_sell: np.ndarray
+    curtail: np.ndarray
     storage: np.ndarray
 
     @classmethod
     def from_decisions(cls, config, chp_power, charge, discharge, serve,
-                       grid_buy, grid_sell):
+                       grid_buy, grid_sell, curtail=None):
         charge = np.asarray(charge, dtype=float)
         discharge = np.asarray(discharge, dtype=float)
         storage = derive_storage(config, charge, discharge)
@@ -305,6 +308,7 @@ class Schedule:
             serve=_freeze(serve),
             grid_buy=_freeze(grid_buy),
             grid_sell=_freeze(grid_sell),
+            curtail=_freeze(np.zeros(np.shape(grid_buy)) if curtail is None else curtail),
             storage=_freeze(storage),
         )
 
@@ -333,6 +337,7 @@ class Schedule:
             serve=self.serve[:, :, s],
             grid_buy=self.grid_buy[:, s],
             grid_sell=self.grid_sell[:, s],
+            curtail=self.curtail[:, s],
             storage=self.storage[:, :, s],
         )
 
@@ -344,6 +349,7 @@ class Schedule:
             "serve": self.serve.tolist(),
             "grid_buy": self.grid_buy.tolist(),
             "grid_sell": self.grid_sell.tolist(),
+            "curtail": self.curtail.tolist(),
             "storage": self.storage.tolist(),
         }
 
@@ -358,6 +364,7 @@ class ScheduleSlice:
     serve: np.ndarray
     grid_buy: np.ndarray
     grid_sell: np.ndarray
+    curtail: np.ndarray
     storage: np.ndarray
 
 
@@ -430,7 +437,7 @@ def check_balance(config: MicrogridConfig, scenario: Scenario,
     """Evaluate the power and heat balance of one scenario's schedule.
 
     Power residual per period: (generation + net discharge + solar + buy)
-    minus (sell + base load + deferrable serving); flagged when its
+    minus (sell + base load + deferrable serving + spill); flagged when its
     magnitude exceeds tol.  Heat surplus is CHP heat minus heat demand;
     flagged when below -tol (surplus itself is disposed freely).
     """
@@ -441,7 +448,7 @@ def check_balance(config: MicrogridConfig, scenario: Scenario,
     served = sl.serve.sum(axis=0) if config.n_deferrable else np.zeros(T)
     power_residual = (
         supply + net_dis + scenario.solar + sl.grid_buy
-        - (sl.grid_sell + config.base_power + served)
+        - (sl.grid_sell + config.base_power + served + sl.curtail)
     )
     if config.n_chp:
         alphas = np.array([u.alpha for u in config.chp_units])
@@ -465,6 +472,7 @@ def _check_dims(config, S, schedule):
         "serve": (config.n_deferrable, T, S),
         "grid_buy": (T, S),
         "grid_sell": (T, S),
+        "curtail": (T, S),
     }
     for name, shape in expect.items():
         got = getattr(schedule, name).shape

@@ -55,6 +55,37 @@ def test_infeasible_instance_exits_three(tmp_path, capsys):
     assert any(r.startswith("bal_") for r in report["infeasible_rows"])
 
 
+@pytest.mark.parametrize("n_scenarios", [1, 2])
+def test_curtailed_run_prices_and_checks_the_spill(tmp_path, n_scenarios):
+    # CHP must run at >= 80 kW against a 10 kW load and a 5 kW sell cap, so
+    # 65 kW is spilled in every period: the joint (S=1) and decomposed (S=2)
+    # paths must both balance, check clean and price the spill
+    config = {
+        "horizon": 2,
+        "solar_capacity": 0.0,
+        "chp_units": [{"p_min": 80.0, "p_max": 100.0, "alpha": 1.0, "cost_per_kwh": 0.01}],
+        "phevs": [],
+        "deferrables": [],
+        "tariff": {"price_buy": [0.1, 0.1], "price_sell": [0.05, 0.05],
+                   "exchange_cap": [5.0, 5.0]},
+        "base_power": [10.0, 10.0],
+        "base_heat": [0.0, 0.0],
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    (tmp_path / "gen.json").write_text(json.dumps({"solar_profile_mean": [0.0, 0.0]}))
+    S = str(n_scenarios)
+    code = main(["run", "--config", str(tmp_path / "config.json"),
+                 "--genspec", str(tmp_path / "gen.json"), "--generate", S, "--keep", S,
+                 "--curtailment-penalty", "5", "--out", str(tmp_path / "out")])
+    assert code == 0
+    solution = json.loads((tmp_path / "out" / "solution.json").read_text())
+    assert solution["solve"]["decomposed"] == (n_scenarios > 1)
+    assert solution["objective"] == pytest.approx(651.1, abs=1e-9)
+    assert solution["evaluated_cost"] == pytest.approx(solution["objective"], abs=1e-9)
+    assert solution["solve"]["max_row_violation"] <= 1e-9
+    assert solution["schedule"]["curtail"] == [[65.0] * n_scenarios] * 2
+
+
 def run_on_scenario_file(tmp_path, scenarios_path):
     config, _ = write_inputs(tmp_path)
     manifest = {"config": str(config), "scenarios": str(scenarios_path), "keep": 2,

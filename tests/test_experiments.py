@@ -1,8 +1,13 @@
+import ast
 import dataclasses
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_config, make_genspec
 from mgsched import experiments
@@ -21,6 +26,7 @@ from mgsched.experiments import (
     solve_deterministic,
     solve_stochastic,
 )
+from mgsched.cli import main
 from mgsched.config_io import IngestError
 from mgsched.formulation import FormulationOptions, build, schedule_to_vector
 from mgsched.lpcore import SolveSettings, check_point, solve_lp
@@ -77,6 +83,26 @@ def test_decomposed_solve_matches_full_lp():
     assert report.max_bound_violation == rep.max_bound_violation
     assert report.row_violations == {problem.row_name(i): v
                                      for i, v in rep.row_violations.items()}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(T=st.integers(1, 4), n_chp=st.integers(1, 2), n_phev=st.integers(0, 2),
+       n_def=st.integers(0, 2), weights=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+       seed=st.integers(0, 10**6))
+def test_decomposed_equals_joint(T, n_chp, n_phev, n_def, weights, seed):
+    # every deferrable window of make_config needs T >= 3 to be deliverable;
+    # at least one CHP unit covers the heat demand
+    cfg = make_config(T=T, n_chp=n_chp, n_phev=n_phev, n_def=n_def if T >= 3 else 0)
+    drawn = generate(make_genspec(cfg, seed=seed), cfg, len(weights)).scenarios
+    ss = ScenarioSet(tuple(Scenario(w / sum(weights), sc.solar, sc.parking, sc.deferrable_energy)
+                           for w, sc in zip(weights, drawn)))
+    _, report = solve_stochastic(cfg, ss)
+    assert report.decomposed
+    problem, _ = build(cfg, ss)
+    full = solve_lp(problem)
+    assert full.status == "optimal"
+    assert report.objective == pytest.approx(full.objective, rel=1e-7, abs=1e-9)
+    assert (report.n_cols, report.n_rows) == (problem.n_cols, problem.n_rows)
 
 
 def test_day_ahead_mode_solves_jointly():
@@ -271,6 +297,16 @@ def test_manifest_validation_errors(tmp_path):
         manifest_for(tmp_path, experiment="window-sweep", widths=(4, 2))
     with pytest.raises(IngestError, match="experiment"):
         manifest_for(tmp_path, experiment="teleport")
+    # the solver settings are the six of SolveSettings; former fields are rejected
+    config_path, gen_path = write_inputs(tmp_path)
+    for removed in ("time_limit", "refactor_interval", "stall_limit"):
+        doc = {"config": config_path.name, "generation": gen_path.name,
+               "solver": {removed: 1}, "out": "out"}
+        with pytest.raises(IngestError, match="solver settings"):
+            RunManifest.from_dict(doc, tmp_path)
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        assert main(["run", "--manifest", str(tmp_path / "m.json")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_single_writes_verified_artifacts(tmp_path):
@@ -380,3 +416,17 @@ def test_emitted_schedule_always_balances(tmp_path):
         assert check_balance(config, scen, rebuilt.scenario_slice(s), 1e-6).ok
     assert evaluate_cost(config, scenarios, rebuilt) == pytest.approx(
         payload["objective"], abs=1e-6)
+
+
+def test_bench_hooks_resolve():
+    # bench/tracing.py patches these names by string; read its HOOKS table
+    # without importing (or otherwise touching) the bench directory
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(tracing.read_text())
+    hooks = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["HOOKS"])
+    pairs = {(module, attr) for _, module, attr in hooks}
+    pairs.add(("mgsched.experiments", "_write_atomic"))  # monkeypatched by the smoke test
+    for module, attr in sorted(pairs):
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
