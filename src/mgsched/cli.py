@@ -3,7 +3,10 @@
 Subcommands: run, sweep-solar, sweep-window, compare, export-mps, and
 scenarios generate|reduce.  Runs are described by a JSON manifest
 (--manifest) or assembled from flags; flags override manifest fields.
-Exit codes: 0 optimal, 2 ingestion failure, 3 infeasible, 4 solver limit.
+Exit codes: 0 optimal, 2 ingestion failure, 3 infeasible, 4 solver limit,
+5 unbounded, 6 numerical failure in the solver.  `run` writes a
+solution.json for each outcome; on 3-6 it holds the status and what went
+wrong.
 The MGS_LOG environment variable (debug/info/warning/error) controls
 verbosity.
 """
@@ -19,8 +22,10 @@ from . import scenario as scn
 from .config_io import IngestError, load_config, load_generation_spec
 from .experiments import (
     InfeasibleProblem,
+    NumericalFailure,
     RunManifest,
     SolverLimit,
+    UnboundedProblem,
     _write_atomic,
     load_manifest,
     load_scenario_set,
@@ -35,10 +40,11 @@ from .experiments import (
 log = logging.getLogger("mgsched")
 
 EXIT_OK = 0
-EXIT_ERROR = 1
 EXIT_INGEST = 2
 EXIT_INFEASIBLE = 3
 EXIT_LIMIT = 4
+EXIT_UNBOUNDED = 5
+EXIT_NUMERICAL = 6
 
 
 def _setup_logging():
@@ -158,6 +164,12 @@ def main(argv=None) -> int:
     except SolverLimit as e:
         print(f"solver limit: {e}", file=sys.stderr)
         return EXIT_LIMIT
+    except UnboundedProblem as e:
+        print(f"unbounded: {e}", file=sys.stderr)
+        return EXIT_UNBOUNDED
+    except NumericalFailure as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 def _dispatch(args) -> int:

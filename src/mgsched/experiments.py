@@ -31,7 +31,7 @@ import numpy as np
 from . import scenario as scn
 from .config_io import IngestError, generation_spec_from_dict, load_config, load_generation_spec
 from .formulation import FormulationOptions, build, extract_schedule, schedule_to_vector
-from .lpcore import SolveSettings, check_point, export_mps, solve_lp, solve_milp
+from .lpcore import LpError, SolveSettings, check_point, export_mps, solve_lp, solve_milp
 from .model import (
     MicrogridConfig,
     Schedule,
@@ -161,7 +161,16 @@ class InfeasibleProblem(RuntimeError):
 
 
 class SolverLimit(RuntimeError):
-    pass
+    status = "limit"
+
+
+class UnboundedProblem(RuntimeError):
+    status = "unbounded"
+
+
+class NumericalFailure(RuntimeError):
+    """The solver gave up on numerical grounds (an `LpError`)."""
+    status = "numerical"
 
 
 # --------------------------------------------------------------------------
@@ -249,16 +258,20 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
     parts = []
     for s, (block, weight) in enumerate(blocks):
         problem, index = build(config, block, options)
-        sol = solve_milp(problem, settings) if problem.binary_cols else solve_lp(problem, settings)
-        report.iterations += sol.iterations
         where = f" in scenario {s}" if decomposed else ""
+        try:
+            sol = (solve_milp(problem, settings) if problem.binary_cols
+                   else solve_lp(problem, settings))
+        except LpError as e:
+            raise NumericalFailure(f"{e}{where}") from e
+        report.iterations += sol.iterations
         if sol.status == "infeasible":
             raise InfeasibleProblem(
                 [_shift_scenario_name(problem.row_name(i), s) for i in sol.infeasible_rows])
         if sol.status == "limit":
             raise SolverLimit(f"node or iteration limit reached{where}")
         if sol.status == "unbounded":
-            raise RuntimeError(f"deterministic equivalent unbounded{where}")
+            raise UnboundedProblem(f"deterministic equivalent unbounded{where}")
         part = extract_schedule(sol, index, config, block)
         x = schedule_to_vector(part, index)
         mode = index.columns("mode")
@@ -435,6 +448,9 @@ def run_single(manifest: RunManifest) -> dict:
             "status": "infeasible",
             "infeasible_rows": e.rows,
         })
+        raise
+    except (SolverLimit, UnboundedProblem, NumericalFailure) as e:
+        _write_json(out / "solution.json", {"status": e.status, "message": str(e)})
         raise
 
     balance = _verified_balance(config, scenarios, schedule)

@@ -6,13 +6,22 @@ is appended per row.  The starting basis comes from a triangular crash
 equality rows wherever that keeps the basis lower-triangular and the
 column within its bounds.  The other rows start on their slack, and
 artificial columns absorb any bound violation of those slacks.  The
-columns [A | I | artificials] are held in one sparse matrix; the basis is
-a sparse LU factorization of its basic columns (SuperLU with a fixed
-COLAMD ordering) plus a product-form eta file, refactorized periodically.
-Pivot selection is Dantzig pricing with largest-pivot tie-breaking; after
-a run of stalled (degenerate) iterations the solver falls back to Bland's
-rule, which guarantees termination.  All tie-breaks resolve to the lowest
-column index, so repeated solves of the same problem are bit-identical.
+columns [A | I | artificials] are held in one sparse matrix.  The basis
+is stored in pivot-row order (basis[i] is the column basic in row i), so
+the crash basis is triangular as stored and needs no fill-reducing
+ordering: it is factorized by SuperLU with the NATURAL column order.
+Pivots since the last factorization form a product-form eta file, kept
+as one rank-k correction: with h_j = eta_j - e_{p_j} in the columns of
+H, the pivot rows in P and G the unit lower-triangular k x k matrix with
+G[i, j] = -h_j[p_i] for j < i, the product of the k eta matrices is
+I + H G^-1 P', so ftran and btran each add one dense correction to an LU
+solve.  G^-1 grows by one row per pivot, and a fresh LU replaces the
+file after a fixed number of pivots.  Pricing is Dantzig's largest
+reduced cost over a per-column sign array, with largest-pivot
+tie-breaking in the ratio test; after a run of stalled (degenerate)
+iterations the solver falls back to Bland's rule, which guarantees
+termination.  All tie-breaks resolve to the lowest column index, so
+repeated solves of the same problem are bit-identical.
 """
 
 import logging
@@ -89,7 +98,11 @@ class _Core:
         self.basis = n + np.arange(m)
         self.basis[art_row] = n + m + np.arange(n_art)
         self.basis[crash_rows] = crash_cols
-        self.etas = []
+        # eta file: k pivots since the last factorization (see module doc)
+        self.H = np.empty((m, _REFACTOR_INTERVAL), order="F")
+        self.P = np.empty(_REFACTOR_INTERVAL, dtype=np.int64)
+        self.Gi = np.eye(_REFACTOR_INTERVAL)
+        self.k = 0
         self.iterations = 0
         self.phase1_iterations = 0
         self.refactors = 0
@@ -107,11 +120,11 @@ class _Core:
         from scipy.sparse.linalg import splu
 
         try:
-            self.lu = splu(self.full[:, self.basis], permc_spec="COLAMD")
+            self.lu = splu(self.full[:, self.basis], permc_spec="NATURAL")
         except RuntimeError as e:
             raise LpError("basis factorization failed") from e
         self.refactors += 1
-        self.etas = []
+        self.k = 0
         self._recompute_basics()
 
     def _recompute_basics(self):
@@ -120,18 +133,25 @@ class _Core:
         self.x[self.basis] = self.ftran(self.b - self.full @ xn)
 
     def ftran(self, v):
+        k = self.k
         r = self.lu.solve(v)
-        for p, d in self.etas:
-            t = r[p] / d[p]
-            r -= t * d
-            r[p] = t
+        r += self.H[:, :k] @ (self.Gi[:k, :k] @ r[self.P[:k]])
         return r
 
     def btran(self, w):
-        y = w.copy()
-        for p, d in reversed(self.etas):
-            y[p] = (y[p] - (d @ y - d[p] * y[p])) / d[p]
-        return self.lu.solve(y, trans="T")
+        k = self.k
+        t = (self.H[:, :k].T @ w) @ self.Gi[:k, :k]
+        return self.lu.solve(w + np.bincount(self.P[:k], t, minlength=self.m), trans="T")
+
+    def _add_eta(self, p, d):
+        """Record the pivot on row p with entering column d = ftran(a_q)."""
+        k = self.k
+        h = self.H[:, k]
+        np.divide(d, -d[p], out=h)
+        h[p] = 1.0 / d[p] - 1.0
+        self.P[k] = p
+        self.Gi[k, :k] = self.H[p, :k] @ self.Gi[:k, :k]
+        self.k = k + 1
 
     # -- main loop ---------------------------------------------------------
 
@@ -143,6 +163,15 @@ class _Core:
         stall = 0
         bland = False
         movable = (self.hi - self.lo) > 0.0
+        # gain = z * sgn is the improvement rate of moving a column off its
+        # bound: -z at a lower bound, +z at an upper one, 0 for basic and
+        # fixed columns.  Nonbasic free columns move either way, so their
+        # gain is |z|; once basic they never leave (their ratios are inf).
+        vstat = self.vstat
+        sgn = np.select([movable & (vstat == AT_LOWER), movable & (vstat == AT_UPPER)],
+                        [-1.0, 1.0], 0.0)
+        free = np.nonzero(vstat == FREE)[0]
+        ratios = np.empty(self.m)
 
         while True:
             if limit is not None and self.iterations >= limit:
@@ -150,17 +179,13 @@ class _Core:
             y = self.btran(costs[self.basis])
             z = costs - self.fullT @ y
 
-            down = (self.vstat == AT_LOWER) & movable & (z < -opt_tol)
-            up = (self.vstat == AT_UPPER) & movable & (z > opt_tol)
-            free = (self.vstat == FREE) & (np.abs(z) > opt_tol)
-            eligible = np.nonzero(down | up | free)[0]
-            if eligible.size == 0:
+            gain = z * sgn
+            if free.size:
+                gain[free] = np.abs(z[free])
+            q = int(np.argmax(gain > opt_tol)) if bland else int(np.argmax(gain))
+            if not gain[q] > opt_tol:
                 return "optimal"
-            if bland:
-                q = int(eligible[0])
-            else:
-                q = int(eligible[np.argmax(np.abs(z[eligible]))])
-            direction = 1.0 if (self.vstat[q] == AT_LOWER or (self.vstat[q] == FREE and z[q] < 0)) else -1.0
+            direction = 1.0 if z[q] < 0 else -1.0
 
             d = self.ftran(self.column(q))
             self.iterations += 1
@@ -170,15 +195,14 @@ class _Core:
             g = direction * d
             lo_b = self.lo[self.basis]
             hi_b = self.hi[self.basis]
-            ratios = np.full(self.m, np.inf)
-            dec = g > _PIVOT_TOL
-            inc = g < -_PIVOT_TOL
+            ratios.fill(np.inf)
             with np.errstate(invalid="ignore"):
-                ratios[dec] = (xb[dec] - lo_b[dec]) / g[dec]
-                ratios[inc] = (xb[inc] - hi_b[inc]) / g[inc]
-            ratios[ratios < 0.0] = 0.0  # shave tiny drift
+                np.divide(xb - lo_b, g, out=ratios, where=g > _PIVOT_TOL)
+                np.divide(xb - hi_b, g, out=ratios, where=g < -_PIVOT_TOL)
+            np.maximum(ratios, 0.0, out=ratios)  # shave tiny drift
+            rmin = ratios.min() if self.m else np.inf
             own = self.hi[q] - self.lo[q]
-            step = min(own, ratios.min()) if self.m else own
+            step = min(own, rmin)
             if not np.isfinite(step):
                 if phase == 1:
                     raise LpError("phase-1 subproblem unbounded; numerical failure")
@@ -192,11 +216,12 @@ class _Core:
             else:
                 stall = 0
 
-            if own < np.inf and own <= ratios.min():
+            if own < np.inf and own <= rmin:
                 # entering variable flips to its other bound
                 self.x[q] += direction * own
                 self.x[self.basis] = xb - own * g
-                self.vstat[q] = AT_UPPER if direction > 0 else AT_LOWER
+                vstat[q] = AT_UPPER if direction > 0 else AT_LOWER
+                sgn[q] = direction
                 continue
 
             cands = np.nonzero(ratios <= step + 1e-12)[0]
@@ -211,11 +236,15 @@ class _Core:
             self.x[q] += direction * step
             self.x[self.basis] = xb - step * g
             self.x[leaving] = lo_b[p] if g[p] > 0 else hi_b[p]
-            self.vstat[leaving] = AT_LOWER if g[p] > 0 else AT_UPPER
+            vstat[leaving] = AT_LOWER if g[p] > 0 else AT_UPPER
+            sgn[leaving] = (-1.0 if g[p] > 0 else 1.0) if movable[leaving] else 0.0
+            if vstat[q] == FREE:
+                free = free[free != q]
             self.basis[p] = q
-            self.vstat[q] = BASIC
-            self.etas.append((p, d))
-            if len(self.etas) >= _REFACTOR_INTERVAL:
+            vstat[q] = BASIC
+            sgn[q] = 0.0
+            self._add_eta(p, d)
+            if self.k == _REFACTOR_INTERVAL:
                 self._refactor()
 
     def cleanup(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mgsched.cli import main
+from mgsched.lpcore import LpError, LpSolution
 from test_experiments import write_inputs
 
 
@@ -125,6 +126,31 @@ def test_solver_limit_exits_four(tmp_path):
     }
     (tmp_path / "m.json").write_text(json.dumps(manifest))
     assert main(["run", "--manifest", str(tmp_path / "m.json")]) == 4
+
+
+def _raise_basis_failure(problem, settings=None):
+    raise LpError("basis factorization failed")
+
+
+@pytest.mark.parametrize("fake_solve, code, status, message", [
+    (lambda problem, settings=None: LpSolution(status="limit"), 4, "limit", "limit reached"),
+    (lambda problem, settings=None: LpSolution(status="unbounded"), 5, "unbounded", "unbounded"),
+    (_raise_basis_failure, 6, "numerical", "basis factorization failed"),
+], ids=["limit", "unbounded", "numerical"])
+def test_solver_failure_exit_code_and_artifact(tmp_path, monkeypatch, capsys,
+                                               fake_solve, code, status, message):
+    monkeypatch.setattr("mgsched.experiments.solve_lp", fake_solve)
+    config, gen = write_inputs(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "solution.json").write_text('{"status": "optimal"}\n')  # from an earlier run
+    assert main(["run", "--config", str(config), "--genspec", str(gen), "--generate", "10",
+                 "--keep", "2", "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    report = json.loads((out / "solution.json").read_text())
+    assert report["status"] == status
+    assert message in report["message"]
+    assert not (out / "solution.json.tmp").exists()
 
 
 def test_scenarios_generate_and_reduce_round_trip(tmp_path, capsys):

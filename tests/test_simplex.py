@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import splu
 
 from conftest import make_config, make_genspec
 from mgsched.formulation import build as build_formulation
@@ -14,6 +13,7 @@ from mgsched.lpcore import (
     dual_objective,
     solve_lp,
 )
+from mgsched.lpcore import simplex
 from mgsched.lpcore.simplex import BASIC, _Core
 from mgsched.scenario import generate
 from oracles import brute_force_lp
@@ -152,7 +152,8 @@ def test_crash_basis_on_case_study_scenario_lp(case_study_lp):
     assert np.all(core.x[cols] <= core.hi[cols] + 1e-9)
     assert not np.isin(core.art_row, crashed).any()
     assert np.all(core.vstat[core.n + crashed] != BASIC)  # their slacks stay nonbasic
-    splu(core.full[:, core.basis], permc_spec="COLAMD")
+    e = np.ones(core.m)
+    assert np.abs(core.lu.solve(core.full[:, core.basis] @ e) - e).max() <= 1e-9
     assert np.abs(core.full @ core.x - core.b).max() <= 1e-9
 
 
@@ -211,6 +212,10 @@ def equality_lps(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(equality_lps())
 def test_equality_dominated_lps_match_oracle(lp):
+    assert_matches_oracle(lp)
+
+
+def assert_matches_oracle(lp):
     c, A, senses, b, lo, hi = lp
     p = build(c, A, senses, b, lo, hi)
     sol = solve_lp(p)
@@ -275,3 +280,114 @@ def test_singular_basis_raises_lp_error():
     core.basis[:] = [0, 1]
     with pytest.raises(LpError, match="basis factorization failed"):
         core._refactor()
+
+
+def single_steps(problem):
+    """Drive `_Core` one iteration at a time: phase 1 when the start has
+    artificials, then the objective, with no cleanup between the phases.
+
+    Yields (core, k, p) after each iteration: k pivots since the last
+    factorization, p the basis position of this iteration's pivot (None
+    for a bound flip).  Only the basis, the counters and ftran/btran are
+    read, so the check holds for any form of the eta file.
+    """
+    core = _Core(problem, SolveSettings())
+    costs = np.zeros(core.x.size)
+    costs[: core.n] = problem.objective
+    phases = [(costs, 2)]
+    if core.n_art:
+        art = np.zeros(core.x.size)
+        art[core.n + core.m:] = 1.0
+        phases.insert(0, (art, 1))
+    k, refactors = 0, core.refactors
+    for c, phase in phases:
+        while True:
+            before = core.basis.copy()
+            core.settings = SolveSettings(iteration_limit=core.iterations + 1)
+            if core.run(c, phase) != "limit":
+                break
+            moved = np.nonzero(before != core.basis)[0]
+            p = int(moved[0]) if moved.size else None
+            if core.refactors > refactors:
+                k, refactors = 0, core.refactors
+            elif p is not None:
+                k += 1
+            yield core, k, p
+
+
+def assert_eta_form_matches_dense(core, rng):
+    B = core.full[:, core.basis].toarray()
+    v, w = rng.normal(size=core.m), rng.normal(size=core.m)
+    for got, ref in ((core.ftran(v), np.linalg.solve(B, v)),
+                     (core.btran(w), np.linalg.solve(B.T, w))):
+        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_eta_form_matches_dense_solves_on_case_study_lp(case_study_lp):
+    rng = np.random.default_rng(0)
+    wanted = {1, 25, 49, 0}  # 0: just after a periodic refactorization
+    for core, k, p in single_steps(case_study_lp):
+        if p is not None and k in wanted and (k or core.refactors > 1):
+            assert_eta_form_matches_dense(core, rng)
+            wanted.discard(k)
+            if not wanted:
+                break
+    assert not wanted
+
+
+@st.composite
+def boxed_lps(draw):
+    """Feasible LPs of 1-3 rows over 4-9 boxed columns: few rows and many
+    columns make the same row pivot again and again."""
+    def ints(k, a, b):
+        return np.array(draw(st.lists(st.integers(a, b), min_size=k, max_size=k)), dtype=float)
+
+    m, n = draw(st.integers(1, 3)), draw(st.integers(4, 9))
+    A = ints(m * n, -3, 3).reshape(m, n)
+    lo = ints(n, -2, 0)
+    hi = lo + ints(n, 1, 4)
+    senses = draw(st.lists(st.sampled_from(["<=", "=", ">="]), min_size=m, max_size=m))
+    sign = np.select([np.array(senses) == "<=", np.array(senses) == ">="], [1.0, -1.0], 0.0)
+    b = A @ (lo + ints(n, 0, 2) * (hi - lo) / 2) + sign * ints(m, 0, 2)
+    return ints(n, -5, 5), A, senses, b, lo, hi
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(boxed_lps())
+def test_eta_form_matches_dense_solves_when_a_row_pivots_twice(lp):
+    rng = np.random.default_rng(1)
+    pivoted, repeated = set(), False
+    for core, k, p in single_steps(build(*lp)):
+        if k == 0:
+            pivoted.clear()
+        if p is None:
+            continue
+        repeated |= p in pivoted
+        pivoted.add(p)
+        assert_eta_form_matches_dense(core, rng)
+    assume(repeated)  # some row pivoted twice within one eta file
+
+
+BLAND = "switching to Bland's rule"
+
+
+def test_blands_rule_matches_oracle_and_solves_beale(monkeypatch, caplog):
+    # with a stall limit of 1 the first degenerate iteration switches the
+    # pricing and the leaving-row choice to Bland's rule
+    monkeypatch.setattr(simplex, "_STALL_LIMIT", 1)
+    caplog.set_level("DEBUG", logger=simplex.__name__)
+    switched = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(equality_lps())
+    def check(lp):
+        caplog.clear()
+        assert_matches_oracle(lp)
+        switched.append(BLAND in caplog.text)
+
+    check()
+    assert sum(switched) >= 10  # 23 of the 200 examples switch
+
+    caplog.clear()
+    test_beale_degenerate_example_terminates()
+    assert BLAND in caplog.text
