@@ -19,6 +19,7 @@ timestamp-free, so identical manifests and seeds produce byte-identical
 outputs.
 """
 
+import contextlib
 import dataclasses
 import json
 import logging
@@ -155,6 +156,8 @@ class SolveReport:
 
 
 class InfeasibleProblem(RuntimeError):
+    status = "infeasible"
+
     def __init__(self, rows):
         super().__init__(f"problem infeasible; violated rows: {rows[:20]}")
         self.rows = rows
@@ -409,6 +412,21 @@ def _write_csv(path: Path, header, rows):
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
+@contextlib.contextmanager
+def _status_on_failure(path: Path):
+    """On a solver failure inside the block, atomically replace `path`
+    with {"status", "message"} (plus "infeasible_rows" when infeasible),
+    so no earlier run's artifact survives, and re-raise."""
+    try:
+        yield
+    except (InfeasibleProblem, SolverLimit, UnboundedProblem, NumericalFailure) as e:
+        payload = {"status": e.status, "message": str(e)}
+        if isinstance(e, InfeasibleProblem):
+            payload["infeasible_rows"] = e.rows
+        _write_json(path, payload)
+        raise
+
+
 def write_problem_mps(config, scenarios, options, path: Path):
     """Build the full deterministic equivalent and write it atomically as
     MPS; returns the problem."""
@@ -439,19 +457,10 @@ def run_single(manifest: RunManifest) -> dict:
     scenarios, _, reduction = prepare_scenarios(manifest, config)
     out = Path(manifest.out_dir)
 
-    try:
+    with _status_on_failure(out / "solution.json"):
         schedule, report = solve_stochastic(
             config, scenarios, manifest.options, manifest.settings
         )
-    except InfeasibleProblem as e:
-        _write_json(out / "solution.json", {
-            "status": "infeasible",
-            "infeasible_rows": e.rows,
-        })
-        raise
-    except (SolverLimit, UnboundedProblem, NumericalFailure) as e:
-        _write_json(out / "solution.json", {"status": e.status, "message": str(e)})
-        raise
 
     balance = _verified_balance(config, scenarios, schedule)
     cost = evaluate_cost(config, scenarios, schedule)
@@ -491,6 +500,8 @@ def run_solar_sweep(manifest: RunManifest) -> list:
     """
     config = load_config(manifest.config_path)
     scenarios, _, _ = prepare_scenarios(manifest, config)
+    path = Path(manifest.out_dir) / "solar_sweep.csv"
+    path.unlink(missing_ok=True)  # a failed sweep leaves no earlier run's table
     rows = []
     for level in manifest.levels:
         lvl_config = dataclasses.replace(config, solar_capacity=config.solar_capacity * level)
@@ -499,8 +510,7 @@ def run_solar_sweep(manifest: RunManifest) -> list:
         rows.append((float(level), float(result["stochastic_cost"]),
                      float(result["deterministic_policy_cost"])))
         log.info("solar level %.3g: stochastic %.6g, deterministic %.6g", *rows[-1])
-    _write_csv(Path(manifest.out_dir) / "solar_sweep.csv",
-               ["level", "avg_cost_stochastic", "avg_cost_deterministic"], rows)
+    _write_csv(path, ["level", "avg_cost_stochastic", "avg_cost_deterministic"], rows)
     return rows
 
 
@@ -529,6 +539,8 @@ def run_window_sweep(manifest: RunManifest) -> list:
     """
     config = load_config(manifest.config_path)
     scenarios, _, _ = prepare_scenarios(manifest, config)
+    path = Path(manifest.out_dir) / "window_sweep.csv"
+    path.unlink(missing_ok=True)  # a failed sweep leaves no earlier run's table
     rows = []
     for width in manifest.widths:
         defs = tuple(resize_window(d, int(width), config.horizon) for d in config.deferrables)
@@ -546,15 +558,18 @@ def run_window_sweep(manifest: RunManifest) -> list:
                 continue
         log.warning("width %d infeasible: %s", width, "; ".join(undeliverable))
         rows.append((int(width), "", "infeasible"))
-    _write_csv(Path(manifest.out_dir) / "window_sweep.csv",
-               ["width", "avg_cost", "status"], rows)
+    _write_csv(path, ["width", "avg_cost", "status"], rows)
     return rows
 
 
 def run_compare(manifest: RunManifest) -> dict:
-    """VSS report: stochastic solution versus the expected-value policy."""
+    """VSS report: stochastic solution versus the expected-value policy.
+    Writes compare.json, which holds the status and message instead when
+    a solve fails."""
     config = load_config(manifest.config_path)
     scenarios, _, _ = prepare_scenarios(manifest, config)
-    result = compare_policies(config, scenarios, manifest.options, manifest.settings)
-    _write_json(Path(manifest.out_dir) / "compare.json", result)
+    path = Path(manifest.out_dir) / "compare.json"
+    with _status_on_failure(path):
+        result = compare_policies(config, scenarios, manifest.options, manifest.settings)
+    _write_json(path, result)
     return result

@@ -10,6 +10,8 @@ MPS reader accepts the files.  parse_mps inverts the writer exactly:
 export -> parse -> export is byte-identical.
 """
 
+import math
+
 import numpy as np
 
 from .problem import BOUND_INF, LpProblem
@@ -54,14 +56,19 @@ def export_mps(problem: LpProblem) -> str:
         out.append(f" {sense_code[s]}  {rows[i]}")
 
     out.append("COLUMNS")
-    tr, tc, tv = problem.tri_rows, problem.tri_cols, problem.tri_vals
+    # Python scalars throughout: per-element numpy indexing and ufuncs on
+    # scalars cost more than the formatting itself.
+    tr = problem.tri_rows.tolist()
+    tc = problem.tri_cols.tolist()
+    tv = problem.tri_vals.tolist()
+    objective = problem.objective.tolist()
     k = 0
     for j in range(problem.n_cols):
         emitted = False
-        if problem.objective[j] != 0.0:
-            out.append("    " + _pad(cols[j], 10) + _pad(OBJ_NAME, 10) + _fmt(problem.objective[j]))
+        if objective[j] != 0.0:
+            out.append("    " + _pad(cols[j], 10) + _pad(OBJ_NAME, 10) + _fmt(objective[j]))
             emitted = True
-        while k < tc.size and tc[k] == j:
+        while k < len(tc) and tc[k] == j:
             out.append("    " + _pad(cols[j], 10) + _pad(rows[tr[k]], 10) + _fmt(tv[k]))
             emitted = True
             k += 1
@@ -70,19 +77,19 @@ def export_mps(problem: LpProblem) -> str:
             out.append("    " + _pad(cols[j], 10) + _pad(OBJ_NAME, 10) + "0.0")
 
     out.append("RHS")
-    for i in range(problem.n_rows):
-        if problem.rhs[i] != 0.0:
-            out.append("    " + _pad("RHS", 10) + _pad(rows[i], 10) + _fmt(problem.rhs[i]))
+    for i, r in enumerate(problem.rhs.tolist()):
+        if r != 0.0:
+            out.append("    " + _pad("RHS", 10) + _pad(rows[i], 10) + _fmt(r))
 
     if problem.row_range is not None and np.any(problem.row_range != 0.0):
         out.append("RANGES")
-        for i in range(problem.n_rows):
-            if problem.row_range[i] != 0.0:
-                out.append("    " + _pad("RNG", 10) + _pad(rows[i], 10) + _fmt(problem.row_range[i]))
+        for i, r in enumerate(problem.row_range.tolist()):
+            if r != 0.0:
+                out.append("    " + _pad("RNG", 10) + _pad(rows[i], 10) + _fmt(r))
 
     out.append("BOUNDS")
-    lo = problem.lower_inf()
-    hi = problem.upper_inf()
+    lo = problem.lower_inf().tolist()
+    hi = problem.upper_inf().tolist()
     for j in range(problem.n_cols):
         name = _pad("BND", 10) + cols[j]
         namev = _pad("BND", 10) + _pad(cols[j], 10)
@@ -98,19 +105,19 @@ def export_mps(problem: LpProblem) -> str:
                     out.append(" UP " + namev + _fmt(u))
             continue
         l, u = lo[j], hi[j]
-        l = -np.inf if l <= -BOUND_INF else l
-        u = np.inf if u >= BOUND_INF else u
+        l = -math.inf if l <= -BOUND_INF else l
+        u = math.inf if u >= BOUND_INF else u
         if l == u:
             out.append(" FX " + namev + _fmt(l))
-        elif np.isneginf(l) and np.isposinf(u):
+        elif l == -math.inf and u == math.inf:
             out.append(" FR " + name)
-        elif np.isneginf(l):
+        elif l == -math.inf:
             out.append(" MI " + name)
             out.append(" UP " + namev + _fmt(u))
         else:
-            if l != 0.0 or (u < 0.0 and np.isfinite(u)):
+            if l != 0.0 or (u < 0.0 and math.isfinite(u)):
                 out.append(" LO " + namev + _fmt(l))
-            if np.isfinite(u):
+            if math.isfinite(u):
                 out.append(" UP " + namev + _fmt(u))
 
     out.append("ENDATA")

@@ -6,7 +6,11 @@ energy requested by each deferrable load.  Reduction follows the greedy
 fast-forward selection: starting from the empty set, repeatedly add the
 scenario that minimizes the probability-weighted distance between the
 full set and the kept set, then move each discarded scenario's
-probability to its nearest kept neighbour.
+probability to its nearest kept neighbour.  Candidates within a relative
+1e-12 of the minimum are tied and go to the lowest index.  The S x S
+distance matrix is the only array of that size: it is built in place,
+and each greedy step updates the candidates' distances from just the
+rows of it that the last pick brought closer, a band of rows at a time.
 
 Every scenario draws from its own substream seeded by (seed, index), so
 generation is reproducible regardless of chunking or parallelism.
@@ -164,6 +168,13 @@ def generate(spec: GenerationSpec, config: MicrogridConfig, count: int) -> Scena
 # --------------------------------------------------------------------------
 # distances and reduction
 
+# Rows per band in the distance matrix and in the greedy update: bounds
+# the S-wide temporaries at _BAND_ROWS x S.
+_BAND_ROWS = 256
+
+# Relative tolerance under which two greedy candidates count as tied.
+_TIE_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class DistanceWeights:
@@ -214,11 +225,23 @@ def scenario_distance(a: Scenario, b: Scenario, weights: DistanceWeights | None 
 
 
 def _distance_matrix(scenario_set: ScenarioSet, weights: DistanceWeights) -> np.ndarray:
+    """Pairwise distances sqrt(max(|x_i|^2 + |x_j|^2 - 2 x_i.x_j, 0)).
+
+    The Gram matrix is the only S x S allocation: it is doubled and then
+    turned into distances in place, one band of rows at a time, so each
+    element sees the same operations in the same order as the one-shot
+    formula.  The Gram product itself is not banded, because a banded
+    gemm rounds differently.
+    """
     X = _feature_matrix(scenario_set, weights)
     sq = (X**2).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    d = np.sqrt(d2)
+    d = X @ X.T
+    d *= 2.0
+    for lo in range(0, len(sq), _BAND_ROWS):
+        band = d[lo:lo + _BAND_ROWS]
+        np.subtract(sq[lo:lo + _BAND_ROWS, None] + sq[None, :], band, out=band)
+        np.maximum(band, 0.0, out=band)
+        np.sqrt(band, out=band)
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -269,12 +292,21 @@ def reduce_fast_forward(scenario_set: ScenarioSet, keep: int,
                         weights: DistanceWeights | None = None):
     """Greedy fast-forward selection of `keep` scenarios.
 
-    Each step adds the scenario whose inclusion minimizes the
-    probability-weighted distance of the full set to the kept set; all
-    argmin ties resolve to the lowest scenario index.  Discarded
-    probability mass moves to the nearest kept scenario.  Returns the
-    reduced set (original index order) and a report with the selection
-    order and the final distance.
+    Each step adds the scenario u whose inclusion minimizes the
+    probability-weighted distance z[u] = sum_k p_k min(dmin_k, C[k, u])
+    of the full set to the kept set, where dmin_k is scenario k's
+    distance to its nearest kept scenario.  Candidates within a relative
+    1e-12 of the minimum count as tied, and ties resolve to the lowest
+    scenario index.  Discarded probability mass moves to the nearest kept
+    scenario (the lowest kept index among equally near ones).  Returns
+    the reduced set (original index order) and a report with the
+    selection order and the distance after every step.
+
+    z is updated incrementally: a pick lowers dmin only on some rows, and
+    for each such row, with new <= old, min(new, c) - min(old, c) equals
+    new - clip(c, new, old).  So a step reads only the changed rows of C,
+    a band of rows at a time into one reused buffer, and the only S x S
+    array in memory is C itself.
     """
     S = len(scenario_set)
     if not (1 <= keep <= S):
@@ -283,31 +315,39 @@ def reduce_fast_forward(scenario_set: ScenarioSet, keep: int,
     C = _distance_matrix(scenario_set, weights)
     p = scenario_set.probabilities
 
+    z = p @ C
+    dmin = np.full(S, np.inf)
+    buf = np.empty((min(_BAND_ROWS, S), S))
     selected = []
-    dmin = None
     step_distances = []
-    for _ in range(keep):
-        if dmin is None:
-            z = p @ C
-        else:
-            z = p @ np.minimum(dmin[:, None], C)
-            z[selected] = np.inf
-        u = int(np.argmin(z))
+    for step in range(keep):
+        zmin = float(z.min())
+        u = int(np.argmax(z <= zmin + _TIE_RTOL * max(1.0, zmin)))
         selected.append(u)
-        dmin = C[:, u].copy() if dmin is None else np.minimum(dmin, C[:, u])
-        step_distances.append(float(p @ dmin))
+        new = np.minimum(dmin, C[:, u])
+        step_distances.append(float(p @ new))
+        if step + 1 < keep:
+            z[u] = np.inf
+            rows = np.flatnonzero(new < dmin)
+            for lo in range(0, rows.size, _BAND_ROWS):
+                r = rows[lo:lo + _BAND_ROWS]
+                band = buf[:r.size]
+                np.take(C, r, axis=0, out=band)
+                np.clip(band, new[r, None], dmin[r, None], out=band)
+                z += p[r] @ new[r] - p[r] @ band
+        dmin = new
 
     kept = sorted(selected)
-    new_prob = {i: float(p[i]) for i in kept}
-    for k in range(S):
-        if k in new_prob:
-            continue
-        nearest = kept[int(np.argmin(C[k, kept]))]
-        new_prob[nearest] += float(p[k])
+    near = np.asarray(kept)[np.argmin(C[:, kept], axis=1)]
+    gone = np.ones(S, dtype=bool)
+    gone[kept] = False
+    moved = np.zeros(S)
+    moved[kept] = p[kept]
+    np.add.at(moved, near[gone], p[gone])  # in index order, as a loop would add
 
     reduced = ScenarioSet(tuple(
         Scenario(
-            probability=new_prob[i],
+            probability=float(moved[i]),
             solar=scenario_set.scenarios[i].solar,
             parking=scenario_set.scenarios[i].parking,
             deferrable_energy=scenario_set.scenarios[i].deferrable_energy,

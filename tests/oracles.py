@@ -4,8 +4,10 @@ These deliberately share no code with mgsched.lpcore: LPs are solved by
 enumerating basic solutions of the equality form over all basis subsets
 and nonbasic bound patterns, MILPs by exhausting binary assignments.
 Only practical for a handful of columns, which is all the tests need.
+The scenario-reduction greedy is re-derived with exact sums.
 """
 
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -167,3 +169,34 @@ def cost_by_hand(config, scenarios, schedule):
             acc -= config.tariff.price_sell[t] * schedule.grid_sell[t, s]
             total += scen.probability * acc * h
     return total
+
+
+def greedy_reduction(C, p, keep, rtol=1e-12):
+    """Fast-forward selection from a distance matrix, one exact sum at a time.
+
+    Each candidate's weighted distance is a `math.fsum` of Python floats,
+    and the pick is the lowest index within `rtol` (relative, floored at
+    1) of the minimum.  Returns (selection order, step distances,
+    probabilities of the kept scenarios in index order), with discarded
+    mass moved to the nearest kept scenario, the lowest index on ties.
+    Independent of mgsched.scenario, which updates the sums in place.
+    """
+    C = [[float(c) for c in row] for row in C]
+    p = [float(v) for v in p]
+    S = len(p)
+    dmin = [math.inf] * S
+    selected, steps = [], []
+    for _ in range(keep):
+        z = {u: math.fsum(p[k] * min(dmin[k], C[k][u]) for k in range(S))
+             for u in range(S) if u not in selected}
+        zmin = min(z.values())
+        u = min(c for c in z if z[c] <= zmin + rtol * max(1.0, zmin))
+        selected.append(u)
+        dmin = [min(dmin[k], C[k][u]) for k in range(S)]
+        steps.append(math.fsum(p[k] * dmin[k] for k in range(S)))
+    kept = sorted(selected)
+    mass = {i: [p[i]] for i in kept}
+    for k in range(S):
+        if k not in mass:
+            mass[min(kept, key=lambda i: (C[k][i], i))].append(p[k])
+    return selected, steps, [math.fsum(mass[i]) for i in kept]

@@ -153,6 +153,40 @@ def test_solver_failure_exit_code_and_artifact(tmp_path, monkeypatch, capsys,
     assert not (out / "solution.json.tmp").exists()
 
 
+def _solve_hits_limit(problem, settings=None):
+    return LpSolution(status="limit")
+
+
+def test_compare_failure_replaces_stale_compare_json(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("mgsched.experiments.solve_lp", _solve_hits_limit)
+    config, gen = write_inputs(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "compare.json").write_text('{"vss": 1.0}\n')  # from an earlier run
+    assert main(["compare", "--config", str(config), "--genspec", str(gen), "--generate", "10",
+                 "--keep", "2", "--out", str(out)]) == 4
+    assert "limit reached" in capsys.readouterr().err
+    report = json.loads((out / "compare.json").read_text())
+    assert report["status"] == "limit"
+    assert "limit reached" in report["message"]
+    assert not (out / "compare.json.tmp").exists()
+
+
+@pytest.mark.parametrize("command, flag, csv", [
+    ("sweep-solar", "--levels=0,1", "solar_sweep.csv"),
+    ("sweep-window", "--widths=2,4", "window_sweep.csv"),
+])
+def test_failed_sweep_leaves_no_stale_csv(tmp_path, monkeypatch, command, flag, csv):
+    monkeypatch.setattr("mgsched.experiments.solve_lp", _solve_hits_limit)
+    config, gen = write_inputs(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / csv).write_text("from,an,earlier,run\n")
+    assert main([command, flag, "--config", str(config), "--genspec", str(gen),
+                 "--generate", "10", "--keep", "2", "--out", str(out)]) == 4
+    assert not (out / csv).exists()
+
+
 def test_scenarios_generate_and_reduce_round_trip(tmp_path, capsys):
     config, gen = write_inputs(tmp_path)
     code = main(["scenarios", "generate", "--config", str(config),

@@ -1,18 +1,31 @@
+import dataclasses
+import json
+import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_config, make_genspec
+from mgsched.config_io import load_config, load_generation_spec
 from mgsched.scenario import (
     DistanceWeights,
     Scenario,
     ScenarioSet,
+    _distance_matrix,
+    _feature_matrix,
     generate,
     kantorovich_distance,
     reduce_fast_forward,
     scenario_distance,
 )
+from oracles import greedy_reduction
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden" / "reduction"
 
 
 def line_set(positions, probs):
@@ -164,3 +177,81 @@ def test_case_study_reduction_shape():
     assert rep.n_original == 3000
     assert abs(red.probabilities.sum() - 1.0) <= 1e-9
     assert rep.step_distances[0] >= rep.kantorovich_distance
+
+
+def test_exact_ties_go_to_the_lowest_index():
+    # ten scenarios sit at 1, the weighted medoid, and their exact sums are
+    # equal; a BLAS product can round any of them lowest, the rule says 8
+    ss = line_set([0, 0, 0, 3, 3, 2, 0, 0, 1, 1, 2, 1, 1, 0, 2, 2, 0, 0, 1, 1, 3, 2, 1, 1,
+                   2, 2, 0, 2, 3, 3, 3, 1, 1], [1 / 33] * 33)
+    _, rep = reduce_fast_forward(ss, 1, UNIT)
+    assert rep.selection_order == [8]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 4), min_size=2, max_size=30), st.data())
+def test_greedy_matches_exact_reference_on_integer_lines(positions, data):
+    # few distinct positions make exact ties common: every tie must go to
+    # the lowest index, as in the fsum reference
+    S = len(positions)
+    if data.draw(st.booleans(), label="equal probabilities"):
+        probs = [1.0 / S] * S
+    else:
+        w = data.draw(st.lists(st.integers(1, 5), min_size=S, max_size=S), label="weights")
+        probs = [v / sum(w) for v in w]
+    keep = data.draw(st.integers(1, min(S, 6)), label="keep")
+    ss = line_set(positions, probs)
+    red, rep = reduce_fast_forward(ss, keep, UNIT)
+    C = np.abs(np.subtract.outer(positions, positions))
+    order, steps, kept_probs = greedy_reduction(C, ss.probabilities, keep)
+    assert rep.selection_order == order
+    assert rep.step_distances == pytest.approx(steps, rel=1e-12, abs=1e-15)
+    assert red.probabilities.tolist() == pytest.approx(kept_probs, rel=1e-12, abs=1e-15)
+
+
+def demo_set(count, seed):
+    cfg = load_config(ROOT / "demos" / "data" / "config.json")
+    spec = load_generation_spec(ROOT / "demos" / "data" / "genspec.json")
+    return generate(dataclasses.replace(spec, rng_seed=seed), cfg, count)
+
+
+def test_demo_reduction_matches_golden():
+    golden = json.loads((GOLDEN / "demo_seed1000.json").read_text())
+    ss = demo_set(golden["generate"], golden["seed"])
+    red, rep = reduce_fast_forward(ss, golden["keep"])
+    assert rep.selection_order == golden["selection_order"]
+    assert rep.kept_indices == golden["kept_indices"]
+    assert [repr(v) for v in rep.step_distances] == golden["step_distances"]
+    assert [repr(float(v)) for v in red.probabilities] == golden["probabilities"]
+
+
+@pytest.mark.parametrize("T, n_phev, n_def, S", [
+    (24, 5, 2, 700),    # demo shape: 146 features
+    (24, 50, 5, 300),   # fleet shape: 1229 features
+], ids=["demo", "fleet"])
+def test_distance_matrix_is_the_one_shot_formula(T, n_phev, n_def, S):
+    cfg = make_config(T=T, n_phev=n_phev, n_def=n_def)
+    ss = generate(make_genspec(cfg, seed=S), cfg, S)
+    w = DistanceWeights.from_set(ss)
+    X = _feature_matrix(ss, w)
+    assert X.shape == (S, T + n_phev * T + n_def)
+    sq = (X**2).sum(axis=1)
+    expect = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (X @ X.T), 0.0))
+    np.fill_diagonal(expect, 0.0)
+    got = _distance_matrix(ss, w)
+    assert np.array_equal(got, expect)
+    assert np.all(np.diag(got) == 0.0)
+
+
+def test_reduction_holds_one_distance_matrix():
+    # the greedy loop works in row bands: its traced peak stays within
+    # half a matrix of the S x S distance matrix itself
+    S = 2000
+    ss = demo_set(S, 3)
+    tracemalloc.start()
+    try:
+        reduce_fast_forward(ss, 25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * S * S, f"peak {peak / (8 * S * S):.2f} x S^2 doubles"
