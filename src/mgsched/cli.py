@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import scenario as scn
-from .config_io import IngestError, load_config, load_generation_spec
+from .config_io import IngestError, load_config, load_generation_spec, read_json
 from .experiments import (
     InfeasibleProblem,
     NumericalFailure,
@@ -27,7 +27,6 @@ from .experiments import (
     SolverLimit,
     UnboundedProblem,
     _write_atomic,
-    load_manifest,
     load_scenario_set,
     prepare_scenarios,
     run_compare,
@@ -55,12 +54,18 @@ def _setup_logging():
     )
 
 
+def _absolute(path):
+    return str(Path(path).absolute())
+
+
 def _add_run_flags(p):
     p.add_argument("--manifest", help="JSON run manifest")
-    p.add_argument("--config", help="microgrid config JSON (overrides manifest)")
-    p.add_argument("--genspec", help="generation spec JSON (overrides manifest)")
+    p.add_argument("--config", type=_absolute,
+                   help="microgrid config JSON (overrides manifest)")
+    p.add_argument("--genspec", type=_absolute,
+                   help="generation spec JSON (overrides manifest)")
     p.add_argument("--seed", type=int, help="RNG seed override")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", type=_absolute, help="output directory")
     p.add_argument("--generate", type=int, help="number of scenarios to generate")
     p.add_argument("--keep", type=int, help="scenarios to keep after reduction")
     p.add_argument("--stage-mode", choices=("fully-adaptive", "day-ahead-chp"))
@@ -72,45 +77,43 @@ def _add_run_flags(p):
     p.add_argument("--write-mps", action="store_true", help="also write problem.mps")
 
 
-def _manifest_from_args(args, experiment) -> RunManifest:
+def _manifest_from_args(args) -> RunManifest:
+    """Merge the flags over the manifest JSON (formulation flags field by
+    field) and parse the result once, so a bad flag fails ingestion just
+    as the same manifest field does.  Flag paths are absolute, so they
+    resolve against the working directory."""
     if args.manifest:
-        manifest = load_manifest(args.manifest)
+        path = Path(args.manifest)
+        data, base_dir = read_json(path), path.parent
+    elif args.config and args.genspec:
+        data, base_dir = {}, "."
     else:
-        if not args.config or not args.genspec:
-            raise IngestError("need --manifest, or both --config and --genspec")
-        manifest = RunManifest(config_path=args.config, generation=args.genspec,
-                               experiment="single")
-    updates = {"experiment": experiment}
-    if args.config:
-        updates["config_path"] = args.config
-    if args.genspec:
-        updates["generation"] = args.genspec
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out:
-        updates["out_dir"] = args.out
-    if args.generate is not None:
-        updates["generate_count"] = args.generate
-    if args.keep is not None:
-        updates["keep"] = args.keep
-    if getattr(args, "levels", None):
-        updates["levels"] = tuple(float(v) for v in args.levels.split(","))
-    if getattr(args, "widths", None):
-        updates["widths"] = tuple(int(v) for v in args.widths.split(","))
-    opt_updates = {}
-    if args.stage_mode:
-        opt_updates["stage_mode"] = args.stage_mode
-    if args.parking_mode:
-        opt_updates["parking_mode"] = args.parking_mode
-    if args.exclusivity:
-        opt_updates["exclusivity_binaries"] = True
-    if args.curtailment_penalty is not None:
-        opt_updates["curtailment_penalty"] = args.curtailment_penalty
-    if opt_updates:
-        updates["options"] = dataclasses.replace(manifest.options, **opt_updates)
-    if args.write_mps:
-        updates["write_mps"] = True
-    return dataclasses.replace(manifest, **updates)
+        raise IngestError("need --manifest, or both --config and --genspec")
+
+    def merge(doc, fields):
+        if not isinstance(doc, dict):
+            return doc  # left for the parser to reject
+        return {**doc, **{k: v for k, v in fields.items() if v is not None}}
+
+    data = merge(data, {
+        "config": args.config,
+        "generation": args.genspec,
+        "seed": args.seed,
+        "out": args.out,
+        "generate": args.generate,
+        "keep": args.keep,
+        "levels": getattr(args, "levels", None),
+        "widths": getattr(args, "widths", None),
+        "write_mps": args.write_mps or None,
+    })
+    if isinstance(data, dict):
+        data["formulation"] = merge(data.get("formulation", {}), {
+            "stage_mode": args.stage_mode,
+            "parking_mode": args.parking_mode,
+            "exclusivity_binaries": args.exclusivity or None,
+            "curtailment_penalty": args.curtailment_penalty,
+        })
+    return RunManifest.from_dict(data, base_dir)
 
 
 def main(argv=None) -> int:
@@ -125,11 +128,13 @@ def main(argv=None) -> int:
 
     p_solar = sub.add_parser("sweep-solar", help="cost versus solar penetration level")
     _add_run_flags(p_solar)
-    p_solar.add_argument("--levels", help="comma-separated multipliers, ascending")
+    p_solar.add_argument("--levels", type=lambda v: v.split(","),
+                         help="comma-separated multipliers, ascending")
 
     p_window = sub.add_parser("sweep-window", help="cost versus serving-window width")
     _add_run_flags(p_window)
-    p_window.add_argument("--widths", help="comma-separated widths, ascending")
+    p_window.add_argument("--widths", type=lambda v: v.split(","),
+                          help="comma-separated widths, ascending")
 
     p_cmp = sub.add_parser("compare", help="stochastic versus deterministic baseline")
     _add_run_flags(p_cmp)
@@ -174,14 +179,14 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "run":
-        manifest = _manifest_from_args(args, "single")
+        manifest = _manifest_from_args(args)
         payload = run_single(manifest)
         print(f"status: {payload['status']}  objective: {payload['objective']:.6f}")
         print(f"artifacts in {manifest.out_dir}")
         return EXIT_OK
 
     if args.command == "sweep-solar":
-        manifest = _manifest_from_args(args, "solar-sweep")
+        manifest = _manifest_from_args(args)
         rows = run_solar_sweep(manifest)
         for level, st, det in rows:
             print(f"level {level:g}: stochastic {st:.6f}  deterministic {det:.6f}")
@@ -189,7 +194,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "sweep-window":
-        manifest = _manifest_from_args(args, "window-sweep")
+        manifest = _manifest_from_args(args)
         rows = run_window_sweep(manifest)
         for width, cost, status in rows:
             label = f"{cost:.6f}" if status == "optimal" else status
@@ -198,7 +203,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "compare":
-        manifest = _manifest_from_args(args, "stochastic-vs-deterministic")
+        manifest = _manifest_from_args(args)
         result = run_compare(manifest)
         print(f"stochastic cost:           {result['stochastic_cost']:.6f}")
         print(f"deterministic policy cost: {result['deterministic_policy_cost']:.6f}")
@@ -206,7 +211,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "export-mps":
-        manifest = _manifest_from_args(args, "single")
+        manifest = _manifest_from_args(args)
         config = load_config(manifest.config_path)
         scenarios, _, _ = prepare_scenarios(manifest, config)
         path = Path(manifest.out_dir) / "problem.mps"

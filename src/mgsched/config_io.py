@@ -22,7 +22,9 @@ class IngestError(ValueError):
     """Unreadable or structurally invalid configuration input."""
 
 
-def _read_csv_column(path: Path, column: str | None):
+def _read_csv(path: Path):
+    """(header, body rows) of a CSV file; a missing or empty file is an
+    IngestError."""
     try:
         with open(path, newline="") as f:
             rows = list(csv.reader(f))
@@ -30,7 +32,18 @@ def _read_csv_column(path: Path, column: str | None):
         raise IngestError(f"cannot read {path}: {e}") from e
     if not rows:
         raise IngestError(f"{path}: empty CSV")
-    header = rows[0]
+    return rows[0], rows[1:]
+
+
+def _csv_path(ref: dict, base_dir: Path, what: str) -> Path:
+    if "csv" not in ref:
+        raise IngestError(f"{what}: csv reference needs a 'csv' key")
+    path = Path(ref["csv"])
+    return path if path.is_absolute() else base_dir / path
+
+
+def _read_csv_column(path: Path, column: str | None):
+    header, body = _read_csv(path)
     if column is None:
         if len(header) != 1:
             raise IngestError(f"{path}: multiple columns, specify one of {header}")
@@ -41,19 +54,14 @@ def _read_csv_column(path: Path, column: str | None):
         except ValueError:
             raise IngestError(f"{path}: no column named {column!r} in {header}") from None
     try:
-        return np.array([float(r[idx]) for r in rows[1:]])
+        return np.array([float(r[idx]) for r in body])
     except (ValueError, IndexError) as e:
         raise IngestError(f"{path}: bad numeric data in column {column!r}: {e}") from e
 
 
 def _series(value, base_dir: Path, what: str):
     if isinstance(value, dict):
-        if "csv" not in value:
-            raise IngestError(f"{what}: time-series reference needs a 'csv' key")
-        path = Path(value["csv"])
-        if not path.is_absolute():
-            path = base_dir / path
-        return _read_csv_column(path, value.get("column"))
+        return _read_csv_column(_csv_path(value, base_dir, what), value.get("column"))
     try:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as e:
@@ -105,15 +113,20 @@ def config_from_dict(data: dict, base_dir=".") -> MicrogridConfig:
     )
 
 
-def load_config(path) -> MicrogridConfig:
-    path = Path(path)
+def read_json(path: Path):
+    """The document in a JSON file; unreadable or invalid JSON is an
+    IngestError."""
     try:
-        data = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except OSError as e:
         raise IngestError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise IngestError(f"{path}: invalid JSON: {e}") from e
-    return config_from_dict(data, base_dir=path.parent)
+
+
+def load_config(path) -> MicrogridConfig:
+    path = Path(path)
+    return config_from_dict(read_json(path), base_dir=path.parent)
 
 
 def generation_spec_from_dict(data: dict, base_dir=".") -> GenerationSpec:
@@ -122,14 +135,12 @@ def generation_spec_from_dict(data: dict, base_dir=".") -> GenerationSpec:
     if "solar_samples" in data:
         raw = data["solar_samples"]
         if isinstance(raw, dict):
-            path = Path(raw["csv"])
-            if not path.is_absolute():
-                path = base_dir / path
-            with open(path, newline="") as f:
-                rows = list(csv.reader(f))
+            path = _csv_path(raw, base_dir, "solar_samples")
             # one column per sample trajectory, one row per period
-            body = np.array([[float(v) for v in r] for r in rows[1:]])
-            samples = body.T
+            try:
+                samples = np.array([[float(v) for v in r] for r in _read_csv(path)[1]]).T
+            except ValueError as e:
+                raise IngestError(f"{path}: bad numeric data in solar_samples: {e}") from e
         else:
             samples = np.asarray(raw, dtype=float)
     parking = data.get("parking_prob", 1.0)
@@ -153,10 +164,4 @@ def generation_spec_from_dict(data: dict, base_dir=".") -> GenerationSpec:
 
 def load_generation_spec(path) -> GenerationSpec:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as e:
-        raise IngestError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise IngestError(f"{path}: invalid JSON: {e}") from e
-    return generation_spec_from_dict(data, base_dir=path.parent)
+    return generation_spec_from_dict(read_json(path), base_dir=path.parent)

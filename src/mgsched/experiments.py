@@ -3,12 +3,13 @@
 stochastic-versus-deterministic comparison.
 
 `solve_stochastic` runs one loop over blocks.  In fully-adaptive mode
-without binary columns the deterministic equivalent separates by
-scenario, so each scenario is a block weighted by its probability;
-otherwise the whole set is a single block.  Each block is built, solved,
+no decision is shared across scenarios, so the deterministic equivalent
+separates by scenario, binaries or not, and each scenario is a block
+weighted by its probability; in day-ahead-chp mode, and for a single
+scenario, the whole set is one block.  Each block is built, solved,
 mapped to a schedule and checked against its own rows and bounds, and
 the blocks' schedules are joined; the full problem is built only for the
-joint modes and for MPS export.  The deterministic baseline solves the
+joint mode and for MPS export.  The deterministic baseline solves the
 probability-weighted mean scenario and its rigid schedule is then priced
 under every scenario with `evaluate_cost`: grid exchange re-adjusts
 within its caps, and anything the rigid plan cannot absorb (parking
@@ -30,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import scenario as scn
-from .config_io import IngestError, generation_spec_from_dict, load_config, load_generation_spec
+from .config_io import (IngestError, generation_spec_from_dict, load_config,
+                        load_generation_spec, read_json)
 from .formulation import FormulationOptions, build, extract_schedule, schedule_to_vector
 from .lpcore import LpError, SolveSettings, check_point, export_mps, solve_lp, solve_milp
 from .model import (
@@ -44,48 +46,52 @@ from .model import (
 
 log = logging.getLogger(__name__)
 
-EXPERIMENTS = ("single", "solar-sweep", "window-sweep", "stochastic-vs-deterministic")
-
-
 @dataclass
 class RunManifest:
-    """Everything one run needs; mirrors the JSON manifest document."""
+    """Everything one run needs; mirrors the JSON manifest document.
+    `generation` is a spec path or a parsed spec (an inline object)."""
 
     config_path: str
-    generation: dict | str | None = None
+    generation: scn.GenerationSpec | str | None = None
     scenarios_path: str | None = None
     generate_count: int = 3000
     keep: int = 25
     options: FormulationOptions = field(default_factory=FormulationOptions)
     settings: SolveSettings = field(default_factory=SolveSettings)
     out_dir: str = "out"
-    experiment: str = "single"
     levels: tuple = ()
     widths: tuple = ()
     seed: int | None = None
     write_mps: bool = False
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise IngestError(f"unknown experiment {self.experiment!r}")
-        if self.experiment == "solar-sweep":
-            if not self.levels or list(self.levels) != sorted(self.levels):
-                raise IngestError("solar-sweep needs a nonempty sorted 'levels' list")
-        if self.experiment == "window-sweep":
-            if not self.widths or list(self.widths) != sorted(self.widths):
-                raise IngestError("window-sweep needs a nonempty sorted 'widths' list")
+        if self.generate_count < 1:
+            raise IngestError(f"'generate' must be >= 1, got {self.generate_count}")
+        if self.keep < 1:
+            raise IngestError(f"'keep' must be >= 1, got {self.keep}")
 
     @classmethod
     def from_dict(cls, data: dict, base_dir=".") -> "RunManifest":
+        """Parse a manifest document.  Relative paths, those inside an
+        inline "generation" object included, resolve against `base_dir`."""
         base = Path(base_dir)
 
         def resolve(p):
             p = Path(p)
             return str(p if p.is_absolute() else base / p)
 
-        opts = data.get("formulation", {})
+        def parse(key, convert, default):
+            try:
+                return default if data.get(key) is None else convert(data[key])
+            except (TypeError, ValueError) as e:
+                raise IngestError(f"manifest: bad {key!r}: {e}") from e
+
+        if not isinstance(data, dict):
+            raise IngestError("manifest: expected a JSON object")
+        if "config" not in data:
+            raise IngestError("manifest: missing required field 'config'")
         try:
-            options = FormulationOptions(**opts)
+            options = FormulationOptions(**data.get("formulation", {}))
         except (TypeError, ValueError) as e:
             raise IngestError(f"formulation options: {e}") from e
         try:
@@ -95,34 +101,27 @@ class RunManifest:
         gen = data.get("generation")
         if isinstance(gen, str):
             gen = resolve(gen)
-        if "config" not in data:
-            raise IngestError("manifest: missing required field 'config'")
+        elif gen is not None:
+            gen = generation_spec_from_dict(gen, base)
         return cls(
             config_path=resolve(data["config"]),
             generation=gen,
             scenarios_path=resolve(data["scenarios"]) if data.get("scenarios") else None,
-            generate_count=int(data.get("generate", 3000)),
-            keep=int(data.get("keep", 25)),
+            generate_count=parse("generate", int, 3000),
+            keep=parse("keep", int, 25),
             options=options,
             settings=settings,
             out_dir=resolve(data.get("out", "out")),
-            experiment=data.get("experiment", "single"),
-            levels=tuple(data.get("levels", ())),
-            widths=tuple(data.get("widths", ())),
-            seed=data.get("seed"),
+            levels=parse("levels", lambda v: tuple(map(float, v)), ()),
+            widths=parse("widths", lambda v: tuple(map(int, v)), ()),
+            seed=parse("seed", int, None),
             write_mps=bool(data.get("write_mps", False)),
         )
 
 
 def load_manifest(path) -> RunManifest:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as e:
-        raise IngestError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise IngestError(f"{path}: invalid JSON: {e}") from e
-    return RunManifest.from_dict(data, base_dir=path.parent)
+    return RunManifest.from_dict(read_json(path), base_dir=path.parent)
 
 
 @dataclass
@@ -140,19 +139,7 @@ class SolveReport:
     infeasible_rows: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "status": self.status,
-            "objective": self.objective,
-            "iterations": self.iterations,
-            "nodes": self.nodes,
-            "n_cols": self.n_cols,
-            "n_rows": self.n_rows,
-            "decomposed": self.decomposed,
-            "max_row_violation": self.max_row_violation,
-            "max_bound_violation": self.max_bound_violation,
-            "row_violations": self.row_violations,
-            "infeasible_rows": self.infeasible_rows,
-        }
+        return dataclasses.asdict(self)
 
 
 class InfeasibleProblem(RuntimeError):
@@ -203,18 +190,21 @@ def load_scenario_set(path, config: MicrogridConfig | None = None) -> scn.Scenar
 def prepare_scenarios(manifest: RunManifest, config: MicrogridConfig):
     """Load or generate scenarios, then fast-forward reduce to `keep`.
 
-    Loaded scenarios are validated against the config; generated ones are
-    valid by construction.
+    This is where manifest and config first meet, so options that depend
+    on the config are checked here.  Loaded scenarios are validated
+    against the config; generated ones are valid by construction.
     """
+    penalty = manifest.options.curtailment_penalty
+    if penalty is not None and penalty <= config.tariff.price_buy.max():
+        raise IngestError("curtailment_penalty must exceed the highest purchase price")
     if manifest.scenarios_path:
         full = load_scenario_set(manifest.scenarios_path, config)
     else:
-        if manifest.generation is None:
+        spec = manifest.generation
+        if spec is None:
             raise IngestError("manifest needs either 'generation' or 'scenarios'")
-        if isinstance(manifest.generation, str):
-            spec = load_generation_spec(manifest.generation)
-        else:
-            spec = generation_spec_from_dict(manifest.generation)
+        if isinstance(spec, str):
+            spec = load_generation_spec(spec)
         if manifest.seed is not None:
             spec = dataclasses.replace(spec, rng_seed=int(manifest.seed))
         full = scn.generate(spec, config, manifest.generate_count)
@@ -229,31 +219,28 @@ def prepare_scenarios(manifest: RunManifest, config: MicrogridConfig):
 # solving
 
 
-def _decomposable(options: FormulationOptions) -> bool:
-    return (
-        options.stage_mode == "fully-adaptive"
-        and not options.exclusivity_binaries
-        and options.parking_mode == "scenario-data"
-    )
-
-
 def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
                      options: FormulationOptions | None = None,
                      settings: SolveSettings | None = None):
     """Solve the deterministic equivalent; returns (schedule, report).
 
-    The problem is solved as a list of blocks.  When the formulation
-    separates by scenario (fully adaptive, no binaries) and there is more
-    than one scenario, each scenario is a block of its own, weighted by
-    its probability; otherwise the whole set is one block of weight 1.
+    The problem is solved as a list of blocks.  In fully-adaptive mode
+    with more than one scenario, each scenario is a block of its own,
+    weighted by its probability: only day-ahead-chp's nonanticipativity
+    rows link scenarios (mode binaries and their rows are per scenario).
+    Otherwise the whole set is one block of weight 1.
     Every block is built, solved, mapped to a schedule and checked the
     same way: the schedule's embedding (plus the solver's mode binaries)
     against the block's rows and bounds, with row names carrying the
     scenario index, so the report reads as a check of the full problem.
+
+    `mip_gap`, `node_limit` and `iteration_limit` apply to each block, and
+    `nodes` and `iterations` sum over the blocks; so with binaries the
+    total is within sum_s p_s * mip_gap * max(1, |obj_s|) of the optimum.
     """
     options = options or FormulationOptions()
     settings = settings or SolveSettings()
-    decomposed = _decomposable(options) and len(scenarios.scenarios) > 1
+    decomposed = options.stage_mode == "fully-adaptive" and len(scenarios.scenarios) > 1
     blocks = ([(scenarios.single(s), p) for s, p in enumerate(scenarios.probabilities)]
               if decomposed else [(scenarios, 1.0)])
     report = SolveReport(status="optimal", objective=0.0, iterations=0, nodes=0,
@@ -498,6 +485,8 @@ def run_solar_sweep(manifest: RunManifest) -> list:
     Each level scales installed capacity and every scenario's trajectory
     by the same factor.  Writes solar_sweep.csv with one row per level.
     """
+    if not manifest.levels or list(manifest.levels) != sorted(manifest.levels):
+        raise IngestError("solar-sweep needs a nonempty sorted 'levels' list")
     config = load_config(manifest.config_path)
     scenarios, _, _ = prepare_scenarios(manifest, config)
     path = Path(manifest.out_dir) / "solar_sweep.csv"
@@ -537,6 +526,8 @@ def run_window_sweep(manifest: RunManifest) -> list:
     an error row and the sweep continues; any other error propagates.
     Writes window_sweep.csv.
     """
+    if not manifest.widths or list(manifest.widths) != sorted(manifest.widths):
+        raise IngestError("window-sweep needs a nonempty sorted 'widths' list")
     config = load_config(manifest.config_path)
     scenarios, _, _ = prepare_scenarios(manifest, config)
     path = Path(manifest.out_dir) / "window_sweep.csv"

@@ -18,7 +18,7 @@ generation is reproducible regardless of chunking or parallelism.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -258,8 +258,9 @@ def kantorovich_distance(scenario_set: ScenarioSet, subset_indices,
         raise ValueError("subset index out of range")
     weights = weights or DistanceWeights.from_set(scenario_set)
     X = _feature_matrix(scenario_set, weights)
-    diff = X[:, None, :] - X[None, idx, :]
-    d = np.sqrt((diff**2).sum(axis=2)).min(axis=1)
+    d = np.full(S, np.inf)
+    for j in idx:  # one S x F difference at a time, never S x k x F
+        np.minimum(d, np.sqrt(((X - X[j]) ** 2).sum(axis=1)), out=d)
     return float(scenario_set.probabilities @ d)
 
 
@@ -273,14 +274,7 @@ class ReductionReport:
     step_distances: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "n_original": self.n_original,
-            "n_kept": self.n_kept,
-            "kept_indices": self.kept_indices,
-            "selection_order": self.selection_order,
-            "kantorovich_distance": self.kantorovich_distance,
-            "step_distances": self.step_distances,
-        }
+        return asdict(self)
 
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("sort_keys", True)

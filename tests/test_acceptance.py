@@ -273,7 +273,7 @@ def test_criterion_05_solar_trend(tmp_path):
     manifest = RunManifest(
         config_path=str(config_path), generation=str(gen_path),
         generate_count=40, keep=6, out_dir=str(tmp_path / "out"),
-        experiment="solar-sweep", levels=(0.0, 0.5, 1.0, 1.5, 2.0), seed=505,
+        levels=(0.0, 0.5, 1.0, 1.5, 2.0), seed=505,
     )
     rows = run_solar_sweep(manifest)
     st = [r[1] for r in rows]
@@ -290,7 +290,7 @@ def test_criterion_06_window_trend(tmp_path):
     manifest = RunManifest(
         config_path=str(config_path), generation=str(gen_path),
         generate_count=40, keep=6, out_dir=str(tmp_path / "out"),
-        experiment="window-sweep", widths=(2, 4, 8, 16, 24), seed=606,
+        widths=(2, 4, 8, 16, 24), seed=606,
     )
     rows = run_window_sweep(manifest)
     costs = [c for _, c, status in rows if status == "optimal"]
@@ -362,28 +362,28 @@ def test_criterion_09_exclusivity(case_study_solution):
 def test_criterion_10_determinism(tmp_path):
     config_path, gen_path = write_inputs(tmp_path, T=12)
 
-    def manifest(out, experiment="single", **kw):
+    def manifest(out, **kw):
         return RunManifest(
             config_path=str(config_path), generation=str(gen_path),
             generate_count=30, keep=4, out_dir=str(tmp_path / out),
-            experiment=experiment, seed=1010, **kw,
+            seed=1010, **kw,
         )
 
     run_single(manifest("a"))
     run_single(manifest("b"))
     for name in ("solution.json", "balance_report.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-    run_solar_sweep(manifest("sa", "solar-sweep", levels=(0.5, 1.0, 1.5)))
-    run_solar_sweep(manifest("sb", "solar-sweep", levels=(0.5, 1.0, 1.5)))
+    run_solar_sweep(manifest("sa", levels=(0.5, 1.0, 1.5)))
+    run_solar_sweep(manifest("sb", levels=(0.5, 1.0, 1.5)))
     assert (tmp_path / "sa" / "solar_sweep.csv").read_bytes() == \
         (tmp_path / "sb" / "solar_sweep.csv").read_bytes()
-    run_window_sweep(manifest("wa", "window-sweep", widths=(2, 4, 8)))
-    run_window_sweep(manifest("wb", "window-sweep", widths=(2, 4, 8)))
+    run_window_sweep(manifest("wa", widths=(2, 4, 8)))
+    run_window_sweep(manifest("wb", widths=(2, 4, 8)))
     assert (tmp_path / "wa" / "window_sweep.csv").read_bytes() == \
         (tmp_path / "wb" / "window_sweep.csv").read_bytes()
     from mgsched.experiments import run_compare
-    run_compare(manifest("ca", "stochastic-vs-deterministic"))
-    run_compare(manifest("cb", "stochastic-vs-deterministic"))
+    run_compare(manifest("ca"))
+    run_compare(manifest("cb"))
     assert (tmp_path / "ca" / "compare.json").read_bytes() == \
         (tmp_path / "cb" / "compare.json").read_bytes()
 

@@ -30,6 +30,57 @@ def test_flags_without_manifest_require_both_inputs(tmp_path):
     assert main(["run", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--exclusivity", "--parking-mode", "decision-binary"], "enable at most one"),
+    (["--curtailment-penalty", "0.01"], "highest purchase price"),
+    (["--keep", "0"], "'keep' must be >= 1"),
+    (["--keep", "-3"], "'keep' must be >= 1"),
+    (["--generate", "0"], "'generate' must be >= 1"),
+], ids=["exclusivity-with-decision-parking", "penalty-below-price", "keep-0", "keep-negative",
+        "generate-0"])
+def test_bad_run_flags_exit_two(tmp_path, capsys, flags, message):
+    # flags go through the same parser as manifest fields
+    config, gen = write_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--genspec", str(gen), "--generate", "4",
+                 "--keep", "2", *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("document, flags", [
+    ([], []),
+    ({"config": "config.json", "generation": "gen.json", "keep": "many"}, []),
+    ({"config": "config.json", "generation": "gen.json", "levels": ["low"]}, []),
+    ({"config": "config.json", "generation": "gen.json", "formulation": [1]},
+     ["--exclusivity"]),
+], ids=["not-an-object", "keep-not-a-number", "level-not-a-number", "formulation-not-an-object"])
+def test_malformed_manifest_exits_two(tmp_path, document, flags):
+    write_inputs(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps(document))
+    assert main(["sweep-solar", "--manifest", str(tmp_path / "m.json"), *flags,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_manifest_paths_resolve_against_the_manifest_and_flag_paths_against_cwd(
+        tmp_path, monkeypatch):
+    # an inline generation object's csv reference sits next to the manifest;
+    # --out is relative to the working directory, as every flag path is
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    write_inputs(runs)
+    spec = json.loads((runs / "gen.json").read_text())
+    (runs / "solar.csv").write_text(
+        "mean\n" + "".join(f"{v!r}\n" for v in spec["solar_profile_mean"]))
+    spec["solar_profile_mean"] = {"csv": "solar.csv"}
+    manifest = {"config": "config.json", "generation": spec, "generate": 4, "keep": 2}
+    (runs / "m.json").write_text(json.dumps(manifest))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--manifest", "runs/m.json", "--out", "here"]) == 0
+    assert (tmp_path / "here" / "solution.json").exists()
+
+
 def test_infeasible_instance_exits_three(tmp_path, capsys):
     config = {
         "horizon": 2,

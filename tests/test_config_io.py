@@ -137,3 +137,17 @@ def test_generation_spec_empirical_csv(tmp_path):
 def test_generation_spec_rejects_bad_values():
     with pytest.raises(IngestError, match="probabilities"):
         generation_spec_from_dict({"solar_profile_mean": [1.0], "parking_prob": [2.0]})
+
+
+def test_solar_samples_read_errors_are_ingest_errors(tmp_path):
+    data = {
+        "solar_profile_mean": [0.0] * 4,
+        "solar_noise_model": "empirical",
+        "solar_samples": {"csv": "nope.csv"},
+    }
+    with pytest.raises(IngestError, match="cannot read .*nope.csv"):
+        generation_spec_from_dict(data, base_dir=tmp_path)
+    (tmp_path / "bad.csv").write_text("s1,s2\n1,5\n2,x\n3,7\n4,8\n")
+    data["solar_samples"] = {"csv": "bad.csv"}
+    with pytest.raises(IngestError, match="bad numeric data in solar_samples"):
+        generation_spec_from_dict(data, base_dir=tmp_path)

@@ -29,7 +29,7 @@ from mgsched.experiments import (
 from mgsched.cli import main
 from mgsched.config_io import IngestError
 from mgsched.formulation import FormulationOptions, build, schedule_to_vector
-from mgsched.lpcore import SolveSettings, check_point, solve_lp
+from mgsched.lpcore import SolveSettings, check_point, solve_lp, solve_milp
 from mgsched.model import (
     ChpUnit,
     DeferrableLoad,
@@ -88,18 +88,23 @@ def test_decomposed_solve_matches_full_lp():
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(T=st.integers(1, 4), n_chp=st.integers(1, 2), n_phev=st.integers(0, 2),
        n_def=st.integers(0, 2), weights=st.lists(st.integers(1, 5), min_size=2, max_size=4),
-       seed=st.integers(0, 10**6))
-def test_decomposed_equals_joint(T, n_chp, n_phev, n_def, weights, seed):
+       seed=st.integers(0, 10**6),
+       options=st.sampled_from([FormulationOptions(),
+                                FormulationOptions(exclusivity_binaries=True),
+                                FormulationOptions(parking_mode="decision-binary")]))
+def test_decomposed_equals_joint(T, n_chp, n_phev, n_def, weights, seed, options):
     # every deferrable window of make_config needs T >= 3 to be deliverable;
-    # at least one CHP unit covers the heat demand
+    # at least one CHP unit covers the heat demand.  In fully-adaptive mode
+    # the mode binaries are per scenario, so the joint MILP separates too.
     cfg = make_config(T=T, n_chp=n_chp, n_phev=n_phev, n_def=n_def if T >= 3 else 0)
     drawn = generate(make_genspec(cfg, seed=seed), cfg, len(weights)).scenarios
     ss = ScenarioSet(tuple(Scenario(w / sum(weights), sc.solar, sc.parking, sc.deferrable_energy)
                            for w, sc in zip(weights, drawn)))
-    _, report = solve_stochastic(cfg, ss)
+    exact = SolveSettings(mip_gap=1e-12)
+    _, report = solve_stochastic(cfg, ss, options, exact)
     assert report.decomposed
-    problem, _ = build(cfg, ss)
-    full = solve_lp(problem)
+    problem, _ = build(cfg, ss, options)
+    full = solve_milp(problem, exact)
     assert full.status == "optimal"
     assert report.objective == pytest.approx(full.objective, rel=1e-7, abs=1e-9)
     assert (report.n_cols, report.n_rows) == (problem.n_cols, problem.n_rows)
@@ -276,7 +281,6 @@ def test_manifest_round_trip(tmp_path):
         "formulation": {"stage_mode": "day-ahead-chp"},
         "solver": {"feasibility_tol": 1e-8},
         "out": "artifacts",
-        "experiment": "solar-sweep",
         "levels": [0.0, 1.0, 2.0],
     }
     p = tmp_path / "manifest.json"
@@ -292,11 +296,9 @@ def test_manifest_round_trip(tmp_path):
 
 def test_manifest_validation_errors(tmp_path):
     with pytest.raises(IngestError, match="levels"):
-        manifest_for(tmp_path, experiment="solar-sweep", levels=())
+        run_solar_sweep(manifest_for(tmp_path, levels=()))
     with pytest.raises(IngestError, match="widths"):
-        manifest_for(tmp_path, experiment="window-sweep", widths=(4, 2))
-    with pytest.raises(IngestError, match="experiment"):
-        manifest_for(tmp_path, experiment="teleport")
+        run_window_sweep(manifest_for(tmp_path, widths=(4, 2)))
     # the solver settings are the six of SolveSettings; former fields are rejected
     config_path, gen_path = write_inputs(tmp_path)
     for removed in ("time_limit", "refactor_interval", "stall_limit"):
@@ -340,8 +342,7 @@ def test_run_single_writes_mps_on_request(tmp_path):
 
 
 def test_solar_sweep_monotone_and_ordered(tmp_path):
-    m = manifest_for(tmp_path, experiment="solar-sweep",
-                     levels=(0.0, 0.5, 1.0, 1.5, 2.0), generate_count=30, keep=4)
+    m = manifest_for(tmp_path, levels=(0.0, 0.5, 1.0, 1.5, 2.0), generate_count=30, keep=4)
     rows = run_solar_sweep(m)
     st = [r[1] for r in rows]
     det = [r[2] for r in rows]
@@ -354,8 +355,7 @@ def test_solar_sweep_monotone_and_ordered(tmp_path):
 
 def test_degenerate_uncertainty_closes_the_gap(tmp_path):
     # no noise anywhere: stochastic and deterministic columns coincide
-    m = manifest_for(tmp_path, experiment="solar-sweep", levels=(1.0,),
-                     generate_count=5, keep=5)
+    m = manifest_for(tmp_path, levels=(1.0,), generate_count=5, keep=5)
     gen = json.loads((tmp_path / "gen.json").read_text())
     gen.update(solar_sigma=0.0, parking_prob=1.0, deferrable_energy_spread=[0.0])
     (tmp_path / "gen.json").write_text(json.dumps(gen))
@@ -364,8 +364,7 @@ def test_degenerate_uncertainty_closes_the_gap(tmp_path):
 
 
 def test_window_sweep_monotone_with_error_rows(tmp_path):
-    m = manifest_for(tmp_path, experiment="window-sweep",
-                     widths=(1, 2, 3, 4, 6), generate_count=30, keep=4)
+    m = manifest_for(tmp_path, widths=(1, 2, 3, 4, 6), generate_count=30, keep=4)
     rows = run_window_sweep(m)
     by_width = {w: (c, status) for w, c, status in rows}
     # width 1 cannot deliver 4 kWh at 3 kW: error entry, sweep continued
@@ -382,14 +381,13 @@ def test_window_sweep_propagates_errors_other_than_infeasibility(tmp_path, monke
         raise ValueError("storage columns disagree with the recursion")
 
     monkeypatch.setattr(experiments, "extract_schedule", broken)
-    m = manifest_for(tmp_path, experiment="window-sweep", widths=(2, 4),
-                     generate_count=10, keep=2)
+    m = manifest_for(tmp_path, widths=(2, 4), generate_count=10, keep=2)
     with pytest.raises(ValueError, match="storage"):
         run_window_sweep(m)
 
 
 def test_run_compare_writes_report(tmp_path):
-    m = manifest_for(tmp_path, experiment="stochastic-vs-deterministic")
+    m = manifest_for(tmp_path)
     result = run_compare(m)
     assert result["vss"] >= -1e-6
     on_disk = json.loads((tmp_path / "out" / "compare.json").read_text())

@@ -36,7 +36,7 @@ def highs_objective(problem):
     (dict(T=24, n_chp=3, n_phev=10, n_def=2), 3,
      FormulationOptions(stage_mode="day-ahead-chp"), False),
     (dict(T=12, n_chp=1, n_phev=2, n_def=1), 2,
-     FormulationOptions(exclusivity_binaries=True), False),
+     FormulationOptions(exclusivity_binaries=True), True),
 ], ids=["fully-adaptive", "day-ahead-chp", "exclusivity"])
 def test_objective_matches_highs(shape, S, options, decomposed):
     cfg = make_config(**shape)

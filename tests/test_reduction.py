@@ -255,3 +255,18 @@ def test_reduction_holds_one_distance_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 8 * S * S, f"peak {peak / (8 * S * S):.2f} x S^2 doubles"
+
+
+def test_kantorovich_distance_holds_one_difference_at_a_time():
+    # the distance runs over the kept scenarios one at a time: its traced
+    # peak stays within a few copies of the S x F feature matrix
+    S = 2000
+    ss = demo_set(S, 3)
+    F = _feature_matrix(ss, DistanceWeights.from_set(ss)).shape[1]
+    tracemalloc.start()
+    try:
+        kantorovich_distance(ss, range(0, S, S // 25))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * S * F, f"peak {peak / (8 * S * F):.2f} x S*F doubles"
