@@ -230,7 +230,10 @@ def _dispatch_scenarios(args) -> int:
         spec = load_generation_spec(args.genspec)
         if args.seed is not None:
             spec = dataclasses.replace(spec, rng_seed=args.seed)
-        sset = scn.generate(spec, config, args.generate)
+        try:
+            sset = scn.generate(spec, config, args.generate)
+        except ValueError as e:
+            raise IngestError(str(e)) from e
         out = Path(args.out)
         scn.save_csv_bundle(sset, out)
         scn.save_json(sset, out / "scenarios.json")

@@ -34,7 +34,8 @@ from . import scenario as scn
 from .config_io import (IngestError, generation_spec_from_dict, load_config,
                         load_generation_spec, read_json)
 from .formulation import FormulationOptions, build, extract_schedule, schedule_to_vector
-from .lpcore import LpError, SolveSettings, check_point, export_mps, solve_lp, solve_milp
+from .lpcore import (LpError, SolverStats, SolveSettings, check_point, export_mps, solve_lp,
+                     solve_milp)
 from .model import (
     MicrogridConfig,
     Schedule,
@@ -137,9 +138,13 @@ class SolveReport:
     max_bound_violation: float = 0.0
     row_violations: dict = field(default_factory=dict)  # row name -> amount
     infeasible_rows: list = field(default_factory=list)
+    stats: SolverStats = field(default_factory=SolverStats)  # summed over blocks
 
     def to_dict(self):
-        return dataclasses.asdict(self)
+        """The deterministic part; `stats` goes to trace.json instead."""
+        payload = dataclasses.asdict(self)
+        del payload["stats"]
+        return payload
 
 
 class InfeasibleProblem(RuntimeError):
@@ -237,6 +242,9 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
     `mip_gap`, `node_limit` and `iteration_limit` apply to each block, and
     `nodes` and `iterations` sum over the blocks; so with binaries the
     total is within sum_s p_s * mip_gap * max(1, |obj_s|) of the optimum.
+    LP blocks share the matrix and the costs, so each starts from the
+    previous block's optimal basis, in block order; MILP blocks start
+    their roots cold.
     """
     options = options or FormulationOptions()
     settings = settings or SolveSettings()
@@ -246,15 +254,18 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
     report = SolveReport(status="optimal", objective=0.0, iterations=0, nodes=0,
                          n_cols=0, n_rows=0, decomposed=decomposed)
     parts = []
+    basis = None
     for s, (block, weight) in enumerate(blocks):
         problem, index = build(config, block, options)
         where = f" in scenario {s}" if decomposed else ""
         try:
             sol = (solve_milp(problem, settings) if problem.binary_cols
-                   else solve_lp(problem, settings))
+                   else solve_lp(problem, settings, basis=basis))
         except LpError as e:
             raise NumericalFailure(f"{e}{where}") from e
+        basis = sol.basis
         report.iterations += sol.iterations
+        report.stats.add(sol.stats)
         if sol.status == "infeasible":
             raise InfeasibleProblem(
                 [_shift_scenario_name(problem.row_name(i), s) for i in sol.infeasible_rows])
@@ -439,10 +450,13 @@ def _verified_balance(config, scenarios, schedule, tol=1e-6):
 
 def run_single(manifest: RunManifest) -> dict:
     """Solve one instance and write solution.json / balance_report.json
-    (and problem.mps on request) into the output directory."""
+    (and problem.mps on request) into the output directory, plus the
+    solver counters summed over the run in trace.json, which is kept
+    apart because its content may vary with the solver's version."""
     config = load_config(manifest.config_path)
     scenarios, _, reduction = prepare_scenarios(manifest, config)
     out = Path(manifest.out_dir)
+    (out / "trace.json").unlink(missing_ok=True)  # a failed run leaves no earlier trace
 
     with _status_on_failure(out / "solution.json"):
         schedule, report = solve_stochastic(
@@ -467,6 +481,7 @@ def run_single(manifest: RunManifest) -> dict:
         payload["reduction"] = reduction.to_dict()
     _write_json(out / "solution.json", payload)
     _write_json(out / "balance_report.json", {"tol": 1e-6, "scenarios": balance})
+    _write_json(out / "trace.json", {"solver": dataclasses.asdict(report.stats)})
     if manifest.write_mps:
         write_problem_mps(config, scenarios, manifest.options, out / "problem.mps")
     return payload

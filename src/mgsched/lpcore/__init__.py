@@ -9,6 +9,7 @@ from .problem import (
     LpError,
     LpProblem,
     LpSolution,
+    SolverStats,
     SolveSettings,
     check_point,
 )
@@ -21,6 +22,7 @@ __all__ = [
     "LpProblem",
     "LpSolution",
     "MpsFormatError",
+    "SolverStats",
     "SolveSettings",
     "check_point",
     "dual_objective",

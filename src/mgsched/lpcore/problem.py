@@ -6,7 +6,7 @@ magnitude >= BOUND_INF are treated as infinite, mirroring the convention
 of most solver interchange formats.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -195,6 +195,40 @@ class LpProblem:
 
 
 @dataclass
+class SolverStats:
+    """Counters of one LP solve, or summed over several with `add`.
+
+    `warm_starts` counts LPs started from a given basis, `warm_fallbacks`
+    those of them that went on to the cold path; iterations spent before
+    a fallback stay counted.
+    """
+    phase1_iterations: int = 0
+    phase2_iterations: int = 0
+    dual_iterations: int = 0
+    refactorizations: int = 0
+    bland_switches: int = 0
+    warm_starts: int = 0
+    warm_fallbacks: int = 0
+
+    @property
+    def iterations(self):
+        return self.phase1_iterations + self.phase2_iterations + self.dual_iterations
+
+    def add(self, other: "SolverStats"):
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+
+@dataclass(frozen=True)
+class Basis:
+    """A simplex basis over the structural and slack columns (n + m):
+    `head[i]` is the column basic in row i, `vstat` the status of every
+    column (see simplex.AT_LOWER and friends)."""
+    head: np.ndarray
+    vstat: np.ndarray
+
+
+@dataclass
 class LpSolution:
     status: str  # optimal | infeasible | unbounded | limit
     x: np.ndarray | None = None
@@ -204,6 +238,8 @@ class LpSolution:
     nodes: int = 0
     best_bound: float = np.nan
     infeasible_rows: list = field(default_factory=list)
+    basis: Basis | None = None  # the final basis of an optimal LP solve
+    stats: SolverStats = field(default_factory=SolverStats)
 
     @property
     def ok(self):

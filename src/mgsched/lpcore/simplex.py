@@ -22,13 +22,30 @@ tie-breaking in the ratio test; after a run of stalled (degenerate)
 iterations the solver falls back to Bland's rule, which guarantees
 termination.  All tie-breaks resolve to the lowest column index, so
 repeated solves of the same problem are bit-identical.
+
+A solve may instead start from a given basis (`solve_lp(..., basis=)`,
+typically the `LpSolution.basis` of a problem that differs only in rhs
+and bounds: a branch-and-bound parent, the previous scenario block).
+Then the columns are [A | I] with no crash and no artificials, each
+nonbasic column sits on a finite bound of the new problem, and boxed
+ones move to the bound their reduced cost asks for.  That basis is still
+dual feasible, so a bounded dual simplex (Koberstein 2005) restores
+primal feasibility: the basic column furthest outside its bounds leaves,
+the entering column comes from the dual ratio test over row r of
+B^-1 [A | I], and after a run of dual-degenerate pivots it switches to a
+dual Bland rule.  The primal loop then certifies optimality with the
+same test as a cold solve.  The basis is only a hint: a basis that does
+not fit or is singular, a column left dual infeasible (one-sided or
+free), or a dual ray (the LP is infeasible) sends the solve to the cold
+path, so phase 1 still names the infeasible rows, and the iterations
+already spent still count against `iteration_limit`.
 """
 
 import logging
 
 import numpy as np
 
-from .problem import LpError, LpProblem, LpSolution, SolveSettings
+from .problem import Basis, LpError, LpProblem, LpSolution, SolveSettings, SolverStats
 
 log = logging.getLogger(__name__)
 
@@ -40,17 +57,24 @@ _STALL_LIMIT = 1000  # degenerate iterations in a row before Bland's rule
 AT_LOWER, AT_UPPER, FREE, BASIC = 0, 1, 2, 3
 
 
+class _NoWarmStart(Exception):
+    """The given basis cannot start the dual simplex; solve cold instead."""
+
+
 class _Core:
-    """Equality-form workspace shared by the two phases."""
+    """Equality-form workspace shared by the phases.
 
-    def __init__(self, problem: LpProblem, settings: SolveSettings):
-        # scipy.sparse is imported on first use, as in LpProblem.matrix_csc,
-        # so that importing the package does not load it
-        import scipy.sparse as sp
+    Without `start` the columns are [A | I | artificials] from the crash;
+    with a `Basis` they are [A | I] from that basis (see `dual`).  Counts
+    go to `stats`, which a fallback hands on to the cold core.
+    """
 
+    def __init__(self, problem: LpProblem, settings: SolveSettings,
+                 stats: SolverStats | None = None, start: Basis | None = None):
         self.settings = settings
+        self.stats = stats if stats is not None else SolverStats()
         self.m = m = problem.n_rows
-        self.n = n = problem.n_cols
+        self.n = problem.n_cols
         A = problem.matrix_csc()
 
         blo, bhi = problem.row_bounds()
@@ -60,8 +84,27 @@ class _Core:
         self.b = b
         slack_lo = np.where(np.isfinite(bhi), 0.0, -np.inf)
         slack_hi = np.where(np.isfinite(bhi), bhi - blo, 0.0)
-
         lo, hi = problem.lower_inf(), problem.upper_inf()
+        # eta file: k pivots since the last factorization (see module doc)
+        self.H = np.empty((m, _REFACTOR_INTERVAL), order="F")
+        self.P = np.empty(_REFACTOR_INTERVAL, dtype=np.int64)
+        self.Gi = np.eye(_REFACTOR_INTERVAL)
+        self.k = 0
+        if start is None:
+            self._cold(A, lo, hi, slack_lo, slack_hi)
+        else:
+            self._warm(A, np.concatenate([lo, slack_lo]), np.concatenate([hi, slack_hi]), start)
+
+    @property
+    def iterations(self):
+        return self.stats.iterations
+
+    def _cold(self, A, lo, hi, slack_lo, slack_hi):
+        # scipy.sparse is imported on first use, as in LpProblem.matrix_csc,
+        # so that importing the package does not load it
+        import scipy.sparse as sp
+
+        n, m, b = self.n, self.m, self.b
         fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
         x = np.where(fin_lo, lo, np.where(fin_hi, hi, 0.0))
         vstat = np.full(n + m, AT_LOWER, dtype=np.int8)
@@ -98,15 +141,39 @@ class _Core:
         self.basis = n + np.arange(m)
         self.basis[art_row] = n + m + np.arange(n_art)
         self.basis[crash_rows] = crash_cols
-        # eta file: k pivots since the last factorization (see module doc)
-        self.H = np.empty((m, _REFACTOR_INTERVAL), order="F")
-        self.P = np.empty(_REFACTOR_INTERVAL, dtype=np.int64)
-        self.Gi = np.eye(_REFACTOR_INTERVAL)
-        self.k = 0
-        self.iterations = 0
-        self.phase1_iterations = 0
-        self.refactors = 0
         self._refactor()
+
+    def _warm(self, A, lo, hi, start):
+        """[A | I] with the start's basis; each nonbasic column sits on a
+        finite bound of this problem, the side `start.vstat` names first."""
+        import scipy.sparse as sp
+
+        n, m = self.n, self.m
+        head = np.asarray(start.head, dtype=np.int64)
+        vstat = np.asarray(start.vstat, dtype=np.int8)
+        if head.shape != (m,) or vstat.shape != (n + m,):
+            raise _NoWarmStart("basis does not fit the problem")
+        basic = np.zeros(n + m, dtype=bool)
+        basic[head[(head >= 0) & (head < n + m)]] = True
+        if np.count_nonzero(basic) != m or not np.array_equal(basic, vstat == BASIC):
+            raise _NoWarmStart("basis head and column statuses disagree")
+        self.n_crash = self.n_art = 0
+        self.art_row = np.zeros(0, dtype=np.int64)
+        self.full = sp.hstack([A, sp.identity(m, format="csc")], format="csc")
+        self.fullT = self.full.T
+        self.lo, self.hi = lo, hi
+        fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
+        upper = fin_hi & ((vstat == AT_UPPER) | ~fin_lo)
+        self.vstat = np.where(basic, BASIC, np.where(
+            upper, AT_UPPER, np.where(fin_lo, AT_LOWER, FREE))).astype(np.int8)
+        self.x = np.where(upper, hi, np.where(fin_lo, lo, 0.0))
+        self.basis = head.copy()
+        try:
+            self._refactor()
+        except LpError as e:
+            raise _NoWarmStart(str(e)) from e
+        if not np.all(np.isfinite(self.x)):
+            raise _NoWarmStart("basis is numerically singular")
 
     # -- columns and factorization ---------------------------------------
 
@@ -123,7 +190,7 @@ class _Core:
             self.lu = splu(self.full[:, self.basis], permc_spec="NATURAL")
         except RuntimeError as e:
             raise LpError("basis factorization failed") from e
-        self.refactors += 1
+        self.stats.refactorizations += 1
         self.k = 0
         self._recompute_basics()
 
@@ -188,7 +255,10 @@ class _Core:
             direction = 1.0 if z[q] < 0 else -1.0
 
             d = self.ftran(self.column(q))
-            self.iterations += 1
+            if phase == 1:
+                self.stats.phase1_iterations += 1
+            else:
+                self.stats.phase2_iterations += 1
 
             # ratio test over basic positions plus the entering bound flip
             xb = self.x[self.basis]
@@ -212,6 +282,7 @@ class _Core:
                 stall += 1
                 if stall >= _STALL_LIMIT and not bland:
                     bland = True
+                    self.stats.bland_switches += 1
                     log.debug("switching to Bland's rule after %d stalled iterations", stall)
             else:
                 stall = 0
@@ -246,6 +317,127 @@ class _Core:
             self._add_eta(p, d)
             if self.k == _REFACTOR_INTERVAL:
                 self._refactor()
+
+    def dual(self, costs):
+        """Bounded dual simplex from a warm start to primal feasibility.
+
+        Boxed nonbasic columns first move to the bound their reduced cost
+        asks for; any other column with a reduced cost of the wrong sign
+        makes the start dual infeasible.  Each iteration the basic column
+        furthest outside its bounds leaves (Bland: the lowest such row)
+        and goes to that bound; the entering column is the first
+        breakpoint of the dual ratio test over alpha, row r of B^-1 [A | I]
+        (ties: largest |alpha|, then the lowest index; Bland: the lowest
+        index).  Returns "feasible" or "limit"; raises _NoWarmStart on a
+        dual-infeasible start, a dual ray (the LP is infeasible) or a
+        vanished pivot, which the cold path then sorts out.
+        """
+        st = self.settings
+        opt_tol, feas_tol = st.optimality_tol, st.feasibility_tol
+        limit = st.iteration_limit
+        lo, hi, x, vstat = self.lo, self.hi, self.x, self.vstat
+        movable = (hi - lo) > 0.0
+        z = costs - self.fullT @ self.btran(costs[self.basis])
+
+        nonbasic = movable & (vstat != BASIC)
+        boxed = nonbasic & np.isfinite(lo) & np.isfinite(hi)
+        to_hi = boxed & (vstat == AT_LOWER) & (z < -opt_tol)
+        to_lo = boxed & (vstat == AT_UPPER) & (z > opt_tol)
+        if to_hi.any() or to_lo.any():
+            vstat[to_hi], x[to_hi] = AT_UPPER, hi[to_hi]
+            vstat[to_lo], x[to_lo] = AT_LOWER, lo[to_lo]
+            self._recompute_basics()
+        # side: +1 at a lower bound, -1 at an upper one, 0 basic or fixed
+        side = np.select([nonbasic & (vstat == AT_LOWER), nonbasic & (vstat == AT_UPPER)],
+                         [1.0, -1.0], 0.0)
+        free = nonbasic & (vstat == FREE)
+        if np.any(side * z < -opt_tol) or np.any(np.abs(z[free]) > opt_tol):
+            raise _NoWarmStart("start is not dual feasible")
+        free = np.nonzero(free)[0]
+        e = np.zeros(self.m)
+        stall = 0
+        bland = False
+
+        while True:
+            xb = x[self.basis]
+            lo_b, hi_b = lo[self.basis], hi[self.basis]
+            below, above = lo_b - xb, xb - hi_b
+            infeas = np.maximum(below, above)
+            if bland:
+                r = int(np.argmax(infeas > feas_tol))
+            else:
+                r = int(np.argmax(infeas))
+            if not infeas[r] > feas_tol:
+                return "feasible"
+            if limit is not None and self.iterations >= limit:
+                return "limit"
+            to_lower = below[r] > 0.0
+            delta = xb[r] - (lo_b[r] if to_lower else hi_b[r])
+
+            e[r] = 1.0
+            alpha = self.fullT @ self.btran(e)
+            e[r] = 0.0
+            # a~ = alpha signed so that moving a candidate off its bound
+            # by a positive amount drives row r towards its bound
+            at = -alpha if to_lower else alpha
+            cand = side * at > _PIVOT_TOL
+            if free.size:
+                cand[free] = np.abs(at[free]) > _PIVOT_TOL
+            cand = np.nonzero(cand)[0]
+            if cand.size == 0:
+                raise _NoWarmStart("dual ray: the LP is infeasible")
+            ratios = np.maximum(z[cand] / at[cand], 0.0)
+            cands = cand[ratios <= ratios.min() + 1e-12]
+            if bland:
+                q = int(cands[0])
+            else:
+                best = np.abs(alpha[cands])
+                q = int(cands[np.argmax(best >= best.max() - 1e-12)])
+
+            d = self.ftran(self.column(q))
+            if not abs(d[r]) > _PIVOT_TOL:
+                raise _NoWarmStart("pivot element vanished")
+            self.stats.dual_iterations += 1
+            theta = z[q] / alpha[q]
+            if abs(theta) <= 1e-10:
+                stall += 1
+                if stall >= _STALL_LIMIT and not bland:
+                    bland = True
+                    self.stats.bland_switches += 1
+                    log.debug("dual: switching to Bland's rule after %d stalled iterations",
+                              stall)
+            else:
+                stall = 0
+            z -= theta * alpha
+            z[q] = 0.0
+
+            leaving = int(self.basis[r])
+            step = delta / d[r]
+            x[q] += step
+            x[self.basis] = xb - step * d
+            x[leaving] = lo_b[r] if to_lower else hi_b[r]
+            vstat[leaving] = AT_LOWER if to_lower else AT_UPPER
+            side[leaving] = (1.0 if to_lower else -1.0) if movable[leaving] else 0.0
+            if vstat[q] == FREE:
+                free = free[free != q]
+            self.basis[r] = q
+            vstat[q] = BASIC
+            side[q] = 0.0
+            self._add_eta(r, d)
+            if self.k == _REFACTOR_INTERVAL:
+                self._refactor()
+                z = costs - self.fullT @ self.btran(costs[self.basis])
+
+    def final_basis(self):
+        """The basis over [A | I]; a basic artificial becomes its row's
+        slack, the same column up to sign."""
+        n, m = self.n, self.m
+        head = self.basis.copy()
+        art = head >= n + m
+        head[art] = n + self.art_row[head[art] - n - m]
+        vstat = self.vstat[: n + m].copy()
+        vstat[head] = BASIC
+        return Basis(head, vstat)
 
     def cleanup(self):
         """Refactorize and snap basic values onto bounds they sit beside."""
@@ -315,12 +507,17 @@ def _crash(A, b, lo, hi, x, eq_row):
     return cols, np.array(rows, dtype=np.int64)
 
 
-def solve_lp(problem: LpProblem, settings: SolveSettings | None = None) -> LpSolution:
+def solve_lp(problem: LpProblem, settings: SolveSettings | None = None,
+             basis: Basis | None = None) -> LpSolution:
     """Solve a pure LP (binary marks ignored) to proven optimality.
 
     Returns a solution with status one of optimal / infeasible /
-    unbounded / limit.  On optimal, `x` holds the structural columns and
-    `duals` the row multipliers of the equality form (d obj / d rhs).
+    unbounded / limit.  On optimal, `x` holds the structural columns,
+    `duals` the row multipliers of the equality form (d obj / d rhs) and
+    `basis` the final basis.  Given a `basis`, typically that of a
+    problem differing only in bounds and rhs, the solve starts from it
+    with the dual simplex; a basis that cannot start it is only a hint,
+    and the solve goes the cold way.  `stats` counts the work.
     """
     settings = settings or SolveSettings()
     n, m = problem.n_cols, problem.n_rows
@@ -343,26 +540,43 @@ def solve_lp(problem: LpProblem, settings: SolveSettings | None = None) -> LpSol
             status="optimal", x=x, duals=np.zeros(0), objective=float(c @ x)
         )
 
-    core = _Core(problem, settings)
-    sol = _two_phase(core, problem, settings)
-    log.debug(
-        "LP %s %s: %d crash columns, %d artificials, %d phase-1 + %d phase-2 iterations, "
-        "%d refactorizations", problem.name, sol.status, core.n_crash, core.n_art,
-        core.phase1_iterations, core.iterations - core.phase1_iterations, core.refactors,
-    )
+    stats = SolverStats()
+    sol = None
+    if basis is not None:
+        stats.warm_starts = 1
+        try:
+            core = _Core(problem, settings, stats, start=basis)
+            costs = _costs(core, problem)
+            if core.dual(costs) == "limit":
+                sol = LpSolution(status="limit", iterations=core.iterations)
+            else:
+                sol = _phase2(core, problem, costs)
+        except (_NoWarmStart, LpError) as e:
+            stats.warm_fallbacks = 1
+            log.debug("LP %s: warm start abandoned: %s", problem.name, e)
+    if sol is None:
+        core = _Core(problem, settings, stats)
+        sol = _two_phase(core, problem, settings)
+    sol.stats = stats
+    log.debug("LP %s %s: %d crash columns, %d artificials, %s",
+              problem.name, sol.status, core.n_crash, core.n_art, stats)
     return sol
+
+
+def _costs(core, problem):
+    costs = np.zeros(core.x.size)
+    costs[: core.n] = problem.objective
+    return costs
 
 
 def _two_phase(core, problem, settings):
     """Phase 1 on the artificials, if there are any, then phase 2."""
-    n = core.n
     scale = max(1.0, np.abs(core.b).max())
 
     if core.n_art:
         phase1 = np.zeros(core.x.size)
         phase1[core.n + core.m :] = 1.0
         status = core.run(phase1, phase=1)
-        core.phase1_iterations = core.iterations
         if status == "limit":
             return LpSolution(status="limit", iterations=core.iterations)
         core.cleanup()
@@ -379,8 +593,12 @@ def _two_phase(core, problem, settings):
         core.hi[core.n + core.m :] = 0.0
         core.x[core.n + core.m :] = 0.0
 
-    costs = np.zeros(core.x.size)
-    costs[:n] = problem.objective
+    return _phase2(core, problem, _costs(core, problem))
+
+
+def _phase2(core, problem, costs):
+    """Primal simplex on the objective from a primal feasible basis; it
+    proves optimality the same way for cold and warm starts."""
     status = core.run(costs, phase=2)
     if status == "limit":
         return LpSolution(status="limit", iterations=core.iterations)
@@ -389,13 +607,14 @@ def _two_phase(core, problem, settings):
 
     core.cleanup()
     y = core.btran(costs[core.basis])
-    x = core.x[:n].copy()
+    x = core.x[: core.n].copy()
     return LpSolution(
         status="optimal",
         x=x,
         duals=y,
         objective=float(problem.objective @ x),
         iterations=core.iterations,
+        basis=core.final_basis(),
     )
 
 

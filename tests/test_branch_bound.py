@@ -116,8 +116,9 @@ def test_child_at_iteration_limit_is_not_reported_optimal(seed):
 
 
 def test_iteration_limit_bounds_the_whole_search(monkeypatch):
-    # every node LP needs at most 6 iterations, the whole search 31; a
-    # per-node limit of 20 would never fire and the result would read optimal
+    # every node LP needs at most 6 iterations, the whole search 12 (the
+    # children start from their parent's basis); a per-node limit of 9
+    # would never fire and the result would read optimal
     rng = np.random.default_rng(3)
     n = 8
     value = np.round(rng.uniform(1, 10, n), 1)
@@ -128,17 +129,17 @@ def test_iteration_limit_bounds_the_whole_search(monkeypatch):
     node_iters = []
     real_solve_lp = bb.solve_lp
 
-    def spy(*args):
-        sol = real_solve_lp(*args)
+    def spy(*args, **kwargs):
+        sol = real_solve_lp(*args, **kwargs)
         node_iters.append(sol.iterations)
         return sol
 
     monkeypatch.setattr(bb, "solve_lp", spy)
     full = solve_milp(p)
     assert full.status == "optimal"
-    assert max(node_iters) < 20 < full.iterations
+    assert max(node_iters) < 9 < full.iterations
 
-    for limit in (node_iters[0] - 1, 20):  # the root LP alone, then the search
+    for limit in (node_iters[0] - 1, 9):  # the root LP alone, then the search
         sol = solve_milp(p, SolveSettings(iteration_limit=limit))
         assert sol.status == "limit"
         assert sol.iterations <= limit

@@ -179,13 +179,15 @@ def test_solver_limit_exits_four(tmp_path):
     assert main(["run", "--manifest", str(tmp_path / "m.json")]) == 4
 
 
-def _raise_basis_failure(problem, settings=None):
+def _raise_basis_failure(problem, settings=None, basis=None):
     raise LpError("basis factorization failed")
 
 
 @pytest.mark.parametrize("fake_solve, code, status, message", [
-    (lambda problem, settings=None: LpSolution(status="limit"), 4, "limit", "limit reached"),
-    (lambda problem, settings=None: LpSolution(status="unbounded"), 5, "unbounded", "unbounded"),
+    (lambda problem, settings=None, basis=None: LpSolution(status="limit"), 4, "limit",
+     "limit reached"),
+    (lambda problem, settings=None, basis=None: LpSolution(status="unbounded"), 5, "unbounded",
+     "unbounded"),
     (_raise_basis_failure, 6, "numerical", "basis factorization failed"),
 ], ids=["limit", "unbounded", "numerical"])
 def test_solver_failure_exit_code_and_artifact(tmp_path, monkeypatch, capsys,
@@ -204,7 +206,7 @@ def test_solver_failure_exit_code_and_artifact(tmp_path, monkeypatch, capsys,
     assert not (out / "solution.json.tmp").exists()
 
 
-def _solve_hits_limit(problem, settings=None):
+def _solve_hits_limit(problem, settings=None, basis=None):
     return LpSolution(status="limit")
 
 
@@ -255,6 +257,14 @@ def test_scenarios_generate_and_reduce_round_trip(tmp_path, capsys):
     probs = (tmp_path / "reduced" / "probabilities.csv").read_text().splitlines()[1:]
     total = sum(float(line.split(",")[1]) for line in probs)
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_scenarios_generate_zero_exits_two(tmp_path, capsys):
+    config, gen = write_inputs(tmp_path)
+    assert main(["scenarios", "generate", "--config", str(config), "--genspec", str(gen),
+                 "--generate", "0", "--out", str(tmp_path / "bundle")]) == 2
+    assert "count must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "bundle").exists()
 
 
 def test_scenarios_reduce_keep_out_of_range_exits_two(tmp_path):

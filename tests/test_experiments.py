@@ -110,6 +110,20 @@ def test_decomposed_equals_joint(T, n_chp, n_phev, n_def, weights, seed, options
     assert (report.n_cols, report.n_rows) == (problem.n_cols, problem.n_rows)
 
 
+def test_scenario_blocks_start_from_the_previous_blocks_basis():
+    # case-study shape (1303 x 3840 per block): block 1 starts from block
+    # 0's optimal basis and needs fewer pivots than its own cold solve
+    cfg = make_config(T=24, n_chp=3, n_phev=50, n_def=5)
+    ss = generate(make_genspec(cfg, seed=4242), cfg, 2)
+    _, report = solve_stochastic(cfg, ss)
+    assert report.stats.warm_starts == 1 and report.stats.warm_fallbacks == 0
+    assert report.iterations == report.stats.iterations
+    cold = [solve_lp(build(cfg, ss.single(s))[0]) for s in (0, 1)]
+    assert report.objective == pytest.approx(0.5 * (cold[0].objective + cold[1].objective),
+                                             rel=1e-9)
+    assert report.iterations - cold[0].iterations < cold[1].iterations
+
+
 def test_day_ahead_mode_solves_jointly():
     cfg = make_config(T=3, n_chp=1, n_phev=1, n_def=0)
     ss = generate(make_genspec(cfg, seed=43), cfg, 3)
@@ -323,6 +337,18 @@ def test_run_single_writes_verified_artifacts(tmp_path):
     assert all(s["ok"] for s in balance["scenarios"])
     assert len(balance["scenarios"]) == 4
     assert "reduction" in solution
+
+
+def test_run_single_writes_solver_counters_apart(tmp_path):
+    run_single(manifest_for(tmp_path))
+    out = tmp_path / "out"
+    solution = json.loads((out / "solution.json").read_text())
+    assert "stats" not in solution["solve"]
+    counters = json.loads((out / "trace.json").read_text())["solver"]
+    assert counters["warm_starts"] == 3 and counters["warm_fallbacks"] == 0
+    assert (counters["phase1_iterations"] + counters["phase2_iterations"]
+            + counters["dual_iterations"]) == solution["solve"]["iterations"]
+    assert not (out / "trace.json.tmp").exists()
 
 
 def test_run_single_artifacts_are_byte_identical(tmp_path):

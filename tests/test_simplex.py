@@ -14,7 +14,7 @@ from mgsched.lpcore import (
     solve_lp,
 )
 from mgsched.lpcore import simplex
-from mgsched.lpcore.simplex import BASIC, _Core
+from mgsched.lpcore.simplex import AT_LOWER, AT_UPPER, BASIC, _Core
 from mgsched.scenario import generate
 from oracles import brute_force_lp
 
@@ -299,7 +299,7 @@ def single_steps(problem):
         art = np.zeros(core.x.size)
         art[core.n + core.m:] = 1.0
         phases.insert(0, (art, 1))
-    k, refactors = 0, core.refactors
+    k, refactors = 0, core.stats.refactorizations
     for c, phase in phases:
         while True:
             before = core.basis.copy()
@@ -308,8 +308,8 @@ def single_steps(problem):
                 break
             moved = np.nonzero(before != core.basis)[0]
             p = int(moved[0]) if moved.size else None
-            if core.refactors > refactors:
-                k, refactors = 0, core.refactors
+            if core.stats.refactorizations > refactors:
+                k, refactors = 0, core.stats.refactorizations
             elif p is not None:
                 k += 1
             yield core, k, p
@@ -327,7 +327,7 @@ def test_eta_form_matches_dense_solves_on_case_study_lp(case_study_lp):
     rng = np.random.default_rng(0)
     wanted = {1, 25, 49, 0}  # 0: just after a periodic refactorization
     for core, k, p in single_steps(case_study_lp):
-        if p is not None and k in wanted and (k or core.refactors > 1):
+        if p is not None and k in wanted and (k or core.stats.refactorizations > 1):
             assert_eta_form_matches_dense(core, rng)
             wanted.discard(k)
             if not wanted:
@@ -391,3 +391,154 @@ def test_blands_rule_matches_oracle_and_solves_beale(monkeypatch, caplog):
     caplog.clear()
     test_beale_degenerate_example_terminates()
     assert BLAND in caplog.text
+
+
+# -- warm starts ------------------------------------------------------------
+
+
+@st.composite
+def warm_cases(draw):
+    """A small LP from either generator and a perturbation of it: a B&B
+    child ("child": one column bound tightened past the optimum), a
+    sibling scenario block ("sibling": rhs and bounds shifted), or a cost
+    change that gives a nonbasic column a reduced cost of the wrong sign
+    ("cost")."""
+    lp = draw(st.one_of(equality_lps(), boxed_lps()))
+    kind = draw(st.sampled_from(["child", "sibling", "cost"]))
+    j = draw(st.integers(0, 5))
+    upper = draw(st.booleans())
+    step = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    rhs_shift = draw(st.lists(st.integers(-4, 4), min_size=4, max_size=4))
+    bound_shift = draw(st.lists(st.integers(-1, 1), min_size=9, max_size=9))
+    return lp, (kind, j, upper, step, rhs_shift, bound_shift)
+
+
+def perturb(lp, sol, how):
+    """The perturbed LP data and what was done to it.  A "cost" change
+    on a boxed column that keeps both bounds is a "flip": the warm start
+    moves the column to its other bound.  Otherwise the column loses its
+    far bound, and the start is dual infeasible ("cost").  With every
+    column basic or free, "cost" turns into "child"."""
+    c, A, senses, b, lo, hi = lp
+    c, b, lo, hi = (np.array(v, dtype=float) for v in (c, b, lo, hi))  # copies
+    kind, j, upper, step, rhs_shift, bound_shift = how
+    n, m = c.size, b.size
+    if kind == "cost":
+        z = c - A.T @ sol.duals
+        vstat = sol.basis.vstat[:n]
+        cols = np.nonzero(((vstat == AT_LOWER) | (vstat == AT_UPPER)) & (lo < hi))[0]
+        if cols.size:
+            k = int(cols[j % cols.size])
+            keep = upper and np.isfinite(lo[k]) and np.isfinite(hi[k])
+            if vstat[k] == AT_LOWER:
+                hi[k] = hi[k] if keep else np.inf
+                c[k] -= z[k] + 1.0
+            else:
+                lo[k] = lo[k] if keep else -np.inf
+                c[k] -= z[k] - 1.0
+            return (c, A, senses, b, lo, hi), "flip" if keep else "cost"
+        kind = "child"
+    if kind == "child":
+        k = j % n
+        if upper:
+            hi[k] = max(sol.x[k] - step, lo[k]) if np.isfinite(lo[k]) else sol.x[k] - step
+        else:
+            lo[k] = min(sol.x[k] + step, hi[k]) if np.isfinite(hi[k]) else sol.x[k] + step
+        return (c, A, senses, b, lo, hi), "child"
+    shift = np.array(bound_shift[:n], dtype=float)
+    return (c, A, senses, b + np.array(rhs_shift[:m]), lo + shift, hi + shift), "sibling"
+
+
+def warm_versus_cold(case):
+    """Cold-solve the LP, perturb it, and solve the perturbed LP both cold
+    and warm from the first basis; returns (kind, perturbed, cold, warm)."""
+    lp, how = case
+    sol = solve_lp(build(*lp))
+    assume(sol.status == "optimal")
+    changed, kind = perturb(lp, sol, how)
+    p = build(*changed)
+    cold, warm = solve_lp(p), solve_lp(p, basis=sol.basis)
+    assert warm.status == cold.status
+    if cold.status == "optimal":
+        assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+        assert check_point(p, warm.x, 1e-7).ok(1e-6)
+    assert warm.stats.warm_starts == 1
+    assert warm.iterations == warm.stats.iterations
+    if warm.stats.warm_fallbacks:
+        # the pivots of the abandoned attempt count against the limit too
+        assert warm.iterations == cold.iterations + warm.stats.dual_iterations
+    if kind == "cost":
+        assert warm.stats.warm_fallbacks == 1
+    else:
+        # the start is dual feasible (after flips): only an infeasible LP,
+        # a dual ray, sends the solve the cold way, and the dual simplex
+        # leaves nothing for the primal certificate to do
+        assert warm.stats.warm_fallbacks == (cold.status == "infeasible")
+        assert warm.stats.warm_fallbacks or warm.stats.phase2_iterations == 0
+    return kind, changed, cold, warm
+
+
+def test_warm_start_from_own_basis_takes_no_pivots(case_study_lp):
+    sol = solve_lp(case_study_lp)
+    again = solve_lp(case_study_lp, basis=sol.basis)
+    assert again.status == "optimal"
+    assert again.iterations == 0 and again.stats.warm_fallbacks == 0
+    assert abs(again.objective - sol.objective) <= 1e-9 * abs(sol.objective)
+
+
+def test_warm_start_matches_cold_solves():
+    seen = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(warm_cases())
+    def check(case):
+        kind, _, cold, warm = warm_versus_cold(case)
+        seen.append((kind, cold.status, warm.stats.warm_fallbacks, warm.stats.dual_iterations))
+
+    check()
+    assert sum(k == "child" and s == "infeasible" for k, s, _, _ in seen) >= 5
+    assert sum(k == "child" and s == "optimal" and d > 0 for k, s, _, d in seen) >= 5
+    assert sum(k == "sibling" and s == "optimal" and d > 0 for k, s, _, d in seen) >= 5
+    assert sum(k == "flip" and d > 0 for k, _, _, d in seen) >= 5
+    assert sum(k == "cost" for k, _, _, _ in seen) >= 5  # dual-infeasible starts
+
+
+def test_warm_start_rejects_a_basis_that_does_not_fit():
+    p = build([1.0, 1.0], [[1.0, 1.0]], [">="], [1.0], [0.0, 0.0], [2.0, 2.0])
+    sol = solve_lp(p)
+    # wrong shape; a head that repeats a column; a singular basis
+    bad = [simplex.Basis(sol.basis.head[:0], sol.basis.vstat),
+           simplex.Basis(np.array([0]), np.array([BASIC, BASIC, 0], dtype=np.int8))]
+    q = build([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [">=", "<="], [1.0, 3.0],
+              [0.0, 0.0], [2.0, 2.0])
+    singular = simplex.Basis(np.array([0, 1]), np.array([BASIC, BASIC, 0, 0], dtype=np.int8))
+    for problem, basis in [(p, bad[0]), (p, bad[1]), (q, singular)]:
+        warm, cold = solve_lp(problem, basis=basis), solve_lp(problem)
+        assert warm.stats.warm_fallbacks == 1
+        assert warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+
+
+DUAL_BLAND = "dual: switching to Bland's rule"
+
+
+def test_dual_blands_rule_matches_oracle(monkeypatch, caplog):
+    # with a stall limit of 1 the first dual-degenerate pivot switches the
+    # leaving row and the entering column to the lowest index
+    monkeypatch.setattr(simplex, "_STALL_LIMIT", 1)
+    caplog.set_level("DEBUG", logger=simplex.__name__)
+    switched = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(warm_cases().filter(lambda case: case[1][0] != "cost"))  # oracle: no unbounded
+    def check(case):
+        caplog.clear()
+        _, changed, cold, warm = warm_versus_cold(case)
+        status, obj, _ = brute_force_lp(*changed)
+        assert warm.status == status
+        if status == "optimal":
+            assert warm.objective == pytest.approx(obj, abs=1e-7)
+        switched.append(DUAL_BLAND in caplog.text)
+
+    check()
+    assert sum(switched) >= 3  # 5 of the 150 examples switch
