@@ -456,7 +456,8 @@ def run_single(manifest: RunManifest) -> dict:
     config = load_config(manifest.config_path)
     scenarios, _, reduction = prepare_scenarios(manifest, config)
     out = Path(manifest.out_dir)
-    (out / "trace.json").unlink(missing_ok=True)  # a failed run leaves no earlier trace
+    for name in ("trace.json", "balance_report.json", "problem.mps"):
+        (out / name).unlink(missing_ok=True)  # a failed run leaves no earlier run's files
 
     with _status_on_failure(out / "solution.json"):
         schedule, report = solve_stochastic(

@@ -15,6 +15,7 @@ a node LP that stops at its limit ends the search with status "limit"
 node LP makes the whole problem "unbounded".
 """
 
+import copy
 import dataclasses
 import heapq
 import logging
@@ -28,20 +29,12 @@ log = logging.getLogger(__name__)
 
 
 def _with_bounds(problem, lower, upper):
-    return LpProblem(
-        n_cols=problem.n_cols,
-        n_rows=problem.n_rows,
-        objective=problem.objective,
-        triplets=(problem.tri_rows, problem.tri_cols, problem.tri_vals),
-        row_sense=problem.row_sense,
-        rhs=problem.rhs,
-        col_lower=lower,
-        col_upper=upper,
-        row_range=problem.row_range,
-        row_names=problem.row_names,
-        col_names=problem.col_names,
-        name=problem.name,
-    )
+    """The node LP: the problem with new column bounds and no binary
+    marks.  A shallow copy, so every node shares the problem's matrix."""
+    node = copy.copy(problem)
+    node.col_lower, node.col_upper = lower, upper
+    node.binary_cols = frozenset()
+    return node
 
 
 def _gap(incumbent, bound):

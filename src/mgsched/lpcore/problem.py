@@ -120,8 +120,7 @@ class LpProblem:
             raise LpError("NaN or infinite objective coefficient")
         if np.any(np.isnan(self.rhs)):
             raise LpError("NaN right-hand side")
-        lo = np.where(self.col_lower <= -BOUND_INF, -np.inf, self.col_lower)
-        up = np.where(self.col_upper >= BOUND_INF, np.inf, self.col_upper)
+        lo, up = self.lower_inf(), self.upper_inf()
         if np.any(lo > up):
             raise LpError("col_lower > col_upper")
         for j in self.binary_cols:
@@ -144,27 +143,19 @@ class LpProblem:
         return np.where(self.col_upper >= BOUND_INF, np.inf, self.col_upper)
 
     def row_bounds(self):
-        """Per-row activity interval [blo, bhi] implied by sense and range."""
-        blo = np.full(self.n_rows, -np.inf)
-        bhi = np.full(self.n_rows, np.inf)
-        for i, sense in enumerate(self.row_sense):
-            b = self.rhs[i]
-            r = 0.0 if self.row_range is None else self.row_range[i]
-            if sense == "=":
-                if r == 0.0:
-                    blo[i] = bhi[i] = b
-                elif r > 0:
-                    blo[i], bhi[i] = b, b + r
-                else:
-                    blo[i], bhi[i] = b + r, b
-            elif sense == "<=":
-                bhi[i] = b
-                if r != 0.0:
-                    blo[i] = b - abs(r)
-            else:  # >=
-                blo[i] = b
-                if r != 0.0:
-                    bhi[i] = b + abs(r)
+        """Per-row activity interval [blo, bhi] implied by sense and range.
+
+        An `=` row with range r spans [b, b + r] for r > 0 and [b + r, b]
+        for r < 0; a `<=` row [b - |r|, b] and a `>=` row [b, b + |r|],
+        open on the far side when r is 0.
+        """
+        sense = np.asarray(self.row_sense, dtype="U2")
+        eq, le, ge = sense == "=", sense == "<=", sense == ">="
+        b = self.rhs
+        r = np.zeros(self.n_rows) if self.row_range is None else self.row_range
+        ranged = r != 0.0
+        blo = np.select([ge | (eq & (r >= 0.0)), eq, ranged], [b, b + r, b - np.abs(r)], -np.inf)
+        bhi = np.select([le | (eq & ~(r > 0.0)), eq, ranged], [b, b + r, b + np.abs(r)], np.inf)
         return blo, bhi
 
     def matrix_csc(self):

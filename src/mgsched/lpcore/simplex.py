@@ -39,6 +39,11 @@ not fit or is singular, a column left dual infeasible (one-sided or
 free), or a dual ray (the LP is infeasible) sends the solve to the cold
 path, so phase 1 still names the infeasible rows, and the iterations
 already spent still count against `iteration_limit`.
+
+The two loops differ only in how they choose the pivot: they share the
+sign array, the stall count and one basis exchange.  Both price first
+and check `iteration_limit` after, so "limit" means a pivot was still
+wanted: a solve optimal after exactly that many pivots is "optimal".
 """
 
 import logging
@@ -61,8 +66,25 @@ class _NoWarmStart(Exception):
     """The given basis cannot start the dual simplex; solve cold instead."""
 
 
+def equality_form(problem: LpProblem):
+    """The problem as A x + s = b over the columns [A | I].
+
+    Returns (A, b, lo, hi): b takes each row's finite upper activity
+    bound, else its lower one, and lo, hi are the bounds of the
+    structural columns followed by those of the slacks.
+    """
+    blo, bhi = problem.row_bounds()
+    fin_hi = np.isfinite(bhi)
+    b = np.where(fin_hi, bhi, blo)
+    if not np.all(np.isfinite(b)):
+        raise LpError("row with no finite side")
+    lo = np.concatenate([problem.lower_inf(), np.where(fin_hi, 0.0, -np.inf)])
+    hi = np.concatenate([problem.upper_inf(), np.where(fin_hi, bhi - blo, 0.0)])
+    return problem.matrix_csc(), b, lo, hi
+
+
 class _Core:
-    """Equality-form workspace shared by the phases.
+    """Equality-form workspace shared by the phases and both loops.
 
     Without `start` the columns are [A | I | artificials] from the crash;
     with a `Basis` they are [A | I] from that basis (see `dual`).  Counts
@@ -71,47 +93,46 @@ class _Core:
 
     def __init__(self, problem: LpProblem, settings: SolveSettings,
                  stats: SolverStats | None = None, start: Basis | None = None):
+        # scipy.sparse is imported on first use, as in LpProblem.matrix_csc,
+        # so that importing the package does not load it
+        import scipy.sparse as sp
+
         self.settings = settings
         self.stats = stats if stats is not None else SolverStats()
         self.m = m = problem.n_rows
         self.n = problem.n_cols
-        A = problem.matrix_csc()
-
-        blo, bhi = problem.row_bounds()
-        b = np.where(np.isfinite(bhi), bhi, blo)
-        if not np.all(np.isfinite(b)):
-            raise LpError("row with no finite side")
-        self.b = b
-        slack_lo = np.where(np.isfinite(bhi), 0.0, -np.inf)
-        slack_hi = np.where(np.isfinite(bhi), bhi - blo, 0.0)
-        lo, hi = problem.lower_inf(), problem.upper_inf()
+        A, self.b, lo, hi = equality_form(problem)
         # eta file: k pivots since the last factorization (see module doc)
         self.H = np.empty((m, _REFACTOR_INTERVAL), order="F")
         self.P = np.empty(_REFACTOR_INTERVAL, dtype=np.int64)
         self.Gi = np.eye(_REFACTOR_INTERVAL)
         self.k = 0
-        if start is None:
-            self._cold(A, lo, hi, slack_lo, slack_hi)
-        else:
-            self._warm(A, np.concatenate([lo, slack_lo]), np.concatenate([hi, slack_hi]), start)
+        sign = self._cold(A, lo, hi) if start is None else self._warm(lo, hi, start)
+        self.n_art = n_art = sign.size  # artificial k is sign[k] * e_(art_row[k])
+        art = sp.csc_matrix((sign, (self.art_row, np.arange(n_art))), shape=(m, n_art))
+        self.objective = np.concatenate([problem.objective, np.zeros(m + n_art)])
+        self.full = sp.hstack([A, sp.identity(m, format="csc"), art], format="csc")
+        self.fullT = self.full.T
+        self._refactor()
+        if not np.all(np.isfinite(self.x)):
+            raise LpError("basis is numerically singular")
 
     @property
     def iterations(self):
         return self.stats.iterations
 
-    def _cold(self, A, lo, hi, slack_lo, slack_hi):
-        # scipy.sparse is imported on first use, as in LpProblem.matrix_csc,
-        # so that importing the package does not load it
-        import scipy.sparse as sp
-
+    def _cold(self, A, lo, hi):
+        """Crash basis, and an artificial column for each row whose slack
+        would leave its bounds; returns the signs of the artificials."""
         n, m, b = self.n, self.m, self.b
-        fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
-        x = np.where(fin_lo, lo, np.where(fin_hi, hi, 0.0))
+        slack_lo, slack_hi = lo[n:], hi[n:]
+        fin_lo, fin_hi = np.isfinite(lo[:n]), np.isfinite(hi[:n])
+        x = np.where(fin_lo, lo[:n], np.where(fin_hi, hi[:n], 0.0))
         vstat = np.full(n + m, AT_LOWER, dtype=np.int8)
         vstat[:n][~fin_lo & fin_hi] = AT_UPPER
         vstat[:n][~fin_lo & ~fin_hi] = FREE
 
-        crash_cols, crash_rows = _crash(A, b, lo, hi, x, eq_row=slack_lo == slack_hi)
+        crash_cols, crash_rows = _crash(A, b, lo[:n], hi[:n], x, eq_row=slack_lo == slack_hi)
         vstat[crash_cols] = BASIC
         self.n_crash = crash_cols.size
 
@@ -125,29 +146,23 @@ class _Core:
         slack = np.where(inside, cand, np.where(above, slack_hi, slack_lo))
         vstat[n:][inside] = BASIC
         vstat[n:][above] = AT_UPPER
-        art_row = np.nonzero(open_row & ~inside)[0]
-        self.n_art = n_art = art_row.size
-        art = sp.csc_matrix((np.where(above[art_row], 1.0, -1.0), (art_row, np.arange(n_art))),
-                            shape=(m, n_art))
-        self.full = sp.hstack([A, sp.identity(m, format="csc"), art], format="csc")
-        self.fullT = self.full.T
-        self.art_row = art_row
+        self.art_row = art_row = np.nonzero(open_row & ~inside)[0]
+        n_art = art_row.size
 
-        self.lo = np.concatenate([lo, slack_lo, np.zeros(n_art)])
-        self.hi = np.concatenate([hi, slack_hi, np.full(n_art, np.inf)])
+        self.lo = np.concatenate([lo, np.zeros(n_art)])
+        self.hi = np.concatenate([hi, np.full(n_art, np.inf)])
         art_val = np.where(above, cand - slack_hi, slack_lo - cand)[art_row]
         self.x = np.concatenate([x, slack, art_val])
         self.vstat = np.concatenate([vstat, np.full(n_art, BASIC, dtype=np.int8)])
         self.basis = n + np.arange(m)
         self.basis[art_row] = n + m + np.arange(n_art)
         self.basis[crash_rows] = crash_cols
-        self._refactor()
+        return np.where(above[art_row], 1.0, -1.0)
 
-    def _warm(self, A, lo, hi, start):
-        """[A | I] with the start's basis; each nonbasic column sits on a
-        finite bound of this problem, the side `start.vstat` names first."""
-        import scipy.sparse as sp
-
+    def _warm(self, lo, hi, start):
+        """The start's basis, checked to fit; each nonbasic column sits on
+        a finite bound of this problem, the side `start.vstat` names
+        first.  There are no artificials."""
         n, m = self.n, self.m
         head = np.asarray(start.head, dtype=np.int64)
         vstat = np.asarray(start.vstat, dtype=np.int8)
@@ -157,10 +172,8 @@ class _Core:
         basic[head[(head >= 0) & (head < n + m)]] = True
         if np.count_nonzero(basic) != m or not np.array_equal(basic, vstat == BASIC):
             raise _NoWarmStart("basis head and column statuses disagree")
-        self.n_crash = self.n_art = 0
+        self.n_crash = 0
         self.art_row = np.zeros(0, dtype=np.int64)
-        self.full = sp.hstack([A, sp.identity(m, format="csc")], format="csc")
-        self.fullT = self.full.T
         self.lo, self.hi = lo, hi
         fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
         upper = fin_hi & ((vstat == AT_UPPER) | ~fin_lo)
@@ -168,12 +181,7 @@ class _Core:
             upper, AT_UPPER, np.where(fin_lo, AT_LOWER, FREE))).astype(np.int8)
         self.x = np.where(upper, hi, np.where(fin_lo, lo, 0.0))
         self.basis = head.copy()
-        try:
-            self._refactor()
-        except LpError as e:
-            raise _NoWarmStart(str(e)) from e
-        if not np.all(np.isfinite(self.x)):
-            raise _NoWarmStart("basis is numerically singular")
+        return np.zeros(0)
 
     # -- columns and factorization ---------------------------------------
 
@@ -220,38 +228,82 @@ class _Core:
         self.Gi[k, :k] = self.H[p, :k] @ self.Gi[:k, :k]
         self.k = k + 1
 
-    # -- main loop ---------------------------------------------------------
+    # -- the step both loops share -----------------------------------------
+
+    def _enter(self, loop):
+        """Loop-entry state: the movable columns, the sign array, the
+        nonbasic free columns, and a fresh stall count."""
+        self.loop, self.stall, self.bland = loop, 0, False
+        vstat = self.vstat
+        self.movable = movable = (self.hi - self.lo) > 0.0
+        # sgn is -1 at a lower bound, +1 at an upper one, 0 for basic and
+        # fixed columns: moving a column off its bound changes v'x at the
+        # rate -v * sgn (see _gain).  Nonbasic free columns move either
+        # way; once basic they never leave (their ratios are inf).
+        self.sgn = np.select([movable & (vstat == AT_LOWER), movable & (vstat == AT_UPPER)],
+                             [-1.0, 1.0], 0.0)
+        self.free = np.nonzero(vstat == FREE)[0]
+
+    def _gain(self, v):
+        """Rate at which moving each nonbasic column off its bound (either
+        way if free) decreases v'x: v * sgn, and |v| for free columns."""
+        gain = v * self.sgn
+        if self.free.size:
+            gain[self.free] = np.abs(v[self.free])
+        return gain
+
+    def _stalled(self, degenerate):
+        """Count degenerate pivots in a row; after _STALL_LIMIT of them the
+        loop switches to Bland's rule, which guarantees termination."""
+        if not degenerate:
+            self.stall = 0
+            return
+        self.stall += 1
+        if self.stall >= _STALL_LIMIT and not self.bland:
+            self.bland = True
+            self.stats.bland_switches += 1
+            log.debug("%s: switching to Bland's rule after %d stalled iterations",
+                      self.loop, self.stall)
+
+    def _exchange(self, p, q, d, t, xb, to_lower):
+        """Column q enters in row p, moved by t, with d = ftran(a_q) and xb
+        the basic values before the move; the leaving column goes to its
+        lower bound if `to_lower`, else to its upper one."""
+        x, vstat, sgn = self.x, self.vstat, self.sgn
+        leaving = int(self.basis[p])
+        x[q] += t
+        x[self.basis] = xb - t * d
+        x[leaving] = self.lo[leaving] if to_lower else self.hi[leaving]
+        vstat[leaving] = AT_LOWER if to_lower else AT_UPPER
+        sgn[leaving] = (-1.0 if to_lower else 1.0) if self.movable[leaving] else 0.0
+        if vstat[q] == FREE:
+            self.free = self.free[self.free != q]
+        self.basis[p] = q
+        vstat[q] = BASIC
+        sgn[q] = 0.0
+        self._add_eta(p, d)
+        if self.k == _REFACTOR_INTERVAL:
+            self._refactor()
+
+    # -- the two loops -----------------------------------------------------
 
     def run(self, costs, phase):
-        """Iterate to optimality of `costs`; returns a status string."""
+        """Primal simplex to optimality of `costs`; returns a status string."""
         st = self.settings
         opt_tol = st.optimality_tol
         limit = st.iteration_limit
-        stall = 0
-        bland = False
-        movable = (self.hi - self.lo) > 0.0
-        # gain = z * sgn is the improvement rate of moving a column off its
-        # bound: -z at a lower bound, +z at an upper one, 0 for basic and
-        # fixed columns.  Nonbasic free columns move either way, so their
-        # gain is |z|; once basic they never leave (their ratios are inf).
-        vstat = self.vstat
-        sgn = np.select([movable & (vstat == AT_LOWER), movable & (vstat == AT_UPPER)],
-                        [-1.0, 1.0], 0.0)
-        free = np.nonzero(vstat == FREE)[0]
+        self._enter("primal")
+        vstat, sgn = self.vstat, self.sgn
         ratios = np.empty(self.m)
 
         while True:
-            if limit is not None and self.iterations >= limit:
-                return "limit"
-            y = self.btran(costs[self.basis])
-            z = costs - self.fullT @ y
-
-            gain = z * sgn
-            if free.size:
-                gain[free] = np.abs(z[free])
-            q = int(np.argmax(gain > opt_tol)) if bland else int(np.argmax(gain))
+            z = costs - self.fullT @ self.btran(costs[self.basis])
+            gain = self._gain(z)
+            q = int(np.argmax(gain > opt_tol)) if self.bland else int(np.argmax(gain))
             if not gain[q] > opt_tol:
                 return "optimal"
+            if limit is not None and self.iterations >= limit:
+                return "limit"
             direction = 1.0 if z[q] < 0 else -1.0
 
             d = self.ftran(self.column(q))
@@ -270,22 +322,14 @@ class _Core:
                 np.divide(xb - lo_b, g, out=ratios, where=g > _PIVOT_TOL)
                 np.divide(xb - hi_b, g, out=ratios, where=g < -_PIVOT_TOL)
             np.maximum(ratios, 0.0, out=ratios)  # shave tiny drift
-            rmin = ratios.min() if self.m else np.inf
+            rmin = ratios.min()
             own = self.hi[q] - self.lo[q]
             step = min(own, rmin)
             if not np.isfinite(step):
                 if phase == 1:
                     raise LpError("phase-1 subproblem unbounded; numerical failure")
                 return "unbounded"
-
-            if step <= 1e-10:
-                stall += 1
-                if stall >= _STALL_LIMIT and not bland:
-                    bland = True
-                    self.stats.bland_switches += 1
-                    log.debug("switching to Bland's rule after %d stalled iterations", stall)
-            else:
-                stall = 0
+            self._stalled(step <= 1e-10)
 
             if own < np.inf and own <= rmin:
                 # entering variable flips to its other bound
@@ -296,27 +340,13 @@ class _Core:
                 continue
 
             cands = np.nonzero(ratios <= step + 1e-12)[0]
-            if bland:
+            if self.bland:
                 p = int(cands[np.argmin(self.basis[cands])])
             else:
                 best = np.abs(d[cands])
                 top = cands[best >= best.max() - 1e-12]
                 p = int(top[np.argmin(self.basis[top])])
-
-            leaving = int(self.basis[p])
-            self.x[q] += direction * step
-            self.x[self.basis] = xb - step * g
-            self.x[leaving] = lo_b[p] if g[p] > 0 else hi_b[p]
-            vstat[leaving] = AT_LOWER if g[p] > 0 else AT_UPPER
-            sgn[leaving] = (-1.0 if g[p] > 0 else 1.0) if movable[leaving] else 0.0
-            if vstat[q] == FREE:
-                free = free[free != q]
-            self.basis[p] = q
-            vstat[q] = BASIC
-            sgn[q] = 0.0
-            self._add_eta(p, d)
-            if self.k == _REFACTOR_INTERVAL:
-                self._refactor()
+            self._exchange(p, q, d, direction * step, xb, g[p] > 0)
 
     def dual(self, costs):
         """Bounded dual simplex from a warm start to primal feasibility.
@@ -336,37 +366,27 @@ class _Core:
         opt_tol, feas_tol = st.optimality_tol, st.feasibility_tol
         limit = st.iteration_limit
         lo, hi, x, vstat = self.lo, self.hi, self.x, self.vstat
-        movable = (hi - lo) > 0.0
+        self._enter("dual")
+        sgn = self.sgn
         z = costs - self.fullT @ self.btran(costs[self.basis])
 
-        nonbasic = movable & (vstat != BASIC)
-        boxed = nonbasic & np.isfinite(lo) & np.isfinite(hi)
-        to_hi = boxed & (vstat == AT_LOWER) & (z < -opt_tol)
-        to_lo = boxed & (vstat == AT_UPPER) & (z > opt_tol)
+        boxed = np.isfinite(lo) & np.isfinite(hi)
+        to_hi = boxed & (sgn < 0) & (z < -opt_tol)
+        to_lo = boxed & (sgn > 0) & (z > opt_tol)
         if to_hi.any() or to_lo.any():
-            vstat[to_hi], x[to_hi] = AT_UPPER, hi[to_hi]
-            vstat[to_lo], x[to_lo] = AT_LOWER, lo[to_lo]
+            vstat[to_hi], x[to_hi], sgn[to_hi] = AT_UPPER, hi[to_hi], 1.0
+            vstat[to_lo], x[to_lo], sgn[to_lo] = AT_LOWER, lo[to_lo], -1.0
             self._recompute_basics()
-        # side: +1 at a lower bound, -1 at an upper one, 0 basic or fixed
-        side = np.select([nonbasic & (vstat == AT_LOWER), nonbasic & (vstat == AT_UPPER)],
-                         [1.0, -1.0], 0.0)
-        free = nonbasic & (vstat == FREE)
-        if np.any(side * z < -opt_tol) or np.any(np.abs(z[free]) > opt_tol):
+        if np.any(self._gain(z) > opt_tol):
             raise _NoWarmStart("start is not dual feasible")
-        free = np.nonzero(free)[0]
         e = np.zeros(self.m)
-        stall = 0
-        bland = False
 
         while True:
             xb = x[self.basis]
             lo_b, hi_b = lo[self.basis], hi[self.basis]
             below, above = lo_b - xb, xb - hi_b
             infeas = np.maximum(below, above)
-            if bland:
-                r = int(np.argmax(infeas > feas_tol))
-            else:
-                r = int(np.argmax(infeas))
+            r = int(np.argmax(infeas > feas_tol)) if self.bland else int(np.argmax(infeas))
             if not infeas[r] > feas_tol:
                 return "feasible"
             if limit is not None and self.iterations >= limit:
@@ -377,18 +397,16 @@ class _Core:
             e[r] = 1.0
             alpha = self.fullT @ self.btran(e)
             e[r] = 0.0
-            # a~ = alpha signed so that moving a candidate off its bound
-            # by a positive amount drives row r towards its bound
-            at = -alpha if to_lower else alpha
-            cand = side * at > _PIVOT_TOL
-            if free.size:
-                cand[free] = np.abs(at[free]) > _PIVOT_TOL
-            cand = np.nonzero(cand)[0]
+            # nonbasic moves dx change row r's basic value by -alpha'dx, so
+            # _gain(g) is the rate at which each column pushes that value
+            # towards the bound it leaves to
+            g = alpha if to_lower else -alpha
+            cand = np.nonzero(self._gain(g) > _PIVOT_TOL)[0]
             if cand.size == 0:
                 raise _NoWarmStart("dual ray: the LP is infeasible")
-            ratios = np.maximum(z[cand] / at[cand], 0.0)
+            ratios = np.maximum(-z[cand] / g[cand], 0.0)
             cands = cand[ratios <= ratios.min() + 1e-12]
-            if bland:
+            if self.bland:
                 q = int(cands[0])
             else:
                 best = np.abs(alpha[cands])
@@ -399,33 +417,11 @@ class _Core:
                 raise _NoWarmStart("pivot element vanished")
             self.stats.dual_iterations += 1
             theta = z[q] / alpha[q]
-            if abs(theta) <= 1e-10:
-                stall += 1
-                if stall >= _STALL_LIMIT and not bland:
-                    bland = True
-                    self.stats.bland_switches += 1
-                    log.debug("dual: switching to Bland's rule after %d stalled iterations",
-                              stall)
-            else:
-                stall = 0
+            self._stalled(abs(theta) <= 1e-10)
             z -= theta * alpha
             z[q] = 0.0
-
-            leaving = int(self.basis[r])
-            step = delta / d[r]
-            x[q] += step
-            x[self.basis] = xb - step * d
-            x[leaving] = lo_b[r] if to_lower else hi_b[r]
-            vstat[leaving] = AT_LOWER if to_lower else AT_UPPER
-            side[leaving] = (1.0 if to_lower else -1.0) if movable[leaving] else 0.0
-            if vstat[q] == FREE:
-                free = free[free != q]
-            self.basis[r] = q
-            vstat[q] = BASIC
-            side[q] = 0.0
-            self._add_eta(r, d)
-            if self.k == _REFACTOR_INTERVAL:
-                self._refactor()
+            self._exchange(r, q, d, delta / d[r], xb, to_lower)
+            if self.k == 0:  # refactorized
                 z = costs - self.fullT @ self.btran(costs[self.basis])
 
     def final_basis(self):
@@ -520,15 +516,7 @@ def solve_lp(problem: LpProblem, settings: SolveSettings | None = None,
     and the solve goes the cold way.  `stats` counts the work.
     """
     settings = settings or SolveSettings()
-    n, m = problem.n_cols, problem.n_rows
-
-    if n == 0:
-        blo, bhi = problem.row_bounds()
-        bad = [i for i in range(m) if blo[i] > 1e-12 or bhi[i] < -1e-12]
-        if bad:
-            return LpSolution(status="infeasible", infeasible_rows=bad)
-        return LpSolution(status="optimal", x=np.zeros(0), duals=np.zeros(m), objective=0.0)
-    if m == 0:
+    if problem.n_rows == 0:  # the core cannot factor a 0 x 0 basis
         lo, hi = problem.lower_inf(), problem.upper_inf()
         c = problem.objective
         x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
@@ -546,11 +534,10 @@ def solve_lp(problem: LpProblem, settings: SolveSettings | None = None,
         stats.warm_starts = 1
         try:
             core = _Core(problem, settings, stats, start=basis)
-            costs = _costs(core, problem)
-            if core.dual(costs) == "limit":
+            if core.dual(core.objective) == "limit":
                 sol = LpSolution(status="limit", iterations=core.iterations)
             else:
-                sol = _phase2(core, problem, costs)
+                sol = _phase2(core, problem)
         except (_NoWarmStart, LpError) as e:
             stats.warm_fallbacks = 1
             log.debug("LP %s: warm start abandoned: %s", problem.name, e)
@@ -561,12 +548,6 @@ def solve_lp(problem: LpProblem, settings: SolveSettings | None = None,
     log.debug("LP %s %s: %d crash columns, %d artificials, %s",
               problem.name, sol.status, core.n_crash, core.n_art, stats)
     return sol
-
-
-def _costs(core, problem):
-    costs = np.zeros(core.x.size)
-    costs[: core.n] = problem.objective
-    return costs
 
 
 def _two_phase(core, problem, settings):
@@ -593,20 +574,18 @@ def _two_phase(core, problem, settings):
         core.hi[core.n + core.m :] = 0.0
         core.x[core.n + core.m :] = 0.0
 
-    return _phase2(core, problem, _costs(core, problem))
+    return _phase2(core, problem)
 
 
-def _phase2(core, problem, costs):
+def _phase2(core, problem):
     """Primal simplex on the objective from a primal feasible basis; it
     proves optimality the same way for cold and warm starts."""
-    status = core.run(costs, phase=2)
-    if status == "limit":
-        return LpSolution(status="limit", iterations=core.iterations)
-    if status == "unbounded":
-        return LpSolution(status="unbounded", iterations=core.iterations)
+    status = core.run(core.objective, phase=2)
+    if status != "optimal":  # limit or unbounded
+        return LpSolution(status=status, iterations=core.iterations)
 
     core.cleanup()
-    y = core.btran(costs[core.basis])
+    y = core.btran(core.objective[core.basis])
     x = core.x[: core.n].copy()
     return LpSolution(
         status="optimal",
@@ -629,13 +608,8 @@ def dual_objective(problem: LpProblem, solution: LpSolution) -> float:
     if not solution.ok:
         raise LpError("dual objective needs an optimal solution")
     y = solution.duals
-    blo, bhi = problem.row_bounds()
-    b = np.where(np.isfinite(bhi), bhi, blo)
-    z_struct = problem.objective - problem.matrix_csc().T @ y
-    z_slack = -y
-    lo = np.concatenate([problem.lower_inf(), np.where(np.isfinite(bhi), 0.0, -np.inf)])
-    hi = np.concatenate([problem.upper_inf(), np.where(np.isfinite(bhi), bhi - blo, 0.0)])
-    z = np.concatenate([z_struct, z_slack])
+    A, b, lo, hi = equality_form(problem)
+    z = np.concatenate([problem.objective - A.T @ y, -y])
     pos = np.where(np.isfinite(lo), np.maximum(z, 0.0) * np.where(np.isfinite(lo), lo, 0.0), 0.0)
     neg = np.where(np.isfinite(hi), np.maximum(-z, 0.0) * np.where(np.isfinite(hi), hi, 0.0), 0.0)
     return float(y @ b + pos.sum() - neg.sum())

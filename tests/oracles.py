@@ -4,7 +4,8 @@ These deliberately share no code with mgsched.lpcore: LPs are solved by
 enumerating basic solutions of the equality form over all basis subsets
 and nonbasic bound patterns, MILPs by exhausting binary assignments.
 Only practical for a handful of columns, which is all the tests need.
-The scenario-reduction greedy is re-derived with exact sums.
+The scenario-reduction greedy is re-derived with exact sums, and row
+activity bounds one row at a time.
 """
 
 import math
@@ -200,3 +201,29 @@ def greedy_reduction(C, p, keep, rtol=1e-12):
         if k not in mass:
             mass[min(kept, key=lambda i: (C[k][i], i))].append(p[k])
     return selected, steps, [math.fsum(mass[i]) for i in kept]
+
+
+def row_bounds_by_row(problem):
+    """Per-row activity interval [blo, bhi] of an LpProblem, one row at a
+    time: the reference for the vectorized `LpProblem.row_bounds`."""
+    blo = np.full(problem.n_rows, -np.inf)
+    bhi = np.full(problem.n_rows, np.inf)
+    for i, sense in enumerate(problem.row_sense):
+        b = problem.rhs[i]
+        r = 0.0 if problem.row_range is None else problem.row_range[i]
+        if sense == "=":
+            if r == 0.0:
+                blo[i] = bhi[i] = b
+            elif r > 0:
+                blo[i], bhi[i] = b, b + r
+            else:
+                blo[i], bhi[i] = b + r, b
+        elif sense == "<=":
+            bhi[i] = b
+            if r != 0.0:
+                blo[i] = b - abs(r)
+        else:  # >=
+            blo[i] = b
+            if r != 0.0:
+                bhi[i] = b + abs(r)
+    return blo, bhi

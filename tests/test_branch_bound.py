@@ -144,3 +144,8 @@ def test_iteration_limit_bounds_the_whole_search(monkeypatch):
         assert sol.status == "limit"
         assert sol.iterations <= limit
         assert sol.best_bound <= full.objective + 1e-9
+    # the limit is checked after pricing: a search that needs exactly the
+    # budget finishes, one pivot less does not
+    exact = solve_milp(p, SolveSettings(iteration_limit=full.iterations))
+    assert exact.status == "optimal" and exact.objective == full.objective
+    assert solve_milp(p, SolveSettings(iteration_limit=full.iterations - 1)).status == "limit"

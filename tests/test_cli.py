@@ -197,13 +197,17 @@ def test_solver_failure_exit_code_and_artifact(tmp_path, monkeypatch, capsys,
     out = tmp_path / "out"
     out.mkdir()
     (out / "solution.json").write_text('{"status": "optimal"}\n')  # from an earlier run
+    stale = ("balance_report.json", "problem.mps", "trace.json")
+    for name in stale:
+        (out / name).write_text("from an earlier run\n")
     assert main(["run", "--config", str(config), "--genspec", str(gen), "--generate", "10",
-                 "--keep", "2", "--out", str(out)]) == code
+                 "--keep", "2", "--out", str(out), "--write-mps"]) == code
     assert message in capsys.readouterr().err
     report = json.loads((out / "solution.json").read_text())
     assert report["status"] == status
     assert message in report["message"]
     assert not (out / "solution.json.tmp").exists()
+    assert not any((out / name).exists() for name in stale)
 
 
 def _solve_hits_limit(problem, settings=None, basis=None):

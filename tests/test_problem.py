@@ -1,7 +1,11 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from mgsched.lpcore import LpError, LpProblem, SolveSettings, check_point, solve_lp
+from mgsched.lpcore.problem import SENSES
+from oracles import row_bounds_by_row
 
 
 def tiny_problem():
@@ -84,3 +88,32 @@ def test_check_point_respects_ranges():
     assert check_point(p, np.array([2.5]), 1e-9).ok(1e-9)
     assert not check_point(p, np.array([0.0]), 1e-9).ok(1e-9)  # below 3 - 2
     assert not check_point(p, np.array([3.5]), 1e-9).ok(1e-9)
+
+
+def rows_only(senses, rhs, row_range=None):
+    m = len(senses)
+    return LpProblem(n_cols=0, n_rows=m, objective=[], triplets=[], row_sense=senses, rhs=rhs,
+                     col_lower=[], col_upper=[], row_range=row_range)
+
+
+def assert_row_bounds_match_per_row_rule(p):
+    for got, ref in zip(p.row_bounds(), row_bounds_by_row(p)):
+        assert got.tobytes() == ref.tobytes()  # bit for bit, signed zeros too
+
+
+def test_row_bounds_match_per_row_rule_for_every_sense_and_range_sign():
+    pairs = list(product(SENSES, (0.0, -0.0, 2.5, -2.5), (1.5, -1.5, 0.0)))
+    senses, ranges, rhs = (list(v) for v in zip(*pairs))
+    assert_row_bounds_match_per_row_rule(rows_only(senses, rhs, ranges))
+    assert_row_bounds_match_per_row_rule(rows_only(senses, rhs))  # no ranges at all
+
+
+def test_row_bounds_match_per_row_rule_on_random_ranged_rows():
+    rng = np.random.default_rng(7)
+    m = 400
+    senses = [SENSES[i] for i in rng.integers(0, 3, m)]
+    rhs = rng.normal(size=m) * 10.0 ** rng.integers(-3, 4, m)
+    ranges = np.where(rng.random(m) < 0.3, 0.0, rng.normal(size=m) * 10.0 ** rng.integers(-3, 4, m))
+    rhs[:5] = [np.inf, -np.inf, 0.0, 1e300, -1e300]
+    assert_row_bounds_match_per_row_rule(rows_only(senses, rhs, ranges))
+

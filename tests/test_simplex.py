@@ -264,12 +264,36 @@ def test_fixed_and_free_columns():
     assert sol.x.tolist() == pytest.approx([2.0, 3.0])
 
 
+def test_zero_column_lps_check_each_row_against_zero():
+    def rows_only(senses, rhs, row_range):
+        m = len(senses)
+        return LpProblem(0, m, [], [], senses, rhs, [], [], row_range=row_range)
+
+    # rows [-inf, 1], [-2, inf], [0, 0] and [-1, 1] all hold 0
+    sol = solve_lp(rows_only(["<=", ">=", "=", "="], [1.0, -2.0, 0.0, 1.0],
+                             [0.0, 0.0, 0.0, -2.0]))
+    assert sol.status == "optimal"
+    assert sol.x.shape == (0,) and sol.objective == 0.0
+    assert sol.duals.tolist() == [0.0] * 4
+    # rows [-inf, -1], [2, inf], [0, 0], [2, 3], [-4, -3]: 0 lies outside 0, 1, 3, 4
+    sol = solve_lp(rows_only(["<=", ">=", "=", "=", ">="], [-1.0, 2.0, 0.0, 3.0, -4.0],
+                             [0.0, 0.0, 0.0, -1.0, 1.0]))
+    assert sol.status == "infeasible"
+    assert sol.infeasible_rows == [0, 1, 3, 4]
+
+
 def test_iteration_limit_reports_limit_status():
-    rng = np.random.default_rng(3)
-    c, A, senses, b, lo, hi = random_instance(rng, feasible=True)
-    p = build(c, A, senses, b, lo, hi)
-    sol = solve_lp(p, SolveSettings(iteration_limit=1))
-    assert sol.status in ("limit", "optimal")  # tiny instances may finish in 1
+    for seed in (3, 5):  # 1 and 5 pivots
+        rng = np.random.default_rng(seed)
+        c, A, senses, b, lo, hi = random_instance(rng, feasible=True)
+        p = build(c, A, senses, b, lo, hi)
+        sol = solve_lp(p, SolveSettings(iteration_limit=1))
+        assert sol.status in ("limit", "optimal")  # tiny instances may finish in 1
+        # the limit is checked after pricing, so the last pivot may use it up
+        full = solve_lp(p)
+        assert full.status == "optimal" and full.iterations >= 1
+        assert solve_lp(p, SolveSettings(iteration_limit=full.iterations)).status == "optimal"
+        assert solve_lp(p, SolveSettings(iteration_limit=full.iterations - 1)).status == "limit"
 
 
 def test_singular_basis_raises_lp_error():
@@ -302,9 +326,10 @@ def single_steps(problem):
     k, refactors = 0, core.stats.refactorizations
     for c, phase in phases:
         while True:
-            before = core.basis.copy()
-            core.settings = SolveSettings(iteration_limit=core.iterations + 1)
-            if core.run(c, phase) != "limit":
+            before, done = core.basis.copy(), core.iterations
+            core.settings = SolveSettings(iteration_limit=done + 1)
+            status = core.run(c, phase)
+            if core.iterations == done:  # optimal: no pivot was wanted
                 break
             moved = np.nonzero(before != core.basis)[0]
             p = int(moved[0]) if moved.size else None
@@ -313,6 +338,8 @@ def single_steps(problem):
             elif p is not None:
                 k += 1
             yield core, k, p
+            if status != "limit":
+                break
 
 
 def assert_eta_form_matches_dense(core, rng):
