@@ -9,7 +9,6 @@ from mgsched.model import (
     GridTariff,
     MicrogridConfig,
     Phev,
-    Scenario,
     Schedule,
     check_balance,
     evaluate_cost,
@@ -40,14 +39,15 @@ print("config valid:", report.ok)
 for issue in report.issues:
     print(f"  [{issue.severity}] {issue.code}: {issue.message}")
 
-# one fully known scenario: sunny midday, car parked all day, 4 kWh to serve
-scenario = Scenario(
-    probability=1.0,
-    solar=np.array([0.0, 80.0, 120.0, 20.0]),
-    parking=np.ones((1, T)),
-    deferrable_energy=np.array([4.0]),
+# one fully known scenario: sunny midday, car parked all day, 4 kWh to serve;
+# a set holds one array per uncertain input, scenario index first
+solar = np.array([0.0, 80.0, 120.0, 20.0])
+scenarios = ScenarioSet(
+    probabilities=[1.0],
+    solar=solar[None, :],
+    parking=np.ones((1, 1, T)),
+    deferrable_energy=[[4.0]],
 )
-scenarios = ScenarioSet((scenario,))
 
 # dispatch by hand: run the CHP to cover heat (alpha * p >= heat demand),
 # serve 2 kW in both window periods, and let the grid close the balance
@@ -55,7 +55,7 @@ chp = np.array([[60.0, 50.0, 45.0, 50.0]])[:, :, None] / 1.2 * 1.2
 serve = np.array([[0.0, 2.0, 2.0, 0.0]])[:, :, None]
 charge = np.zeros((1, T, 1))
 discharge = np.zeros((1, T, 1))
-supply = chp[0, :, 0] + scenario.solar
+supply = chp[0, :, 0] + solar
 demand = config.base_power + serve[0, :, 0]
 grid_buy = np.clip(demand - supply, 0.0, None)[:, None]
 grid_sell = np.clip(supply - demand, 0.0, None)[:, None]
@@ -67,7 +67,7 @@ print("\nstored energy path (kWh):", schedule.storage[0, :, 0])
 print("grid buy (kW):", np.round(schedule.grid_buy[:, 0], 2))
 print("grid sell (kW):", np.round(schedule.grid_sell[:, 0], 2))
 
-balance = check_balance(config, scenario, schedule.scenario_slice(0), tol=1e-6)
+balance = check_balance(config, solar, schedule.scenario_slice(0), tol=1e-6)
 print("\nbalance ok:", balance.ok)
 print("heat surplus (kW-th):", np.round(balance.heat_surplus, 2))
 

@@ -20,8 +20,9 @@ spec = load_generation_spec(here / "data" / "genspec.json")
 
 full = generate(spec, config, 3000)
 print(f"generated {len(full)} scenarios, each with probability {full.probabilities[0]:.6f}")
-print("solar block shape:", full.solar_matrix().shape)
-print("parking availability overall:", full.parking_tensor().mean().round(3))
+print("solar block shape:", full.solar.shape)
+print("parking block shape:", full.parking.shape)
+print("parking availability overall:", full.parking.mean().round(3))
 
 weights = DistanceWeights.from_set(full)
 print(f"\nmetric weights (1/std per block): solar {weights.solar:.4f}, "
@@ -36,8 +37,8 @@ print("distance after each greedy step:",
 
 # the reduced set keeps the first two moments of the solar block roughly intact
 p = reduced.probabilities
-mean_full = full.solar_matrix().mean(axis=0)
-mean_red = p @ reduced.solar_matrix()
+mean_full = full.solar.mean(axis=0)
+mean_red = p @ reduced.solar
 print("\nmax |mean solar drift| over the day:",
       float(np.abs(mean_full - mean_red).max()).__round__(2), "kW")
 

@@ -42,7 +42,7 @@ from .model import (
     check_balance,
     evaluate_cost,
     validate_config,
-    validate_scenario,
+    validate_scenarios,
 )
 
 log = logging.getLogger(__name__)
@@ -174,21 +174,16 @@ class NumericalFailure(RuntimeError):
 
 def load_scenario_set(path, config: MicrogridConfig | None = None) -> scn.ScenarioSet:
     """Read a CSV bundle directory or a JSON file and validate every
-    scenario, against `config` when given, else for consistent shapes
-    across scenarios.  Failures are IngestError."""
+    scenario, against `config` when given.  Failures, including blocks
+    whose shapes differ across scenarios, are IngestError."""
     p = Path(path)
     try:
         sset = scn.load_csv_bundle(p) if p.is_dir() else scn.load_json(p)
     except (OSError, KeyError, ValueError) as e:
         raise IngestError(f"cannot load scenario set from {p}: {e}") from e
-    first = sset.scenarios[0]
-    for s, sc in enumerate(sset.scenarios):
-        errors = [i.message for i in validate_scenario(sc, config).errors]
-        if config is None and any(getattr(sc, k).shape != getattr(first, k).shape
-                                  for k in ("solar", "parking", "deferrable_energy")):
-            errors.append("shapes differ from scenario 0")
-        if errors:
-            raise IngestError(f"{p}: scenario {s}: " + "; ".join(errors))
+    errors = [i.message for i in validate_scenarios(sset, config).errors]
+    if errors:
+        raise IngestError(f"{p}: " + "; ".join(errors))
     return sset
 
 
@@ -248,8 +243,8 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
     """
     options = options or FormulationOptions()
     settings = settings or SolveSettings()
-    decomposed = options.stage_mode == "fully-adaptive" and len(scenarios.scenarios) > 1
-    blocks = ([(scenarios.single(s), p) for s, p in enumerate(scenarios.probabilities)]
+    decomposed = options.stage_mode == "fully-adaptive" and len(scenarios) > 1
+    blocks = (zip(map(scenarios.single, range(len(scenarios))), scenarios.probabilities)
               if decomposed else [(scenarios, 1.0)])
     report = SolveReport(status="optimal", objective=0.0, iterations=0, nodes=0,
                          n_cols=0, n_rows=0, decomposed=decomposed)
@@ -302,8 +297,7 @@ def solve_deterministic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
                         options: FormulationOptions | None = None,
                         settings: SolveSettings | None = None):
     """Expected-value baseline: one solve against the mean scenario."""
-    mean_set = scn.ScenarioSet((scenarios.mean_scenario(),))
-    return solve_stochastic(config, mean_set, options, settings)
+    return solve_stochastic(config, scenarios.mean(), options, settings)
 
 
 def default_penalty(config: MicrogridConfig) -> float:
@@ -337,11 +331,11 @@ def evaluate_policy(config: MicrogridConfig, scenarios: scn.ScenarioSet,
 
     results = []
     expected = 0.0
-    for s, scen in enumerate(scenarios.scenarios):
-        charge = policy.charge[:, :, 0] * scen.parking
-        discharge = policy.discharge[:, :, 0] * scen.parking
+    for s, prob in enumerate(scenarios.probabilities.tolist()):
+        charge = policy.charge[:, :, 0] * scenarios.parking[s]
+        discharge = policy.discharge[:, :, 0] * scenarios.parking[s]
         demand = config.base_power + charge.sum(axis=0) + serve.sum(axis=0)
-        supply = policy.chp_power[:, :, 0].sum(axis=0) + discharge.sum(axis=0) + scen.solar
+        supply = policy.chp_power[:, :, 0].sum(axis=0) + discharge.sum(axis=0) + scenarios.solar[s]
         net = demand - supply
         buy = np.clip(net, 0.0, cap)
         sell = np.clip(-net, 0.0, cap)
@@ -354,11 +348,11 @@ def evaluate_policy(config: MicrogridConfig, scenarios: scn.ScenarioSet,
         violation = float(np.maximum(storage - e_max[:, None], 0.0).sum())
         violation += float(np.maximum(e_min[:, None] - storage, 0.0).sum())
         violation += float(np.abs(storage[:, -1] - e_init).sum())
-        violation += float(np.abs(serve.sum(axis=1) * h - scen.deferrable_energy).sum())
+        violation += float(np.abs(serve.sum(axis=1) * h - scenarios.deferrable_energy[s]).sum())
         violation += float(np.abs(net - (buy - sell)).sum() * h)
 
         cost = evaluate_cost(config, scenarios.single(s), realized) + penalty * violation
-        expected += scen.probability * cost
+        expected += prob * cost
         results.append({
             "scenario": s,
             "cost": cost,
@@ -436,8 +430,8 @@ def write_problem_mps(config, scenarios, options, path: Path):
 def _verified_balance(config, scenarios, schedule, tol=1e-6):
     """Balance reports for every scenario; raises if any period is off."""
     reports = []
-    for s, scen in enumerate(scenarios.scenarios):
-        rep = check_balance(config, scen, schedule.scenario_slice(s), tol)
+    for s, solar in enumerate(scenarios.solar):
+        rep = check_balance(config, solar, schedule.scenario_slice(s), tol)
         if not rep.ok:
             raise RuntimeError(f"schedule fails balance check in scenario {s}: {rep.flags[:5]}")
         reports.append({"scenario": s, **rep.to_dict()})
@@ -488,13 +482,6 @@ def run_single(manifest: RunManifest) -> dict:
     return payload
 
 
-def _scale_solar(scenarios: scn.ScenarioSet, factor: float) -> scn.ScenarioSet:
-    return scn.ScenarioSet(tuple(
-        scn.Scenario(s.probability, s.solar * factor, s.parking, s.deferrable_energy)
-        for s in scenarios.scenarios
-    ))
-
-
 def run_solar_sweep(manifest: RunManifest) -> list:
     """Average cost of both approaches over solar penetration levels.
 
@@ -510,7 +497,7 @@ def run_solar_sweep(manifest: RunManifest) -> list:
     rows = []
     for level in manifest.levels:
         lvl_config = dataclasses.replace(config, solar_capacity=config.solar_capacity * level)
-        lvl_scen = _scale_solar(scenarios, level)
+        lvl_scen = dataclasses.replace(scenarios, solar=scenarios.solar * level)
         result = compare_policies(lvl_config, lvl_scen, manifest.options, manifest.settings)
         rows.append((float(level), float(result["stochastic_cost"]),
                      float(result["deterministic_policy_cost"])))

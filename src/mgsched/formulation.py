@@ -202,13 +202,10 @@ def build(config: MicrogridConfig, scenarios, options: FormulationOptions | None
     report = validate_config(config)
     if not report.ok:
         raise ValueError("invalid config: " + "; ".join(i.message for i in report.errors))
-    T, S = config.horizon, len(scenarios.scenarios)
-    if S == 0:
-        raise ValueError("scenario set is empty")
-    for sc in scenarios.scenarios:
-        if sc.solar.shape != (T,) or sc.parking.shape != (config.n_phev, T) \
-                or sc.deferrable_energy.shape != (config.n_deferrable,):
-            raise ValueError("scenario dimensions do not match the config")
+    T, S = config.horizon, len(scenarios)
+    if scenarios.solar.shape[1:] != (T,) or scenarios.parking.shape[1:] != (config.n_phev, T) \
+            or scenarios.deferrable_energy.shape[1:] != (config.n_deferrable,):
+        raise ValueError("scenario dimensions do not match the config")
     if options.curtailment_penalty is not None:
         if options.curtailment_penalty <= config.tariff.price_buy.max():
             raise ValueError("curtailment_penalty must exceed the highest purchase price")
@@ -229,7 +226,7 @@ def build(config: MicrogridConfig, scenarios, options: FormulationOptions | None
     windows = [d.window_range() for d in config.deferrables]
     period = np.arange(T)[:, None]
     in_window = (period >= [r.start for r in windows]) & (period < [r.stop for r in windows])
-    parking = scenarios.parking_tensor().transpose(0, 2, 1)  # (S, T, n_phev)
+    parking = scenarios.parking.transpose(0, 2, 1)  # (S, T, n_phev)
     gate = 1.0 if options.parking_mode == "decision-binary" else parking
     w = (scenarios.probabilities * h)[:, None, None]
     cap = config.tariff.exchange_cap[:, None]
@@ -275,10 +272,10 @@ def build(config: MicrogridConfig, scenarios, options: FormulationOptions | None
              (every, cols["discharge"], h / eta_d))
     add_rows("=", e_init, "term_m{1}_s{0}".format, (S, config.n_phev),
              (every, sto[:, T - 1], 1.0))
-    add_rows("=", scenarios.deferrable_matrix(), "dsum_j{1}_s{0}".format,
+    add_rows("=", scenarios.deferrable_energy, "dsum_j{1}_s{0}".format,
              (S, config.n_deferrable), (np.s_[:, None], cols["serve"], h * in_window))
     per_period = np.s_[:, :, None]
-    add_rows("=", config.base_power - scenarios.solar_matrix(), "bal_t{1}_s{0}".format,
+    add_rows("=", config.base_power - scenarios.solar, "bal_t{1}_s{0}".format,
              (S, T), *((per_period, cols[kind], sign) for kind, sign in (
                  ("chp", 1.0), ("discharge", 1.0), ("charge", -1.0), ("buy", 1.0),
                  ("sell", -1.0), ("serve", -1.0), ("curtail", -1.0))))

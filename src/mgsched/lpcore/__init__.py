@@ -2,7 +2,7 @@
 revised simplex, branch-and-bound, MPS interchange, and feasibility checks."""
 
 from .branch_bound import solve_milp
-from .mps import MpsFormatError, export_lp_text, export_mps, parse_mps
+from .mps import MpsFormatError, export_mps, parse_mps
 from .problem import (
     BOUND_INF,
     FeasibilityReport,
@@ -26,7 +26,6 @@ __all__ = [
     "SolveSettings",
     "check_point",
     "dual_objective",
-    "export_lp_text",
     "export_mps",
     "parse_mps",
     "solve_lp",

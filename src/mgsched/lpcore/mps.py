@@ -1,4 +1,4 @@
-"""MPS fixed-format export and import, plus an LP-style debug writer.
+"""MPS fixed-format export and import.
 
 The writer emits a canonical layout: one coefficient per COLUMNS line,
 columns in index order with the objective entry first, rows inside a
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .problem import BOUND_INF, LpProblem
+from .problem import LpProblem
 
 OBJ_NAME = "COST"
 
@@ -105,8 +105,6 @@ def export_mps(problem: LpProblem) -> str:
                     out.append(" UP " + namev + _fmt(u))
             continue
         l, u = lo[j], hi[j]
-        l = -math.inf if l <= -BOUND_INF else l
-        u = math.inf if u >= BOUND_INF else u
         if l == u:
             out.append(" FX " + namev + _fmt(l))
         elif l == -math.inf and u == math.inf:
@@ -270,47 +268,3 @@ def parse_mps(text: str) -> LpProblem:
         col_names=col_names,
         name=name,
     )
-
-
-def export_lp_text(problem: LpProblem) -> str:
-    """Human-readable LP-style listing for debugging; not parsed back."""
-    rows = _row_names(problem)
-    cols = _col_names(problem)
-    lines = [f"\\ Problem: {problem.name}", "Minimize"]
-
-    def terms(pairs):
-        parts = []
-        for cname, v in pairs:
-            sign = "-" if v < 0 else "+"
-            parts.append(f"{sign} {_fmt(abs(v))} {cname}")
-        s = " ".join(parts) if parts else "0"
-        return s[2:] if s.startswith("+ ") else s
-
-    obj_pairs = [(cols[j], problem.objective[j]) for j in range(problem.n_cols)
-                 if problem.objective[j] != 0.0]
-    lines.append(" obj: " + terms(obj_pairs))
-    lines.append("Subject To")
-    by_row = [[] for _ in range(problem.n_rows)]
-    for r, c, v in zip(problem.tri_rows, problem.tri_cols, problem.tri_vals):
-        by_row[r].append((cols[c], v))
-    rel = {"=": "=", "<=": "<=", ">=": ">="}
-    for i in range(problem.n_rows):
-        lines.append(f" {rows[i]}: " + terms(by_row[i]) + f" {rel[problem.row_sense[i]]} {_fmt(problem.rhs[i])}")
-    lines.append("Bounds")
-    lo, hi = problem.lower_inf(), problem.upper_inf()
-    for j in range(problem.n_cols):
-        l, u = lo[j], hi[j]
-        if np.isneginf(l) and np.isposinf(u):
-            lines.append(f" {cols[j]} free")
-        elif l == u:
-            lines.append(f" {cols[j]} = {_fmt(l)}")
-        else:
-            left = "-inf" if np.isneginf(l) else _fmt(l)
-            right = "+inf" if np.isposinf(u) else _fmt(u)
-            lines.append(f" {left} <= {cols[j]} <= {right}")
-    if problem.binary_cols:
-        lines.append("Binaries")
-        for j in sorted(problem.binary_cols):
-            lines.append(f" {cols[j]}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -118,8 +118,8 @@ class LpProblem:
             raise LpError("NaN or infinite coefficient in matrix")
         if not np.all(np.isfinite(self.objective)):
             raise LpError("NaN or infinite objective coefficient")
-        if np.any(np.isnan(self.rhs)):
-            raise LpError("NaN right-hand side")
+        if not np.all(np.isfinite(self.rhs)):
+            raise LpError("NaN or infinite right-hand side")
         lo, up = self.lower_inf(), self.upper_inf()
         if np.any(lo > up):
             raise LpError("col_lower > col_upper")

@@ -76,8 +76,6 @@ def equality_form(problem: LpProblem):
     blo, bhi = problem.row_bounds()
     fin_hi = np.isfinite(bhi)
     b = np.where(fin_hi, bhi, blo)
-    if not np.all(np.isfinite(b)):
-        raise LpError("row with no finite side")
     lo = np.concatenate([problem.lower_inf(), np.where(fin_hi, 0.0, -np.inf)])
     hi = np.concatenate([problem.upper_inf(), np.where(fin_hi, bhi - blo, 0.0)])
     return problem.matrix_csc(), b, lo, hi

@@ -1,5 +1,5 @@
-"""Microgrid domain model: fleet parameters, scenarios, schedules, and
-solver-independent evaluation of cost and energy balance.
+"""Microgrid domain model: fleet parameters, schedules, scenario-set
+validation, and solver-independent evaluation of cost and energy balance.
 
 Conventions (documented in the README): powers in kW, energies in kWh,
 heat in kW-thermal, prices in currency per kWh.  Rate variables are
@@ -111,25 +111,6 @@ class MicrogridConfig:
     @property
     def n_deferrable(self) -> int:
         return len(self.deferrables)
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One joint realization of the uncertain inputs.
-
-    solar: (T,) kW; parking: (n_phev, T) 0/1 availability;
-    deferrable_energy: (n_deferrable,) kWh actually requested.
-    """
-
-    probability: float
-    solar: np.ndarray
-    parking: np.ndarray
-    deferrable_energy: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "solar", _freeze(self.solar))
-        object.__setattr__(self, "parking", _freeze(np.atleast_2d(self.parking)))
-        object.__setattr__(self, "deferrable_energy", _freeze(self.deferrable_energy))
 
 
 # --------------------------------------------------------------------------
@@ -247,27 +228,34 @@ def validate_config(config: MicrogridConfig) -> ValidationReport:
     return rep
 
 
-def validate_scenario(scenario: Scenario, config: MicrogridConfig | None = None) -> ValidationReport:
-    """Check one scenario's values; with a config, also its shapes and the
-    solar capacity."""
+def validate_scenarios(scenarios, config: MicrogridConfig | None = None) -> ValidationReport:
+    """Check a scenario set's values; with a config, also its shapes and
+    the solar capacity.  Each message names the first offending scenario
+    (scenario 0 for a shape, which all scenarios share)."""
     rep = ValidationReport()
-    if scenario.probability < 0:
-        rep.add("PROBABILITY_NEGATIVE", f"probability {scenario.probability} < 0")
-    if np.any(scenario.solar < 0):
-        rep.add("SOLAR_NEGATIVE", "solar has negative entries")
-    if not np.all((scenario.parking == 0) | (scenario.parking == 1)):
-        rep.add("PARKING_NOT_BINARY", "parking entries must be 0 or 1")
+    S = len(scenarios)
+
+    def check(code, bad, message):
+        hits = np.flatnonzero(np.broadcast_to(bad, (S,)))
+        if hits.size:
+            rep.add(code, f"scenario {hits[0]}: {message}")
+        return hits.size > 0
+
+    check("PROBABILITY_NEGATIVE", scenarios.probabilities < 0, "probability < 0")
+    check("SOLAR_NEGATIVE", (scenarios.solar < 0).any(axis=1), "solar has negative entries")
+    check("PARKING_NOT_BINARY",
+          ((scenarios.parking != 0) & (scenarios.parking != 1)).any(axis=(1, 2)),
+          "parking entries must be 0 or 1")
     if config is None:
         return rep
     T = config.horizon
-    if scenario.solar.shape != (T,):
-        rep.add("SOLAR_LENGTH", f"solar must have length {T}")
-    elif np.any(scenario.solar > config.solar_capacity + 1e-9):
-        rep.add("SOLAR_ABOVE_CAPACITY", "solar exceeds installed capacity")
-    if scenario.parking.shape != (config.n_phev, T):
-        rep.add("PARKING_SHAPE", f"parking must be ({config.n_phev}, {T})")
-    if scenario.deferrable_energy.shape != (config.n_deferrable,):
-        rep.add("DEFER_ENERGY_LENGTH", f"deferrable_energy must have length {config.n_deferrable}")
+    if not check("SOLAR_LENGTH", scenarios.solar.shape[1] != T, f"solar must have length {T}"):
+        check("SOLAR_ABOVE_CAPACITY", (scenarios.solar > config.solar_capacity + 1e-9).any(axis=1),
+              "solar exceeds installed capacity")
+    check("PARKING_SHAPE", scenarios.parking.shape[1:] != (config.n_phev, T),
+          f"parking must be ({config.n_phev}, {T})")
+    check("DEFER_ENERGY_LENGTH", scenarios.deferrable_energy.shape[1:] != (config.n_deferrable,),
+          f"deferrable_energy must have length {config.n_deferrable}")
     return rep
 
 
@@ -391,9 +379,8 @@ def evaluate_cost(config: MicrogridConfig, scenarios, schedule: Schedule) -> flo
     weighted by eta+, discharge by 1/eta-), and grid purchases net of
     sales, all scaled by the period length.
     """
-    T, S = config.horizon, len(scenarios.scenarios)
+    T, S = config.horizon, len(scenarios)
     _check_dims(config, S, schedule)
-    probs = np.array([sc.probability for sc in scenarios.scenarios])
     h = config.period_hours
 
     per_ts = np.zeros((T, S))
@@ -408,7 +395,7 @@ def evaluate_cost(config: MicrogridConfig, scenarios, schedule: Schedule) -> flo
         per_ts += np.tensordot(c_ev / eta_d, schedule.discharge, axes=(0, 0))
     per_ts += config.tariff.price_buy[:, None] * schedule.grid_buy
     per_ts -= config.tariff.price_sell[:, None] * schedule.grid_sell
-    return float(h * probs @ per_ts.sum(axis=0))
+    return float(h * scenarios.probabilities @ per_ts.sum(axis=0))
 
 
 @dataclass
@@ -432,9 +419,10 @@ class BalanceReport:
         }
 
 
-def check_balance(config: MicrogridConfig, scenario: Scenario,
+def check_balance(config: MicrogridConfig, solar: np.ndarray,
                   schedule_slice: ScheduleSlice, tol: float = 1e-6) -> BalanceReport:
-    """Evaluate the power and heat balance of one scenario's schedule.
+    """Evaluate the power and heat balance of one scenario's schedule
+    against that scenario's solar trajectory (T,).
 
     Power residual per period: (generation + net discharge + solar + buy)
     minus (sell + base load + deferrable serving + spill); flagged when its
@@ -447,7 +435,7 @@ def check_balance(config: MicrogridConfig, scenario: Scenario,
     net_dis = (sl.discharge - sl.charge).sum(axis=0) if config.n_phev else np.zeros(T)
     served = sl.serve.sum(axis=0) if config.n_deferrable else np.zeros(T)
     power_residual = (
-        supply + net_dis + scenario.solar + sl.grid_buy
+        supply + net_dis + solar + sl.grid_buy
         - (sl.grid_sell + config.base_power + served + sl.curtail)
     )
     if config.n_chp:

@@ -2,28 +2,35 @@
 
 Uncertainty has three independent blocks: solar output trajectories,
 PHEV parking availability (Bernoulli per vehicle and period), and the
-energy requested by each deferrable load.  Reduction follows the greedy
-fast-forward selection: starting from the empty set, repeatedly add the
-scenario that minimizes the probability-weighted distance between the
-full set and the kept set, then move each discarded scenario's
-probability to its nearest kept neighbour.  Candidates within a relative
-1e-12 of the minimum are tied and go to the lowest index.  The S x S
-distance matrix is the only array of that size: it is built in place,
-and each greedy step updates the candidates' distances from just the
-rows of it that the last pick brought closer, a band of rows at a time.
+energy requested by each deferrable load.  A `ScenarioSet` holds S joint
+realizations as one read-only array per input, scenario index first:
+probabilities (S,), solar (S, T), parking (S, n_phev, T) and deferrable
+energy (S, n_deferrable); there is no per-scenario object.
+
+Reduction follows the greedy fast-forward selection: starting from the
+empty set, repeatedly add the scenario that minimizes the
+probability-weighted distance between the full set and the kept set,
+then move each discarded scenario's probability to its nearest kept
+neighbour.  Candidates within a relative 1e-12 of the minimum are tied
+and go to the lowest index.  The S x S distance matrix is the only array
+of that size: it is built in place, and each greedy step updates the
+candidates' distances from just the rows of it that the last pick
+brought closer, a band of rows at a time.
 
 Every scenario draws from its own substream seeded by (seed, index), so
-generation is reproducible regardless of chunking or parallelism.
+generation is reproducible regardless of chunking or parallelism; the
+draws land in rows of the set's arrays, and the transforms (exp, clip,
+Bernoulli threshold) run once over whole arrays.
 """
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .model import MicrogridConfig, Scenario
+from .model import MicrogridConfig, _freeze
 
 NOISE_MODELS = ("multiplicative-lognormal", "truncated-normal", "empirical")
 
@@ -69,10 +76,23 @@ class GenerationSpec:
 
 @dataclass(frozen=True)
 class ScenarioSet:
-    scenarios: tuple
+    """S joint realizations of the uncertain inputs, one read-only array
+    per input: probabilities (S,), solar (S, T) kW, parking (S, n_phev, T)
+    0/1 availability and deferrable_energy (S, n_deferrable) kWh actually
+    requested."""
+
+    probabilities: np.ndarray
+    solar: np.ndarray
+    parking: np.ndarray
+    deferrable_energy: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "scenarios", tuple(self.scenarios))
+        for f in fields(self):
+            object.__setattr__(self, f.name, _freeze(getattr(self, f.name)))
+        shapes = [getattr(self, f.name).shape for f in fields(self)]
+        if [len(s) for s in shapes] != [1, 2, 3, 2] or len({s[0] for s in shapes}) != 1 \
+                or shapes[1][1] != shapes[2][2]:
+            raise ValueError(f"scenario set dimensions do not agree: {shapes}")
         p = self.probabilities
         if np.any(p < 0):
             raise ValueError("scenario probabilities must be nonnegative")
@@ -80,43 +100,33 @@ class ScenarioSet:
             raise ValueError(f"scenario probabilities sum to {p.sum()}, not 1")
 
     def __len__(self):
-        return len(self.scenarios)
+        return len(self.probabilities)
 
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([s.probability for s in self.scenarios])
-
-    def solar_matrix(self) -> np.ndarray:
-        return np.stack([s.solar for s in self.scenarios])
-
-    def parking_tensor(self) -> np.ndarray:
-        return np.stack([s.parking for s in self.scenarios])
-
-    def deferrable_matrix(self) -> np.ndarray:
-        return np.stack([s.deferrable_energy for s in self.scenarios])
-
-    def mean_scenario(self) -> Scenario:
-        """Probability-weighted mean of all blocks, as a single scenario.
+    def mean(self) -> "ScenarioSet":
+        """Probability-weighted mean of all blocks, as a one-scenario set.
 
         Parking becomes fractional availability; this is the input of the
         expected-value (deterministic) baseline, not a physical scenario.
         """
         p = self.probabilities
-        return Scenario(
-            probability=1.0,
-            solar=np.tensordot(p, self.solar_matrix(), axes=(0, 0)),
-            parking=np.tensordot(p, self.parking_tensor(), axes=(0, 0)),
-            deferrable_energy=np.tensordot(p, self.deferrable_matrix(), axes=(0, 0)),
-        )
+        return ScenarioSet(np.ones(1), *(np.tensordot(p, a, axes=(0, 0))[None] for a in (
+            self.solar, self.parking, self.deferrable_energy)))
 
     def single(self, s: int) -> "ScenarioSet":
         """One scenario pulled out with probability 1 (for subproblems)."""
-        sc = self.scenarios[s]
-        return ScenarioSet((Scenario(1.0, sc.solar, sc.parking, sc.deferrable_energy),))
+        return ScenarioSet(np.ones(1), self.solar[s:s + 1], self.parking[s:s + 1],
+                           self.deferrable_energy[s:s + 1])
 
 
 def generate(spec: GenerationSpec, config: MicrogridConfig, count: int) -> ScenarioSet:
-    """Draw `count` equally probable scenarios, deterministic in rng_seed."""
+    """Draw `count` equally probable scenarios, deterministic in rng_seed.
+
+    Scenario k takes its draws, in order, from its own substream
+    default_rng([rng_seed, k]): the solar noise (T normals, or one sample
+    row), then the parking uniforms, then the deferrable-energy uniforms.
+    The raw draws fill preallocated rows; the transforms then run once
+    over the whole arrays.
+    """
     if count <= 0:
         raise ValueError("count must be >= 1")
     T = config.horizon
@@ -124,7 +134,8 @@ def generate(spec: GenerationSpec, config: MicrogridConfig, count: int) -> Scena
     n_def = config.n_deferrable
     if spec.solar_profile_mean.shape != (T,):
         raise ValueError(f"solar_profile_mean must have length {T}")
-    if spec.solar_noise_model == "empirical":
+    empirical = spec.solar_noise_model == "empirical"
+    if empirical:
         if spec.solar_samples is None:
             raise ValueError("empirical noise model needs solar_samples")
         if spec.solar_samples.shape[1] != T:
@@ -135,34 +146,37 @@ def generate(spec: GenerationSpec, config: MicrogridConfig, count: int) -> Scena
     if spec.deferrable_energy_spread.shape != (n_def,):
         raise ValueError(f"deferrable_energy_spread must have length {n_def}")
 
-    cap = config.solar_capacity
     h = config.period_hours
     e_lo = np.array([d.rate_min * d.window_length() * h for d in config.deferrables])
     e_hi = np.array([d.rate_max * d.window_length() * h for d in config.deferrables])
 
-    out = []
+    if empirical:
+        pick = np.empty(count, dtype=int)
+    else:
+        z = np.empty((count, T))
+    parking = np.empty((count, n_ev, T))
+    u = np.empty((count, n_def))
     for k in range(count):
         rng = np.random.default_rng([spec.rng_seed, k])
-        if spec.solar_noise_model == "multiplicative-lognormal":
-            z = rng.standard_normal(T)
-            factor = np.exp(spec.solar_sigma * z - 0.5 * spec.solar_sigma**2)
-            solar = spec.solar_profile_mean * factor
-        elif spec.solar_noise_model == "truncated-normal":
-            z = rng.standard_normal(T)
-            solar = spec.solar_profile_mean + spec.solar_sigma * z
+        if empirical:
+            pick[k] = rng.integers(0, spec.solar_samples.shape[0])
         else:
-            row = int(rng.integers(0, spec.solar_samples.shape[0]))
-            solar = spec.solar_samples[row]
-        solar = np.clip(solar, 0.0, cap)
-        parking = (rng.random((n_ev, T)) < prob).astype(float)
-        if n_def:
-            u = rng.random(n_def)
-            energy = spec.deferrable_energy_mean + (2 * u - 1) * spec.deferrable_energy_spread
-            energy = np.clip(energy, e_lo, e_hi)
-        else:
-            energy = np.zeros(0)
-        out.append(Scenario(1.0 / count, solar, parking, energy))
-    return ScenarioSet(tuple(out))
+            rng.standard_normal(out=z[k])
+        rng.random(out=parking[k])
+        rng.random(out=u[k])
+
+    if spec.solar_noise_model == "multiplicative-lognormal":
+        factor = np.exp(spec.solar_sigma * z - 0.5 * spec.solar_sigma**2)
+        solar = spec.solar_profile_mean * factor
+    elif spec.solar_noise_model == "truncated-normal":
+        solar = spec.solar_profile_mean + spec.solar_sigma * z
+    else:
+        solar = spec.solar_samples[pick]
+    np.clip(solar, 0.0, config.solar_capacity, out=solar)
+    np.less(parking, prob, out=parking)
+    energy = spec.deferrable_energy_mean + (2 * u - 1) * spec.deferrable_energy_spread
+    np.clip(energy, e_lo, e_hi, out=energy)
+    return ScenarioSet(np.full(count, 1.0 / count), solar, parking, energy)
 
 
 # --------------------------------------------------------------------------
@@ -196,31 +210,30 @@ class DistanceWeights:
             return 1.0 / s if s > 0 else 0.0
 
         return cls(
-            solar=inv_std(scenario_set.solar_matrix()),
-            parking=inv_std(scenario_set.parking_tensor()),
-            deferrable=inv_std(scenario_set.deferrable_matrix()),
+            solar=inv_std(scenario_set.solar),
+            parking=inv_std(scenario_set.parking),
+            deferrable=inv_std(scenario_set.deferrable_energy),
         )
 
 
 def _feature_matrix(scenario_set: ScenarioSet, weights: DistanceWeights) -> np.ndarray:
-    S = len(scenario_set)
     blocks = [
-        weights.solar * scenario_set.solar_matrix(),
-        weights.parking * scenario_set.parking_tensor().reshape(S, -1),
-        weights.deferrable * scenario_set.deferrable_matrix().reshape(S, -1),
+        weights.solar * scenario_set.solar,
+        weights.parking * scenario_set.parking.reshape(len(scenario_set), -1),
+        weights.deferrable * scenario_set.deferrable_energy,
     ]
     return np.hstack([b for b in blocks if b.size])
 
 
-def scenario_distance(a: Scenario, b: Scenario, weights: DistanceWeights | None = None) -> float:
-    """Weighted L2 distance over (solar, flattened parking, deferrable energy)."""
+def scenario_distance(scenario_set: ScenarioSet, i: int, j: int,
+                      weights: DistanceWeights | None = None) -> float:
+    """Weighted L2 distance between scenarios i and j of a set, over
+    (solar, flattened parking, deferrable energy)."""
     weights = weights or DistanceWeights()
-    if a.solar.shape != b.solar.shape or a.parking.shape != b.parking.shape \
-            or a.deferrable_energy.shape != b.deferrable_energy.shape:
-        raise ValueError("scenario dimensions differ")
-    d2 = weights.solar**2 * float(((a.solar - b.solar) ** 2).sum())
-    d2 += weights.parking**2 * float(((a.parking - b.parking) ** 2).sum())
-    d2 += weights.deferrable**2 * float(((a.deferrable_energy - b.deferrable_energy) ** 2).sum())
+    d2 = 0.0
+    for w, a in ((weights.solar, scenario_set.solar), (weights.parking, scenario_set.parking),
+                 (weights.deferrable, scenario_set.deferrable_energy)):
+        d2 += w**2 * float(((a[i] - a[j]) ** 2).sum())
     return float(np.sqrt(d2))
 
 
@@ -339,15 +352,8 @@ def reduce_fast_forward(scenario_set: ScenarioSet, keep: int,
     moved[kept] = p[kept]
     np.add.at(moved, near[gone], p[gone])  # in index order, as a loop would add
 
-    reduced = ScenarioSet(tuple(
-        Scenario(
-            probability=float(moved[i]),
-            solar=scenario_set.scenarios[i].solar,
-            parking=scenario_set.scenarios[i].parking,
-            deferrable_energy=scenario_set.scenarios[i].deferrable_energy,
-        )
-        for i in kept
-    ))
+    reduced = ScenarioSet(moved[kept], scenario_set.solar[kept], scenario_set.parking[kept],
+                          scenario_set.deferrable_energy[kept])
     report = ReductionReport(
         n_original=S,
         n_kept=keep,
@@ -364,33 +370,29 @@ def reduce_fast_forward(scenario_set: ScenarioSet, keep: int,
 
 
 def scenario_set_to_dict(scenario_set: ScenarioSet) -> dict:
+    ss = scenario_set
     return {
         "scenarios": [
-            {
-                "probability": s.probability,
-                "solar": s.solar.tolist(),
-                "parking": s.parking.tolist(),
-                "deferrable_energy": s.deferrable_energy.tolist(),
-            }
-            for s in scenario_set.scenarios
+            {"probability": p, "solar": solar, "parking": parking, "deferrable_energy": energy}
+            for p, solar, parking, energy in zip(
+                ss.probabilities.tolist(), ss.solar.tolist(), ss.parking.tolist(),
+                ss.deferrable_energy.tolist())
         ]
     }
 
 
 def scenario_set_from_dict(data: dict) -> ScenarioSet:
-    out = []
-    for s in data["scenarios"]:
-        solar = np.asarray(s["solar"], dtype=float)
-        parking = np.asarray(s["parking"], dtype=float)
-        if parking.size == 0:
-            parking = parking.reshape(0, solar.shape[0])
-        out.append(Scenario(
-            probability=float(s["probability"]),
-            solar=solar,
-            parking=parking,
-            deferrable_energy=np.asarray(s.get("deferrable_energy", []), dtype=float),
-        ))
-    return ScenarioSet(tuple(out))
+    rows = data["scenarios"]
+    solar = np.array([s["solar"] for s in rows], dtype=float)
+    parking = np.array([s["parking"] for s in rows], dtype=float)
+    if parking.size == 0:
+        parking = parking.reshape(len(rows), 0, solar.shape[-1])
+    return ScenarioSet(
+        probabilities=np.array([float(s["probability"]) for s in rows]),
+        solar=solar,
+        parking=parking,
+        deferrable_energy=np.array([s.get("deferrable_energy", []) for s in rows], dtype=float),
+    )
 
 
 def save_json(scenario_set: ScenarioSet, path):
@@ -407,32 +409,31 @@ def save_csv_bundle(scenario_set: ScenarioSet, directory):
     """Write solar.csv, parking.csv, deferrable.csv, probabilities.csv."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    S = len(scenario_set)
-    T = scenario_set.scenarios[0].solar.shape[0]
-    n_ev = scenario_set.scenarios[0].parking.shape[0]
-    n_def = scenario_set.scenarios[0].deferrable_energy.shape[0]
+    ss = scenario_set
+    _, n_ev, T = ss.parking.shape
+    n_def = ss.deferrable_energy.shape[1]
 
     with open(directory / "solar.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["scenario"] + [f"t{t + 1}" for t in range(T)])
-        for s, sc in enumerate(scenario_set.scenarios):
-            w.writerow([s] + [repr(float(v)) for v in sc.solar])
+        for s, row in enumerate(ss.solar):
+            w.writerow([s] + [repr(float(v)) for v in row])
     with open(directory / "parking.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["scenario", "phev"] + [f"t{t + 1}" for t in range(T)])
-        for s, sc in enumerate(scenario_set.scenarios):
+        for s, mat in enumerate(ss.parking):
             for m in range(n_ev):
-                w.writerow([s, m] + [repr(float(v)) for v in sc.parking[m]])
+                w.writerow([s, m] + [repr(float(v)) for v in mat[m]])
     with open(directory / "deferrable.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["scenario"] + [f"load{j + 1}" for j in range(n_def)])
-        for s, sc in enumerate(scenario_set.scenarios):
-            w.writerow([s] + [repr(float(v)) for v in sc.deferrable_energy])
+        for s, row in enumerate(ss.deferrable_energy):
+            w.writerow([s] + [repr(float(v)) for v in row])
     with open(directory / "probabilities.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["scenario", "probability"])
-        for s, sc in enumerate(scenario_set.scenarios):
-            w.writerow([s, repr(float(sc.probability))])
+        for s, p in enumerate(ss.probabilities):
+            w.writerow([s, repr(float(p))])
 
 
 def load_csv_bundle(directory) -> ScenarioSet:
@@ -454,16 +455,15 @@ def load_csv_bundle(directory) -> ScenarioSet:
     _, rows = read("probabilities.csv")
     probs = {int(r[0]): float(r[1]) for r in rows}
 
-    scenarios = []
-    for s in sorted(solar):
-        if s in parking:
-            mat = np.array([parking[s][m] for m in sorted(parking[s])])
-        else:
-            mat = np.zeros((0, solar[s].shape[0]))
-        scenarios.append(Scenario(
-            probability=probs[s],
-            solar=solar[s],
-            parking=mat,
-            deferrable_energy=deferrable.get(s, np.zeros(0)),
-        ))
-    return ScenarioSet(tuple(scenarios))
+    def parking_matrix(s):
+        if s not in parking:
+            return np.zeros((0, solar[s].shape[0]))
+        return np.array([parking[s][m] for m in sorted(parking[s])])
+
+    order = sorted(solar)
+    return ScenarioSet(
+        probabilities=np.array([probs[s] for s in order]),
+        solar=np.array([solar[s] for s in order]),
+        parking=np.array([parking_matrix(s) for s in order]),
+        deferrable_energy=np.array([deferrable.get(s, np.zeros(0)) for s in order]),
+    )

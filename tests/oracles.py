@@ -4,8 +4,9 @@ These deliberately share no code with mgsched.lpcore: LPs are solved by
 enumerating basic solutions of the equality form over all basis subsets
 and nonbasic bound patterns, MILPs by exhausting binary assignments.
 Only practical for a handful of columns, which is all the tests need.
-The scenario-reduction greedy is re-derived with exact sums, and row
-activity bounds one row at a time.
+The scenario-reduction greedy is re-derived with exact sums, row
+activity bounds one row at a time, and scenario generation one scenario
+at a time.
 """
 
 import math
@@ -156,7 +157,7 @@ def cost_by_hand(config, scenarios, schedule):
     """
     h = config.period_hours
     total = 0.0
-    for s, scen in enumerate(scenarios.scenarios):
+    for s, prob in enumerate(scenarios.probabilities.tolist()):
         for t in range(config.horizon):
             acc = 0.0
             for i, unit in enumerate(config.chp_units):
@@ -168,8 +169,42 @@ def cost_by_hand(config, scenarios, schedule):
                 )
             acc += config.tariff.price_buy[t] * schedule.grid_buy[t, s]
             acc -= config.tariff.price_sell[t] * schedule.grid_sell[t, s]
-            total += scen.probability * acc * h
+            total += prob * acc * h
     return total
+
+
+def draw_scenarios(spec, config, count):
+    """Scenario generation one scenario at a time, each from its own
+    `default_rng([rng_seed, k])` with its transforms applied to that
+    scenario's draws alone.  Returns the (probabilities, solar, parking,
+    deferrable_energy) arrays of the set."""
+    T, n_ev, n_def = config.horizon, config.n_phev, config.n_deferrable
+    h = config.period_hours
+    prob = np.broadcast_to(np.asarray(spec.parking_prob, dtype=float), (n_ev, T))
+    e_lo = np.array([d.rate_min * d.window_length() * h for d in config.deferrables])
+    e_hi = np.array([d.rate_max * d.window_length() * h for d in config.deferrables])
+    rows = []
+    for k in range(count):
+        rng = np.random.default_rng([spec.rng_seed, k])
+        if spec.solar_noise_model == "multiplicative-lognormal":
+            z = rng.standard_normal(T)
+            factor = np.exp(spec.solar_sigma * z - 0.5 * spec.solar_sigma**2)
+            solar = spec.solar_profile_mean * factor
+        elif spec.solar_noise_model == "truncated-normal":
+            z = rng.standard_normal(T)
+            solar = spec.solar_profile_mean + spec.solar_sigma * z
+        else:
+            solar = spec.solar_samples[int(rng.integers(0, spec.solar_samples.shape[0]))]
+        solar = np.clip(solar, 0.0, config.solar_capacity)
+        parking = (rng.random((n_ev, T)) < prob).astype(float)
+        if n_def:
+            u = rng.random(n_def)
+            energy = spec.deferrable_energy_mean + (2 * u - 1) * spec.deferrable_energy_spread
+            energy = np.clip(energy, e_lo, e_hi)
+        else:
+            energy = np.zeros(0)
+        rows.append((1.0 / count, solar, parking, energy))
+    return tuple(np.array(block) for block in zip(*rows))
 
 
 def greedy_reduction(C, p, keep, rtol=1e-12):

@@ -35,7 +35,6 @@ from mgsched.model import (
     GridTariff,
     MicrogridConfig,
     Phev,
-    Scenario,
     check_balance,
 )
 from mgsched.scenario import (
@@ -154,17 +153,18 @@ def micro_instance():
         base_heat=[1.0, 1.0, 1.0],
         solar_capacity=2.0,
     )
-    ss = ScenarioSet((
-        Scenario(0.5, np.array([0.0, 1.0, 0.0]), np.array([[1.0, 1.0, 1.0]]),
-                 np.array([3.0])),
-        Scenario(0.5, np.array([2.0, 0.0, 1.0]), np.array([[1.0, 0.0, 1.0]]),
-                 np.array([2.0])),
-    ))
+    ss = ScenarioSet(
+        probabilities=[0.5, 0.5],
+        solar=[[0.0, 1.0, 0.0], [2.0, 0.0, 1.0]],
+        parking=[[[1.0, 1.0, 1.0]], [[1.0, 0.0, 1.0]]],
+        deferrable_energy=[[3.0], [2.0]],
+    )
     return cfg, ss
 
 
-def grid_oracle_scenario(cfg, scen, step=0.5):
-    """Exhaustive search over dispatch decisions discretized at `step` kW.
+def grid_oracle_scenario(cfg, ss, s, step=0.5):
+    """Exhaustive search over scenario s's dispatch decisions, discretized
+    at `step` kW.
 
     Net PHEV exchange is enumerated (eta = 1 makes splitting pointless),
     grid exchange follows from the balance residual.  Returns the best
@@ -183,7 +183,7 @@ def grid_oracle_scenario(cfg, scen, step=0.5):
 
     r_axis = np.arange(-ev.discharge_rate_max, ev.charge_rate_max + step / 2, step)
     R = np.array(list(product(r_axis, repeat=3)))  # r > 0 charges the battery
-    gate = ev.charge_rate_max * scen.parking[0]
+    gate = ev.charge_rate_max * ss.parking[s, 0]
     R = R[np.all(np.abs(R) <= gate + 1e-12, axis=1)]
     E = ev.e_initial + np.cumsum(R, axis=1)
     ok = np.all((E >= ev.e_min - 1e-12) & (E <= ev.e_max + 1e-12), axis=1)
@@ -192,13 +192,13 @@ def grid_oracle_scenario(cfg, scen, step=0.5):
 
     l_axis = np.arange(d.rate_min, d.rate_max + step / 2, step)
     L = np.array(list(product(l_axis, repeat=3)))
-    L = L[np.abs(L.sum(axis=1) - scen.deferrable_energy[0]) <= 1e-12]
+    L = L[np.abs(L.sum(axis=1) - ss.deferrable_energy[s, 0]) <= 1e-12]
 
     best = np.inf
     for lvec in L:
         # residual over (P x R): demand minus local supply, met by the grid
         res = (cfg.base_power + lvec + R[:, None, :]
-               - P[None, :, :] - scen.solar)
+               - P[None, :, :] - ss.solar[s])
         buy = np.clip(res, 0.0, None)
         sell = np.clip(-res, 0.0, None)
         cost = (
@@ -223,10 +223,10 @@ def test_criterion_03_micro_instance_grid_search():
     lp_opt = report.objective
     oracle = 0.0
     bound = 0.0
-    for scen in ss.scenarios:
-        val, b = grid_oracle_scenario(cfg, scen)
-        oracle += scen.probability * val
-        bound += scen.probability * b
+    for s, p in enumerate(ss.probabilities):
+        val, b = grid_oracle_scenario(cfg, ss, s)
+        oracle += p * val
+        bound += p * b
     assert lp_opt <= oracle + 1e-9, "LP must relax the discretized search"
     assert oracle - lp_opt <= bound, f"gap {oracle - lp_opt} exceeds bound {bound}"
     elapsed = time.perf_counter() - t0
@@ -255,8 +255,8 @@ def test_criterion_04_constraint_fidelity_at_scale(case_study_solution):
     assert problem.n_cols == 25 * 24 * 160
     assert report.max_row_violation <= 1e-6
     assert report.max_bound_violation <= 1e-6
-    for s, scen in enumerate(scenarios.scenarios):
-        rep = check_balance(cfg, scen, schedule.scenario_slice(s), 1e-6)
+    for s, solar in enumerate(scenarios.solar):
+        rep = check_balance(cfg, solar, schedule.scenario_slice(s), 1e-6)
         assert rep.ok, f"scenario {s}: {rep.flags[:3]}"
     assert np.all(schedule.storage >= 4.0 - 1e-6)
     assert np.all(schedule.storage <= 18.0 + 1e-6)
@@ -325,7 +325,7 @@ def test_criterion_08_reduction_properties():
         ss = generate(make_genspec(cfg, seed=seed), cfg, N)
         red, rep = reduce_fast_forward(ss, N, unit)
         assert rep.kantorovich_distance == 0.0
-        assert np.array_equal(red.solar_matrix(), ss.solar_matrix())
+        assert np.array_equal(red.solar, ss.solar)
         dists = [reduce_fast_forward(ss, k, unit)[1].kantorovich_distance
                  for k in range(1, N + 1)]
         assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))

@@ -35,7 +35,6 @@ from mgsched.model import (
     DeferrableLoad,
     GridTariff,
     MicrogridConfig,
-    Scenario,
     check_balance,
     evaluate_cost,
 )
@@ -54,10 +53,7 @@ def toy_two_scenario():
         base_heat=[0.0],
         solar_capacity=100.0,
     )
-    ss = ScenarioSet((
-        Scenario(0.5, np.array([0.0]), np.zeros((0, 1)), np.zeros(0)),
-        Scenario(0.5, np.array([100.0]), np.zeros((0, 1)), np.zeros(0)),
-    ))
+    ss = ScenarioSet([0.5, 0.5], [[0.0], [100.0]], np.zeros((2, 0, 1)), np.zeros((2, 0)))
     return cfg, ss
 
 
@@ -97,9 +93,8 @@ def test_decomposed_equals_joint(T, n_chp, n_phev, n_def, weights, seed, options
     # at least one CHP unit covers the heat demand.  In fully-adaptive mode
     # the mode binaries are per scenario, so the joint MILP separates too.
     cfg = make_config(T=T, n_chp=n_chp, n_phev=n_phev, n_def=n_def if T >= 3 else 0)
-    drawn = generate(make_genspec(cfg, seed=seed), cfg, len(weights)).scenarios
-    ss = ScenarioSet(tuple(Scenario(w / sum(weights), sc.solar, sc.parking, sc.deferrable_energy)
-                           for w, sc in zip(weights, drawn)))
+    drawn = generate(make_genspec(cfg, seed=seed), cfg, len(weights))
+    ss = dataclasses.replace(drawn, probabilities=np.divide(weights, sum(weights)))
     exact = SolveSettings(mip_gap=1e-12)
     _, report = solve_stochastic(cfg, ss, options, exact)
     assert report.decomposed
@@ -150,7 +145,7 @@ def test_infeasible_instance_names_balance_rows():
         tariff=GridTariff([0.1, 0.1], [0.08, 0.08], [10.0, 10.0]),
         base_power=[100.0, 100.0], base_heat=[0.0, 0.0], solar_capacity=0.0,
     )
-    ss = ScenarioSet((Scenario(1.0, np.zeros(2), np.zeros((0, 2)), np.zeros(0)),))
+    ss = ScenarioSet([1.0], np.zeros((1, 2)), np.zeros((1, 0, 2)), np.zeros((1, 0)))
     with pytest.raises(InfeasibleProblem) as exc:
         solve_stochastic(cfg, ss)
     assert any(name.startswith("bal_") for name in exc.value.rows)
@@ -436,8 +431,8 @@ def test_emitted_schedule_always_balances(tmp_path):
         np.array(sched["discharge"]), np.array(sched["serve"]),
         np.array(sched["grid_buy"]), np.array(sched["grid_sell"]),
     )
-    for s, scen in enumerate(scenarios.scenarios):
-        assert check_balance(config, scen, rebuilt.scenario_slice(s), 1e-6).ok
+    for s, solar in enumerate(scenarios.solar):
+        assert check_balance(config, solar, rebuilt.scenario_slice(s), 1e-6).ok
     assert evaluate_cost(config, scenarios, rebuilt) == pytest.approx(
         payload["objective"], abs=1e-6)
 

@@ -20,7 +20,6 @@ from mgsched.model import (
     ChpUnit,
     GridTariff,
     MicrogridConfig,
-    Scenario,
     Schedule,
     check_balance,
     evaluate_cost,
@@ -61,11 +60,14 @@ def chp_only_config(T=2):
 
 def flat_scenarios(config, n, solar=0.0):
     T = config.horizon
-    return ScenarioSet(tuple(
-        Scenario(1.0 / n, np.full(T, solar), np.ones((config.n_phev, T)),
-                 np.array([d.energy_nominal for d in config.deferrables]))
-        for _ in range(n)
-    ))
+    energy = [d.energy_nominal for d in config.deferrables]
+    return ScenarioSet(np.full(n, 1.0 / n), np.full((n, T), solar),
+                       np.ones((n, config.n_phev, T)), np.tile(energy, (n, 1)))
+
+
+def one_scenario(solar, parking):
+    """A single scenario of probability 1 with no deferrable load."""
+    return ScenarioSet([1.0], [solar], [parking], np.zeros((1, 0)))
 
 
 def test_minimal_instance_has_six_columns():
@@ -101,8 +103,7 @@ def test_index_is_a_bijection():
 
 def test_unparked_vehicle_has_zero_rate_bounds():
     cfg = make_config(T=3, n_phev=1, n_def=0)
-    scen = Scenario(1.0, np.zeros(3), np.zeros((1, 3)), np.zeros(0))
-    problem, index = build(cfg, ScenarioSet((scen,)))
+    problem, index = build(cfg, one_scenario(np.zeros(3), np.zeros((1, 3))))
     for t in range(3):
         assert problem.col_upper[index.column("charge", 0, t, 0)] == 0.0
         assert problem.col_upper[index.column("discharge", 0, t, 0)] == 0.0
@@ -154,8 +155,7 @@ def test_symbol_audit_mentions_every_column_and_row_kind():
 def test_handmade_point_costs_the_same_via_both_routes():
     # storage returns to e_initial: discharge = eta+ * eta- * charge
     cfg = make_config(T=2, n_chp=1, n_phev=1, n_def=0)
-    scen = Scenario(1.0, np.array([10.0, 0.0]), np.ones((1, 2)), np.zeros(0))
-    ss = ScenarioSet((scen,))
+    ss = one_scenario([10.0, 0.0], np.ones((1, 2)))
     problem, index = build(cfg, ss)
 
     chp = np.array([[[40.0], [40.0]]])  # covers heat: 1.2 * 40 >= 40
@@ -199,7 +199,7 @@ def test_end_to_end_schedule_passes_balance():
     assert sol.status == "optimal"
     sched = extract_schedule(sol, index, cfg, ss)
     for s in range(3):
-        rep = check_balance(cfg, ss.scenarios[s], sched.scenario_slice(s), 1e-6)
+        rep = check_balance(cfg, ss.solar[s], sched.scenario_slice(s), 1e-6)
         assert rep.ok, rep.flags
     assert evaluate_cost(cfg, ss, sched) == pytest.approx(sol.objective, abs=1e-9)
 
@@ -244,11 +244,11 @@ def test_half_hour_periods_solve_consistently():
     sched = extract_schedule(sol, index, cfg, ss)
     assert evaluate_cost(cfg, ss, sched) == pytest.approx(sol.objective, abs=1e-9)
     for s in range(2):
-        assert check_balance(cfg, ss.scenarios[s], sched.scenario_slice(s), 1e-6).ok
+        assert check_balance(cfg, ss.solar[s], sched.scenario_slice(s), 1e-6).ok
     # delivered deferrable energy equals the scenario's requirement in kWh
     for s in range(2):
         delivered = sched.serve[0, :, s].sum() * cfg.period_hours
-        assert delivered == pytest.approx(ss.scenarios[s].deferrable_energy[0], abs=1e-7)
+        assert delivered == pytest.approx(ss.deferrable_energy[s, 0], abs=1e-7)
     # terminal rule holds in energy units
     assert np.abs(sched.storage[:, -1, :] - 9.0).max() <= 1e-7
 
@@ -263,8 +263,7 @@ def test_default_formulation_is_a_pure_lp():
 def test_exclusivity_milp_matches_mode_pattern_enumeration():
     # 1 PHEV over T=3; enumerate all 2^3 charge/discharge mode patterns
     cfg = make_config(T=3, n_chp=1, n_phev=1, n_def=0)
-    scen = Scenario(1.0, np.array([0.0, 150.0, 0.0]), np.ones((1, 3)), np.zeros(0))
-    ss = ScenarioSet((scen,))
+    ss = one_scenario([0.0, 150.0, 0.0], np.ones((1, 3)))
     opts = FormulationOptions(exclusivity_binaries=True)
     problem, index = build(cfg, ss, opts)
     assert len(problem.binary_cols) == 3
@@ -301,8 +300,7 @@ def test_exclusivity_forbids_simultaneous_charge_discharge():
 
 def test_decision_binary_parking_mode():
     cfg = make_config(T=3, n_chp=1, n_phev=1, n_def=0)
-    scen = Scenario(1.0, np.zeros(3), np.zeros((1, 3)), np.zeros(0))  # data ignored
-    ss = ScenarioSet((scen,))
+    ss = one_scenario(np.zeros(3), np.zeros((1, 3)))  # data ignored
     problem, index = build(cfg, ss, FormulationOptions(parking_mode="decision-binary"))
     assert len(problem.binary_cols) == 3
     sol = solve_milp(problem)
@@ -323,8 +321,8 @@ def test_option_conflicts_and_bad_inputs_raise():
     bad_ss = generate(make_genspec(bad_cfg), bad_cfg, 2)
     with pytest.raises(ValueError, match="dimensions"):
         build(cfg, bad_ss)
-    with pytest.raises(ValueError, match="sum"):
-        ScenarioSet(())  # empty sets never reach build
+    with pytest.raises(ValueError, match="sum"):  # empty sets never reach build
+        ScenarioSet([], np.zeros((0, 6)), np.zeros((0, 1, 6)), np.zeros((0, 1)))
 
 
 def test_extract_requires_usable_status():

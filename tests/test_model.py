@@ -8,13 +8,12 @@ from mgsched.model import (
     GridTariff,
     MicrogridConfig,
     Phev,
-    Scenario,
     Schedule,
     check_balance,
     derive_storage,
     evaluate_cost,
     validate_config,
-    validate_scenario,
+    validate_scenarios,
 )
 from mgsched.scenario import ScenarioSet
 from oracles import cost_by_hand
@@ -37,11 +36,8 @@ def config_one_of_each(T=2, **kw):
 
 def uniform_set(config, n):
     T = config.horizon
-    return ScenarioSet(tuple(
-        Scenario(1.0 / n, np.zeros(T), np.ones((config.n_phev, T)),
-                 np.zeros(config.n_deferrable))
-        for _ in range(n)
-    ))
+    return ScenarioSet(np.full(n, 1.0 / n), np.zeros((n, T)), np.ones((n, config.n_phev, T)),
+                       np.zeros((n, config.n_deferrable)))
 
 
 # -- validation -------------------------------------------------------------
@@ -107,11 +103,21 @@ def test_every_invariant_violation_has_a_code():
 
 def test_scenario_validation():
     cfg = config_one_of_each()
-    ok = Scenario(0.5, [10.0, 20.0], [[1.0, 0.0]], [])
-    assert validate_scenario(ok, cfg).ok
-    bad = Scenario(0.5, [10.0, 500.0], [[1.0, 0.5]], [])
-    codes = validate_scenario(bad, cfg).codes()
-    assert "SOLAR_ABOVE_CAPACITY" in codes and "PARKING_NOT_BINARY" in codes
+    ok = ScenarioSet([0.5, 0.5], [[10.0, 20.0]] * 2, [[[1.0, 0.0]]] * 2, [[]] * 2)
+    assert validate_scenarios(ok, cfg).ok
+    bad = ScenarioSet([0.5, 0.5], [[10.0, 20.0], [10.0, 500.0]], [[[1.0, 0.0]], [[1.0, 0.5]]],
+                      [[]] * 2)
+    rep = validate_scenarios(bad, cfg)
+    assert rep.codes() == ["PARKING_NOT_BINARY", "SOLAR_ABOVE_CAPACITY"]
+    assert all(i.message.startswith("scenario 1: ") for i in rep.issues)
+
+
+def test_scenario_validation_shapes_against_config():
+    cfg = config_one_of_each()  # T = 2, one PHEV, no deferrable load
+    bad = ScenarioSet([1.0], [[1.0, 2.0, 3.0]], [[[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]], [[4.0]])
+    rep = validate_scenarios(bad, cfg)
+    assert rep.codes() == ["SOLAR_LENGTH", "PARKING_SHAPE", "DEFER_ENERGY_LENGTH"]
+    assert validate_scenarios(bad).ok  # without a config only values are checked
 
 
 # -- cost -------------------------------------------------------------------
@@ -158,10 +164,7 @@ def test_cost_matches_term_by_term_oracle_on_random_schedules():
     cfg = make_config(T=5, n_chp=2, n_phev=3, n_def=2)
     S = 3
     probs = rng.dirichlet(np.ones(S))
-    ss = ScenarioSet(tuple(
-        Scenario(probs[s], rng.uniform(0, 100, 5), np.ones((3, 5)), np.zeros(2))
-        for s in range(S)
-    ))
+    ss = ScenarioSet(probs, rng.uniform(0, 100, (S, 5)), np.ones((S, 3, 5)), np.zeros((S, 2)))
     sched = Schedule.from_decisions(
         cfg,
         rng.uniform(0, 50, (2, 5, S)), rng.uniform(0, 4, (3, 5, S)),
@@ -176,10 +179,8 @@ def test_cost_is_linear_in_the_schedule():
     rng = np.random.default_rng(8)
     cfg = make_config(T=4, n_chp=1, n_phev=2, n_def=1)
     S = 2
-    ss = ScenarioSet(tuple(
-        Scenario(0.5, rng.uniform(0, 50, 4), np.ones((2, 4)), np.zeros(1))
-        for _ in range(S)
-    ))
+    ss = ScenarioSet(np.full(S, 0.5), rng.uniform(0, 50, (S, 4)), np.ones((S, 2, 4)),
+                     np.zeros((S, 1)))
 
     def random_schedule():
         return Schedule.from_decisions(
@@ -235,8 +236,7 @@ def test_storage_recursion_matches_loop():
 
 def test_zero_everything_balances():
     cfg = config_one_of_each(T=2)
-    scen = Scenario(1.0, np.zeros(2), np.ones((1, 2)), np.zeros(0))
-    rep = check_balance(cfg, scen, Schedule.zeros(cfg, 1).scenario_slice(0))
+    rep = check_balance(cfg, np.zeros(2), Schedule.zeros(cfg, 1).scenario_slice(0))
     assert rep.ok
     assert np.all(rep.power_residual == 0.0)
 
@@ -247,13 +247,12 @@ def test_heat_ratio_exactly_covers_demand():
         T=1, base_power=[100.0], base_heat=[120.0],
         tariff=GridTariff([0.1], [0.08], [100.0]),
     )
-    scen = Scenario(1.0, np.zeros(1), np.ones((1, 1)), np.zeros(0))
     chp = np.full((1, 1, 1), 100.0)
     sched = Schedule.from_decisions(
         cfg, chp, np.zeros((1, 1, 1)), np.zeros((1, 1, 1)),
         np.zeros((0, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
     )
-    rep = check_balance(cfg, scen, sched.scenario_slice(0))
+    rep = check_balance(cfg, np.zeros(1), sched.scenario_slice(0))
     assert rep.heat_surplus[0] == pytest.approx(0.0, abs=1e-12)
     # power side: 100 kW of CHP against 100 kW of base load balances too
     assert rep.power_residual[0] == pytest.approx(0.0, abs=1e-12)
@@ -266,13 +265,12 @@ def test_undersupply_residual_is_flagged():
         T=1, chp_units=(), phevs=(), base_power=[50.0], base_heat=[0.0],
         tariff=GridTariff([0.1], [0.08], [100.0]),
     )
-    scen = Scenario(1.0, np.array([30.0]), np.zeros((0, 1)), np.zeros(0))
     buy = np.full((1, 1), 15.0)
     sched = Schedule.from_decisions(
         cfg, np.zeros((0, 1, 1)), np.zeros((0, 1, 1)), np.zeros((0, 1, 1)),
         np.zeros((0, 1, 1)), buy, np.zeros((1, 1)),
     )
-    rep = check_balance(cfg, scen, sched.scenario_slice(0), tol=1e-6)
+    rep = check_balance(cfg, np.array([30.0]), sched.scenario_slice(0), tol=1e-6)
     assert rep.power_residual[0] == pytest.approx(-5.0)
     assert (0, "power") in rep.flags
 
@@ -282,7 +280,6 @@ def test_heat_deficit_flagged_surplus_not():
         T=1, base_power=[0.0], base_heat=[50.0],
         tariff=GridTariff([0.1], [0.08], [100.0]),
     )
-    scen = Scenario(1.0, np.zeros(1), np.ones((1, 1)), np.zeros(0))
     for p, expect_ok in ((10.0, False), (100.0, True)):
         chp = np.full((1, 1, 1), p)
         sell = np.full((1, 1), p)  # keep power balanced
@@ -290,5 +287,5 @@ def test_heat_deficit_flagged_surplus_not():
             cfg, chp, np.zeros((1, 1, 1)), np.zeros((1, 1, 1)),
             np.zeros((0, 1, 1)), np.zeros((1, 1)), sell,
         )
-        rep = check_balance(cfg, scen, sched.scenario_slice(0))
+        rep = check_balance(cfg, np.zeros(1), sched.scenario_slice(0))
         assert (("heat" in [k for _, k in rep.flags]) is not expect_ok)

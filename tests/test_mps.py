@@ -6,7 +6,6 @@ import pytest
 from mgsched.lpcore import (
     LpProblem,
     MpsFormatError,
-    export_lp_text,
     export_mps,
     parse_mps,
     solve_lp,
@@ -55,11 +54,6 @@ def test_golden_microgrid_fixture_round_trips():
     assert export_mps(p) == text
     sol = solve_lp(p)
     assert sol.status == "optimal"
-
-
-def test_lp_text_golden():
-    expected = (GOLDEN / "mixed.lp").read_text()
-    assert export_lp_text(golden_mixed()) == expected
 
 
 def test_round_trip_preserves_problem_semantics():

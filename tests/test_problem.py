@@ -52,6 +52,12 @@ def test_malformed_problems_rejected(mutate, msg):
         LpProblem(**base)
 
 
+@pytest.mark.parametrize("rhs", [np.inf, -np.inf])
+def test_infinite_rhs_rejected_at_construction(rhs):
+    with pytest.raises(LpError, match="infinite right-hand side"):
+        LpProblem(1, 1, [1.0], [(0, 0, 1.0)], ["<="], [rhs], [0.0], [1.0])
+
+
 def test_binary_bounds_must_fit_unit_interval():
     with pytest.raises(LpError, match="binary"):
         LpProblem(1, 0, [1.0], [], [], [], [0.0], [2.0], binary_cols=[0])
@@ -114,6 +120,6 @@ def test_row_bounds_match_per_row_rule_on_random_ranged_rows():
     senses = [SENSES[i] for i in rng.integers(0, 3, m)]
     rhs = rng.normal(size=m) * 10.0 ** rng.integers(-3, 4, m)
     ranges = np.where(rng.random(m) < 0.3, 0.0, rng.normal(size=m) * 10.0 ** rng.integers(-3, 4, m))
-    rhs[:5] = [np.inf, -np.inf, 0.0, 1e300, -1e300]
+    rhs[:5] = [1e308, -1e308, 0.0, 1e300, -1e300]  # extreme, but finite
     assert_row_bounds_match_per_row_rule(rows_only(senses, rhs, ranges))
 

@@ -13,7 +13,6 @@ from conftest import make_config, make_genspec
 from mgsched.config_io import load_config, load_generation_spec
 from mgsched.scenario import (
     DistanceWeights,
-    Scenario,
     ScenarioSet,
     _distance_matrix,
     _feature_matrix,
@@ -30,10 +29,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "reduction"
 
 def line_set(positions, probs):
     """Scenarios distinguishable only by a single solar value."""
-    return ScenarioSet(tuple(
-        Scenario(p, np.array([x]), np.ones((0, 1)), np.zeros(0))
-        for x, p in zip(positions, probs)
-    ))
+    S = len(positions)
+    return ScenarioSet(probs, np.reshape(positions, (S, 1)), np.ones((S, 0, 1)), np.zeros((S, 0)))
 
 
 UNIT = DistanceWeights(1.0, 1.0, 1.0)
@@ -42,12 +39,10 @@ UNIT = DistanceWeights(1.0, 1.0, 1.0)
 def brute_kantorovich(sset, subset, weights):
     """Direct re-evaluation of the subset distance formula."""
     total = 0.0
-    for k, sc in enumerate(sset.scenarios):
+    for k, p in enumerate(sset.probabilities):
         if k in subset:
             continue
-        total += sc.probability * min(
-            scenario_distance(sc, sset.scenarios[j], weights) for j in subset
-        )
+        total += p * min(scenario_distance(sset, k, j, weights) for j in subset)
     return total
 
 
@@ -86,7 +81,7 @@ def test_keep_equal_to_size_reproduces_input():
     assert rep.kantorovich_distance == 0.0
     assert len(red) == 4
     assert np.array_equal(red.probabilities, ss.probabilities)
-    assert np.array_equal(red.solar_matrix(), ss.solar_matrix())
+    assert np.array_equal(red.solar, ss.solar)
 
 
 def test_keep_out_of_range_rejected():
@@ -165,7 +160,7 @@ def test_reduction_is_deterministic():
     r2, rep2 = reduce_fast_forward(ss, 7)
     assert rep1.selection_order == rep2.selection_order
     assert np.array_equal(r1.probabilities, r2.probabilities)
-    assert np.array_equal(r1.solar_matrix(), r2.solar_matrix())
+    assert np.array_equal(r1.solar, r2.solar)
 
 
 def test_case_study_reduction_shape():
