@@ -104,8 +104,11 @@ class LpProblem:
             raise LpError("rhs/row_sense length != n_rows")
         if self.col_lower.shape != (n,) or self.col_upper.shape != (n,):
             raise LpError("bounds length != n_cols")
-        if self.row_range is not None and self.row_range.shape != (m,):
-            raise LpError("row_range length != n_rows")
+        if self.row_range is not None:
+            if self.row_range.shape != (m,):
+                raise LpError("row_range length != n_rows")
+            if np.any(np.isnan(self.row_range)):
+                raise LpError("NaN row range")
         for s in self.row_sense:
             if s not in SENSES:
                 raise LpError(f"unknown row sense {s!r}")

@@ -16,12 +16,23 @@ H, the pivot rows in P and G the unit lower-triangular k x k matrix with
 G[i, j] = -h_j[p_i] for j < i, the product of the k eta matrices is
 I + H G^-1 P', so ftran and btran each add one dense correction to an LU
 solve.  G^-1 grows by one row per pivot, and a fresh LU replaces the
-file after a fixed number of pivots.  Pricing is Dantzig's largest
-reduced cost over a per-column sign array, with largest-pivot
-tie-breaking in the ratio test; after a run of stalled (degenerate)
-iterations the solver falls back to Bland's rule, which guarantees
-termination.  All tie-breaks resolve to the lowest column index, so
-repeated solves of the same problem are bit-identical.
+file after a fixed number of pivots.
+
+Pricing is steepest edge (Forrest & Goldfarb 1992): over a per-column
+sign array, the entering column maximizes gain^2 / gamma_j with the
+reference weight gamma_j ~ 1 + |B^-1 a_j|^2.  The weights are exact when
+the first primal pricing that finds a candidate builds them, by ftran
+over dense blocks of columns; each pivot then updates them in Devex form
+(Harris 1973), gamma_j <- max(gamma_j, (alpha_rj / alpha_rq)^2 gamma_q)
+with the exact gamma_q = 1 + |d|^2, where alpha_r is the pivot row of
+B^-1 [A | I].  The same row updates the reduced costs, which are
+recomputed from scratch after each refactorization; only freshly
+computed reduced costs may declare a basis optimal.  The weights depend
+only on the basis, so they carry from phase 1 into phase 2.  The ratio
+test breaks ties by the largest pivot.  After a run of stalled
+(degenerate) iterations the solver falls back to Bland's rule, which
+guarantees termination.  All tie-breaks resolve to the lowest column
+index, so repeated solves of the same problem are bit-identical.
 
 A solve may instead start from a given basis (`solve_lp(..., basis=)`,
 typically the `LpSolution.basis` of a problem that differs only in rhs
@@ -41,9 +52,10 @@ path, so phase 1 still names the infeasible rows, and the iterations
 already spent still count against `iteration_limit`.
 
 The two loops differ only in how they choose the pivot: they share the
-sign array, the stall count and one basis exchange.  Both price first
-and check `iteration_limit` after, so "limit" means a pivot was still
-wanted: a solve optimal after exactly that many pivots is "optimal".
+sign array, the stall count, the pivot row and one basis exchange.  Both
+price first and check `iteration_limit` after, so "limit" means a pivot
+was still wanted: a solve optimal after exactly that many pivots is
+"optimal".
 """
 
 import logging
@@ -58,6 +70,7 @@ _PIVOT_TOL = 1e-9
 _DRIFT_CLEAN = 1e-11
 _REFACTOR_INTERVAL = 50  # eta-file length that triggers a fresh LU
 _STALL_LIMIT = 1000  # degenerate iterations in a row before Bland's rule
+_WEIGHT_BLOCK = 64  # columns per ftran when the steepest-edge weights are built
 
 AT_LOWER, AT_UPPER, FREE, BASIC = 0, 1, 2, 3
 
@@ -105,6 +118,7 @@ class _Core:
         self.P = np.empty(_REFACTOR_INTERVAL, dtype=np.int64)
         self.Gi = np.eye(_REFACTOR_INTERVAL)
         self.k = 0
+        self.gamma = None  # steepest-edge weights, built by the first primal pricing
         sign = self._cold(A, lo, hi) if start is None else self._warm(lo, hi, start)
         self.n_art = n_art = sign.size  # artificial k is sign[k] * e_(art_row[k])
         art = sp.csc_matrix((sign, (self.art_row, np.arange(n_art))), shape=(m, n_art))
@@ -208,7 +222,8 @@ class _Core:
     def ftran(self, v):
         k = self.k
         r = self.lu.solve(v)
-        r += self.H[:, :k] @ (self.Gi[:k, :k] @ r[self.P[:k]])
+        if k:
+            r += self.H[:, :k] @ (self.Gi[:k, :k] @ r[self.P[:k]])
         return r
 
     def btran(self, w):
@@ -250,6 +265,27 @@ class _Core:
             gain[self.free] = np.abs(v[self.free])
         return gain
 
+    def _reduced_costs(self, costs):
+        """z = c - A'y over all columns, from scratch."""
+        return costs - self.fullT @ self.btran(costs[self.basis])
+
+    def row(self, r):
+        """alpha_r, row r of B^-1 [A | I | artificials]: the pivot row."""
+        e = np.zeros(self.m)
+        e[r] = 1.0
+        return self.fullT @ self.btran(e)
+
+    def _weights(self):
+        """Exact steepest-edge weights of the current basis: gamma_j =
+        1 + |B^-1 a_j|^2 for each movable nonbasic column, 1 elsewhere.
+        The columns go through ftran in dense blocks of _WEIGHT_BLOCK."""
+        self.gamma = gamma = np.ones(self.x.size)
+        cols = np.nonzero(self.movable & (self.vstat != BASIC))[0]
+        for s in range(0, cols.size, _WEIGHT_BLOCK):
+            blk = cols[s:s + _WEIGHT_BLOCK]
+            D = self.ftran(self.full[:, blk].toarray(order="F"))
+            gamma[blk] += np.einsum("ij,ij->j", D, D)
+
     def _stalled(self, degenerate):
         """Count degenerate pivots in a row; after _STALL_LIMIT of them the
         loop switches to Bland's rule, which guarantees termination."""
@@ -286,20 +322,32 @@ class _Core:
     # -- the two loops -----------------------------------------------------
 
     def run(self, costs, phase):
-        """Primal simplex to optimality of `costs`; returns a status string."""
+        """Primal simplex to optimality of `costs` with steepest-edge
+        pricing (see the module doc); returns a status string.  `fresh`
+        says z was computed from scratch, which "optimal" requires."""
         st = self.settings
         opt_tol = st.optimality_tol
         limit = st.iteration_limit
         self._enter("primal")
         vstat, sgn = self.vstat, self.sgn
         ratios = np.empty(self.m)
+        z, fresh = self._reduced_costs(costs), True
 
         while True:
-            z = costs - self.fullT @ self.btran(costs[self.basis])
             gain = self._gain(z)
-            q = int(np.argmax(gain > opt_tol)) if self.bland else int(np.argmax(gain))
-            if not gain[q] > opt_tol:
-                return "optimal"
+            cand = gain > opt_tol
+            if not cand.any():
+                if fresh:
+                    return "optimal"
+                z, fresh = self._reduced_costs(costs), True
+                continue
+            if self.gamma is None:
+                self._weights()
+            if self.bland:
+                q = int(np.argmax(cand))
+            else:
+                score = np.where(cand, gain, 0.0)
+                q = int(np.argmax(score * score / self.gamma))
             if limit is not None and self.iterations >= limit:
                 return "limit"
             direction = 1.0 if z[q] < 0 else -1.0
@@ -330,7 +378,8 @@ class _Core:
             self._stalled(step <= 1e-10)
 
             if own < np.inf and own <= rmin:
-                # entering variable flips to its other bound
+                # entering variable flips to its other bound; the basis,
+                # and so z and the weights, stay as they are
                 self.x[q] += direction * own
                 self.x[self.basis] = xb - own * g
                 vstat[q] = AT_UPPER if direction > 0 else AT_LOWER
@@ -344,7 +393,20 @@ class _Core:
                 best = np.abs(d[cands])
                 top = cands[best >= best.max() - 1e-12]
                 p = int(top[np.argmin(self.basis[top])])
+
+            # Devex-form weight update from the exact gamma_q = 1 + |d|^2,
+            # and the reduced costs moved along the pivot row
+            alpha = self.row(p)
+            rho = alpha / d[p]
+            gamma_q = 1.0 + d @ d
+            np.maximum(self.gamma, rho * rho * gamma_q, out=self.gamma)
+            self.gamma[self.basis[p]] = max(gamma_q / (d[p] * d[p]), 1.0)
+            z -= z[q] * rho
+            z[q] = 0.0
+            fresh = False
             self._exchange(p, q, d, direction * step, xb, g[p] > 0)
+            if self.k == 0:  # refactorized
+                z, fresh = self._reduced_costs(costs), True
 
     def dual(self, costs):
         """Bounded dual simplex from a warm start to primal feasibility.
@@ -366,7 +428,7 @@ class _Core:
         lo, hi, x, vstat = self.lo, self.hi, self.x, self.vstat
         self._enter("dual")
         sgn = self.sgn
-        z = costs - self.fullT @ self.btran(costs[self.basis])
+        z = self._reduced_costs(costs)
 
         boxed = np.isfinite(lo) & np.isfinite(hi)
         to_hi = boxed & (sgn < 0) & (z < -opt_tol)
@@ -377,7 +439,6 @@ class _Core:
             self._recompute_basics()
         if np.any(self._gain(z) > opt_tol):
             raise _NoWarmStart("start is not dual feasible")
-        e = np.zeros(self.m)
 
         while True:
             xb = x[self.basis]
@@ -392,9 +453,7 @@ class _Core:
             to_lower = below[r] > 0.0
             delta = xb[r] - (lo_b[r] if to_lower else hi_b[r])
 
-            e[r] = 1.0
-            alpha = self.fullT @ self.btran(e)
-            e[r] = 0.0
+            alpha = self.row(r)
             # nonbasic moves dx change row r's basic value by -alpha'dx, so
             # _gain(g) is the rate at which each column pushes that value
             # towards the bound it leaves to
@@ -420,7 +479,7 @@ class _Core:
             z[q] = 0.0
             self._exchange(r, q, d, delta / d[r], xb, to_lower)
             if self.k == 0:  # refactorized
-                z = costs - self.fullT @ self.btran(costs[self.basis])
+                z = self._reduced_costs(costs)
 
     def final_basis(self):
         """The basis over [A | I]; a basic artificial becomes its row's

@@ -58,6 +58,12 @@ def test_infinite_rhs_rejected_at_construction(rhs):
         LpProblem(1, 1, [1.0], [(0, 0, 1.0)], ["<="], [rhs], [0.0], [1.0])
 
 
+def test_nan_row_range_rejected_at_construction():
+    # a NaN range would otherwise solve as if the row had no far side
+    with pytest.raises(LpError, match="NaN row range"):
+        LpProblem(1, 1, [1.0], [(0, 0, 1.0)], [">="], [1.0], [0.0], [5.0], row_range=[np.nan])
+
+
 def test_binary_bounds_must_fit_unit_interval():
     with pytest.raises(LpError, match="binary"):
         LpProblem(1, 0, [1.0], [], [], [], [0.0], [2.0], binary_cols=[0])

@@ -92,6 +92,7 @@ def test_oracle_equivalence_random_lps():
 
 def test_weak_duality_on_optimal_solves():
     rng = np.random.default_rng(7)
+    tol = 1e-7
     for k in range(30):
         c, A, senses, b, lo, hi = random_instance(rng, feasible=True)
         p = build(c, A, senses, b, lo, hi)
@@ -100,6 +101,15 @@ def test_weak_duality_on_optimal_solves():
             continue
         gap = sol.objective - dual_objective(p, sol)
         assert abs(gap) <= 1e-6 * max(1.0, abs(sol.objective))
+        # reduced costs c - A'y over structural and slack columns, recomputed
+        # from the returned duals: each has the sign its column's position asks
+        M, rhs, col_lo, col_hi = simplex.equality_form(p)
+        z = np.concatenate([p.objective - M.T @ sol.duals, -sol.duals])
+        x = np.concatenate([sol.x, rhs - M @ sol.x])
+        at_lo, at_hi = np.abs(x - col_lo) <= 1e-9, np.abs(x - col_hi) <= 1e-9
+        assert np.all(z[at_lo & ~at_hi] >= -tol), f"instance {k}"
+        assert np.all(z[at_hi & ~at_lo] <= tol), f"instance {k}"
+        assert np.all(np.abs(z[~at_lo & ~at_hi]) <= tol), f"instance {k}"
 
 
 def test_deterministic_repeat_solves():
@@ -136,10 +146,11 @@ def case_study_lp():
 
 def test_case_study_scenario_lp_iteration_count(case_study_lp):
     # 2694 iterations from the all-slack start; the crash basis cuts this
-    # to 658, and iteration counts are deterministic
+    # to 658 with Dantzig pricing, and steepest edge to about 223;
+    # iteration counts are deterministic
     sol = solve_lp(case_study_lp)
     assert sol.status == "optimal"
-    assert sol.iterations <= 1200
+    assert sol.iterations <= 350
 
 
 def test_crash_basis_on_case_study_scenario_lp(case_study_lp):
@@ -340,6 +351,36 @@ def single_steps(problem):
             yield core, k, p
             if status != "limit":
                 break
+
+
+def assert_weights_exact(core):
+    """Every movable nonbasic gamma_j is 1 + |B^-1 a_j|^2 of the dense basis."""
+    cols = np.nonzero(core.movable & (core.vstat != BASIC))[0]
+    assert cols.size
+    B = core.full[:, core.basis].toarray()
+    ref = 1.0 + (np.linalg.solve(B, core.full[:, cols].toarray()) ** 2).sum(axis=0)
+    assert np.all(np.abs(core.gamma[cols] - ref) <= 1e-9 * ref)
+
+
+def test_initial_steepest_edge_weights_are_exact():
+    cfg = make_config(T=6, n_chp=1, n_phev=3, n_def=1)
+    p, _ = build_formulation(cfg, generate(make_genspec(cfg, seed=3), cfg, 1))
+    core = _Core(p, SolveSettings(iteration_limit=0))
+    assert core.n_crash >= 1 and core.gamma is None
+    costs = np.zeros(core.x.size)
+    costs[core.n + core.m:] = 1.0  # the phase-1 objective
+    # the first pricing finds a candidate and builds the weights; the
+    # limit then stops the loop before the pivot
+    assert core.run(costs, phase=1) == "limit" and core.iterations == 0
+    assert_weights_exact(core)
+    # rebuilt over a basis with a nonempty eta file, through the same ftran
+    for core, k, _ in single_steps(p):
+        if k >= 2:
+            core._weights()
+            assert_weights_exact(core)
+            break
+    else:
+        pytest.fail("no eta file of two pivots")
 
 
 def assert_eta_form_matches_dense(core, rng):
