@@ -67,9 +67,9 @@ print("\nstored energy path (kWh):", schedule.storage[0, :, 0])
 print("grid buy (kW):", np.round(schedule.grid_buy[:, 0], 2))
 print("grid sell (kW):", np.round(schedule.grid_sell[:, 0], 2))
 
-balance = check_balance(config, solar, schedule.scenario_slice(0), tol=1e-6)
+balance = check_balance(config, scenarios.solar, schedule, tol=1e-6)
 print("\nbalance ok:", balance.ok)
-print("heat surplus (kW-th):", np.round(balance.heat_surplus, 2))
+print("heat surplus (kW-th):", np.round(balance.heat_surplus[:, 0], 2))
 
 cost = evaluate_cost(config, scenarios, schedule)
 print(f"\noperating cost of this schedule: {cost:.4f} $")

@@ -39,9 +39,8 @@ print("  fleet V2G:    ", np.round(schedule.discharge[:, :, s].sum(axis=0), 1))
 print("  grid buy:     ", np.round(schedule.grid_buy[:, s], 1))
 print("  grid sell:    ", np.round(schedule.grid_sell[:, s], 1))
 
-balances = [check_balance(config, solar, schedule.scenario_slice(i), 1e-6).ok
-            for i, solar in enumerate(scenarios.solar)]
-print("\nevery scenario balances:", all(balances))
+balance = check_balance(config, scenarios.solar, schedule, 1e-6)
+print("\nevery scenario balances:", balance.ok)
 
 # vehicles buy cheap energy at night and return it at the evening peak;
 # stored energy always ends the day where it started

@@ -5,7 +5,8 @@ either an inline list of length T or a reference {"csv": path, "column":
 name} to a CSV file with a header row and one row per period; `column`
 may be omitted when the file has a single column.  Relative CSV paths
 resolve against the directory of the JSON document.  Fleet entries accept
-an optional "count" to replicate identical units.
+an optional "count" to replicate identical units.  `load_config` also
+rejects a config that fails `validate_config`.
 """
 
 import csv
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ChpUnit, DeferrableLoad, GridTariff, MicrogridConfig, Phev
+from .model import ChpUnit, DeferrableLoad, GridTariff, MicrogridConfig, Phev, validate_config
 from .scenario import GenerationSpec
 
 
@@ -125,8 +126,14 @@ def read_json(path: Path):
 
 
 def load_config(path) -> MicrogridConfig:
+    """Read and validate a config file; a `validate_config` error (not a
+    warning) is an IngestError naming every such issue."""
     path = Path(path)
-    return config_from_dict(read_json(path), base_dir=path.parent)
+    config = config_from_dict(read_json(path), base_dir=path.parent)
+    errors = [i.message for i in validate_config(config).errors]
+    if errors:
+        raise IngestError(f"{path}: invalid config: " + "; ".join(errors))
+    return config
 
 
 def generation_spec_from_dict(data: dict, base_dir=".") -> GenerationSpec:

@@ -11,7 +11,7 @@ mapped to a schedule and checked against its own rows and bounds, and
 the blocks' schedules are joined; the full problem is built only for the
 joint mode and for MPS export.  The deterministic baseline solves the
 probability-weighted mean scenario and its rigid schedule is then priced
-under every scenario with `evaluate_cost`: grid exchange re-adjusts
+under every scenario at once with `cost_rates`: grid exchange re-adjusts
 within its caps, and anything the rigid plan cannot absorb (parking
 shortfalls, storage excursions, energy mismatches, exchange overflow) is
 charged at a penalty price and flagged.  The solar sweep runs that
@@ -40,6 +40,7 @@ from .model import (
     MicrogridConfig,
     Schedule,
     check_balance,
+    cost_rates,
     evaluate_cost,
     validate_config,
     validate_scenarios,
@@ -164,7 +165,8 @@ class UnboundedProblem(RuntimeError):
 
 
 class NumericalFailure(RuntimeError):
-    """The solver gave up on numerical grounds (an `LpError`)."""
+    """The solver gave up on numerical grounds (an `LpError`), or its
+    schedule failed the post-solve balance or storage check."""
     status = "numerical"
 
 
@@ -268,7 +270,10 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
             raise SolverLimit(f"node or iteration limit reached{where}")
         if sol.status == "unbounded":
             raise UnboundedProblem(f"deterministic equivalent unbounded{where}")
-        part = extract_schedule(sol, index, config, block)
+        try:
+            part = extract_schedule(sol, index, config, block)
+        except ValueError as e:  # the storage columns disagree with the recursion
+            raise NumericalFailure(f"{e}{where}") from e
         x = schedule_to_vector(part, index)
         mode = index.columns("mode")
         x[mode] = sol.x[mode]
@@ -313,8 +318,9 @@ def evaluate_policy(config: MicrogridConfig, scenarios: scn.ScenarioSet,
     The internal decisions (CHP, charge/discharge, serving) are kept as
     planned, except that charging or discharging while the vehicle is
     away simply does not happen.  Grid exchange re-optimizes each period
-    within its caps, and the realized schedule is priced with
-    `evaluate_cost`; remaining imbalance, storage-bound excursions,
+    within its caps.  The realized S-scenario schedule is priced with
+    `cost_rates`, each scenario's periods summed as `evaluate_cost` sums
+    a one-scenario schedule; remaining imbalance, storage-bound excursions,
     terminal-energy mismatch, and unmet deferrable energy are charged at
     the penalty price and flag the scenario.  Returns (expected_cost,
     per_scenario list of dicts).
@@ -323,43 +329,45 @@ def evaluate_policy(config: MicrogridConfig, scenarios: scn.ScenarioSet,
         raise ValueError("policy must be a single-scenario schedule")
     penalty = default_penalty(config) if penalty is None else float(penalty)
     h = config.period_hours
-    cap = config.tariff.exchange_cap
+    cap = config.tariff.exchange_cap[:, None]
+    parked = np.moveaxis(scenarios.parking, 0, -1)  # (n_phev, T, S)
+    charge = policy.charge * parked
+    discharge = policy.discharge * parked
     serve = policy.serve[:, :, 0]
-    e_min = np.array([ev.e_min for ev in config.phevs])
-    e_max = np.array([ev.e_max for ev in config.phevs])
-    e_init = np.array([ev.e_initial for ev in config.phevs])
+    demand = config.base_power[:, None] + charge.sum(axis=0) + serve.sum(axis=0)[:, None]
+    supply = (policy.chp_power[:, :, 0].sum(axis=0)[:, None] + discharge.sum(axis=0)
+              + scenarios.solar.T)
+    net = demand - supply
+    buy = np.clip(net, 0.0, cap)
+    sell = np.clip(-net, 0.0, cap)
+    realized = Schedule.from_decisions(
+        config, np.broadcast_to(policy.chp_power, (config.n_chp, *net.shape)), charge, discharge,
+        np.broadcast_to(policy.serve, (config.n_deferrable, *net.shape)), buy, sell)
 
-    results = []
-    expected = 0.0
-    for s, prob in enumerate(scenarios.probabilities.tolist()):
-        charge = policy.charge[:, :, 0] * scenarios.parking[s]
-        discharge = policy.discharge[:, :, 0] * scenarios.parking[s]
-        demand = config.base_power + charge.sum(axis=0) + serve.sum(axis=0)
-        supply = policy.chp_power[:, :, 0].sum(axis=0) + discharge.sum(axis=0) + scenarios.solar[s]
-        net = demand - supply
-        buy = np.clip(net, 0.0, cap)
-        sell = np.clip(-net, 0.0, cap)
-        realized = Schedule.from_decisions(config, policy.chp_power, charge[:, :, None],
-                                           discharge[:, :, None], policy.serve,
-                                           buy[:, None], sell[:, None])
+    # kWh of unabsorbable deviation; every term is 0 for an absent fleet
+    e_min = np.array([ev.e_min for ev in config.phevs])[:, None, None]
+    e_max = np.array([ev.e_max for ev in config.phevs])[:, None, None]
+    e_init = np.array([ev.e_initial for ev in config.phevs])[:, None]
+    storage = realized.storage
+    violation = _scenario_sums(np.maximum(storage - e_max, 0.0))
+    violation += _scenario_sums(np.maximum(e_min - storage, 0.0))
+    violation += _scenario_sums(np.abs(storage[:, -1] - e_init))
+    violation += np.abs(serve.sum(axis=1) * h - scenarios.deferrable_energy).sum(axis=1)
+    violation += _scenario_sums(np.abs(net - (buy - sell))) * h
 
-        # kWh of unabsorbable deviation; every term is 0 for an absent fleet
-        storage = realized.storage[:, :, 0]
-        violation = float(np.maximum(storage - e_max[:, None], 0.0).sum())
-        violation += float(np.maximum(e_min[:, None] - storage, 0.0).sum())
-        violation += float(np.abs(storage[:, -1] - e_init).sum())
-        violation += float(np.abs(serve.sum(axis=1) * h - scenarios.deferrable_energy[s]).sum())
-        violation += float(np.abs(net - (buy - sell)).sum() * h)
+    cost = h * _scenario_sums(cost_rates(config, realized)) + penalty * violation
+    # a running sum in scenario order; np.sum would add the terms pairwise
+    expected = float(np.cumsum(scenarios.probabilities * cost)[-1])
+    return expected, [
+        {"scenario": s, "cost": c, "violation_kwh": v, "flagged": v > 1e-6}
+        for s, (c, v) in enumerate(zip(cost.tolist(), violation.tolist()))
+    ]
 
-        cost = evaluate_cost(config, scenarios.single(s), realized) + penalty * violation
-        expected += prob * cost
-        results.append({
-            "scenario": s,
-            "cost": cost,
-            "violation_kwh": violation,
-            "flagged": bool(violation > 1e-6),
-        })
-    return expected, results
+
+def _scenario_sums(a) -> np.ndarray:
+    """Each scenario's sum over an (..., S) array, as (S,), taken over one
+    contiguous row as numpy sums a one-scenario array."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0)).reshape(a.shape[-1], -1).sum(axis=1)
 
 
 def compare_policies(config, scenarios, options=None, settings=None):
@@ -406,9 +414,10 @@ def _write_csv(path: Path, header, rows):
 
 @contextlib.contextmanager
 def _status_on_failure(path: Path):
-    """On a solver failure inside the block, atomically replace `path`
-    with {"status", "message"} (plus "infeasible_rows" when infeasible),
-    so no earlier run's artifact survives, and re-raise."""
+    """On a solver failure or a failed post-solve check inside the block,
+    atomically replace `path` with {"status", "message"} (plus
+    "infeasible_rows" when infeasible), so no earlier run's artifact
+    survives, and re-raise."""
     try:
         yield
     except (InfeasibleProblem, SolverLimit, UnboundedProblem, NumericalFailure) as e:
@@ -428,14 +437,13 @@ def write_problem_mps(config, scenarios, options, path: Path):
 
 
 def _verified_balance(config, scenarios, schedule, tol=1e-6):
-    """Balance reports for every scenario; raises if any period is off."""
-    reports = []
-    for s, solar in enumerate(scenarios.solar):
-        rep = check_balance(config, solar, schedule.scenario_slice(s), tol)
-        if not rep.ok:
-            raise RuntimeError(f"schedule fails balance check in scenario {s}: {rep.flags[:5]}")
-        reports.append({"scenario": s, **rep.to_dict()})
-    return reports
+    """The balance report of every scenario; NumericalFailure if any
+    period is off."""
+    report = check_balance(config, scenarios.solar, schedule, tol)
+    if not report.ok:
+        raise NumericalFailure(f"schedule fails balance check: (scenario, period, kind) "
+                               f"{report.flags[:5]}")
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -457,8 +465,7 @@ def run_single(manifest: RunManifest) -> dict:
         schedule, report = solve_stochastic(
             config, scenarios, manifest.options, manifest.settings
         )
-
-    balance = _verified_balance(config, scenarios, schedule)
+        balance = _verified_balance(config, scenarios, schedule)
     cost = evaluate_cost(config, scenarios, schedule)
     penalty = manifest.options.curtailment_penalty
     if penalty is not None:
@@ -475,7 +482,7 @@ def run_single(manifest: RunManifest) -> dict:
     if reduction is not None:
         payload["reduction"] = reduction.to_dict()
     _write_json(out / "solution.json", payload)
-    _write_json(out / "balance_report.json", {"tol": 1e-6, "scenarios": balance})
+    _write_json(out / "balance_report.json", balance.to_dict())
     _write_json(out / "trace.json", {"solver": dataclasses.asdict(report.stats)})
     if manifest.write_mps:
         write_problem_mps(config, scenarios, manifest.options, out / "problem.mps")

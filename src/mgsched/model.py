@@ -317,18 +317,6 @@ class Schedule:
     def n_scenarios(self) -> int:
         return self.grid_buy.shape[1]
 
-    def scenario_slice(self, s: int) -> "ScheduleSlice":
-        return ScheduleSlice(
-            chp_power=self.chp_power[:, :, s],
-            charge=self.charge[:, :, s],
-            discharge=self.discharge[:, :, s],
-            serve=self.serve[:, :, s],
-            grid_buy=self.grid_buy[:, s],
-            grid_sell=self.grid_sell[:, s],
-            curtail=self.curtail[:, s],
-            storage=self.storage[:, :, s],
-        )
-
     def to_dict(self):
         return {
             "chp_power": self.chp_power.tolist(),
@@ -342,20 +330,6 @@ class Schedule:
         }
 
 
-@dataclass(frozen=True)
-class ScheduleSlice:
-    """Single-scenario view of a Schedule (2-D arrays, one column per period)."""
-
-    chp_power: np.ndarray
-    charge: np.ndarray
-    discharge: np.ndarray
-    serve: np.ndarray
-    grid_buy: np.ndarray
-    grid_sell: np.ndarray
-    curtail: np.ndarray
-    storage: np.ndarray
-
-
 def derive_storage(config: MicrogridConfig, charge, discharge) -> np.ndarray:
     """Stored-energy path implied by the charge/discharge trajectories.
 
@@ -366,89 +340,97 @@ def derive_storage(config: MicrogridConfig, charge, discharge) -> np.ndarray:
     eta_c = np.array([ev.eta_charge for ev in config.phevs])
     eta_d = np.array([ev.eta_discharge for ev in config.phevs])
     e0 = np.array([ev.e_initial for ev in config.phevs])
-    if config.n_phev == 0:
-        return np.zeros_like(np.asarray(charge, dtype=float))
     delta = (eta_c[:, None, None] * charge - discharge / eta_d[:, None, None]) * h
     return e0[:, None, None] + np.cumsum(delta, axis=1)
 
 
+def _unit_sum(coef, a) -> np.ndarray:
+    """sum_i coef[i] * a[i] of an (n, T, S) array, as (T, S).  Each
+    scenario is its own (n,) @ (n, T) product, so a column does not depend
+    on how many scenarios are beside it."""
+    return np.matmul(coef, np.ascontiguousarray(np.moveaxis(a, -1, 0))).T
+
+
+def cost_rates(config: MicrogridConfig, schedule: Schedule) -> np.ndarray:
+    """Operating cost per hour of every period and scenario, (T, S):
+    CHP production cost, PHEV degradation on throughput (charge weighted
+    by eta+, discharge by 1/eta-), and grid purchases net of sales."""
+    c_ev = np.array([ev.degradation_cost_per_kwh for ev in config.phevs])
+    eta_c = np.array([ev.eta_charge for ev in config.phevs])
+    eta_d = np.array([ev.eta_discharge for ev in config.phevs])
+    rates = np.zeros(schedule.grid_buy.shape)
+    rates += _unit_sum(np.array([u.cost_per_kwh for u in config.chp_units]), schedule.chp_power)
+    rates += _unit_sum(c_ev * eta_c, schedule.charge)
+    rates += _unit_sum(c_ev / eta_d, schedule.discharge)
+    rates += config.tariff.price_buy[:, None] * schedule.grid_buy
+    rates -= config.tariff.price_sell[:, None] * schedule.grid_sell
+    return rates
+
+
 def evaluate_cost(config: MicrogridConfig, scenarios, schedule: Schedule) -> float:
-    """Probability-weighted operating cost of a schedule.
-
-    Sums CHP production cost, PHEV degradation on throughput (charge
-    weighted by eta+, discharge by 1/eta-), and grid purchases net of
-    sales, all scaled by the period length.
-    """
-    T, S = config.horizon, len(scenarios)
-    _check_dims(config, S, schedule)
+    """Probability-weighted operating cost of a schedule: `cost_rates`
+    summed over the periods and scaled by the period length."""
+    _check_dims(config, len(scenarios), schedule)
     h = config.period_hours
-
-    per_ts = np.zeros((T, S))
-    if config.n_chp:
-        c_chp = np.array([u.cost_per_kwh for u in config.chp_units])
-        per_ts += np.tensordot(c_chp, schedule.chp_power, axes=(0, 0))
-    if config.n_phev:
-        c_ev = np.array([ev.degradation_cost_per_kwh for ev in config.phevs])
-        eta_c = np.array([ev.eta_charge for ev in config.phevs])
-        eta_d = np.array([ev.eta_discharge for ev in config.phevs])
-        per_ts += np.tensordot(c_ev * eta_c, schedule.charge, axes=(0, 0))
-        per_ts += np.tensordot(c_ev / eta_d, schedule.discharge, axes=(0, 0))
-    per_ts += config.tariff.price_buy[:, None] * schedule.grid_buy
-    per_ts -= config.tariff.price_sell[:, None] * schedule.grid_sell
-    return float(h * scenarios.probabilities @ per_ts.sum(axis=0))
+    return float(h * scenarios.probabilities @ cost_rates(config, schedule).sum(axis=0))
 
 
 @dataclass
 class BalanceReport:
-    """Per-period power residual and heat surplus for one scenario."""
+    """Per-period power residual and heat surplus, (T, S), of every
+    scenario, checked at tolerance `tol`."""
 
     power_residual: np.ndarray
     heat_surplus: np.ndarray
-    flags: list  # (period, "power" | "heat")
+    flags: list  # (scenario, period, "power" | "heat"), sorted
+    tol: float
 
     @property
     def ok(self) -> bool:
         return not self.flags
 
     def to_dict(self):
-        return {
-            "ok": self.ok,
-            "power_residual": self.power_residual.tolist(),
-            "heat_surplus": self.heat_surplus.tolist(),
-            "flags": [{"t": int(t), "kind": k} for t, k in self.flags],
-        }
+        """One entry per scenario, each with its own flags."""
+        return {"tol": self.tol, "scenarios": [
+            {
+                "scenario": s,
+                "ok": not any(f[0] == s for f in self.flags),
+                "power_residual": self.power_residual[:, s].tolist(),
+                "heat_surplus": self.heat_surplus[:, s].tolist(),
+                "flags": [{"t": t, "kind": k} for r, t, k in self.flags if r == s],
+            }
+            for s in range(self.power_residual.shape[1])
+        ]}
 
 
-def check_balance(config: MicrogridConfig, solar: np.ndarray,
-                  schedule_slice: ScheduleSlice, tol: float = 1e-6) -> BalanceReport:
-    """Evaluate the power and heat balance of one scenario's schedule
-    against that scenario's solar trajectory (T,).
+def check_balance(config: MicrogridConfig, solar: np.ndarray, schedule: Schedule,
+                  tol: float = 1e-6) -> BalanceReport:
+    """Evaluate the power and heat balance of every scenario of a schedule
+    against the scenarios' solar trajectories (S, T).
 
     Power residual per period: (generation + net discharge + solar + buy)
     minus (sell + base load + deferrable serving + spill); flagged when its
     magnitude exceeds tol.  Heat surplus is CHP heat minus heat demand;
     flagged when below -tol (surplus itself is disposed freely).
     """
-    T = config.horizon
-    sl = schedule_slice
-    supply = sl.chp_power.sum(axis=0) if config.n_chp else np.zeros(T)
-    net_dis = (sl.discharge - sl.charge).sum(axis=0) if config.n_phev else np.zeros(T)
-    served = sl.serve.sum(axis=0) if config.n_deferrable else np.zeros(T)
+    S = schedule.n_scenarios
+    if np.shape(solar) != (S, config.horizon):
+        raise ValueError(f"solar has shape {np.shape(solar)}, expected {(S, config.horizon)}")
+    _check_dims(config, S, schedule)
     power_residual = (
-        supply + net_dis + solar + sl.grid_buy
-        - (sl.grid_sell + config.base_power + served + sl.curtail)
+        schedule.chp_power.sum(axis=0) + (schedule.discharge - schedule.charge).sum(axis=0)
+        + solar.T + schedule.grid_buy
+        - (schedule.grid_sell + config.base_power[:, None] + schedule.serve.sum(axis=0)
+           + schedule.curtail)
     )
-    if config.n_chp:
-        alphas = np.array([u.alpha for u in config.chp_units])
-        heat = np.tensordot(alphas, sl.chp_power, axes=(0, 0))
-    else:
-        heat = np.zeros(T)
-    heat_surplus = heat - config.base_heat
+    alphas = np.array([u.alpha for u in config.chp_units])
+    heat_surplus = _unit_sum(alphas, schedule.chp_power) - config.base_heat[:, None]
 
-    flags = [(int(t), "power") for t in np.nonzero(np.abs(power_residual) > tol)[0]]
-    flags += [(int(t), "heat") for t in np.nonzero(heat_surplus < -tol)[0]]
+    flags = [(int(s), int(t), "power")
+             for s, t in zip(*np.nonzero(np.abs(power_residual.T) > tol))]
+    flags += [(int(s), int(t), "heat") for s, t in zip(*np.nonzero(heat_surplus.T < -tol))]
     flags.sort()
-    return BalanceReport(power_residual=power_residual, heat_surplus=heat_surplus, flags=flags)
+    return BalanceReport(power_residual, heat_surplus, flags, tol)
 
 
 def _check_dims(config, S, schedule):

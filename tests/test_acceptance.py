@@ -255,9 +255,8 @@ def test_criterion_04_constraint_fidelity_at_scale(case_study_solution):
     assert problem.n_cols == 25 * 24 * 160
     assert report.max_row_violation <= 1e-6
     assert report.max_bound_violation <= 1e-6
-    for s, solar in enumerate(scenarios.solar):
-        rep = check_balance(cfg, solar, schedule.scenario_slice(s), 1e-6)
-        assert rep.ok, f"scenario {s}: {rep.flags[:3]}"
+    rep = check_balance(cfg, scenarios.solar, schedule, 1e-6)
+    assert rep.ok, f"(scenario, period, kind): {rep.flags[:3]}"
     assert np.all(schedule.storage >= 4.0 - 1e-6)
     assert np.all(schedule.storage <= 18.0 + 1e-6)
     assert np.abs(schedule.storage[:, -1, :] - 9.0).max() <= 1e-6

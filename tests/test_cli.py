@@ -1,11 +1,16 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mgsched import model
 from mgsched.cli import main
 from mgsched.lpcore import LpError, LpSolution
 from test_experiments import write_inputs
+
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 
 def test_run_exits_zero_and_writes_artifacts(tmp_path, capsys):
@@ -208,6 +213,48 @@ def test_solver_failure_exit_code_and_artifact(tmp_path, monkeypatch, capsys,
     assert message in report["message"]
     assert not (out / "solution.json.tmp").exists()
     assert not any((out / name).exists() for name in stale)
+
+
+def test_config_failing_validation_exits_two(tmp_path, capsys):
+    config = json.loads((DEMO_DATA / "config.json").read_text())
+    config["chp_units"][0]["p_min"] = -5
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "config.json"),
+                 "--genspec", str(DEMO_DATA / "genspec.json"), "--generate", "4",
+                 "--keep", "2", "--out", str(out)]) == 2
+    assert "invalid config: chp[0]: need 0 <= p_min <= p_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _balance_with_a_flag(config, solar, schedule, tol=1e-6):
+    return dataclasses.replace(model.check_balance(config, solar, schedule, tol),
+                               flags=[(1, 0, "power")])
+
+
+def _storage_off_by_one(config, charge, discharge):
+    return model.derive_storage(config, charge, discharge) + 1.0
+
+
+@pytest.mark.parametrize("target, fake, message", [
+    ("mgsched.experiments.check_balance", _balance_with_a_flag, "fails balance check"),
+    ("mgsched.formulation.derive_storage", _storage_off_by_one, "disagree with the recursion"),
+], ids=["balance", "storage"])
+def test_failed_post_solve_check_exits_six(tmp_path, monkeypatch, capsys, target, fake,
+                                           message):
+    monkeypatch.setattr(target, fake)
+    config, gen = write_inputs(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "solution.json").write_text('{"status": "optimal"}\n')  # from an earlier run
+    (out / "balance_report.json").write_text("from an earlier run\n")
+    assert main(["run", "--config", str(config), "--genspec", str(gen), "--generate", "10",
+                 "--keep", "2", "--out", str(out)]) == 6
+    assert message in capsys.readouterr().err
+    report = json.loads((out / "solution.json").read_text())
+    assert report["status"] == "numerical"
+    assert message in report["message"]
+    assert not (out / "balance_report.json").exists()
 
 
 def _solve_hits_limit(problem, settings=None, basis=None):

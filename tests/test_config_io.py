@@ -103,6 +103,19 @@ def test_unreadable_file_reported(tmp_path):
         load_config(tmp_path / "bad.json")
 
 
+def test_load_config_rejects_validation_errors_only(tmp_path):
+    data = sample_dict()
+    data["tariff"]["price_sell"] = [0.2] * 4  # SELL_ABOVE_BUY is a warning
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(data))
+    assert "SELL_ABOVE_BUY" in validate_config(load_config(p)).codes()
+    data["chp_units"][0]["p_min"] = -5.0
+    data["base_heat"] = [-1.0] * 4
+    p.write_text(json.dumps(data))
+    with pytest.raises(IngestError, match=r"chp\[0\]: need 0 <= p_min.*base_heat has negative"):
+        load_config(p)
+
+
 def test_generation_spec_parsing(tmp_path):
     data = {
         "solar_profile_mean": [0.0, 10.0, 20.0, 5.0],

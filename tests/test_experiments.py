@@ -13,6 +13,7 @@ from conftest import make_config, make_genspec
 from mgsched import experiments
 from mgsched.experiments import (
     InfeasibleProblem,
+    NumericalFailure,
     RunManifest,
     SolverLimit,
     compare_policies,
@@ -35,6 +36,7 @@ from mgsched.model import (
     DeferrableLoad,
     GridTariff,
     MicrogridConfig,
+    Schedule,
     check_balance,
     evaluate_cost,
 )
@@ -213,6 +215,62 @@ def test_policy_cost_upper_bounds_every_scenario_optimum():
         sub, _ = build(cfg, ss.single(s))
         opt = solve_lp(sub).objective
         assert entry["cost"] >= opt - 1e-7
+
+
+def policy_by_scenario(config, scenarios, policy, penalty):
+    """Reference for evaluate_policy: each scenario realized as a
+    one-scenario schedule and priced by evaluate_cost on its own."""
+    h = config.period_hours
+    cap = config.tariff.exchange_cap
+    serve = policy.serve[:, :, 0]
+    e_min = np.array([ev.e_min for ev in config.phevs])
+    e_max = np.array([ev.e_max for ev in config.phevs])
+    e_init = np.array([ev.e_initial for ev in config.phevs])
+    expected, costs, violations = 0.0, [], []
+    for s, prob in enumerate(scenarios.probabilities.tolist()):
+        charge = policy.charge[:, :, 0] * scenarios.parking[s]
+        discharge = policy.discharge[:, :, 0] * scenarios.parking[s]
+        demand = config.base_power + charge.sum(axis=0) + serve.sum(axis=0)
+        supply = (policy.chp_power[:, :, 0].sum(axis=0) + discharge.sum(axis=0)
+                  + scenarios.solar[s])
+        net = demand - supply
+        buy = np.clip(net, 0.0, cap)
+        sell = np.clip(-net, 0.0, cap)
+        realized = Schedule.from_decisions(config, policy.chp_power, charge[:, :, None],
+                                           discharge[:, :, None], policy.serve,
+                                           buy[:, None], sell[:, None])
+        storage = realized.storage[:, :, 0]
+        violation = float(np.maximum(storage - e_max[:, None], 0.0).sum())
+        violation += float(np.maximum(e_min[:, None] - storage, 0.0).sum())
+        violation += float(np.abs(storage[:, -1] - e_init).sum())
+        violation += float(np.abs(serve.sum(axis=1) * h - scenarios.deferrable_energy[s]).sum())
+        violation += float(np.abs(net - (buy - sell)).sum() * h)
+        cost = evaluate_cost(config, scenarios.single(s), realized) + penalty * violation
+        expected += prob * cost
+        costs.append(cost)
+        violations.append(violation)
+    return expected, costs, violations
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n_chp=st.sampled_from([0, 2]), n_phev=st.sampled_from([0, 2]),
+       n_def=st.sampled_from([0, 2]), S=st.sampled_from([1, 3]), T=st.integers(1, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_policy_prices_each_scenario_as_its_own_schedule(n_chp, n_phev, n_def, S, T, seed):
+    # bit for bit, not approximately: the artifacts must not move
+    cfg = make_config(T=T, n_chp=n_chp, n_phev=n_phev, n_def=n_def, cap=60.0)
+    rng = np.random.default_rng(seed)
+    policy = Schedule.from_decisions(
+        cfg, *(rng.uniform(0.0, 40.0, (n, T, 1)) for n in (n_chp, n_phev, n_phev, n_def)),
+        np.zeros((T, 1)), np.zeros((T, 1)))
+    weights = rng.integers(1, 5, S)
+    ss = ScenarioSet(weights / weights.sum(), rng.uniform(0.0, 200.0, (S, T)),
+                     rng.integers(0, 2, (S, n_phev, T)), rng.uniform(0.0, 8.0, (S, n_def)))
+    expected, per_scenario = evaluate_policy(cfg, ss, policy, penalty=2.5)
+    ref_expected, ref_costs, ref_violations = policy_by_scenario(cfg, ss, policy, 2.5)
+    assert [r["cost"] for r in per_scenario] == ref_costs
+    assert [r["violation_kwh"] for r in per_scenario] == ref_violations
+    assert expected == ref_expected
 
 
 # -- window resize --------------------------------------------------------------
@@ -403,7 +461,7 @@ def test_window_sweep_propagates_errors_other_than_infeasibility(tmp_path, monke
 
     monkeypatch.setattr(experiments, "extract_schedule", broken)
     m = manifest_for(tmp_path, widths=(2, 4), generate_count=10, keep=2)
-    with pytest.raises(ValueError, match="storage"):
+    with pytest.raises(NumericalFailure, match="storage"):
         run_window_sweep(m)
 
 
@@ -421,7 +479,6 @@ def test_emitted_schedule_always_balances(tmp_path):
     payload = run_single(m)
     # reconstruct and re-check balance independently of the writer
     from mgsched.experiments import load_config, prepare_scenarios
-    from mgsched.model import Schedule
     config = load_config(m.config_path)
     scenarios, _, _ = prepare_scenarios(m, config)
     sched = payload["schedule"]
@@ -431,8 +488,7 @@ def test_emitted_schedule_always_balances(tmp_path):
         np.array(sched["discharge"]), np.array(sched["serve"]),
         np.array(sched["grid_buy"]), np.array(sched["grid_sell"]),
     )
-    for s, solar in enumerate(scenarios.solar):
-        assert check_balance(config, solar, rebuilt.scenario_slice(s), 1e-6).ok
+    assert check_balance(config, scenarios.solar, rebuilt, 1e-6).ok
     assert evaluate_cost(config, scenarios, rebuilt) == pytest.approx(
         payload["objective"], abs=1e-6)
 

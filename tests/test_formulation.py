@@ -198,9 +198,8 @@ def test_end_to_end_schedule_passes_balance():
     sol = solve_lp(problem)
     assert sol.status == "optimal"
     sched = extract_schedule(sol, index, cfg, ss)
-    for s in range(3):
-        rep = check_balance(cfg, ss.solar[s], sched.scenario_slice(s), 1e-6)
-        assert rep.ok, rep.flags
+    rep = check_balance(cfg, ss.solar, sched, 1e-6)
+    assert rep.ok, rep.flags
     assert evaluate_cost(cfg, ss, sched) == pytest.approx(sol.objective, abs=1e-9)
 
 
@@ -243,8 +242,7 @@ def test_half_hour_periods_solve_consistently():
     assert sol.status == "optimal"
     sched = extract_schedule(sol, index, cfg, ss)
     assert evaluate_cost(cfg, ss, sched) == pytest.approx(sol.objective, abs=1e-9)
-    for s in range(2):
-        assert check_balance(cfg, ss.solar[s], sched.scenario_slice(s), 1e-6).ok
+    assert check_balance(cfg, ss.solar, sched, 1e-6).ok
     # delivered deferrable energy equals the scenario's requirement in kWh
     for s in range(2):
         delivered = sched.serve[0, :, s].sum() * cfg.period_hours

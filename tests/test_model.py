@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_config
 from mgsched.model import (
@@ -236,7 +238,7 @@ def test_storage_recursion_matches_loop():
 
 def test_zero_everything_balances():
     cfg = config_one_of_each(T=2)
-    rep = check_balance(cfg, np.zeros(2), Schedule.zeros(cfg, 1).scenario_slice(0))
+    rep = check_balance(cfg, np.zeros((1, 2)), Schedule.zeros(cfg, 1))
     assert rep.ok
     assert np.all(rep.power_residual == 0.0)
 
@@ -252,10 +254,10 @@ def test_heat_ratio_exactly_covers_demand():
         cfg, chp, np.zeros((1, 1, 1)), np.zeros((1, 1, 1)),
         np.zeros((0, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
     )
-    rep = check_balance(cfg, np.zeros(1), sched.scenario_slice(0))
-    assert rep.heat_surplus[0] == pytest.approx(0.0, abs=1e-12)
+    rep = check_balance(cfg, np.zeros((1, 1)), sched)
+    assert rep.heat_surplus[0, 0] == pytest.approx(0.0, abs=1e-12)
     # power side: 100 kW of CHP against 100 kW of base load balances too
-    assert rep.power_residual[0] == pytest.approx(0.0, abs=1e-12)
+    assert rep.power_residual[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert rep.ok
 
 
@@ -270,9 +272,9 @@ def test_undersupply_residual_is_flagged():
         cfg, np.zeros((0, 1, 1)), np.zeros((0, 1, 1)), np.zeros((0, 1, 1)),
         np.zeros((0, 1, 1)), buy, np.zeros((1, 1)),
     )
-    rep = check_balance(cfg, np.array([30.0]), sched.scenario_slice(0), tol=1e-6)
-    assert rep.power_residual[0] == pytest.approx(-5.0)
-    assert (0, "power") in rep.flags
+    rep = check_balance(cfg, np.array([[30.0]]), sched, tol=1e-6)
+    assert rep.power_residual[0, 0] == pytest.approx(-5.0)
+    assert (0, 0, "power") in rep.flags
 
 
 def test_heat_deficit_flagged_surplus_not():
@@ -287,5 +289,36 @@ def test_heat_deficit_flagged_surplus_not():
             cfg, chp, np.zeros((1, 1, 1)), np.zeros((1, 1, 1)),
             np.zeros((0, 1, 1)), np.zeros((1, 1)), sell,
         )
-        rep = check_balance(cfg, np.zeros(1), sched.scenario_slice(0))
-        assert (("heat" in [k for _, k in rep.flags]) is not expect_ok)
+        rep = check_balance(cfg, np.zeros((1, 1)), sched)
+        assert (("heat" in [k for _, _, k in rep.flags]) is not expect_ok)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n_chp=st.sampled_from([0, 2]), n_phev=st.sampled_from([0, 2]),
+       n_def=st.sampled_from([0, 2]), S=st.sampled_from([1, 3]), T=st.integers(1, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_balance_of_a_set_is_each_scenarios_own_check(n_chp, n_phev, n_def, S, T, seed):
+    # column s of the all-scenario check is, bit for bit, the check of
+    # scenario s alone; random decisions leave both kinds of flag
+    cfg = make_config(T=T, n_chp=n_chp, n_phev=n_phev, n_def=n_def)
+    rng = np.random.default_rng(seed)
+    parts = [rng.uniform(0.0, 100.0, (n, T, S)) for n in (n_chp, n_phev, n_phev, n_def)]
+    parts += [rng.uniform(0.0, 100.0, (T, S)) for _ in range(3)]
+    sched = Schedule.from_decisions(cfg, *parts)
+    solar = rng.uniform(0.0, 200.0, (S, T))
+    rep = check_balance(cfg, solar, sched, tol=1e-6)
+    for s in range(S):
+        one = check_balance(cfg, solar[s:s + 1],
+                            Schedule.from_decisions(cfg, *(a[..., s:s + 1] for a in parts)))
+        assert rep.power_residual[:, s].tobytes() == one.power_residual[:, 0].tobytes()
+        assert rep.heat_surplus[:, s].tobytes() == one.heat_surplus[:, 0].tobytes()
+        assert [f[1:] for f in rep.flags if f[0] == s] == [f[1:] for f in one.flags]
+        assert rep.to_dict()["scenarios"][s] == {**one.to_dict()["scenarios"][0], "scenario": s}
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (4,), (4, 3)])
+def test_balance_rejects_solar_of_another_shape(shape):
+    # a single solar row must not broadcast silently over three scenarios
+    cfg = config_one_of_each(T=4)
+    with pytest.raises(ValueError, match="solar has shape"):
+        check_balance(cfg, np.zeros(shape), Schedule.zeros(cfg, 3))
