@@ -51,25 +51,26 @@ scenarios = ScenarioSet(
 
 # dispatch by hand: run the CHP to cover heat (alpha * p >= heat demand),
 # serve 2 kW in both window periods, and let the grid close the balance
-chp = np.array([[60.0, 50.0, 45.0, 50.0]])[:, :, None] / 1.2 * 1.2
-serve = np.array([[0.0, 2.0, 2.0, 0.0]])[:, :, None]
-charge = np.zeros((1, T, 1))
-discharge = np.zeros((1, T, 1))
-supply = chp[0, :, 0] + solar
-demand = config.base_power + serve[0, :, 0]
-grid_buy = np.clip(demand - supply, 0.0, None)[:, None]
-grid_sell = np.clip(supply - demand, 0.0, None)[:, None]
+# (schedules are scenario-first too: (scenario, unit, period))
+chp = np.array([[[60.0, 50.0, 45.0, 50.0]]]) / 1.2 * 1.2
+serve = np.array([[[0.0, 2.0, 2.0, 0.0]]])
+charge = np.zeros((1, 1, T))
+discharge = np.zeros((1, 1, T))
+supply = chp[0, 0] + solar
+demand = config.base_power + serve[0, 0]
+grid_buy = np.clip(demand - supply, 0.0, None)[None]
+grid_sell = np.clip(supply - demand, 0.0, None)[None]
 
 schedule = Schedule.from_decisions(config, chp, charge, discharge, serve,
                                    grid_buy, grid_sell)
 
-print("\nstored energy path (kWh):", schedule.storage[0, :, 0])
-print("grid buy (kW):", np.round(schedule.grid_buy[:, 0], 2))
-print("grid sell (kW):", np.round(schedule.grid_sell[:, 0], 2))
+print("\nstored energy path (kWh):", schedule.storage[0, 0])
+print("grid buy (kW):", np.round(schedule.grid_buy[0], 2))
+print("grid sell (kW):", np.round(schedule.grid_sell[0], 2))
 
 balance = check_balance(config, scenarios.solar, schedule, tol=1e-6)
 print("\nbalance ok:", balance.ok)
-print("heat surplus (kW-th):", np.round(balance.heat_surplus[:, 0], 2))
+print("heat surplus (kW-th):", np.round(balance.heat_surplus[0], 2))
 
 cost = evaluate_cost(config, scenarios, schedule)
 print(f"\noperating cost of this schedule: {cost:.4f} $")

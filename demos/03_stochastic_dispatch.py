@@ -33,11 +33,11 @@ print(f"matching cost from the schedule itself: {cost:.2f} $")
 
 s = 0
 print(f"\nscenario {s} snapshot (kW):")
-print("  chp total:    ", np.round(schedule.chp_power[:, :, s].sum(axis=0), 1))
-print("  fleet charge: ", np.round(schedule.charge[:, :, s].sum(axis=0), 1))
-print("  fleet V2G:    ", np.round(schedule.discharge[:, :, s].sum(axis=0), 1))
-print("  grid buy:     ", np.round(schedule.grid_buy[:, s], 1))
-print("  grid sell:    ", np.round(schedule.grid_sell[:, s], 1))
+print("  chp total:    ", np.round(schedule.chp_power[s].sum(axis=0), 1))
+print("  fleet charge: ", np.round(schedule.charge[s].sum(axis=0), 1))
+print("  fleet V2G:    ", np.round(schedule.discharge[s].sum(axis=0), 1))
+print("  grid buy:     ", np.round(schedule.grid_buy[s], 1))
+print("  grid sell:    ", np.round(schedule.grid_sell[s], 1))
 
 balance = check_balance(config, scenarios.solar, schedule, 1e-6)
 print("\nevery scenario balances:", balance.ok)
@@ -45,7 +45,7 @@ print("\nevery scenario balances:", balance.ok)
 # vehicles buy cheap energy at night and return it at the evening peak;
 # stored energy always ends the day where it started
 print("fleet stored energy, first vehicle (kWh):",
-      np.round(schedule.storage[0, :, s], 1))
+      np.round(schedule.storage[s, 0], 1))
 
 path = here / "demo_out" / "dispatch.mps"
 write_problem_mps(config, scenarios, FormulationOptions(), path)

@@ -229,9 +229,9 @@ def _dispatch_scenarios(args) -> int:
     if args.scen_command == "generate":
         config = load_config(args.config)
         spec = load_generation_spec(args.genspec)
-        if args.seed is not None:
-            spec = dataclasses.replace(spec, rng_seed=args.seed)
         try:
+            if args.seed is not None:
+                spec = dataclasses.replace(spec, rng_seed=args.seed)
             sset = scn.generate(spec, config, args.generate)
         except ValueError as e:
             raise IngestError(str(e)) from e

@@ -5,12 +5,15 @@ either an inline list of length T or a reference {"csv": path, "column":
 name} to a CSV file with a header row and one row per period; `column`
 may be omitted when the file has a single column.  Relative CSV paths
 resolve against the directory of the JSON document.  Fleet entries accept
-an optional "count" to replicate identical units.  `load_config` also
-rejects a config that fails `validate_config`.
+an optional "count" to replicate identical units.  A scalar field must
+be a JSON number, integral where the model takes an int; anything else is
+an IngestError naming the field.  `load_config` also rejects a config
+that fails `validate_config`, a NaN anywhere included.
 """
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +72,16 @@ def _series(value, base_dir: Path, what: str):
         raise IngestError(f"{what}: expected a list of numbers or a csv reference") from e
 
 
+def _number(value, kind, what: str):
+    """`value` as a `kind` (float or int); a bool, a string, null, or a
+    fractional value for an int is an IngestError naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or (kind is int and not float(value).is_integer()):
+        expected = "an integer" if kind is int else "a number"
+        raise IngestError(f"{what}: expected {expected}, got {value!r}")
+    return kind(value)
+
+
 def _require(data: dict, key: str, what: str):
     if key not in data:
         raise IngestError(f"{what}: missing required field {key!r}")
@@ -76,16 +89,22 @@ def _require(data: dict, key: str, what: str):
 
 
 def _replicated(entries, builder, what):
+    """One `builder` dataclass per entry, `count` times over; each field is
+    converted to its annotated type (float or int)."""
+    if not isinstance(entries, list):
+        raise IngestError(f"{what}: expected a list")
+    kinds = {f.name: f.type for f in fields(builder)}
     out = []
     for k, raw in enumerate(entries):
         if not isinstance(raw, dict):
             raise IngestError(f"{what}[{k}]: expected an object")
         raw = dict(raw)
-        count = int(raw.pop("count", 1))
+        count = _number(raw.pop("count", 1), int, f"{what}[{k}].count")
         if count < 1:
             raise IngestError(f"{what}[{k}]: count must be >= 1")
         try:
-            item = builder(**raw)
+            item = builder(**{key: _number(v, kinds[key], f"{what}[{k}].{key}")
+                              if key in kinds else v for key, v in raw.items()})
         except TypeError as e:
             raise IngestError(f"{what}[{k}]: {e}") from e
         out.extend([item] * count)
@@ -94,7 +113,7 @@ def _replicated(entries, builder, what):
 
 def config_from_dict(data: dict, base_dir=".") -> MicrogridConfig:
     base_dir = Path(base_dir)
-    horizon = int(_require(data, "horizon", "config"))
+    horizon = _number(_require(data, "horizon", "config"), int, "horizon")
     tariff_raw = _require(data, "tariff", "config")
     tariff = GridTariff(
         price_buy=_series(_require(tariff_raw, "price_buy", "tariff"), base_dir, "price_buy"),
@@ -103,14 +122,15 @@ def config_from_dict(data: dict, base_dir=".") -> MicrogridConfig:
     )
     return MicrogridConfig(
         horizon=horizon,
-        period_hours=float(data.get("period_hours", 1.0)),
+        period_hours=_number(data.get("period_hours", 1.0), float, "period_hours"),
         chp_units=tuple(_replicated(data.get("chp_units", []), ChpUnit, "chp_units")),
         phevs=tuple(_replicated(data.get("phevs", []), Phev, "phevs")),
         deferrables=tuple(_replicated(data.get("deferrables", []), DeferrableLoad, "deferrables")),
         tariff=tariff,
         base_power=_series(_require(data, "base_power", "config"), base_dir, "base_power"),
         base_heat=_series(_require(data, "base_heat", "config"), base_dir, "base_heat"),
-        solar_capacity=float(_require(data, "solar_capacity", "config")),
+        solar_capacity=_number(_require(data, "solar_capacity", "config"), float,
+                               "solar_capacity"),
     )
 
 

@@ -24,6 +24,7 @@ import contextlib
 import dataclasses
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,6 +72,10 @@ class RunManifest:
             raise IngestError(f"'generate' must be >= 1, got {self.generate_count}")
         if self.keep < 1:
             raise IngestError(f"'keep' must be >= 1, got {self.keep}")
+        if self.seed is not None and self.seed < 0:
+            raise IngestError(f"'seed' must be >= 0, got {self.seed}")
+        if not isinstance(self.write_mps, bool):
+            raise IngestError(f"'write_mps' must be true or false, got {self.write_mps!r}")
 
     @classmethod
     def from_dict(cls, data: dict, base_dir=".") -> "RunManifest":
@@ -117,7 +122,7 @@ class RunManifest:
             levels=parse("levels", lambda v: tuple(map(float, v)), ()),
             widths=parse("widths", lambda v: tuple(map(int, v)), ()),
             seed=parse("seed", int, None),
-            write_mps=bool(data.get("write_mps", False)),
+            write_mps=data.get("write_mps", False),
         )
 
 
@@ -288,7 +293,7 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
             (_shift_scenario_name(problem.row_name(i), s), v) for i, v in rep.row_violations.items())
         parts.append(part)
     schedule = Schedule.from_decisions(config, *(
-        np.concatenate([getattr(p, name) for p in parts], axis=-1)
+        np.concatenate([getattr(p, name) for p in parts])
         for name in ("chp_power", "charge", "discharge", "serve", "grid_buy", "grid_sell",
                      "curtail")))
     return schedule, report
@@ -320,7 +325,7 @@ def evaluate_policy(config: MicrogridConfig, scenarios: scn.ScenarioSet,
     away simply does not happen.  Grid exchange re-optimizes each period
     within its caps.  The realized S-scenario schedule is priced with
     `cost_rates`, each scenario's periods summed as `evaluate_cost` sums
-    a one-scenario schedule; remaining imbalance, storage-bound excursions,
+    them; remaining imbalance, storage-bound excursions,
     terminal-energy mismatch, and unmet deferrable energy are charged at
     the penalty price and flag the scenario.  Returns (expected_cost,
     per_scenario list of dicts).
@@ -329,45 +334,39 @@ def evaluate_policy(config: MicrogridConfig, scenarios: scn.ScenarioSet,
         raise ValueError("policy must be a single-scenario schedule")
     penalty = default_penalty(config) if penalty is None else float(penalty)
     h = config.period_hours
-    cap = config.tariff.exchange_cap[:, None]
-    parked = np.moveaxis(scenarios.parking, 0, -1)  # (n_phev, T, S)
-    charge = policy.charge * parked
-    discharge = policy.discharge * parked
-    serve = policy.serve[:, :, 0]
-    demand = config.base_power[:, None] + charge.sum(axis=0) + serve.sum(axis=0)[:, None]
-    supply = (policy.chp_power[:, :, 0].sum(axis=0)[:, None] + discharge.sum(axis=0)
-              + scenarios.solar.T)
+    S = len(scenarios)
+    cap = config.tariff.exchange_cap
+    charge = policy.charge * scenarios.parking
+    discharge = policy.discharge * scenarios.parking
+    serve = policy.serve[0]
+    demand = config.base_power + charge.sum(axis=1) + serve.sum(axis=0)
+    supply = policy.chp_power[0].sum(axis=0) + discharge.sum(axis=1) + scenarios.solar
     net = demand - supply
     buy = np.clip(net, 0.0, cap)
     sell = np.clip(-net, 0.0, cap)
     realized = Schedule.from_decisions(
-        config, np.broadcast_to(policy.chp_power, (config.n_chp, *net.shape)), charge, discharge,
-        np.broadcast_to(policy.serve, (config.n_deferrable, *net.shape)), buy, sell)
+        config, np.repeat(policy.chp_power, S, axis=0), charge, discharge,
+        np.repeat(policy.serve, S, axis=0), buy, sell)
 
-    # kWh of unabsorbable deviation; every term is 0 for an absent fleet
-    e_min = np.array([ev.e_min for ev in config.phevs])[:, None, None]
-    e_max = np.array([ev.e_max for ev in config.phevs])[:, None, None]
-    e_init = np.array([ev.e_initial for ev in config.phevs])[:, None]
+    # kWh of unabsorbable deviation, each scenario's (n_phev, T) summed as
+    # one row; every term is 0 for an absent fleet
+    e_min = np.array([ev.e_min for ev in config.phevs])[:, None]
+    e_max = np.array([ev.e_max for ev in config.phevs])[:, None]
+    e_init = np.array([ev.e_initial for ev in config.phevs])
     storage = realized.storage
-    violation = _scenario_sums(np.maximum(storage - e_max, 0.0))
-    violation += _scenario_sums(np.maximum(e_min - storage, 0.0))
-    violation += _scenario_sums(np.abs(storage[:, -1] - e_init))
+    violation = np.maximum(storage - e_max, 0.0).reshape(S, -1).sum(axis=1)
+    violation += np.maximum(e_min - storage, 0.0).reshape(S, -1).sum(axis=1)
+    violation += np.abs(storage[:, :, -1] - e_init).sum(axis=1)
     violation += np.abs(serve.sum(axis=1) * h - scenarios.deferrable_energy).sum(axis=1)
-    violation += _scenario_sums(np.abs(net - (buy - sell))) * h
+    violation += np.abs(net - (buy - sell)).sum(axis=1) * h
 
-    cost = h * _scenario_sums(cost_rates(config, realized)) + penalty * violation
+    cost = h * cost_rates(config, realized).sum(axis=1) + penalty * violation
     # a running sum in scenario order; np.sum would add the terms pairwise
     expected = float(np.cumsum(scenarios.probabilities * cost)[-1])
     return expected, [
         {"scenario": s, "cost": c, "violation_kwh": v, "flagged": v > 1e-6}
         for s, (c, v) in enumerate(zip(cost.tolist(), violation.tolist()))
     ]
-
-
-def _scenario_sums(a) -> np.ndarray:
-    """Each scenario's sum over an (..., S) array, as (S,), taken over one
-    contiguous row as numpy sums a one-scenario array."""
-    return np.ascontiguousarray(np.moveaxis(a, -1, 0)).reshape(a.shape[-1], -1).sum(axis=1)
 
 
 def compare_policies(config, scenarios, options=None, settings=None):
@@ -469,7 +468,7 @@ def run_single(manifest: RunManifest) -> dict:
     cost = evaluate_cost(config, scenarios, schedule)
     penalty = manifest.options.curtailment_penalty
     if penalty is not None:
-        spill = float(scenarios.probabilities @ schedule.curtail.sum(axis=0))
+        spill = float(scenarios.probabilities @ schedule.curtail.sum(axis=1))
         cost += penalty * config.period_hours * spill
     payload = {
         "status": report.status,
@@ -497,6 +496,8 @@ def run_solar_sweep(manifest: RunManifest) -> list:
     """
     if not manifest.levels or list(manifest.levels) != sorted(manifest.levels):
         raise IngestError("solar-sweep needs a nonempty sorted 'levels' list")
+    if not all(math.isfinite(v) and v >= 0 for v in manifest.levels):
+        raise IngestError(f"solar-sweep levels must be finite and >= 0, got {manifest.levels}")
     config = load_config(manifest.config_path)
     scenarios, _, _ = prepare_scenarios(manifest, config)
     path = Path(manifest.out_dir) / "solar_sweep.csv"
@@ -538,6 +539,8 @@ def run_window_sweep(manifest: RunManifest) -> list:
     """
     if not manifest.widths or list(manifest.widths) != sorted(manifest.widths):
         raise IngestError("window-sweep needs a nonempty sorted 'widths' list")
+    if manifest.widths[0] < 1:
+        raise IngestError(f"window-sweep widths must be >= 1, got {manifest.widths}")
     config = load_config(manifest.config_path)
     scenarios, _, _ = prepare_scenarios(manifest, config)
     path = Path(manifest.out_dir) / "window_sweep.csv"

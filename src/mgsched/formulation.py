@@ -12,6 +12,8 @@ inequality (surplus disposed freely), and the terminal rule pins each
 vehicle's final stored energy to its initial value.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 from itertools import product
 
@@ -54,6 +56,13 @@ class FormulationOptions:
             raise ValueError(f"unknown stage_mode {self.stage_mode!r}")
         if self.parking_mode not in PARKING_MODES:
             raise ValueError(f"unknown parking_mode {self.parking_mode!r}")
+        if not isinstance(self.exclusivity_binaries, bool):
+            raise ValueError(f"exclusivity_binaries must be true or false, "
+                             f"got {self.exclusivity_binaries!r}")
+        penalty = self.curtailment_penalty
+        if penalty is not None and (isinstance(penalty, bool) or not isinstance(penalty, numbers.Real)
+                                    or not math.isfinite(penalty)):
+            raise ValueError(f"curtailment_penalty must be a finite number, got {penalty!r}")
         if self.exclusivity_binaries and self.parking_mode == "decision-binary":
             raise ValueError(
                 "exclusivity_binaries and decision-binary parking both claim the "
@@ -340,7 +349,7 @@ def schedule_to_vector(schedule: Schedule, index: VariableIndex) -> np.ndarray:
     x = np.zeros(index.n_cols)
     for field, kind in _SCHEDULE_KINDS:
         arr = getattr(schedule, field)
-        x[index.columns(kind)] = (arr if arr.ndim == 3 else arr[None]).transpose(2, 1, 0)
+        x[index.columns(kind)] = (arr if arr.ndim == 3 else arr[:, None]).transpose(0, 2, 1)
     return x
 
 
@@ -354,7 +363,7 @@ def extract_schedule(solution, index: VariableIndex, config: MicrogridConfig,
     if solution.status in ("infeasible", "unbounded") or solution.x is None:
         raise ValueError(f"cannot extract a schedule from status {solution.status!r}")
     chp, charge, discharge, lp_storage, serve, buy, sell, curtail = (
-        solution.x[index.columns(kind)].transpose(2, 1, 0) for _, kind in _SCHEDULE_KINDS)
+        solution.x[index.columns(kind)].transpose(0, 2, 1) for _, kind in _SCHEDULE_KINDS)
 
     derived = derive_storage(config, charge, discharge)
     if index.dims["phev"] and np.abs(derived - lp_storage).max() > storage_tol:
@@ -362,5 +371,5 @@ def extract_schedule(solution, index: VariableIndex, config: MicrogridConfig,
             "storage columns disagree with the recursion by "
             f"{np.abs(derived - lp_storage).max():.3g} kWh"
         )
-    return Schedule.from_decisions(config, chp, charge, discharge, serve, buy[0], sell[0],
-                                   curtail.sum(axis=0))
+    return Schedule.from_decisions(config, chp, charge, discharge, serve, buy[:, 0], sell[:, 0],
+                                   curtail.sum(axis=1))

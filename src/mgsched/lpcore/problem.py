@@ -6,6 +6,7 @@ magnitude >= BOUND_INF are treated as infinite, mirroring the convention
 of most solver interchange formats.
 """
 
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -30,8 +31,13 @@ class SolveSettings:
 
     def __post_init__(self):
         for name in ("feasibility_tol", "optimality_tol", "integrality_tol", "mip_gap"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise LpError(f"{name} must be positive")
+        for name in ("node_limit", "iteration_limit"):
+            limit = getattr(self, name)
+            if limit is not None and (isinstance(limit, bool)
+                                      or not isinstance(limit, numbers.Integral) or limit < 0):
+                raise LpError(f"{name} must be null or an integer >= 0, got {limit!r}")
 
 
 class LpProblem:

@@ -10,7 +10,7 @@ supply + buy = demand + sell.  Deferrable-load windows are 1-based
 inclusive period indices; all arrays are 0-based.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -160,6 +160,11 @@ def validate_config(config: MicrogridConfig) -> ValidationReport:
     if T <= 0:
         rep.add("HORIZON_NONPOSITIVE", f"horizon must be >= 1, got {T}")
         return rep
+    # every other check reads NaN as in range, so a NaN ends the check
+    for name in _nan_fields(config):
+        rep.add("VALUE_NAN", f"{name} contains NaN")
+    if not rep.ok:
+        return rep
     if h <= 0:
         rep.add("PERIOD_HOURS_NONPOSITIVE", f"period_hours must be > 0, got {h}")
 
@@ -228,6 +233,20 @@ def validate_config(config: MicrogridConfig) -> ValidationReport:
     return rep
 
 
+def _nan_fields(config: MicrogridConfig) -> list:
+    """Names of the config's numbers and series that hold a NaN."""
+    named = {"period_hours": config.period_hours, "solar_capacity": config.solar_capacity,
+             "base_power": config.base_power, "base_heat": config.base_heat}
+    named.update((f"tariff.{f.name}", getattr(config.tariff, f.name)) for f in fields(GridTariff))
+    bad = [name for name, value in named.items() if np.isnan(value).any()]
+    for what, kind, units in (("chp", ChpUnit, config.chp_units), ("phev", Phev, config.phevs),
+                              ("deferrable", DeferrableLoad, config.deferrables)):
+        names = [f.name for f in fields(kind)]
+        values = np.array([[getattr(u, n) for n in names] for u in units], dtype=float)
+        bad += [f"{what}[{i}].{names[j]}" for i, j in zip(*np.nonzero(np.isnan(values)))]
+    return bad
+
+
 def validate_scenarios(scenarios, config: MicrogridConfig | None = None) -> ValidationReport:
     """Check a scenario set's values; with a config, also its shapes and
     the solar capacity.  Each message names the first offending scenario
@@ -265,10 +284,11 @@ def validate_scenarios(scenarios, config: MicrogridConfig | None = None) -> Vali
 
 @dataclass(frozen=True)
 class Schedule:
-    """Per-scenario decision trajectories plus the derived storage path.
+    """Per-scenario decision trajectories plus the derived storage path,
+    scenario-first like `ScenarioSet`.
 
-    Shapes: chp_power (n_chp, T, S); charge/discharge/storage (n_phev, T, S);
-    serve (n_deferrable, T, S); grid_buy/grid_sell/curtail (T, S).  `curtail`
+    Shapes: chp_power (S, n_chp, T); charge/discharge/storage (S, n_phev, T);
+    serve (S, n_deferrable, T); grid_buy/grid_sell/curtail (S, T).  `curtail`
     is spilled power, zero unless the formulation has a spill column.
     `storage` is always recomputed from charge/discharge, never set
     independently.
@@ -302,83 +322,73 @@ class Schedule:
 
     @classmethod
     def zeros(cls, config, n_scenarios):
-        T, S = config.horizon, n_scenarios
+        S, T = n_scenarios, config.horizon
         return cls.from_decisions(
             config,
-            np.zeros((config.n_chp, T, S)),
-            np.zeros((config.n_phev, T, S)),
-            np.zeros((config.n_phev, T, S)),
-            np.zeros((config.n_deferrable, T, S)),
-            np.zeros((T, S)),
-            np.zeros((T, S)),
+            np.zeros((S, config.n_chp, T)),
+            np.zeros((S, config.n_phev, T)),
+            np.zeros((S, config.n_phev, T)),
+            np.zeros((S, config.n_deferrable, T)),
+            np.zeros((S, T)),
+            np.zeros((S, T)),
         )
 
     @property
     def n_scenarios(self) -> int:
-        return self.grid_buy.shape[1]
+        return self.grid_buy.shape[0]
 
     def to_dict(self):
-        return {
-            "chp_power": self.chp_power.tolist(),
-            "charge": self.charge.tolist(),
-            "discharge": self.discharge.tolist(),
-            "serve": self.serve.tolist(),
-            "grid_buy": self.grid_buy.tolist(),
-            "grid_sell": self.grid_sell.tolist(),
-            "curtail": self.curtail.tolist(),
-            "storage": self.storage.tolist(),
-        }
+        """Every field in solution.json's (unit, period, scenario) layout,
+        (period, scenario) for grid exchange and spill."""
+        return {f.name: np.moveaxis(getattr(self, f.name), 0, -1).tolist()
+                for f in fields(self)}
 
 
 def derive_storage(config: MicrogridConfig, charge, discharge) -> np.ndarray:
-    """Stored-energy path implied by the charge/discharge trajectories.
+    """Stored-energy path implied by (S, n_phev, T) charge/discharge
+    trajectories.
 
-    storage[m, t] = storage[m, t-1] + (eta+ * charge - discharge / eta-) * h,
+    storage[s, m, t] = storage[s, m, t-1] + (eta+ * charge - discharge / eta-) * h,
     starting from each vehicle's initial energy.
     """
     h = config.period_hours
-    eta_c = np.array([ev.eta_charge for ev in config.phevs])
-    eta_d = np.array([ev.eta_discharge for ev in config.phevs])
-    e0 = np.array([ev.e_initial for ev in config.phevs])
-    delta = (eta_c[:, None, None] * charge - discharge / eta_d[:, None, None]) * h
-    return e0[:, None, None] + np.cumsum(delta, axis=1)
-
-
-def _unit_sum(coef, a) -> np.ndarray:
-    """sum_i coef[i] * a[i] of an (n, T, S) array, as (T, S).  Each
-    scenario is its own (n,) @ (n, T) product, so a column does not depend
-    on how many scenarios are beside it."""
-    return np.matmul(coef, np.ascontiguousarray(np.moveaxis(a, -1, 0))).T
+    eta_c = np.array([ev.eta_charge for ev in config.phevs])[:, None]
+    eta_d = np.array([ev.eta_discharge for ev in config.phevs])[:, None]
+    e0 = np.array([ev.e_initial for ev in config.phevs])[:, None]
+    delta = (eta_c * charge - discharge / eta_d) * h
+    return e0 + np.cumsum(delta, axis=-1)
 
 
 def cost_rates(config: MicrogridConfig, schedule: Schedule) -> np.ndarray:
-    """Operating cost per hour of every period and scenario, (T, S):
+    """Operating cost per hour of every scenario and period, (S, T):
     CHP production cost, PHEV degradation on throughput (charge weighted
     by eta+, discharge by 1/eta-), and grid purchases net of sales."""
     c_ev = np.array([ev.degradation_cost_per_kwh for ev in config.phevs])
     eta_c = np.array([ev.eta_charge for ev in config.phevs])
     eta_d = np.array([ev.eta_discharge for ev in config.phevs])
     rates = np.zeros(schedule.grid_buy.shape)
-    rates += _unit_sum(np.array([u.cost_per_kwh for u in config.chp_units]), schedule.chp_power)
-    rates += _unit_sum(c_ev * eta_c, schedule.charge)
-    rates += _unit_sum(c_ev / eta_d, schedule.discharge)
-    rates += config.tariff.price_buy[:, None] * schedule.grid_buy
-    rates -= config.tariff.price_sell[:, None] * schedule.grid_sell
+    rates += np.array([u.cost_per_kwh for u in config.chp_units]) @ schedule.chp_power
+    rates += (c_ev * eta_c) @ schedule.charge
+    rates += (c_ev / eta_d) @ schedule.discharge
+    rates += config.tariff.price_buy * schedule.grid_buy
+    rates -= config.tariff.price_sell * schedule.grid_sell
     return rates
 
 
 def evaluate_cost(config: MicrogridConfig, scenarios, schedule: Schedule) -> float:
     """Probability-weighted operating cost of a schedule: `cost_rates`
-    summed over the periods and scaled by the period length."""
+    summed over each scenario's periods and scaled by the period length.
+    Each scenario's sum is one contiguous row, so it does not depend on how
+    many scenarios are beside it."""
     _check_dims(config, len(scenarios), schedule)
     h = config.period_hours
-    return float(h * scenarios.probabilities @ cost_rates(config, schedule).sum(axis=0))
+    return float(h * scenarios.probabilities @ cost_rates(config, schedule).sum(axis=1))
 
 
 @dataclass
 class BalanceReport:
-    """Per-period power residual and heat surplus, (T, S), of every
-    scenario, checked at tolerance `tol`."""
+    """Power residual and heat surplus of every scenario and period,
+    (S, T), checked at tolerance `tol`."""
 
     power_residual: np.ndarray
     heat_surplus: np.ndarray
@@ -395,11 +405,11 @@ class BalanceReport:
             {
                 "scenario": s,
                 "ok": not any(f[0] == s for f in self.flags),
-                "power_residual": self.power_residual[:, s].tolist(),
-                "heat_surplus": self.heat_surplus[:, s].tolist(),
+                "power_residual": self.power_residual[s].tolist(),
+                "heat_surplus": self.heat_surplus[s].tolist(),
                 "flags": [{"t": t, "kind": k} for r, t, k in self.flags if r == s],
             }
-            for s in range(self.power_residual.shape[1])
+            for s in range(len(self.power_residual))
         ]}
 
 
@@ -418,17 +428,16 @@ def check_balance(config: MicrogridConfig, solar: np.ndarray, schedule: Schedule
         raise ValueError(f"solar has shape {np.shape(solar)}, expected {(S, config.horizon)}")
     _check_dims(config, S, schedule)
     power_residual = (
-        schedule.chp_power.sum(axis=0) + (schedule.discharge - schedule.charge).sum(axis=0)
-        + solar.T + schedule.grid_buy
-        - (schedule.grid_sell + config.base_power[:, None] + schedule.serve.sum(axis=0)
+        schedule.chp_power.sum(axis=1) + (schedule.discharge - schedule.charge).sum(axis=1)
+        + solar + schedule.grid_buy
+        - (schedule.grid_sell + config.base_power + schedule.serve.sum(axis=1)
            + schedule.curtail)
     )
     alphas = np.array([u.alpha for u in config.chp_units])
-    heat_surplus = _unit_sum(alphas, schedule.chp_power) - config.base_heat[:, None]
+    heat_surplus = alphas @ schedule.chp_power - config.base_heat
 
-    flags = [(int(s), int(t), "power")
-             for s, t in zip(*np.nonzero(np.abs(power_residual.T) > tol))]
-    flags += [(int(s), int(t), "heat") for s, t in zip(*np.nonzero(heat_surplus.T < -tol))]
+    flags = [(int(s), int(t), "power") for s, t in zip(*np.nonzero(np.abs(power_residual) > tol))]
+    flags += [(int(s), int(t), "heat") for s, t in zip(*np.nonzero(heat_surplus < -tol))]
     flags.sort()
     return BalanceReport(power_residual, heat_surplus, flags, tol)
 
@@ -436,13 +445,13 @@ def check_balance(config: MicrogridConfig, solar: np.ndarray, schedule: Schedule
 def _check_dims(config, S, schedule):
     T = config.horizon
     expect = {
-        "chp_power": (config.n_chp, T, S),
-        "charge": (config.n_phev, T, S),
-        "discharge": (config.n_phev, T, S),
-        "serve": (config.n_deferrable, T, S),
-        "grid_buy": (T, S),
-        "grid_sell": (T, S),
-        "curtail": (T, S),
+        "chp_power": (S, config.n_chp, T),
+        "charge": (S, config.n_phev, T),
+        "discharge": (S, config.n_phev, T),
+        "serve": (S, config.n_deferrable, T),
+        "grid_buy": (S, T),
+        "grid_sell": (S, T),
+        "curtail": (S, T),
     }
     for name, shape in expect.items():
         got = getattr(schedule, name).shape

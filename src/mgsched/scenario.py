@@ -72,6 +72,8 @@ class GenerationSpec:
         prob = np.asarray(self.parking_prob, dtype=float)
         if np.any(prob < 0) or np.any(prob > 1):
             raise ValueError("parking probabilities must lie in [0, 1]")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)

@@ -161,14 +161,14 @@ def cost_by_hand(config, scenarios, schedule):
         for t in range(config.horizon):
             acc = 0.0
             for i, unit in enumerate(config.chp_units):
-                acc += unit.cost_per_kwh * schedule.chp_power[i, t, s]
+                acc += unit.cost_per_kwh * schedule.chp_power[s, i, t]
             for m, ev in enumerate(config.phevs):
                 acc += ev.degradation_cost_per_kwh * (
-                    schedule.charge[m, t, s] * ev.eta_charge
-                    + schedule.discharge[m, t, s] / ev.eta_discharge
+                    schedule.charge[s, m, t] * ev.eta_charge
+                    + schedule.discharge[s, m, t] / ev.eta_discharge
                 )
-            acc += config.tariff.price_buy[t] * schedule.grid_buy[t, s]
-            acc -= config.tariff.price_sell[t] * schedule.grid_sell[t, s]
+            acc += config.tariff.price_buy[t] * schedule.grid_buy[s, t]
+            acc -= config.tariff.price_sell[t] * schedule.grid_sell[s, t]
             total += prob * acc * h
     return total
 

@@ -259,7 +259,7 @@ def test_criterion_04_constraint_fidelity_at_scale(case_study_solution):
     assert rep.ok, f"(scenario, period, kind): {rep.flags[:3]}"
     assert np.all(schedule.storage >= 4.0 - 1e-6)
     assert np.all(schedule.storage <= 18.0 + 1e-6)
-    assert np.abs(schedule.storage[:, -1, :] - 9.0).max() <= 1e-6
+    assert np.abs(schedule.storage[:, :, -1] - 9.0).max() <= 1e-6
     assert elapsed < 600.0, f"solve took {elapsed:.0f}s"
 
 

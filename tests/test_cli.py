@@ -11,6 +11,8 @@ from mgsched.lpcore import LpError, LpSolution
 from test_experiments import write_inputs
 
 DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
+SWEEP = {"config": "config.json", "generation": "gen.json", "generate": 4, "keep": 2,
+         "levels": [1.0]}
 
 
 def test_run_exits_zero_and_writes_artifacts(tmp_path, capsys):
@@ -41,8 +43,10 @@ def test_flags_without_manifest_require_both_inputs(tmp_path):
     (["--keep", "0"], "'keep' must be >= 1"),
     (["--keep", "-3"], "'keep' must be >= 1"),
     (["--generate", "0"], "'generate' must be >= 1"),
+    (["--seed", "-1"], "'seed' must be >= 0"),
+    (["--curtailment-penalty", "nan"], "curtailment_penalty must be a finite number"),
 ], ids=["exclusivity-with-decision-parking", "penalty-below-price", "keep-0", "keep-negative",
-        "generate-0"])
+        "generate-0", "seed-negative", "penalty-nan"])
 def test_bad_run_flags_exit_two(tmp_path, capsys, flags, message):
     # flags go through the same parser as manifest fields
     config, gen = write_inputs(tmp_path)
@@ -59,7 +63,18 @@ def test_bad_run_flags_exit_two(tmp_path, capsys, flags, message):
     ({"config": "config.json", "generation": "gen.json", "levels": ["low"]}, []),
     ({"config": "config.json", "generation": "gen.json", "formulation": [1]},
      ["--exclusivity"]),
-], ids=["not-an-object", "keep-not-a-number", "level-not-a-number", "formulation-not-an-object"])
+    # each of these is otherwise a valid sweep that runs
+    ({**SWEEP, "formulation": {"exclusivity_binaries": "false"}}, []),
+    ({**SWEEP, "formulation": {"curtailment_penalty": "5"}}, []),
+    ({**SWEEP, "formulation": {"curtailment_penalty": True}}, []),
+    ({**SWEEP, "solver": {"iteration_limit": "10"}}, []),
+    ({**SWEEP, "solver": {"node_limit": -1}}, []),
+    ({**SWEEP, "solver": {"mip_gap": float("nan")}}, []),
+    ({**SWEEP, "write_mps": "false"}, []),
+    ({**SWEEP, "seed": -1}, []),
+], ids=["not-an-object", "keep-not-a-number", "level-not-a-number", "formulation-not-an-object",
+        "exclusivity-string", "penalty-string", "penalty-bool", "iteration-limit-string",
+        "node-limit-negative", "mip-gap-nan", "write-mps-string", "seed-negative"])
 def test_malformed_manifest_exits_two(tmp_path, document, flags):
     write_inputs(tmp_path)
     (tmp_path / "m.json").write_text(json.dumps(document))
@@ -224,6 +239,46 @@ def test_config_failing_validation_exits_two(tmp_path, capsys):
                  "--genspec", str(DEMO_DATA / "genspec.json"), "--generate", "4",
                  "--keep", "2", "--out", str(out)]) == 2
     assert "invalid config: chp[0]: need 0 <= p_min <= p_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("breaker, message", [
+    (lambda c: c["phevs"][0].update(count="abc"), "phevs[0].count: expected an integer"),
+    (lambda c: c.update(horizon="x"), "horizon: expected an integer"),
+    (lambda c: c["phevs"][0].update(e_min="4"), "phevs[0].e_min: expected a number"),
+    (lambda c: c["chp_units"][0].update(p_max=None), "chp_units[0].p_max: expected a number"),
+    (lambda c: c["tariff"]["price_buy"].__setitem__(3, float("nan")),
+     "invalid config: tariff.price_buy contains NaN"),
+    (lambda c: c["base_heat"].__setitem__(3, float("nan")), "invalid config: base_heat contains NaN"),
+    (lambda c: c.update(solar_capacity=float("nan")),
+     "invalid config: solar_capacity contains NaN"),
+], ids=["count-string", "horizon-string", "e_min-string", "p_max-null", "price_buy-nan",
+        "base_heat-nan", "solar_capacity-nan"])
+def test_config_value_of_the_wrong_type_or_nan_exits_two(tmp_path, capsys, breaker, message):
+    config = json.loads((DEMO_DATA / "config.json").read_text())
+    breaker(config)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "config.json"),
+                 "--genspec", str(DEMO_DATA / "genspec.json"), "--generate", "20",
+                 "--keep", "2", "--seed", "3", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, message", [
+    ("sweep-solar", "--levels=-1,0", "levels must be finite and >= 0"),
+    ("sweep-solar", "--levels=0,nan", "levels must be finite and >= 0"),
+    ("sweep-solar", "--levels=0,inf", "levels must be finite and >= 0"),
+    ("sweep-window", "--widths=-3,2", "widths must be >= 1"),
+    ("sweep-window", "--widths=0,2", "widths must be >= 1"),
+], ids=["level-negative", "level-nan", "level-inf", "width-negative", "width-0"])
+def test_bad_sweep_inputs_exit_two(tmp_path, capsys, command, flag, message):
+    config, gen = write_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, flag, "--config", str(config), "--genspec", str(gen),
+                 "--generate", "10", "--keep", "2", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -150,6 +150,53 @@ def test_generation_spec_empirical_csv(tmp_path):
 def test_generation_spec_rejects_bad_values():
     with pytest.raises(IngestError, match="probabilities"):
         generation_spec_from_dict({"solar_profile_mean": [1.0], "parking_prob": [2.0]})
+    with pytest.raises(IngestError, match="rng_seed must be >= 0"):
+        generation_spec_from_dict({"solar_profile_mean": [1.0], "rng_seed": -1})
+
+
+@pytest.mark.parametrize("breaker, match", [
+    (lambda d: d.update(horizon="x"), r"horizon: expected an integer, got 'x'"),
+    (lambda d: d.update(horizon=4.5), r"horizon: expected an integer, got 4.5"),
+    (lambda d: d["phevs"][0].update(count="abc"), r"phevs\[0\]\.count: expected an integer"),
+    (lambda d: d["phevs"][0].update(e_min="4"), r"phevs\[0\]\.e_min: expected a number, got '4'"),
+    (lambda d: d["chp_units"][0].update(p_max=None), r"chp_units\[0\]\.p_max: expected a number"),
+    (lambda d: d["chp_units"][0].update(alpha=True), r"chp_units\[0\]\.alpha: expected a number"),
+    (lambda d: d["deferrables"][0].update(t_arrive=2.5), r"deferrables\[0\]\.t_arrive"),
+    (lambda d: d.update(solar_capacity="300"), r"solar_capacity: expected a number"),
+    (lambda d: d.update(phevs={}), r"phevs: expected a list"),
+], ids=["horizon-string", "horizon-fraction", "count-string", "e_min-string", "p_max-null",
+        "alpha-bool", "t_arrive-fraction", "solar-capacity-string", "phevs-not-a-list"])
+def test_values_of_the_wrong_type_are_ingest_errors(breaker, match):
+    data = sample_dict()
+    breaker(data)
+    with pytest.raises(IngestError, match=match):
+        config_from_dict(data)
+
+
+def test_integral_floats_are_accepted_where_integers_are_expected():
+    data = sample_dict()
+    data.update(horizon=4.0)
+    data["phevs"][0].update(count=3.0)
+    cfg = config_from_dict(data)
+    assert (cfg.horizon, cfg.n_phev) == (4, 3) and type(cfg.horizon) is int
+
+
+@pytest.mark.parametrize("breaker, field", [
+    (lambda d: d["tariff"]["price_buy"].__setitem__(1, float("nan")), "tariff.price_buy"),
+    (lambda d: d["base_heat"].__setitem__(0, float("nan")), "base_heat"),
+    (lambda d: d.update(solar_capacity=float("nan")), "solar_capacity"),
+    (lambda d: d.update(period_hours=float("nan")), "period_hours"),
+    (lambda d: d["chp_units"][0].update(p_max=float("nan")), r"chp\[0\]\.p_max"),
+    (lambda d: d["phevs"][0].update(e_max=float("nan")), r"phev\[0\]\.e_max"),
+], ids=["price_buy", "base_heat", "solar_capacity", "period_hours", "p_max", "e_max"])
+def test_nan_values_fail_validation_by_name(tmp_path, breaker, field):
+    data = sample_dict()
+    breaker(data)
+    assert set(validate_config(config_from_dict(data)).codes()) == {"VALUE_NAN"}
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(data))  # JSON's NaN literal, as Python's json module reads it
+    with pytest.raises(IngestError, match=f"invalid config: {field} contains NaN"):
+        load_config(p)
 
 
 def test_solar_samples_read_errors_are_ingest_errors(tmp_path):

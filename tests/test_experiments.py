@@ -19,6 +19,7 @@ from mgsched.experiments import (
     compare_policies,
     default_penalty,
     evaluate_policy,
+    prepare_scenarios,
     resize_window,
     run_compare,
     run_single,
@@ -28,7 +29,7 @@ from mgsched.experiments import (
     solve_stochastic,
 )
 from mgsched.cli import main
-from mgsched.config_io import IngestError
+from mgsched.config_io import IngestError, load_config, load_generation_spec
 from mgsched.formulation import FormulationOptions, build, schedule_to_vector
 from mgsched.lpcore import SolveSettings, check_point, solve_lp, solve_milp
 from mgsched.model import (
@@ -38,9 +39,10 @@ from mgsched.model import (
     MicrogridConfig,
     Schedule,
     check_balance,
+    cost_rates,
     evaluate_cost,
 )
-from mgsched.scenario import ScenarioSet, generate
+from mgsched.scenario import ScenarioSet, generate, reduce_fast_forward
 
 
 def toy_two_scenario():
@@ -129,7 +131,7 @@ def test_day_ahead_mode_solves_jointly():
     assert not report.decomposed
     assert report.status == "optimal"
     for s in range(1, 3):
-        assert np.abs(sched.chp_power[:, :, s] - sched.chp_power[:, :, 0]).max() <= 1e-8
+        assert np.abs(sched.chp_power[s] - sched.chp_power[0]).max() <= 1e-8
 
 
 def test_buy_sell_exclusivity_at_optimum():
@@ -222,24 +224,23 @@ def policy_by_scenario(config, scenarios, policy, penalty):
     one-scenario schedule and priced by evaluate_cost on its own."""
     h = config.period_hours
     cap = config.tariff.exchange_cap
-    serve = policy.serve[:, :, 0]
+    serve = policy.serve[0]
     e_min = np.array([ev.e_min for ev in config.phevs])
     e_max = np.array([ev.e_max for ev in config.phevs])
     e_init = np.array([ev.e_initial for ev in config.phevs])
     expected, costs, violations = 0.0, [], []
     for s, prob in enumerate(scenarios.probabilities.tolist()):
-        charge = policy.charge[:, :, 0] * scenarios.parking[s]
-        discharge = policy.discharge[:, :, 0] * scenarios.parking[s]
-        demand = config.base_power + charge.sum(axis=0) + serve.sum(axis=0)
-        supply = (policy.chp_power[:, :, 0].sum(axis=0) + discharge.sum(axis=0)
+        charge = policy.charge * scenarios.parking[s:s + 1]
+        discharge = policy.discharge * scenarios.parking[s:s + 1]
+        demand = config.base_power + charge[0].sum(axis=0) + serve.sum(axis=0)
+        supply = (policy.chp_power[0].sum(axis=0) + discharge[0].sum(axis=0)
                   + scenarios.solar[s])
         net = demand - supply
         buy = np.clip(net, 0.0, cap)
         sell = np.clip(-net, 0.0, cap)
-        realized = Schedule.from_decisions(config, policy.chp_power, charge[:, :, None],
-                                           discharge[:, :, None], policy.serve,
-                                           buy[:, None], sell[:, None])
-        storage = realized.storage[:, :, 0]
+        realized = Schedule.from_decisions(config, policy.chp_power, charge, discharge,
+                                           policy.serve, buy[None], sell[None])
+        storage = realized.storage[0]
         violation = float(np.maximum(storage - e_max[:, None], 0.0).sum())
         violation += float(np.maximum(e_min[:, None] - storage, 0.0).sum())
         violation += float(np.abs(storage[:, -1] - e_init).sum())
@@ -261,8 +262,8 @@ def test_policy_prices_each_scenario_as_its_own_schedule(n_chp, n_phev, n_def, S
     cfg = make_config(T=T, n_chp=n_chp, n_phev=n_phev, n_def=n_def, cap=60.0)
     rng = np.random.default_rng(seed)
     policy = Schedule.from_decisions(
-        cfg, *(rng.uniform(0.0, 40.0, (n, T, 1)) for n in (n_chp, n_phev, n_phev, n_def)),
-        np.zeros((T, 1)), np.zeros((T, 1)))
+        cfg, *(rng.uniform(0.0, 40.0, (1, n, T)) for n in (n_chp, n_phev, n_phev, n_def)),
+        np.zeros((1, T)), np.zeros((1, T)))
     weights = rng.integers(1, 5, S)
     ss = ScenarioSet(weights / weights.sum(), rng.uniform(0.0, 200.0, (S, T)),
                      rng.integers(0, 2, (S, n_phev, T)), rng.uniform(0.0, 8.0, (S, n_def)))
@@ -478,19 +479,40 @@ def test_emitted_schedule_always_balances(tmp_path):
     m = manifest_for(tmp_path)
     payload = run_single(m)
     # reconstruct and re-check balance independently of the writer
-    from mgsched.experiments import load_config, prepare_scenarios
     config = load_config(m.config_path)
     scenarios, _, _ = prepare_scenarios(m, config)
+    # solution.json keeps the (unit, period, scenario) layout; move the
+    # scenario axis first to rebuild the schedule
     sched = payload["schedule"]
-    rebuilt = Schedule.from_decisions(
-        config,
-        np.array(sched["chp_power"]), np.array(sched["charge"]),
-        np.array(sched["discharge"]), np.array(sched["serve"]),
-        np.array(sched["grid_buy"]), np.array(sched["grid_sell"]),
-    )
+    rebuilt = Schedule.from_decisions(config, *(
+        np.moveaxis(np.array(sched[name]), -1, 0)
+        for name in ("chp_power", "charge", "discharge", "serve", "grid_buy", "grid_sell")))
     assert check_balance(config, scenarios.solar, rebuilt, 1e-6).ok
     assert evaluate_cost(config, scenarios, rebuilt) == pytest.approx(
         payload["objective"], abs=1e-6)
+
+
+def test_scenario_cost_does_not_depend_on_the_scenarios_beside_it():
+    # each scenario's periods are summed as one contiguous row, as for a
+    # one-scenario schedule, so its cost bits do not move with S
+    data = Path(__file__).resolve().parents[1] / "demos" / "data"
+    config = load_config(data / "config.json")
+    spec = dataclasses.replace(load_generation_spec(data / "genspec.json"), rng_seed=7)
+    scenarios, _ = reduce_fast_forward(generate(spec, config, 300), 10)
+    schedule, _ = solve_stochastic(config, scenarios)
+    h = config.period_hours
+    rows = cost_rates(config, schedule).sum(axis=1)
+    for s in range(len(scenarios)):
+        one = Schedule.from_decisions(config, *(
+            getattr(schedule, name)[s:s + 1]
+            for name in ("chp_power", "charge", "discharge", "serve", "grid_buy", "grid_sell",
+                         "curtail")))
+        alone = evaluate_cost(config, scenarios.single(s), one)
+        assert h * cost_rates(config, schedule)[s].sum() == alone
+        # the same scenario priced beside the other nine, which weigh nothing
+        beside = dataclasses.replace(scenarios, probabilities=np.eye(len(scenarios))[s])
+        assert evaluate_cost(config, beside, schedule) == alone
+    assert evaluate_cost(config, scenarios, schedule) == h * scenarios.probabilities @ rows
 
 
 def test_bench_hooks_resolve():

@@ -158,15 +158,13 @@ def test_handmade_point_costs_the_same_via_both_routes():
     ss = one_scenario([10.0, 0.0], np.ones((1, 2)))
     problem, index = build(cfg, ss)
 
-    chp = np.array([[[40.0], [40.0]]])  # covers heat: 1.2 * 40 >= 40
-    charge = np.array([[[2.0], [0.0]]])
-    discharge = np.array([[[0.0], [2.0 * 0.9 * 0.9]]])
+    chp = np.array([[[40.0, 40.0]]])  # covers heat: 1.2 * 40 >= 40
+    charge = np.array([[[2.0, 0.0]]])
+    discharge = np.array([[[0.0, 2.0 * 0.9 * 0.9]]])
     # buy balances each period: base + charge - chp - solar - discharge
-    buy = np.zeros((2, 1))
-    buy[0, 0] = cfg.base_power[0] + 2.0 - 40.0 - 10.0
-    buy[1, 0] = cfg.base_power[1] - 40.0 - 1.62
+    buy = np.array([[cfg.base_power[0] + 2.0 - 40.0 - 10.0, cfg.base_power[1] - 40.0 - 1.62]])
     sched = Schedule.from_decisions(cfg, chp, charge, discharge,
-                                    np.zeros((0, 2, 1)), buy, np.zeros((2, 1)))
+                                    np.zeros((1, 0, 2)), buy, np.zeros((1, 2)))
     x = schedule_to_vector(sched, index)
     assert check_point(problem, x, 1e-9).ok(1e-9)
     lp_obj = float(problem.objective @ x)
@@ -222,7 +220,7 @@ def test_day_ahead_mode_equalizes_chp_across_scenarios():
     assert sol.status == "optimal"
     sched = extract_schedule(sol, index, cfg, ss)
     for s in range(1, 4):
-        assert np.abs(sched.chp_power[:, :, s] - sched.chp_power[:, :, 0]).max() <= 1e-8
+        assert np.abs(sched.chp_power[s] - sched.chp_power[0]).max() <= 1e-8
 
 
 def test_day_ahead_cost_is_at_least_fully_adaptive():
@@ -245,10 +243,10 @@ def test_half_hour_periods_solve_consistently():
     assert check_balance(cfg, ss.solar, sched, 1e-6).ok
     # delivered deferrable energy equals the scenario's requirement in kWh
     for s in range(2):
-        delivered = sched.serve[0, :, s].sum() * cfg.period_hours
+        delivered = sched.serve[s, 0].sum() * cfg.period_hours
         assert delivered == pytest.approx(ss.deferrable_energy[s, 0], abs=1e-7)
     # terminal rule holds in energy units
-    assert np.abs(sched.storage[:, -1, :] - 9.0).max() <= 1e-7
+    assert np.abs(sched.storage[:, :, -1] - 9.0).max() <= 1e-7
 
 
 def test_default_formulation_is_a_pure_lp():

@@ -140,7 +140,7 @@ def test_charging_cost_uses_efficiency_weighted_throughput():
     charge[0, 0, 0] = 4.0
     sched = Schedule.from_decisions(
         cfg, np.zeros((1, 1, 1)), charge, np.zeros((1, 1, 1)),
-        np.zeros((0, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
+        np.zeros((1, 0, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
     )
     assert evaluate_cost(cfg, ss, sched) == pytest.approx(0.0126, abs=1e-12)
 
@@ -149,12 +149,12 @@ def test_chp_plus_purchase_example():
     # CHP 100 kW for 2 h at 0.05 plus 10 kW bought for 1 h at 0.10 -> 11.0
     cfg = config_one_of_each(T=2)
     ss = uniform_set(cfg, 1)
-    chp = np.full((1, 2, 1), 100.0)
-    buy = np.zeros((2, 1))
+    chp = np.full((1, 1, 2), 100.0)
+    buy = np.zeros((1, 2))
     buy[0, 0] = 10.0
     sched = Schedule.from_decisions(
-        cfg, chp, np.zeros((1, 2, 1)), np.zeros((1, 2, 1)),
-        np.zeros((0, 2, 1)), buy, np.zeros((2, 1)),
+        cfg, chp, np.zeros((1, 1, 2)), np.zeros((1, 1, 2)),
+        np.zeros((1, 0, 2)), buy, np.zeros((1, 2)),
     )
     got = evaluate_cost(cfg, ss, sched)
     assert got == pytest.approx(11.0, abs=1e-12)
@@ -169,9 +169,9 @@ def test_cost_matches_term_by_term_oracle_on_random_schedules():
     ss = ScenarioSet(probs, rng.uniform(0, 100, (S, 5)), np.ones((S, 3, 5)), np.zeros((S, 2)))
     sched = Schedule.from_decisions(
         cfg,
-        rng.uniform(0, 50, (2, 5, S)), rng.uniform(0, 4, (3, 5, S)),
-        rng.uniform(0, 4, (3, 5, S)), rng.uniform(0, 3, (2, 5, S)),
-        rng.uniform(0, 20, (5, S)), rng.uniform(0, 20, (5, S)),
+        rng.uniform(0, 50, (S, 2, 5)), rng.uniform(0, 4, (S, 3, 5)),
+        rng.uniform(0, 4, (S, 3, 5)), rng.uniform(0, 3, (S, 2, 5)),
+        rng.uniform(0, 20, (S, 5)), rng.uniform(0, 20, (S, 5)),
     )
     assert evaluate_cost(cfg, ss, sched) == pytest.approx(
         cost_by_hand(cfg, ss, sched), rel=1e-12)
@@ -187,9 +187,9 @@ def test_cost_is_linear_in_the_schedule():
     def random_schedule():
         return Schedule.from_decisions(
             cfg,
-            rng.uniform(0, 50, (1, 4, S)), rng.uniform(0, 4, (2, 4, S)),
-            rng.uniform(0, 4, (2, 4, S)), rng.uniform(0, 3, (1, 4, S)),
-            rng.uniform(0, 20, (4, S)), rng.uniform(0, 20, (4, S)),
+            rng.uniform(0, 50, (S, 1, 4)), rng.uniform(0, 4, (S, 2, 4)),
+            rng.uniform(0, 4, (S, 2, 4)), rng.uniform(0, 3, (S, 1, 4)),
+            rng.uniform(0, 20, (S, 4)), rng.uniform(0, 20, (S, 4)),
         )
 
     for _ in range(5):
@@ -221,16 +221,16 @@ def test_dimension_mismatch_raises():
 def test_storage_recursion_matches_loop():
     rng = np.random.default_rng(4)
     cfg = make_config(T=6, n_phev=2, period_hours=0.5)
-    charge = rng.uniform(0, 4, (2, 6, 3))
-    discharge = rng.uniform(0, 4, (2, 6, 3))
+    charge = rng.uniform(0, 4, (3, 2, 6))
+    discharge = rng.uniform(0, 4, (3, 2, 6))
     got = derive_storage(cfg, charge, discharge)
     for m, ev in enumerate(cfg.phevs):
         for s in range(3):
             e = ev.e_initial
             for t in range(6):
-                e += (ev.eta_charge * charge[m, t, s]
-                      - discharge[m, t, s] / ev.eta_discharge) * cfg.period_hours
-                assert got[m, t, s] == pytest.approx(e, rel=1e-12)
+                e += (ev.eta_charge * charge[s, m, t]
+                      - discharge[s, m, t] / ev.eta_discharge) * cfg.period_hours
+                assert got[s, m, t] == pytest.approx(e, rel=1e-12)
 
 
 # -- balance ----------------------------------------------------------------
@@ -252,7 +252,7 @@ def test_heat_ratio_exactly_covers_demand():
     chp = np.full((1, 1, 1), 100.0)
     sched = Schedule.from_decisions(
         cfg, chp, np.zeros((1, 1, 1)), np.zeros((1, 1, 1)),
-        np.zeros((0, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
+        np.zeros((1, 0, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
     )
     rep = check_balance(cfg, np.zeros((1, 1)), sched)
     assert rep.heat_surplus[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -269,8 +269,8 @@ def test_undersupply_residual_is_flagged():
     )
     buy = np.full((1, 1), 15.0)
     sched = Schedule.from_decisions(
-        cfg, np.zeros((0, 1, 1)), np.zeros((0, 1, 1)), np.zeros((0, 1, 1)),
-        np.zeros((0, 1, 1)), buy, np.zeros((1, 1)),
+        cfg, np.zeros((1, 0, 1)), np.zeros((1, 0, 1)), np.zeros((1, 0, 1)),
+        np.zeros((1, 0, 1)), buy, np.zeros((1, 1)),
     )
     rep = check_balance(cfg, np.array([[30.0]]), sched, tol=1e-6)
     assert rep.power_residual[0, 0] == pytest.approx(-5.0)
@@ -287,7 +287,7 @@ def test_heat_deficit_flagged_surplus_not():
         sell = np.full((1, 1), p)  # keep power balanced
         sched = Schedule.from_decisions(
             cfg, chp, np.zeros((1, 1, 1)), np.zeros((1, 1, 1)),
-            np.zeros((0, 1, 1)), np.zeros((1, 1)), sell,
+            np.zeros((1, 0, 1)), np.zeros((1, 1)), sell,
         )
         rep = check_balance(cfg, np.zeros((1, 1)), sched)
         assert (("heat" in [k for _, _, k in rep.flags]) is not expect_ok)
@@ -298,20 +298,20 @@ def test_heat_deficit_flagged_surplus_not():
        n_def=st.sampled_from([0, 2]), S=st.sampled_from([1, 3]), T=st.integers(1, 7),
        seed=st.integers(0, 2**32 - 1))
 def test_balance_of_a_set_is_each_scenarios_own_check(n_chp, n_phev, n_def, S, T, seed):
-    # column s of the all-scenario check is, bit for bit, the check of
+    # row s of the all-scenario check is, bit for bit, the check of
     # scenario s alone; random decisions leave both kinds of flag
     cfg = make_config(T=T, n_chp=n_chp, n_phev=n_phev, n_def=n_def)
     rng = np.random.default_rng(seed)
-    parts = [rng.uniform(0.0, 100.0, (n, T, S)) for n in (n_chp, n_phev, n_phev, n_def)]
-    parts += [rng.uniform(0.0, 100.0, (T, S)) for _ in range(3)]
+    parts = [rng.uniform(0.0, 100.0, (S, n, T)) for n in (n_chp, n_phev, n_phev, n_def)]
+    parts += [rng.uniform(0.0, 100.0, (S, T)) for _ in range(3)]
     sched = Schedule.from_decisions(cfg, *parts)
     solar = rng.uniform(0.0, 200.0, (S, T))
     rep = check_balance(cfg, solar, sched, tol=1e-6)
     for s in range(S):
         one = check_balance(cfg, solar[s:s + 1],
-                            Schedule.from_decisions(cfg, *(a[..., s:s + 1] for a in parts)))
-        assert rep.power_residual[:, s].tobytes() == one.power_residual[:, 0].tobytes()
-        assert rep.heat_surplus[:, s].tobytes() == one.heat_surplus[:, 0].tobytes()
+                            Schedule.from_decisions(cfg, *(a[s:s + 1] for a in parts)))
+        assert rep.power_residual[s].tobytes() == one.power_residual[0].tobytes()
+        assert rep.heat_surplus[s].tobytes() == one.heat_surplus[0].tobytes()
         assert [f[1:] for f in rep.flags if f[0] == s] == [f[1:] for f in one.flags]
         assert rep.to_dict()["scenarios"][s] == {**one.to_dict()["scenarios"][0], "scenario": s}
 
