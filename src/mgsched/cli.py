@@ -13,7 +13,6 @@ verbosity.
 """
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
@@ -28,6 +27,7 @@ from .experiments import (
     SolverLimit,
     UnboundedProblem,
     _write_atomic,
+    generate_scenarios,
     load_scenario_set,
     prepare_scenarios,
     run_compare,
@@ -70,7 +70,6 @@ def _add_run_flags(p):
     p.add_argument("--generate", type=int, help="number of scenarios to generate")
     p.add_argument("--keep", type=int, help="scenarios to keep after reduction")
     p.add_argument("--stage-mode", choices=("fully-adaptive", "day-ahead-chp"))
-    p.add_argument("--parking-mode", choices=("scenario-data", "decision-binary"))
     p.add_argument("--exclusivity", action="store_true",
                    help="forbid simultaneous charge and discharge via binaries")
     p.add_argument("--curtailment-penalty", type=float,
@@ -110,7 +109,6 @@ def _manifest_from_args(args) -> RunManifest:
     if isinstance(data, dict):
         data["formulation"] = merge(data.get("formulation", {}), {
             "stage_mode": args.stage_mode,
-            "parking_mode": args.parking_mode,
             "exclusivity_binaries": args.exclusivity or None,
             "curtailment_penalty": args.curtailment_penalty,
         })
@@ -129,12 +127,12 @@ def main(argv=None) -> int:
 
     p_solar = sub.add_parser("sweep-solar", help="cost versus solar penetration level")
     _add_run_flags(p_solar)
-    p_solar.add_argument("--levels", type=lambda v: v.split(","),
+    p_solar.add_argument("--levels", type=lambda v: [float(x) for x in v.split(",")],
                          help="comma-separated multipliers, ascending")
 
     p_window = sub.add_parser("sweep-window", help="cost versus serving-window width")
     _add_run_flags(p_window)
-    p_window.add_argument("--widths", type=lambda v: v.split(","),
+    p_window.add_argument("--widths", type=lambda v: [int(x) for x in v.split(",")],
                           help="comma-separated widths, ascending")
 
     p_cmp = sub.add_parser("compare", help="stochastic versus deterministic baseline")
@@ -228,13 +226,8 @@ def _dispatch(args) -> int:
 def _dispatch_scenarios(args) -> int:
     if args.scen_command == "generate":
         config = load_config(args.config)
-        spec = load_generation_spec(args.genspec)
-        try:
-            if args.seed is not None:
-                spec = dataclasses.replace(spec, rng_seed=args.seed)
-            sset = scn.generate(spec, config, args.generate)
-        except ValueError as e:
-            raise IngestError(str(e)) from e
+        sset = generate_scenarios(load_generation_spec(args.genspec), config, args.generate,
+                                  args.seed)
         out = Path(args.out)
         scn.save_csv_bundle(sset, out)
         scn.save_json(sset, out / "scenarios.json")

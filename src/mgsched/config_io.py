@@ -5,10 +5,12 @@ either an inline list of length T or a reference {"csv": path, "column":
 name} to a CSV file with a header row and one row per period; `column`
 may be omitted when the file has a single column.  Relative CSV paths
 resolve against the directory of the JSON document.  Fleet entries accept
-an optional "count" to replicate identical units.  A scalar field must
-be a JSON number, integral where the model takes an int; anything else is
-an IngestError naming the field.  `load_config` also rejects a config
-that fails `validate_config`, a NaN anywhere included.
+an optional "count" to replicate identical units.  A scalar field, and
+each entry of an inline series or list, must be a JSON number, integral
+where the model takes an int; anything else is an IngestError naming the
+field (and the entry's index); the generation spec follows the same
+rule.  `load_config` also rejects a config that fails `validate_config`,
+a NaN anywhere included.
 """
 
 import csv
@@ -66,10 +68,7 @@ def _read_csv_column(path: Path, column: str | None):
 def _series(value, base_dir: Path, what: str):
     if isinstance(value, dict):
         return _read_csv_column(_csv_path(value, base_dir, what), value.get("column"))
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as e:
-        raise IngestError(f"{what}: expected a list of numbers or a csv reference") from e
+    return _numbers(value, what)
 
 
 def _number(value, kind, what: str):
@@ -80,6 +79,23 @@ def _number(value, kind, what: str):
         expected = "an integer" if kind is int else "a number"
         raise IngestError(f"{what}: expected {expected}, got {value!r}")
     return kind(value)
+
+
+def _numbers(value, what: str):
+    """A list of numbers, or of such lists, as a float array; an entry
+    that `_number` rejects is an IngestError naming `what` and its index."""
+    def entries(v, where):
+        if isinstance(v, list):
+            return [entries(x, f"{where}[{i}]") for i, x in enumerate(v)]
+        return _number(v, float, where)
+
+    if not isinstance(value, list):
+        raise IngestError(f"{what}: expected a list of numbers, got {value!r}")
+    nested = entries(value, what)
+    try:
+        return np.array(nested, dtype=float)
+    except ValueError as e:
+        raise IngestError(f"{what}: rows of unequal length") from e
 
 
 def _require(data: dict, key: str, what: str):
@@ -169,22 +185,25 @@ def generation_spec_from_dict(data: dict, base_dir=".") -> GenerationSpec:
             except ValueError as e:
                 raise IngestError(f"{path}: bad numeric data in solar_samples: {e}") from e
         else:
-            samples = np.asarray(raw, dtype=float)
+            samples = _numbers(raw, "solar_samples")
     parking = data.get("parking_prob", 1.0)
-    if isinstance(parking, list):
-        parking = np.asarray(parking, dtype=float)
+    parking = (_numbers(parking, "parking_prob") if isinstance(parking, list)
+               else _number(parking, float, "parking_prob"))
+    spec = dict(
+        solar_profile_mean=_series(_require(data, "solar_profile_mean", "generation spec"),
+                                   base_dir, "solar_profile_mean"),
+        solar_noise_model=data.get("solar_noise_model", "multiplicative-lognormal"),
+        solar_sigma=_number(data.get("solar_sigma", 0.0), float, "solar_sigma"),
+        solar_samples=samples,
+        parking_prob=parking,
+        deferrable_energy_mean=_numbers(data.get("deferrable_energy_mean", []),
+                                        "deferrable_energy_mean"),
+        deferrable_energy_spread=_numbers(data.get("deferrable_energy_spread", []),
+                                          "deferrable_energy_spread"),
+        rng_seed=_number(data.get("rng_seed", 0), int, "rng_seed"),
+    )
     try:
-        return GenerationSpec(
-            solar_profile_mean=_series(_require(data, "solar_profile_mean", "generation spec"),
-                                       base_dir, "solar_profile_mean"),
-            solar_noise_model=data.get("solar_noise_model", "multiplicative-lognormal"),
-            solar_sigma=float(data.get("solar_sigma", 0.0)),
-            solar_samples=samples,
-            parking_prob=parking,
-            deferrable_energy_mean=np.asarray(data.get("deferrable_energy_mean", []), dtype=float),
-            deferrable_energy_spread=np.asarray(data.get("deferrable_energy_spread", []), dtype=float),
-            rng_seed=int(data.get("rng_seed", 0)),
-        )
+        return GenerationSpec(**spec)
     except ValueError as e:
         raise IngestError(f"generation spec: {e}") from e
 

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import scenario as scn
-from .config_io import (IngestError, generation_spec_from_dict, load_config,
+from .config_io import (IngestError, _number, generation_spec_from_dict, load_config,
                         load_generation_spec, read_json)
 from .formulation import FormulationOptions, build, extract_schedule, schedule_to_vector
 from .lpcore import (LpError, SolverStats, SolveSettings, check_point, export_mps, solve_lp,
@@ -87,11 +87,17 @@ class RunManifest:
             p = Path(p)
             return str(p if p.is_absolute() else base / p)
 
-        def parse(key, convert, default):
-            try:
-                return default if data.get(key) is None else convert(data[key])
-            except (TypeError, ValueError) as e:
-                raise IngestError(f"manifest: bad {key!r}: {e}") from e
+        def parse(key, kind, default):
+            return default if data.get(key) is None else _number(data[key], kind,
+                                                                 f"manifest: {key}")
+
+        def parse_list(key, kind):
+            values = data.get(key)
+            if values is None:
+                return ()
+            if not isinstance(values, list):
+                raise IngestError(f"manifest: {key}: expected a list, got {values!r}")
+            return tuple(_number(v, kind, f"manifest: {key}[{i}]") for i, v in enumerate(values))
 
         if not isinstance(data, dict):
             raise IngestError("manifest: expected a JSON object")
@@ -119,8 +125,8 @@ class RunManifest:
             options=options,
             settings=settings,
             out_dir=resolve(data.get("out", "out")),
-            levels=parse("levels", lambda v: tuple(map(float, v)), ()),
-            widths=parse("widths", lambda v: tuple(map(int, v)), ()),
+            levels=parse_list("levels", float),
+            widths=parse_list("widths", int),
             seed=parse("seed", int, None),
             write_mps=data.get("write_mps", False),
         )
@@ -194,6 +200,19 @@ def load_scenario_set(path, config: MicrogridConfig | None = None) -> scn.Scenar
     return sset
 
 
+def generate_scenarios(spec: scn.GenerationSpec, config: MicrogridConfig, count: int,
+                       seed: int | None = None) -> scn.ScenarioSet:
+    """Draw `count` scenarios, with `seed` in place of the spec's rng_seed
+    when given.  A spec or count that does not fit the config is an
+    IngestError."""
+    try:
+        if seed is not None:
+            spec = dataclasses.replace(spec, rng_seed=seed)
+        return scn.generate(spec, config, count)
+    except ValueError as e:
+        raise IngestError(f"generation spec: {e}") from e
+
+
 def prepare_scenarios(manifest: RunManifest, config: MicrogridConfig):
     """Load or generate scenarios, then fast-forward reduce to `keep`.
 
@@ -212,9 +231,7 @@ def prepare_scenarios(manifest: RunManifest, config: MicrogridConfig):
             raise IngestError("manifest needs either 'generation' or 'scenarios'")
         if isinstance(spec, str):
             spec = load_generation_spec(spec)
-        if manifest.seed is not None:
-            spec = dataclasses.replace(spec, rng_seed=int(manifest.seed))
-        full = scn.generate(spec, config, manifest.generate_count)
+        full = generate_scenarios(spec, config, manifest.generate_count, manifest.seed)
     report = None
     reduced = full
     if manifest.keep < len(full):

@@ -24,12 +24,8 @@ from .model import MicrogridConfig, Schedule, derive_storage, validate_config
 
 COLUMN_KINDS = ("chp", "charge", "discharge", "storage", "serve", "buy", "sell",
                 "curtail", "mode")
-ROW_KINDS = ("link", "terminal", "defer_sum", "balance", "heat",
-             "excl_charge", "excl_discharge", "park_charge", "park_discharge",
-             "nonanticipative")
 
 STAGE_MODES = ("fully-adaptive", "day-ahead-chp")
-PARKING_MODES = ("scenario-data", "decision-binary")
 
 
 @dataclass(frozen=True)
@@ -38,24 +34,20 @@ class FormulationOptions:
 
     stage_mode: 'fully-adaptive' lets every decision adapt per scenario;
     'day-ahead-chp' forces identical CHP trajectories across scenarios
-    (a genuine first stage).  parking_mode: 'scenario-data' takes vehicle
-    availability from the scenarios; 'decision-binary' promotes it to a
-    binary column.  exclusivity_binaries adds a binary per (vehicle,
-    period, scenario) forbidding simultaneous charge and discharge.
+    (a genuine first stage).  exclusivity_binaries adds a binary per
+    (vehicle, period, scenario) forbidding simultaneous charge and
+    discharge.
     curtailment_penalty, when set, adds a penalized spill column to the
     power balance.
     """
 
     stage_mode: str = "fully-adaptive"
-    parking_mode: str = "scenario-data"
     exclusivity_binaries: bool = False
     curtailment_penalty: float | None = None
 
     def __post_init__(self):
         if self.stage_mode not in STAGE_MODES:
             raise ValueError(f"unknown stage_mode {self.stage_mode!r}")
-        if self.parking_mode not in PARKING_MODES:
-            raise ValueError(f"unknown parking_mode {self.parking_mode!r}")
         if not isinstance(self.exclusivity_binaries, bool):
             raise ValueError(f"exclusivity_binaries must be true or false, "
                              f"got {self.exclusivity_binaries!r}")
@@ -63,11 +55,6 @@ class FormulationOptions:
         if penalty is not None and (isinstance(penalty, bool) or not isinstance(penalty, numbers.Real)
                                     or not math.isfinite(penalty)):
             raise ValueError(f"curtailment_penalty must be a finite number, got {penalty!r}")
-        if self.exclusivity_binaries and self.parking_mode == "decision-binary":
-            raise ValueError(
-                "exclusivity_binaries and decision-binary parking both claim the "
-                "mode column; enable at most one"
-            )
 
 
 class VariableIndex:
@@ -80,7 +67,6 @@ class VariableIndex:
         self.dims = {"T": T, "S": S, "chp": config.n_chp, "phev": config.n_phev,
                      "deferrable": config.n_deferrable}
         self.has_curtail = options.curtailment_penalty is not None
-        has_mode = options.exclusivity_binaries or options.parking_mode == "decision-binary"
         units = {
             "chp": config.n_chp,
             "charge": config.n_phev,
@@ -90,7 +76,7 @@ class VariableIndex:
             "buy": 1,
             "sell": 1,
             "curtail": 1 if self.has_curtail else 0,
-            "mode": config.n_phev if has_mode else 0,
+            "mode": config.n_phev if options.exclusivity_binaries else 0,
         }
         self._units = units
         self._offset = {}
@@ -114,18 +100,6 @@ class VariableIndex:
             raise IndexError(f"{kind}({unit}, t={t}, s={s}) out of range")
         return int(cols[s, t, unit])
 
-    def describe(self, col: int):
-        """Inverse map: column id -> (kind, scenario, period, unit)."""
-        for kind in reversed(COLUMN_KINDS):
-            if self._units[kind] and col >= self._offset[kind]:
-                rel = col - self._offset[kind]
-                nu = self._units[kind]
-                T = self.dims["T"]
-                st, unit = divmod(rel, nu)
-                s, t = divmod(st, T)
-                return kind, s, t, unit
-        raise IndexError(f"column {col} out of range")
-
     def column_names(self):
         short = {"chp": "chp", "charge": "chg", "discharge": "dis", "storage": "sto",
                  "serve": "srv", "buy": "buy", "sell": "sel", "curtail": "cur",
@@ -148,21 +122,19 @@ def expected_counts(config: MicrogridConfig, n_scenarios: int,
     """Closed-form column/row counts of the deterministic equivalent.
 
     Columns: S*T*(Nc + 3*Np + Nj + 2), plus S*T if curtailment is on and
-    S*T*Np if mode binaries are on.  Rows: per scenario Np*T link, Np
-    terminal, Nj window sums, T balance, T heat; plus 2*Np*T*S coupling
-    rows when exclusivity or decision-binary parking is on and
-    (S-1)*Nc*T nonanticipativity rows in day-ahead-chp mode.
+    S*T*Np with exclusivity binaries.  Rows: per scenario Np*T link, Np
+    terminal, Nj window sums, T balance, T heat; plus 2*Np*T*S
+    exclusivity rows and (S-1)*Nc*T nonanticipativity rows in
+    day-ahead-chp mode.
     """
     T, S = config.horizon, n_scenarios
     nc, np_, nj = config.n_chp, config.n_phev, config.n_deferrable
-    has_mode = options.exclusivity_binaries or options.parking_mode == "decision-binary"
     cols = S * T * (nc + 3 * np_ + nj + 2)
     if options.curtailment_penalty is not None:
         cols += S * T
-    if has_mode:
-        cols += S * T * np_
     rows = S * (np_ * T + np_ + nj + 2 * T)
-    if has_mode:
+    if options.exclusivity_binaries:
+        cols += S * T * np_
         rows += 2 * np_ * T * S
     if options.stage_mode == "day-ahead-chp":
         rows += (S - 1) * nc * T
@@ -185,8 +157,7 @@ def symbol_audit():
         ("PHEV stored energy", "column kind 'storage'"),
         ("storage dynamics", "'link' equality rows (rates scaled by period_hours)"),
         ("storage capacity window", "bounds of 'storage' columns"),
-        ("rate limits gated by parking", "bounds of 'charge'/'discharge' columns "
-                                         "(rows when parking is a decision)"),
+        ("rate limits gated by parking", "bounds of 'charge'/'discharge' columns"),
         ("terminal stored energy", "'terminal' equality rows"),
         ("degradation cost", "objective coefficients of 'charge'/'discharge'"),
         ("deferrable serving rate", "column kind 'serve'"),
@@ -236,7 +207,6 @@ def build(config: MicrogridConfig, scenarios, options: FormulationOptions | None
     period = np.arange(T)[:, None]
     in_window = (period >= [r.start for r in windows]) & (period < [r.stop for r in windows])
     parking = scenarios.parking.transpose(0, 2, 1)  # (S, T, n_phev)
-    gate = 1.0 if options.parking_mode == "decision-binary" else parking
     w = (scenarios.probabilities * h)[:, None, None]
     cap = config.tariff.exchange_cap[:, None]
 
@@ -247,8 +217,8 @@ def build(config: MicrogridConfig, scenarios, options: FormulationOptions | None
     # kind -> (lower, upper, cost), each broadcast over the kind's (S, T, n_unit)
     for kind, (lower, upper, cost) in {
         "chp": (p_min, p_max, w * chp_cost),
-        "charge": (0.0, c_max * gate, w * deg * eta_c),
-        "discharge": (0.0, d_max * gate, w * deg / eta_d),
+        "charge": (0.0, c_max * parking, w * deg * eta_c),
+        "discharge": (0.0, d_max * parking, w * deg / eta_d),
         "storage": (e_min, e_max, 0.0),
         "serve": (np.where(in_window, rate_min, 0.0), np.where(in_window, rate_max, 0.0), 0.0),
         "buy": (0.0, cap, w * config.tariff.price_buy[:, None]),
@@ -291,22 +261,15 @@ def build(config: MicrogridConfig, scenarios, options: FormulationOptions | None
     add_rows(">=", config.base_heat, "heat_t{1}_s{0}".format, (S, T),
              (per_period, cols["chp"], alpha))
 
-    # mode coupling: per (s, t, m) a charge row, then a discharge row
-    def pair_name(charge_label, discharge_label):
-        return lambda s, t, m, k: f"{(charge_label, discharge_label)[k]}_m{m}_t{t}_s{s}"
-
-    chg, dis = np.s_[..., 0], np.s_[..., 1]
+    # exclusivity: per (s, t, m) a charge row, then a discharge row
     mode = cols["mode"]
     if options.exclusivity_binaries:
+        chg, dis = np.s_[..., 0], np.s_[..., 1]
         gate_c, gate_d = c_max * parking, d_max * parking
         add_rows("<=", np.stack([np.zeros_like(gate_d), gate_d], axis=-1),
-                 pair_name("exc", "exd"), sto.shape + (2,),
+                 lambda s, t, m, k: f"{('exc', 'exd')[k]}_m{m}_t{t}_s{s}", sto.shape + (2,),
                  (chg, cols["charge"], 1.0), (chg, mode, -gate_c),
                  (dis, cols["discharge"], 1.0), (dis, mode, gate_d))
-    if options.parking_mode == "decision-binary":
-        add_rows("<=", 0.0, pair_name("pkc", "pkd"), sto.shape + (2,),
-                 (chg, cols["charge"], 1.0), (chg, mode, -c_max),
-                 (dis, cols["discharge"], 1.0), (dis, mode, -d_max))
     if options.stage_mode == "day-ahead-chp":
         chp = cols["chp"]
         add_rows("=", 0.0, lambda s, t, i: f"nac_i{i}_t{t}_s{s + 1}", chp[1:].shape,

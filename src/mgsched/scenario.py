@@ -63,6 +63,11 @@ class GenerationSpec:
                            np.asarray(self.deferrable_energy_mean, dtype=float))
         object.__setattr__(self, "deferrable_energy_spread",
                            np.asarray(self.deferrable_energy_spread, dtype=float))
+        for name in ("solar_profile_mean", "solar_sigma", "solar_samples", "parking_prob",
+                     "deferrable_energy_mean", "deferrable_energy_spread"):
+            value = getattr(self, name)
+            if value is not None and np.isnan(value).any():
+                raise ValueError(f"{name} contains NaN")
         if self.solar_noise_model not in NOISE_MODELS:
             raise ValueError(f"unknown noise model {self.solar_noise_model!r}")
         if self.solar_sigma < 0:

@@ -37,50 +37,85 @@ def test_flags_without_manifest_require_both_inputs(tmp_path):
     assert main(["run", "--out", str(tmp_path)]) == 2
 
 
+def exit_code(argv):
+    """The status `mgs` exits with, argparse's own usage errors included."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
 @pytest.mark.parametrize("flags, message", [
-    (["--exclusivity", "--parking-mode", "decision-binary"], "enable at most one"),
+    (["--parking-mode", "decision-binary"], "unrecognized arguments: --parking-mode"),
     (["--curtailment-penalty", "0.01"], "highest purchase price"),
     (["--keep", "0"], "'keep' must be >= 1"),
     (["--keep", "-3"], "'keep' must be >= 1"),
     (["--generate", "0"], "'generate' must be >= 1"),
     (["--seed", "-1"], "'seed' must be >= 0"),
     (["--curtailment-penalty", "nan"], "curtailment_penalty must be a finite number"),
-], ids=["exclusivity-with-decision-parking", "penalty-below-price", "keep-0", "keep-negative",
+], ids=["parking-mode-flag", "penalty-below-price", "keep-0", "keep-negative",
         "generate-0", "seed-negative", "penalty-nan"])
 def test_bad_run_flags_exit_two(tmp_path, capsys, flags, message):
     # flags go through the same parser as manifest fields
     config, gen = write_inputs(tmp_path)
     out = tmp_path / "out"
-    assert main(["run", "--config", str(config), "--genspec", str(gen), "--generate", "4",
-                 "--keep", "2", *flags, "--out", str(out)]) == 2
+    assert exit_code(["run", "--config", str(config), "--genspec", str(gen), "--generate", "4",
+                      "--keep", "2", *flags, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("document, flags", [
-    ([], []),
-    ({"config": "config.json", "generation": "gen.json", "keep": "many"}, []),
-    ({"config": "config.json", "generation": "gen.json", "levels": ["low"]}, []),
+@pytest.mark.parametrize("document, flags, names", [
+    ([], [], "manifest"),
+    ({"config": "config.json", "generation": "gen.json", "keep": "many"}, [], "keep"),
+    ({"config": "config.json", "generation": "gen.json", "levels": ["low"]}, [], "levels[0]"),
     ({"config": "config.json", "generation": "gen.json", "formulation": [1]},
-     ["--exclusivity"]),
+     ["--exclusivity"], "formulation"),
     # each of these is otherwise a valid sweep that runs
-    ({**SWEEP, "formulation": {"exclusivity_binaries": "false"}}, []),
-    ({**SWEEP, "formulation": {"curtailment_penalty": "5"}}, []),
-    ({**SWEEP, "formulation": {"curtailment_penalty": True}}, []),
-    ({**SWEEP, "solver": {"iteration_limit": "10"}}, []),
-    ({**SWEEP, "solver": {"node_limit": -1}}, []),
-    ({**SWEEP, "solver": {"mip_gap": float("nan")}}, []),
-    ({**SWEEP, "write_mps": "false"}, []),
-    ({**SWEEP, "seed": -1}, []),
+    ({**SWEEP, "formulation": {"exclusivity_binaries": "false"}}, [], "exclusivity_binaries"),
+    ({**SWEEP, "formulation": {"curtailment_penalty": "5"}}, [], "curtailment_penalty"),
+    ({**SWEEP, "formulation": {"curtailment_penalty": True}}, [], "curtailment_penalty"),
+    ({**SWEEP, "formulation": {"parking_mode": "decision-binary"}}, [], "parking_mode"),
+    ({**SWEEP, "solver": {"iteration_limit": "10"}}, [], "iteration_limit"),
+    ({**SWEEP, "solver": {"node_limit": -1}}, [], "node_limit"),
+    ({**SWEEP, "solver": {"mip_gap": float("nan")}}, [], "mip_gap"),
+    ({**SWEEP, "write_mps": "false"}, [], "write_mps"),
+    ({**SWEEP, "seed": -1}, [], "seed"),
+    ({**SWEEP, "seed": True}, [], "seed"),
+    ({**SWEEP, "generate": "20"}, [], "generate"),
+    ({**SWEEP, "keep": 2.9}, [], "keep"),
+    ({**SWEEP, "widths": ["2", 4]}, [], "widths[0]"),
+    ({**SWEEP, "widths": [2, 4.5]}, [], "widths[1]"),
+    ({**SWEEP, "levels": ["0.5", 1.0]}, [], "levels[0]"),
+    ({**SWEEP, "levels": [0.5, True]}, [], "levels[1]"),
 ], ids=["not-an-object", "keep-not-a-number", "level-not-a-number", "formulation-not-an-object",
-        "exclusivity-string", "penalty-string", "penalty-bool", "iteration-limit-string",
-        "node-limit-negative", "mip-gap-nan", "write-mps-string", "seed-negative"])
-def test_malformed_manifest_exits_two(tmp_path, document, flags):
+        "exclusivity-string", "penalty-string", "penalty-bool", "parking-mode",
+        "iteration-limit-string", "node-limit-negative", "mip-gap-nan", "write-mps-string",
+        "seed-negative", "seed-bool", "generate-string", "keep-fraction", "width-string",
+        "width-fraction", "level-string", "level-bool"])
+def test_malformed_manifest_exits_two(tmp_path, capsys, document, flags, names):
     write_inputs(tmp_path)
     (tmp_path / "m.json").write_text(json.dumps(document))
     assert main(["sweep-solar", "--manifest", str(tmp_path / "m.json"), *flags,
                  "--out", str(tmp_path / "out")]) == 2
+    assert names in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, length", [
+    ("solar_profile_mean", 23), ("deferrable_energy_mean", 7),
+], ids=["solar-23", "deferrable-7"])
+def test_generation_spec_that_does_not_fit_the_config_exits_two(tmp_path, capsys, field,
+                                                                length):
+    spec = json.loads((DEMO_DATA / "genspec.json").read_text())
+    spec[field] = [1.0] * length
+    (tmp_path / "gen.json").write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(DEMO_DATA / "config.json"),
+                 "--genspec", str(tmp_path / "gen.json"), "--generate", "20",
+                 "--keep", "2", "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_manifest_paths_resolve_against_the_manifest_and_flag_paths_against_cwd(

@@ -10,6 +10,7 @@ from mgsched.config_io import (
     load_config,
     load_generation_spec,
 )
+from mgsched.experiments import RunManifest
 from mgsched.model import validate_config
 
 
@@ -29,6 +30,17 @@ def sample_dict(T=4):
                    "exchange_cap": [4000.0] * T},
         "base_power": [100.0] * T,
         "base_heat": [40.0] * T,
+    }
+
+
+def sample_spec_dict():
+    return {
+        "solar_profile_mean": [0.0, 10.0, 20.0, 5.0],
+        "solar_sigma": 0.2,
+        "parking_prob": [0.9, 0.3, 0.3, 0.9],
+        "deferrable_energy_mean": [4.0],
+        "deferrable_energy_spread": [1.0],
+        "rng_seed": 7,
     }
 
 
@@ -117,14 +129,7 @@ def test_load_config_rejects_validation_errors_only(tmp_path):
 
 
 def test_generation_spec_parsing(tmp_path):
-    data = {
-        "solar_profile_mean": [0.0, 10.0, 20.0, 5.0],
-        "solar_sigma": 0.2,
-        "parking_prob": [0.9, 0.3, 0.3, 0.9],
-        "deferrable_energy_mean": [4.0],
-        "deferrable_energy_spread": [1.0],
-        "rng_seed": 7,
-    }
+    data = sample_spec_dict()
     spec = generation_spec_from_dict(data)
     assert spec.rng_seed == 7
     assert spec.solar_profile_mean.tolist() == [0.0, 10.0, 20.0, 5.0]
@@ -152,25 +157,61 @@ def test_generation_spec_rejects_bad_values():
         generation_spec_from_dict({"solar_profile_mean": [1.0], "parking_prob": [2.0]})
     with pytest.raises(IngestError, match="rng_seed must be >= 0"):
         generation_spec_from_dict({"solar_profile_mean": [1.0], "rng_seed": -1})
+    for field, value in (("solar_sigma", float("nan")), ("parking_prob", [0.9, float("nan")]),
+                         ("deferrable_energy_spread", [float("nan")])):
+        with pytest.raises(IngestError, match=f"{field} contains NaN"):
+            generation_spec_from_dict({**sample_spec_dict(), field: value})
 
 
 @pytest.mark.parametrize("breaker, match", [
-    (lambda d: d.update(horizon="x"), r"horizon: expected an integer, got 'x'"),
-    (lambda d: d.update(horizon=4.5), r"horizon: expected an integer, got 4.5"),
-    (lambda d: d["phevs"][0].update(count="abc"), r"phevs\[0\]\.count: expected an integer"),
-    (lambda d: d["phevs"][0].update(e_min="4"), r"phevs\[0\]\.e_min: expected a number, got '4'"),
-    (lambda d: d["chp_units"][0].update(p_max=None), r"chp_units\[0\]\.p_max: expected a number"),
-    (lambda d: d["chp_units"][0].update(alpha=True), r"chp_units\[0\]\.alpha: expected a number"),
-    (lambda d: d["deferrables"][0].update(t_arrive=2.5), r"deferrables\[0\]\.t_arrive"),
-    (lambda d: d.update(solar_capacity="300"), r"solar_capacity: expected a number"),
-    (lambda d: d.update(phevs={}), r"phevs: expected a list"),
+    (lambda d, g: d.update(horizon="x"), r"horizon: expected an integer, got 'x'"),
+    (lambda d, g: d.update(horizon=4.5), r"horizon: expected an integer, got 4.5"),
+    (lambda d, g: d["phevs"][0].update(count="abc"), r"phevs\[0\]\.count: expected an integer"),
+    (lambda d, g: d["phevs"][0].update(e_min="4"),
+     r"phevs\[0\]\.e_min: expected a number, got '4'"),
+    (lambda d, g: d["chp_units"][0].update(p_max=None),
+     r"chp_units\[0\]\.p_max: expected a number"),
+    (lambda d, g: d["chp_units"][0].update(alpha=True),
+     r"chp_units\[0\]\.alpha: expected a number"),
+    (lambda d, g: d["deferrables"][0].update(t_arrive=2.5), r"deferrables\[0\]\.t_arrive"),
+    (lambda d, g: d.update(solar_capacity="300"), r"solar_capacity: expected a number"),
+    (lambda d, g: d.update(phevs={}), r"phevs: expected a list"),
+    (lambda d, g: d["base_heat"].__setitem__(1, "40"),
+     r"base_heat\[1\]: expected a number, got '40'"),
+    (lambda d, g: d["tariff"]["price_buy"].__setitem__(3, True),
+     r"price_buy\[3\]: expected a number, got True"),
+    (lambda d, g: d["base_power"].__setitem__(0, None),
+     r"base_power\[0\]: expected a number, got None"),
+    (lambda d, g: g.update(solar_sigma="0.3"), r"solar_sigma: expected a number, got '0.3'"),
+    (lambda d, g: g.update(solar_sigma=True), r"solar_sigma: expected a number, got True"),
+    (lambda d, g: g.update(rng_seed=2.9), r"rng_seed: expected an integer, got 2.9"),
+    (lambda d, g: g.update(rng_seed="7"), r"rng_seed: expected an integer, got '7'"),
+    (lambda d, g: g["solar_profile_mean"].__setitem__(0, False),
+     r"solar_profile_mean\[0\]: expected a number"),
+    (lambda d, g: g.update(parking_prob="0.5"), r"parking_prob: expected a number"),
+    (lambda d, g: g["parking_prob"].__setitem__(2, "0.3"), r"parking_prob\[2\]"),
+    (lambda d, g: g.update(deferrable_energy_mean=None),
+     r"deferrable_energy_mean: expected a list of numbers, got None"),
+    (lambda d, g: g.update(deferrable_energy_spread=[True]), r"deferrable_energy_spread\[0\]"),
+    (lambda d, g: g.update(solar_noise_model="empirical",
+                           solar_samples=[[1, 2, 3, 4], [5, "6", 7, 8]]),
+     r"solar_samples\[1\]\[1\]: expected a number, got '6'"),
+    (lambda d, g: g.update(solar_noise_model="empirical", solar_samples=[[1, 2, 3, 4], [5]]),
+     r"solar_samples: rows of unequal length"),
 ], ids=["horizon-string", "horizon-fraction", "count-string", "e_min-string", "p_max-null",
-        "alpha-bool", "t_arrive-fraction", "solar-capacity-string", "phevs-not-a-list"])
+        "alpha-bool", "t_arrive-fraction", "solar-capacity-string", "phevs-not-a-list",
+        "base_heat-entry-string", "price_buy-entry-bool", "base_power-entry-null",
+        "solar_sigma-string", "solar_sigma-bool", "rng_seed-fraction", "rng_seed-string",
+        "solar_profile_mean-entry-bool", "parking_prob-string", "parking_prob-entry-string",
+        "deferrable_energy_mean-null", "deferrable_energy_spread-entry-bool",
+        "solar_samples-entry-string", "solar_samples-ragged"])
 def test_values_of_the_wrong_type_are_ingest_errors(breaker, match):
-    data = sample_dict()
-    breaker(data)
+    # a breaker spoils either the config (d) or the generation spec (g)
+    data, spec = sample_dict(), sample_spec_dict()
+    breaker(data, spec)
     with pytest.raises(IngestError, match=match):
         config_from_dict(data)
+        generation_spec_from_dict(spec)
 
 
 def test_integral_floats_are_accepted_where_integers_are_expected():
@@ -179,6 +220,13 @@ def test_integral_floats_are_accepted_where_integers_are_expected():
     data["phevs"][0].update(count=3.0)
     cfg = config_from_dict(data)
     assert (cfg.horizon, cfg.n_phev) == (4, 3) and type(cfg.horizon) is int
+    spec = generation_spec_from_dict({**sample_spec_dict(), "rng_seed": 7.0})
+    assert spec.rng_seed == 7 and type(spec.rng_seed) is int
+    manifest = RunManifest.from_dict({"config": "c.json", "generate": 20.0, "keep": 3.0,
+                                      "seed": 1.0, "widths": [2.0, 4]})
+    assert (manifest.generate_count, manifest.keep, manifest.seed, manifest.widths) \
+        == (20, 3, 1, (2, 4))
+    assert all(type(v) is int for v in (manifest.keep, manifest.seed, *manifest.widths))
 
 
 @pytest.mark.parametrize("breaker, field", [

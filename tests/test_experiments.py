@@ -90,8 +90,7 @@ def test_decomposed_solve_matches_full_lp():
        n_def=st.integers(0, 2), weights=st.lists(st.integers(1, 5), min_size=2, max_size=4),
        seed=st.integers(0, 10**6),
        options=st.sampled_from([FormulationOptions(),
-                                FormulationOptions(exclusivity_binaries=True),
-                                FormulationOptions(parking_mode="decision-binary")]))
+                                FormulationOptions(exclusivity_binaries=True)]))
 def test_decomposed_equals_joint(T, n_chp, n_phev, n_def, weights, seed, options):
     # every deferrable window of make_config needs T >= 3 to be deliverable;
     # at least one CHP unit covers the heat demand.  In fully-adaptive mode

@@ -33,7 +33,6 @@ GOLDEN_BUILDS = {
     "fully_adaptive": FormulationOptions(),
     "day_ahead_chp": FormulationOptions(stage_mode="day-ahead-chp"),
     "exclusivity": FormulationOptions(exclusivity_binaries=True),
-    "decision_parking": FormulationOptions(parking_mode="decision-binary"),
     "curtailment": FormulationOptions(curtailment_penalty=1.0),
 }
 
@@ -89,14 +88,12 @@ def test_index_is_a_bijection():
     cfg = make_config(T=3, n_chp=2, n_phev=2, n_def=1)
     opts = FormulationOptions(curtailment_penalty=10.0, exclusivity_binaries=True)
     index = VariableIndex(cfg, 2, opts)
-    cols = []
+    every = np.concatenate([index.columns(kind).ravel() for kind in COLUMN_KINDS])
+    assert every.tolist() == list(range(index.n_cols))
     for kind in COLUMN_KINDS:
-        nu = index._units[kind]
-        for s, t, u in product(range(2), range(3), range(nu)):
-            col = index.column(kind, s, t, u)
-            assert index.describe(col) == (kind, s, t, u)
-            cols.append(col)
-    assert sorted(cols) == list(range(index.n_cols))
+        cols = index.columns(kind)
+        for s, t, u in product(*map(range, cols.shape)):
+            assert index.column(kind, s, t, u) == cols[s, t, u]
     assert len(index.column_names()) == index.n_cols
     assert len(set(index.column_names())) == index.n_cols
 
@@ -127,7 +124,6 @@ def test_counting_formulas_cover_all_option_combinations():
         FormulationOptions(),
         FormulationOptions(curtailment_penalty=10.0),
         FormulationOptions(exclusivity_binaries=True),
-        FormulationOptions(parking_mode="decision-binary"),
         FormulationOptions(stage_mode="day-ahead-chp"),
         FormulationOptions(stage_mode="day-ahead-chp", curtailment_penalty=10.0),
     ):
@@ -294,21 +290,9 @@ def test_exclusivity_forbids_simultaneous_charge_discharge():
     assert np.max(sched.charge * sched.discharge) <= 1e-9
 
 
-def test_decision_binary_parking_mode():
-    cfg = make_config(T=3, n_chp=1, n_phev=1, n_def=0)
-    ss = one_scenario(np.zeros(3), np.zeros((1, 3)))  # data ignored
-    problem, index = build(cfg, ss, FormulationOptions(parking_mode="decision-binary"))
-    assert len(problem.binary_cols) == 3
-    sol = solve_milp(problem)
-    assert sol.status == "optimal"
-    extract_schedule(sol, index, cfg, ss)
-
-
 def test_option_conflicts_and_bad_inputs_raise():
     cfg = make_config()
     ss = generate(make_genspec(cfg), cfg, 2)
-    with pytest.raises(ValueError, match="mode column"):
-        FormulationOptions(exclusivity_binaries=True, parking_mode="decision-binary")
     with pytest.raises(ValueError, match="stage_mode"):
         FormulationOptions(stage_mode="whenever")
     with pytest.raises(ValueError, match="curtailment_penalty"):
