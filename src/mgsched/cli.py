@@ -3,11 +3,11 @@
 Subcommands: run, sweep-solar, sweep-window, compare, export-mps, and
 scenarios generate|reduce.  Runs are described by a JSON manifest
 (--manifest) or assembled from flags; flags override manifest fields.
-Exit codes: 0 optimal, 2 ingestion failure (an invalid config included),
-3 infeasible, 4 solver limit, 5 unbounded, 6 numerical failure in the
-solver or in the post-solve balance and storage checks.  `run` writes a
-solution.json and `compare` a compare.json for each outcome; on 3-6 it
-holds the status and what went wrong.
+Exit codes: 0 optimal, 2 ingestion failure (an invalid config included)
+or usage error, 3 infeasible, 4 solver limit, 5 unbounded, 6 numerical
+failure in the solver or in the post-solve balance and storage checks.
+`run` writes a solution.json and `compare` a compare.json for each
+outcome; on 3-6 it holds the status and what went wrong.
 The MGS_LOG environment variable (debug/info/warning/error) controls
 verbosity.
 """
@@ -154,7 +154,10 @@ def main(argv=None) -> int:
     p_red.add_argument("--keep", type=int, required=True)
     p_red.add_argument("--out", required=True)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # usage error (2) or --help (0)
+        return e.code
     try:
         return _dispatch(args)
     except IngestError as e:

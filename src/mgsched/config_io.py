@@ -8,7 +8,8 @@ resolve against the directory of the JSON document.  Fleet entries accept
 an optional "count" to replicate identical units.  A scalar field, and
 each entry of an inline series or list, must be a JSON number, integral
 where the model takes an int; anything else is an IngestError naming the
-field (and the entry's index); the generation spec follows the same
+field (and the entry's index), and so is a document, `tariff` or fleet
+entry that is not a JSON object; the generation spec follows the same
 rule.  `load_config` also rejects a config that fails `validate_config`,
 a NaN anywhere included.
 """
@@ -98,6 +99,14 @@ def _numbers(value, what: str):
         raise IngestError(f"{what}: rows of unequal length") from e
 
 
+def _object(value, what: str) -> dict:
+    """`value` if it is a JSON object; anything else is an IngestError
+    naming `what`."""
+    if not isinstance(value, dict):
+        raise IngestError(f"{what}: expected an object, got {value!r}")
+    return value
+
+
 def _require(data: dict, key: str, what: str):
     if key not in data:
         raise IngestError(f"{what}: missing required field {key!r}")
@@ -112,9 +121,7 @@ def _replicated(entries, builder, what):
     kinds = {f.name: f.type for f in fields(builder)}
     out = []
     for k, raw in enumerate(entries):
-        if not isinstance(raw, dict):
-            raise IngestError(f"{what}[{k}]: expected an object")
-        raw = dict(raw)
+        raw = dict(_object(raw, f"{what}[{k}]"))
         count = _number(raw.pop("count", 1), int, f"{what}[{k}].count")
         if count < 1:
             raise IngestError(f"{what}[{k}]: count must be >= 1")
@@ -129,8 +136,9 @@ def _replicated(entries, builder, what):
 
 def config_from_dict(data: dict, base_dir=".") -> MicrogridConfig:
     base_dir = Path(base_dir)
+    _object(data, "config")
     horizon = _number(_require(data, "horizon", "config"), int, "horizon")
-    tariff_raw = _require(data, "tariff", "config")
+    tariff_raw = _object(_require(data, "tariff", "config"), "tariff")
     tariff = GridTariff(
         price_buy=_series(_require(tariff_raw, "price_buy", "tariff"), base_dir, "price_buy"),
         price_sell=_series(_require(tariff_raw, "price_sell", "tariff"), base_dir, "price_sell"),
@@ -174,6 +182,7 @@ def load_config(path) -> MicrogridConfig:
 
 def generation_spec_from_dict(data: dict, base_dir=".") -> GenerationSpec:
     base_dir = Path(base_dir)
+    _object(data, "generation spec")
     samples = None
     if "solar_samples" in data:
         raw = data["solar_samples"]

@@ -32,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from . import scenario as scn
-from .config_io import (IngestError, _number, generation_spec_from_dict, load_config,
-                        load_generation_spec, read_json)
+from .config_io import (IngestError, _number, _object, generation_spec_from_dict,
+                        load_config, load_generation_spec)
 from .formulation import FormulationOptions, build, extract_schedule, schedule_to_vector
 from .lpcore import (LpError, SolverStats, SolveSettings, check_point, export_mps, solve_lp,
                      solve_milp)
@@ -83,7 +83,13 @@ class RunManifest:
         inline "generation" object included, resolve against `base_dir`."""
         base = Path(base_dir)
 
-        def resolve(p):
+        def resolve(key, default=None):
+            # a path field, resolved against base_dir; null or absent is `default`
+            p = default if data.get(key) is None else data[key]
+            if p is None:
+                return None
+            if not isinstance(p, str):
+                raise IngestError(f"manifest: {key}: expected a path string, got {p!r}")
             p = Path(p)
             return str(p if p.is_absolute() else base / p)
 
@@ -99,9 +105,8 @@ class RunManifest:
                 raise IngestError(f"manifest: {key}: expected a list, got {values!r}")
             return tuple(_number(v, kind, f"manifest: {key}[{i}]") for i, v in enumerate(values))
 
-        if not isinstance(data, dict):
-            raise IngestError("manifest: expected a JSON object")
-        if "config" not in data:
+        _object(data, "manifest")
+        if data.get("config") is None:
             raise IngestError("manifest: missing required field 'config'")
         try:
             options = FormulationOptions(**data.get("formulation", {}))
@@ -113,28 +118,23 @@ class RunManifest:
             raise IngestError(f"solver settings: {e}") from e
         gen = data.get("generation")
         if isinstance(gen, str):
-            gen = resolve(gen)
+            gen = resolve("generation")
         elif gen is not None:
             gen = generation_spec_from_dict(gen, base)
         return cls(
-            config_path=resolve(data["config"]),
+            config_path=resolve("config"),
             generation=gen,
-            scenarios_path=resolve(data["scenarios"]) if data.get("scenarios") else None,
+            scenarios_path=resolve("scenarios"),
             generate_count=parse("generate", int, 3000),
             keep=parse("keep", int, 25),
             options=options,
             settings=settings,
-            out_dir=resolve(data.get("out", "out")),
+            out_dir=resolve("out", "out"),
             levels=parse_list("levels", float),
             widths=parse_list("widths", int),
             seed=parse("seed", int, None),
             write_mps=data.get("write_mps", False),
         )
-
-
-def load_manifest(path) -> RunManifest:
-    path = Path(path)
-    return RunManifest.from_dict(read_json(path), base_dir=path.parent)
 
 
 @dataclass
@@ -192,7 +192,7 @@ def load_scenario_set(path, config: MicrogridConfig | None = None) -> scn.Scenar
     p = Path(path)
     try:
         sset = scn.load_csv_bundle(p) if p.is_dir() else scn.load_json(p)
-    except (OSError, KeyError, ValueError) as e:
+    except (OSError, KeyError, TypeError, ValueError) as e:
         raise IngestError(f"cannot load scenario set from {p}: {e}") from e
     errors = [i.message for i in validate_scenarios(sset, config).errors]
     if errors:

@@ -20,16 +20,15 @@ file after a fixed number of pivots.
 
 Pricing is steepest edge (Forrest & Goldfarb 1992): over a per-column
 sign array, the entering column maximizes gain^2 / gamma_j with the
-reference weight gamma_j ~ 1 + |B^-1 a_j|^2.  The weights are exact when
-the first primal pricing that finds a candidate builds them, by ftran
-over dense blocks of columns; each pivot then updates them in Devex form
-(Harris 1973), gamma_j <- max(gamma_j, (alpha_rj / alpha_rq)^2 gamma_q)
-with the exact gamma_q = 1 + |d|^2, where alpha_r is the pivot row of
-B^-1 [A | I].  The same row updates the reduced costs, which are
-recomputed from scratch after each refactorization; only freshly
-computed reduced costs may declare a basis optimal.  The weights depend
-only on the basis, so they carry from phase 1 into phase 2.  The ratio
-test breaks ties by the largest pivot.  After a run of stalled
+reference weight gamma_j ~ 1 + |B^-1 a_j|^2.  The reference weights
+start at 1 (a Devex reference framework; Harris 1973) and each pivot
+updates them in Devex form, gamma_j <- max(gamma_j, (alpha_rj /
+alpha_rq)^2 gamma_q) with the exact gamma_q = 1 + |d|^2, where alpha_r
+is the pivot row of B^-1 [A | I].  The same row updates the reduced
+costs, which are recomputed from scratch after each refactorization;
+only freshly computed reduced costs may declare a basis optimal.  The
+weights carry from phase 1 into phase 2.  The ratio test breaks ties by
+the largest pivot.  After a run of stalled
 (degenerate) iterations the solver falls back to Bland's rule, which
 guarantees termination.  All tie-breaks resolve to the lowest column
 index, so repeated solves of the same problem are bit-identical.
@@ -70,7 +69,6 @@ _PIVOT_TOL = 1e-9
 _DRIFT_CLEAN = 1e-11
 _REFACTOR_INTERVAL = 50  # eta-file length that triggers a fresh LU
 _STALL_LIMIT = 1000  # degenerate iterations in a row before Bland's rule
-_WEIGHT_BLOCK = 64  # columns per ftran when the steepest-edge weights are built
 
 AT_LOWER, AT_UPPER, FREE, BASIC = 0, 1, 2, 3
 
@@ -118,8 +116,8 @@ class _Core:
         self.P = np.empty(_REFACTOR_INTERVAL, dtype=np.int64)
         self.Gi = np.eye(_REFACTOR_INTERVAL)
         self.k = 0
-        self.gamma = None  # steepest-edge weights, built by the first primal pricing
         sign = self._cold(A, lo, hi) if start is None else self._warm(lo, hi, start)
+        self.gamma = np.ones(self.x.size)  # steepest-edge reference weights
         self.n_art = n_art = sign.size  # artificial k is sign[k] * e_(art_row[k])
         art = sp.csc_matrix((sign, (self.art_row, np.arange(n_art))), shape=(m, n_art))
         self.objective = np.concatenate([problem.objective, np.zeros(m + n_art)])
@@ -275,17 +273,6 @@ class _Core:
         e[r] = 1.0
         return self.fullT @ self.btran(e)
 
-    def _weights(self):
-        """Exact steepest-edge weights of the current basis: gamma_j =
-        1 + |B^-1 a_j|^2 for each movable nonbasic column, 1 elsewhere.
-        The columns go through ftran in dense blocks of _WEIGHT_BLOCK."""
-        self.gamma = gamma = np.ones(self.x.size)
-        cols = np.nonzero(self.movable & (self.vstat != BASIC))[0]
-        for s in range(0, cols.size, _WEIGHT_BLOCK):
-            blk = cols[s:s + _WEIGHT_BLOCK]
-            D = self.ftran(self.full[:, blk].toarray(order="F"))
-            gamma[blk] += np.einsum("ij,ij->j", D, D)
-
     def _stalled(self, degenerate):
         """Count degenerate pivots in a row; after _STALL_LIMIT of them the
         loop switches to Bland's rule, which guarantees termination."""
@@ -341,8 +328,6 @@ class _Core:
                     return "optimal"
                 z, fresh = self._reduced_costs(costs), True
                 continue
-            if self.gamma is None:
-                self._weights()
             if self.bland:
                 q = int(np.argmax(cand))
             else:

@@ -390,6 +390,8 @@ def scenario_set_to_dict(scenario_set: ScenarioSet) -> dict:
 
 def scenario_set_from_dict(data: dict) -> ScenarioSet:
     rows = data["scenarios"]
+    if not isinstance(rows, list):
+        raise TypeError(f"scenarios: expected a list, got {rows!r}")
     solar = np.array([s["solar"] for s in rows], dtype=float)
     parking = np.array([s["parking"] for s in rows], dtype=float)
     if parking.size == 0:

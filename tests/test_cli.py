@@ -37,14 +37,6 @@ def test_flags_without_manifest_require_both_inputs(tmp_path):
     assert main(["run", "--out", str(tmp_path)]) == 2
 
 
-def exit_code(argv):
-    """The status `mgs` exits with, argparse's own usage errors included."""
-    try:
-        return main(argv)
-    except SystemExit as e:
-        return e.code
-
-
 @pytest.mark.parametrize("flags, message", [
     (["--parking-mode", "decision-binary"], "unrecognized arguments: --parking-mode"),
     (["--curtailment-penalty", "0.01"], "highest purchase price"),
@@ -59,10 +51,23 @@ def test_bad_run_flags_exit_two(tmp_path, capsys, flags, message):
     # flags go through the same parser as manifest fields
     config, gen = write_inputs(tmp_path)
     out = tmp_path / "out"
-    assert exit_code(["run", "--config", str(config), "--genspec", str(gen), "--generate", "4",
-                      "--keep", "2", *flags, "--out", str(out)]) == 2
+    assert main(["run", "--config", str(config), "--genspec", str(gen), "--generate", "4",
+                 "--keep", "2", *flags, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["sweep-window", "--widths", "2,x"], 2),
+    ([], 2),
+    (["--help"], 0),
+    (["run", "--help"], 0),
+], ids=["width-not-a-number", "no-command", "help", "run-help"])
+def test_usage_errors_return_two_and_help_returns_zero(capsys, argv, code):
+    # argparse's exit status comes back from main instead of escaping as SystemExit
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert "usage: mgs" in (err if code else out)
 
 
 @pytest.mark.parametrize("document, flags, names", [
@@ -99,6 +104,43 @@ def test_malformed_manifest_exits_two(tmp_path, capsys, document, flags, names):
     assert main(["sweep-solar", "--manifest", str(tmp_path / "m.json"), *flags,
                  "--out", str(tmp_path / "out")]) == 2
     assert names in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+CONFIG, GENSPEC = DEMO_DATA / "config.json", DEMO_DATA / "genspec.json"
+RUN_MANIFEST = ["run", "--manifest", "m.json"]
+
+
+def _manifest(**fields):
+    return {"m.json": {"config": str(CONFIG), "generation": str(GENSPEC), "generate": 4,
+                       "keep": 2, **fields}}
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({"gen.json": []}, ["run", "--config", str(CONFIG), "--genspec", "gen.json"],
+     "generation spec: expected an object"),
+    ({"config.json": {**json.loads(CONFIG.read_text()), "tariff": 5}},
+     ["run", "--config", "config.json", "--genspec", str(GENSPEC)],
+     "tariff: expected an object"),
+    (_manifest(out=5), RUN_MANIFEST, "out: expected a path"),
+    (_manifest(config=5), RUN_MANIFEST, "config: expected a path"),
+    (_manifest(scenarios=5), RUN_MANIFEST, "scenarios: expected a path"),
+    (_manifest(generation=5), RUN_MANIFEST, "generation spec: expected an object"),
+    ({**_manifest(scenarios="s.json"), "s.json": {"scenarios": 5}}, RUN_MANIFEST,
+     "scenarios: expected a list"),
+    ({"s.json": {"scenarios": 5}}, ["scenarios", "reduce", "--input", "s.json", "--keep", "2",
+                                    "--out", "out"], "scenarios: expected a list"),
+], ids=["genspec-list", "tariff-number", "manifest-out", "manifest-config",
+        "manifest-scenarios", "manifest-generation", "scenario-set-via-manifest",
+        "scenario-set-via-reduce"])
+def test_document_of_the_wrong_json_type_exits_two(tmp_path, monkeypatch, capsys, files, argv,
+                                                   message):
+    # every run writes to tmp_path/out unless it fails at ingestion
+    monkeypatch.chdir(tmp_path)
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -352,8 +352,7 @@ def test_manifest_round_trip(tmp_path):
     }
     p = tmp_path / "manifest.json"
     p.write_text(json.dumps(doc))
-    from mgsched.experiments import load_manifest
-    m = load_manifest(p)
+    m = RunManifest.from_dict(json.loads(p.read_text()), base_dir=tmp_path)
     assert m.generate_count == 100 and m.keep == 10
     assert m.options.stage_mode == "day-ahead-chp"
     assert m.settings.feasibility_tol == 1e-8
