@@ -4,11 +4,11 @@ hand-made schedule without any solver involved."""
 import numpy as np
 
 from mgsched.model import (
-    ChpUnit,
-    DeferrableLoad,
+    ChpUnits,
+    DeferrableLoads,
     GridTariff,
     MicrogridConfig,
-    Phev,
+    Phevs,
     Schedule,
     check_balance,
     evaluate_cost,
@@ -18,14 +18,16 @@ from mgsched.scenario import ScenarioSet
 
 T = 4
 
+# each fleet holds one array per unit parameter, unit index first: here one
+# CHP unit, one vehicle and one deferrable load
 config = MicrogridConfig(
     horizon=T,
-    chp_units=(ChpUnit(p_min=0.0, p_max=150.0, alpha=1.2, cost_per_kwh=0.085),),
-    phevs=(Phev(e_min=4.0, e_max=18.0, e_initial=9.0, charge_rate_max=4.0,
-                discharge_rate_max=4.0, eta_charge=0.9, eta_discharge=0.9,
-                degradation_cost_per_kwh=0.0035),),
-    deferrables=(DeferrableLoad(t_arrive=2, t_depart=3, rate_min=0.0,
-                                rate_max=3.0, energy_nominal=4.0),),
+    chp_units=ChpUnits(p_min=[0.0], p_max=[150.0], alpha=[1.2], cost_per_kwh=[0.085]),
+    phevs=Phevs(e_min=[4.0], e_max=[18.0], e_initial=[9.0], charge_rate_max=[4.0],
+                discharge_rate_max=[4.0], eta_charge=[0.9], eta_discharge=[0.9],
+                degradation_cost_per_kwh=[0.0035]),
+    deferrables=DeferrableLoads(t_arrive=[2], t_depart=[3], rate_min=[0.0],
+                                rate_max=[3.0], energy_nominal=[4.0]),
     tariff=GridTariff(price_buy=[0.10, 0.12, 0.15, 0.11],
                       price_sell=[0.08, 0.096, 0.12, 0.088],
                       exchange_cap=[4000.0] * T),
@@ -36,6 +38,8 @@ config = MicrogridConfig(
 
 report = validate_config(config)
 print("config valid:", report.ok)
+lo, hi = config.deferrables.energy_band(config.period_hours)
+print("energy each load's window can deliver (kWh):", lo.tolist(), "to", hi.tolist())
 for issue in report.issues:
     print(f"  [{issue.severity}] {issue.code}: {issue.message}")
 

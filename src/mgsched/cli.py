@@ -21,12 +21,9 @@ from pathlib import Path
 from . import scenario as scn
 from .config_io import IngestError, load_config, load_generation_spec, read_json
 from .experiments import (
-    InfeasibleProblem,
-    NumericalFailure,
     RunManifest,
-    SolverLimit,
-    UnboundedProblem,
-    _write_atomic,
+    SolveFailure,
+    _write_json,
     generate_scenarios,
     load_scenario_set,
     prepare_scenarios,
@@ -45,6 +42,11 @@ EXIT_INFEASIBLE = 3
 EXIT_LIMIT = 4
 EXIT_UNBOUNDED = 5
 EXIT_NUMERICAL = 6
+
+# SolveFailure.status -> (exit code, stderr prefix)
+_FAILURES = {"infeasible": (EXIT_INFEASIBLE, "infeasible"), "limit": (EXIT_LIMIT, "solver limit"),
+             "unbounded": (EXIT_UNBOUNDED, "unbounded"),
+             "numerical": (EXIT_NUMERICAL, "numerical failure")}
 
 
 def _setup_logging():
@@ -164,19 +166,11 @@ def main(argv=None) -> int:
         log.error("ingestion failed: %s", e)
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INGEST
-    except InfeasibleProblem as e:
+    except SolveFailure as e:
         log.error("%s", e)
-        print(f"infeasible: {e}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except SolverLimit as e:
-        print(f"solver limit: {e}", file=sys.stderr)
-        return EXIT_LIMIT
-    except UnboundedProblem as e:
-        print(f"unbounded: {e}", file=sys.stderr)
-        return EXIT_UNBOUNDED
-    except NumericalFailure as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        code, prefix = _FAILURES[e.status]
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
 
 
 def _dispatch(args) -> int:
@@ -246,7 +240,7 @@ def _dispatch_scenarios(args) -> int:
         out = Path(args.out)
         scn.save_csv_bundle(reduced, out)
         scn.save_json(reduced, out / "scenarios.json")
-        _write_atomic(out / "reduction_report.json", report.to_json() + "\n")
+        _write_json(out / "reduction_report.json", report.to_dict())
         print(f"kept {len(reduced)} of {len(sset)} scenarios; "
               f"distance {report.kantorovich_distance:.6g}")
         return EXIT_OK

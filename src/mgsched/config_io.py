@@ -4,14 +4,14 @@ Time-series fields (tariff series, base loads, solar mean profile) accept
 either an inline list of length T or a reference {"csv": path, "column":
 name} to a CSV file with a header row and one row per period; `column`
 may be omitted when the file has a single column.  Relative CSV paths
-resolve against the directory of the JSON document.  Fleet entries accept
-an optional "count" to replicate identical units.  A scalar field, and
-each entry of an inline series or list, must be a JSON number, integral
-where the model takes an int; anything else is an IngestError naming the
-field (and the entry's index), and so is a document, `tariff` or fleet
-entry that is not a JSON object; the generation spec follows the same
-rule.  `load_config` also rejects a config that fails `validate_config`,
-a NaN anywhere included.
+resolve against the directory of the JSON document.  A fleet is a list of
+unit entries, parsed field by field into the fleet's arrays; an entry's
+optional "count" repeats it.  A scalar field, and each entry of an inline
+series or list, must be a JSON number, integral where the model takes an
+int; anything else is an IngestError naming the field (and the entry's
+index), and so is a document, `tariff` or fleet entry that is not a JSON
+object; the generation spec follows the same rule.  `load_config` also
+rejects a config that fails `validate_config`, a NaN anywhere included.
 """
 
 import csv
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ChpUnit, DeferrableLoad, GridTariff, MicrogridConfig, Phev, validate_config
+from .model import ChpUnits, DeferrableLoads, GridTariff, MicrogridConfig, Phevs, validate_config
 from .scenario import GenerationSpec
 
 
@@ -113,25 +113,32 @@ def _require(data: dict, key: str, what: str):
     return data[key]
 
 
-def _replicated(entries, builder, what):
-    """One `builder` dataclass per entry, `count` times over; each field is
-    converted to its annotated type (float or int)."""
+def _fleet(entries, fleet, what):
+    """A `fleet` container from a list of unit entries.  Each field is
+    parsed per entry with `_number` (an int for the fleet's `int_fields`)
+    and repeated over the entry's optional `count`."""
     if not isinstance(entries, list):
         raise IngestError(f"{what}: expected a list")
-    kinds = {f.name: f.type for f in fields(builder)}
-    out = []
+    names = [f.name for f in fields(fleet)]
+    columns = {name: [] for name in names}
+    counts = []
     for k, raw in enumerate(entries):
-        raw = dict(_object(raw, f"{what}[{k}]"))
-        count = _number(raw.pop("count", 1), int, f"{what}[{k}].count")
+        where = f"{what}[{k}]"
+        _object(raw, where)
+        count = _number(raw.get("count", 1), int, f"{where}.count")
         if count < 1:
-            raise IngestError(f"{what}[{k}]: count must be >= 1")
-        try:
-            item = builder(**{key: _number(v, kinds[key], f"{what}[{k}].{key}")
-                              if key in kinds else v for key, v in raw.items()})
-        except TypeError as e:
-            raise IngestError(f"{what}[{k}]: {e}") from e
-        out.extend([item] * count)
-    return out
+            raise IngestError(f"{where}: count must be >= 1")
+        unknown = [key for key in raw if key not in columns and key != "count"]
+        if unknown:
+            raise IngestError(f"{where}: unknown field {unknown[0]!r}")
+        for name, values in columns.items():
+            kind = int if name in fleet.int_fields else float
+            value = _number(_require(raw, name, where), kind, f"{where}.{name}")
+            if kind is int and abs(value) >= 2**63:
+                raise IngestError(f"{where}.{name}: {value} does not fit a 64-bit integer")
+            values.append(value)
+        counts.append(count)
+    return fleet(**{name: np.repeat(values, counts) for name, values in columns.items()})
 
 
 def config_from_dict(data: dict, base_dir=".") -> MicrogridConfig:
@@ -147,9 +154,9 @@ def config_from_dict(data: dict, base_dir=".") -> MicrogridConfig:
     return MicrogridConfig(
         horizon=horizon,
         period_hours=_number(data.get("period_hours", 1.0), float, "period_hours"),
-        chp_units=tuple(_replicated(data.get("chp_units", []), ChpUnit, "chp_units")),
-        phevs=tuple(_replicated(data.get("phevs", []), Phev, "phevs")),
-        deferrables=tuple(_replicated(data.get("deferrables", []), DeferrableLoad, "deferrables")),
+        chp_units=_fleet(data.get("chp_units", []), ChpUnits, "chp_units"),
+        phevs=_fleet(data.get("phevs", []), Phevs, "phevs"),
+        deferrables=_fleet(data.get("deferrables", []), DeferrableLoads, "deferrables"),
         tariff=tariff,
         base_power=_series(_require(data, "base_power", "config"), base_dir, "base_power"),
         base_heat=_series(_require(data, "base_heat", "config"), base_dir, "base_heat"),

@@ -159,7 +159,12 @@ class SolveReport:
         return payload
 
 
-class InfeasibleProblem(RuntimeError):
+class SolveFailure(RuntimeError):
+    """A solve that ended without an optimal schedule; each subclass's
+    `status` names how, as solution.json and compare.json record it."""
+
+
+class InfeasibleProblem(SolveFailure):
     status = "infeasible"
 
     def __init__(self, rows):
@@ -167,15 +172,15 @@ class InfeasibleProblem(RuntimeError):
         self.rows = rows
 
 
-class SolverLimit(RuntimeError):
+class SolverLimit(SolveFailure):
     status = "limit"
 
 
-class UnboundedProblem(RuntimeError):
+class UnboundedProblem(SolveFailure):
     status = "unbounded"
 
 
-class NumericalFailure(RuntimeError):
+class NumericalFailure(SolveFailure):
     """The solver gave up on numerical grounds (an `LpError`), or its
     schedule failed the post-solve balance or storage check."""
     status = "numerical"
@@ -367,13 +372,11 @@ def evaluate_policy(config: MicrogridConfig, scenarios: scn.ScenarioSet,
 
     # kWh of unabsorbable deviation, each scenario's (n_phev, T) summed as
     # one row; every term is 0 for an absent fleet
-    e_min = np.array([ev.e_min for ev in config.phevs])[:, None]
-    e_max = np.array([ev.e_max for ev in config.phevs])[:, None]
-    e_init = np.array([ev.e_initial for ev in config.phevs])
+    ev = config.phevs
     storage = realized.storage
-    violation = np.maximum(storage - e_max, 0.0).reshape(S, -1).sum(axis=1)
-    violation += np.maximum(e_min - storage, 0.0).reshape(S, -1).sum(axis=1)
-    violation += np.abs(storage[:, :, -1] - e_init).sum(axis=1)
+    violation = np.maximum(storage - ev.e_max[:, None], 0.0).reshape(S, -1).sum(axis=1)
+    violation += np.maximum(ev.e_min[:, None] - storage, 0.0).reshape(S, -1).sum(axis=1)
+    violation += np.abs(storage[:, :, -1] - ev.e_initial).sum(axis=1)
     violation += np.abs(serve.sum(axis=1) * h - scenarios.deferrable_energy).sum(axis=1)
     violation += np.abs(net - (buy - sell)).sum(axis=1) * h
 
@@ -436,7 +439,7 @@ def _status_on_failure(path: Path):
     survives, and re-raise."""
     try:
         yield
-    except (InfeasibleProblem, SolverLimit, UnboundedProblem, NumericalFailure) as e:
+    except SolveFailure as e:
         payload = {"status": e.status, "message": str(e)}
         if isinstance(e, InfeasibleProblem):
             payload["infeasible_rows"] = e.rows
@@ -531,19 +534,18 @@ def run_solar_sweep(manifest: RunManifest) -> list:
     return rows
 
 
-def resize_window(load, width: int, horizon: int):
-    """Symmetrically resize a deferrable window to `width` periods.
+def resize_window(loads, width: int, horizon: int):
+    """Symmetrically resize every deferrable window to `width` periods.
 
-    Overhang at either horizon edge shifts to the other side, so the
+    Overhang at either horizon edge shifts to the other side, so each
     resulting window has exactly min(width, horizon) periods and windows
     stay nested as the width grows.
     """
     width = min(max(1, width), horizon)
-    extra = width - load.window_length()
-    ta = load.t_arrive - (extra // 2)
-    ta = max(1, min(ta, horizon - width + 1))
-    td = min(horizon, ta + width - 1)
-    return dataclasses.replace(load, t_arrive=ta, t_depart=td)
+    extra = width - loads.window_length()
+    ta = np.maximum(1, np.minimum(loads.t_arrive - extra // 2, horizon - width + 1))
+    td = np.minimum(horizon, ta + width - 1)
+    return dataclasses.replace(loads, t_arrive=ta, t_depart=td)
 
 
 def run_window_sweep(manifest: RunManifest) -> list:
@@ -564,8 +566,8 @@ def run_window_sweep(manifest: RunManifest) -> list:
     path.unlink(missing_ok=True)  # a failed sweep leaves no earlier run's table
     rows = []
     for width in manifest.widths:
-        defs = tuple(resize_window(d, int(width), config.horizon) for d in config.deferrables)
-        w_config = dataclasses.replace(config, deferrables=defs)
+        w_config = dataclasses.replace(config, deferrables=resize_window(
+            config.deferrables, int(width), config.horizon))
         undeliverable = [i.message for i in validate_config(w_config).errors
                          if i.code == "WINDOW_INFEASIBLE"]
         if not undeliverable:

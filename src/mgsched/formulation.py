@@ -194,19 +194,11 @@ def build(config: MicrogridConfig, scenarios, options: FormulationOptions | None
     h = config.period_hours
     cols = {kind: index.columns(kind) for kind in COLUMN_KINDS}
 
-    def unit_params(units, *fields):
-        return [np.array([getattr(u, f) for u in units], dtype=float) for f in fields]
-
-    p_min, p_max, chp_cost, alpha = unit_params(
-        config.chp_units, "p_min", "p_max", "cost_per_kwh", "alpha")
-    e_min, e_max, e_init, c_max, d_max, deg, eta_c, eta_d = unit_params(
-        config.phevs, "e_min", "e_max", "e_initial", "charge_rate_max",
-        "discharge_rate_max", "degradation_cost_per_kwh", "eta_charge", "eta_discharge")
-    rate_min, rate_max = unit_params(config.deferrables, "rate_min", "rate_max")
-    windows = [d.window_range() for d in config.deferrables]
+    chp, ev, loads = config.chp_units, config.phevs, config.deferrables
     period = np.arange(T)[:, None]
-    in_window = (period >= [r.start for r in windows]) & (period < [r.stop for r in windows])
+    in_window = (period >= loads.t_arrive - 1) & (period < loads.t_depart)
     parking = scenarios.parking.transpose(0, 2, 1)  # (S, T, n_phev)
+    gate_c, gate_d = ev.charge_rate_max * parking, ev.discharge_rate_max * parking
     w = (scenarios.probabilities * h)[:, None, None]
     cap = config.tariff.exchange_cap[:, None]
 
@@ -216,11 +208,12 @@ def build(config: MicrogridConfig, scenarios, options: FormulationOptions | None
     hi = np.zeros(n)
     # kind -> (lower, upper, cost), each broadcast over the kind's (S, T, n_unit)
     for kind, (lower, upper, cost) in {
-        "chp": (p_min, p_max, w * chp_cost),
-        "charge": (0.0, c_max * parking, w * deg * eta_c),
-        "discharge": (0.0, d_max * parking, w * deg / eta_d),
-        "storage": (e_min, e_max, 0.0),
-        "serve": (np.where(in_window, rate_min, 0.0), np.where(in_window, rate_max, 0.0), 0.0),
+        "chp": (chp.p_min, chp.p_max, w * chp.cost_per_kwh),
+        "charge": (0.0, gate_c, w * ev.degradation_cost_per_kwh * ev.eta_charge),
+        "discharge": (0.0, gate_d, w * ev.degradation_cost_per_kwh / ev.eta_discharge),
+        "storage": (ev.e_min, ev.e_max, 0.0),
+        "serve": (np.where(in_window, loads.rate_min, 0.0),
+                  np.where(in_window, loads.rate_max, 0.0), 0.0),
         "buy": (0.0, cap, w * config.tariff.price_buy[:, None]),
         "sell": (0.0, cap, -w * config.tariff.price_sell[:, None]),
         "curtail": (0.0, np.inf, w * options.curtailment_penalty if index.has_curtail else 0.0),
@@ -243,13 +236,13 @@ def build(config: MicrogridConfig, scenarios, options: FormulationOptions | None
     every = np.s_[...]
     sto = cols["storage"]
     link_rhs = np.zeros(sto.shape)
-    link_rhs[:, 0] = e_init
+    link_rhs[:, 0] = ev.e_initial
     add_rows("=", link_rhs, "link_m{2}_t{1}_s{0}".format, sto.shape,
              (every, sto, 1.0),
              (np.s_[:, 1:], sto[:, :-1], -1.0),
-             (every, cols["charge"], -h * eta_c),
-             (every, cols["discharge"], h / eta_d))
-    add_rows("=", e_init, "term_m{1}_s{0}".format, (S, config.n_phev),
+             (every, cols["charge"], -h * ev.eta_charge),
+             (every, cols["discharge"], h / ev.eta_discharge))
+    add_rows("=", ev.e_initial, "term_m{1}_s{0}".format, (S, config.n_phev),
              (every, sto[:, T - 1], 1.0))
     add_rows("=", scenarios.deferrable_energy, "dsum_j{1}_s{0}".format,
              (S, config.n_deferrable), (np.s_[:, None], cols["serve"], h * in_window))
@@ -259,21 +252,20 @@ def build(config: MicrogridConfig, scenarios, options: FormulationOptions | None
                  ("chp", 1.0), ("discharge", 1.0), ("charge", -1.0), ("buy", 1.0),
                  ("sell", -1.0), ("serve", -1.0), ("curtail", -1.0))))
     add_rows(">=", config.base_heat, "heat_t{1}_s{0}".format, (S, T),
-             (per_period, cols["chp"], alpha))
+             (per_period, cols["chp"], chp.alpha))
 
     # exclusivity: per (s, t, m) a charge row, then a discharge row
     mode = cols["mode"]
     if options.exclusivity_binaries:
         chg, dis = np.s_[..., 0], np.s_[..., 1]
-        gate_c, gate_d = c_max * parking, d_max * parking
         add_rows("<=", np.stack([np.zeros_like(gate_d), gate_d], axis=-1),
                  lambda s, t, m, k: f"{('exc', 'exd')[k]}_m{m}_t{t}_s{s}", sto.shape + (2,),
                  (chg, cols["charge"], 1.0), (chg, mode, -gate_c),
                  (dis, cols["discharge"], 1.0), (dis, mode, gate_d))
     if options.stage_mode == "day-ahead-chp":
-        chp = cols["chp"]
-        add_rows("=", 0.0, lambda s, t, i: f"nac_i{i}_t{t}_s{s + 1}", chp[1:].shape,
-                 (every, chp[1:], 1.0), (every, chp[:1], -1.0))
+        chp_cols = cols["chp"]
+        add_rows("=", 0.0, lambda s, t, i: f"nac_i{i}_t{t}_s{s + 1}", chp_cols[1:].shape,
+                 (every, chp_cols[1:], 1.0), (every, chp_cols[:1], -1.0))
 
     expect = expected_counts(config, S, options)
     if len(senses) != expect["n_rows"] or n != expect["n_cols"]:

@@ -27,8 +27,7 @@ def _fmt(v: float) -> str:
     v = float(v)
     if v == 0.0:
         v = 0.0  # normalize -0.0
-    r = repr(v)
-    return r
+    return repr(v)
 
 
 def _pad(s: str, width: int) -> str:

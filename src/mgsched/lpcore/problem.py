@@ -257,15 +257,6 @@ class FeasibilityReport:
     def ok(self, tol):
         return self.max_row_violation <= tol and self.max_bound_violation <= tol
 
-    def to_dict(self):
-        return {
-            "objective": self.objective,
-            "max_row_violation": self.max_row_violation,
-            "max_bound_violation": self.max_bound_violation,
-            "row_violations": {str(k): v for k, v in sorted(self.row_violations.items())},
-            "bound_violations": {str(k): v for k, v in sorted(self.bound_violations.items())},
-        }
-
 
 def check_point(problem: LpProblem, x, tol: float = 1e-7) -> FeasibilityReport:
     """Evaluate a point against all rows and bounds of a problem."""

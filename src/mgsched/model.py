@@ -1,6 +1,9 @@
 """Microgrid domain model: fleet parameters, schedules, scenario-set
 validation, and solver-independent evaluation of cost and energy balance.
 
+Each fleet (CHP units, PHEVs, deferrable loads) holds one read-only
+(n_unit,) array per unit parameter; there is no per-unit object.
+
 Conventions (documented in the README): powers in kW, energies in kWh,
 heat in kW-thermal, prices in currency per kWh.  Rate variables are
 converted to energy with the period length `period_hours`.  Grid import
@@ -21,50 +24,71 @@ def _freeze(a, dtype=float):
     return arr
 
 
-@dataclass(frozen=True)
-class ChpUnit:
-    """Combined heat and power unit; produces `alpha` kW of useful heat
-    per kW of electric output."""
+class _Fleet:
+    """One read-only (n_unit,) array per unit parameter, unit index first,
+    frozen as `ScenarioSet` is.  Fields named in `int_fields` hold ints,
+    the rest floats.  Every field defaults to empty, so `Phevs()` is an
+    empty fleet."""
 
-    p_min: float
-    p_max: float
-    alpha: float
-    cost_per_kwh: float
+    int_fields = ()
 
+    def __post_init__(self):
+        for f in fields(self):
+            dtype = int if f.name in self.int_fields else float
+            object.__setattr__(self, f.name, _freeze(getattr(self, f.name), dtype))
+        shapes = {getattr(self, f.name).shape for f in fields(self)}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            raise ValueError(f"{type(self).__name__}: fields of shapes {sorted(shapes)}")
 
-@dataclass(frozen=True)
-class Phev:
-    """Plug-in hybrid EV battery usable for charge/discharge while parked."""
-
-    e_min: float
-    e_max: float
-    e_initial: float
-    charge_rate_max: float
-    discharge_rate_max: float
-    eta_charge: float
-    eta_discharge: float
-    degradation_cost_per_kwh: float
+    def __len__(self):
+        return len(getattr(self, fields(self)[0].name))
 
 
 @dataclass(frozen=True)
-class DeferrableLoad:
-    """Task needing a fixed energy inside a time window at a bounded rate.
+class ChpUnits(_Fleet):
+    """Combined heat and power units; unit i produces `alpha[i]` kW of
+    useful heat per kW of electric output."""
 
-    `t_arrive`/`t_depart` are 1-based inclusive periods.
-    """
+    p_min: np.ndarray = ()
+    p_max: np.ndarray = ()
+    alpha: np.ndarray = ()
+    cost_per_kwh: np.ndarray = ()
 
-    t_arrive: int
-    t_depart: int
-    rate_min: float
-    rate_max: float
-    energy_nominal: float
 
-    def window_length(self) -> int:
+@dataclass(frozen=True)
+class Phevs(_Fleet):
+    """Plug-in hybrid EV batteries usable for charge/discharge while parked."""
+
+    e_min: np.ndarray = ()
+    e_max: np.ndarray = ()
+    e_initial: np.ndarray = ()
+    charge_rate_max: np.ndarray = ()
+    discharge_rate_max: np.ndarray = ()
+    eta_charge: np.ndarray = ()
+    eta_discharge: np.ndarray = ()
+    degradation_cost_per_kwh: np.ndarray = ()
+
+
+@dataclass(frozen=True)
+class DeferrableLoads(_Fleet):
+    """Tasks each needing a fixed energy inside a time window at a bounded
+    rate.  `t_arrive`/`t_depart` are 1-based inclusive periods (ints)."""
+
+    t_arrive: np.ndarray = ()
+    t_depart: np.ndarray = ()
+    rate_min: np.ndarray = ()
+    rate_max: np.ndarray = ()
+    energy_nominal: np.ndarray = ()
+
+    int_fields = ("t_arrive", "t_depart")
+
+    def window_length(self) -> np.ndarray:
         return self.t_depart - self.t_arrive + 1
 
-    def window_range(self) -> range:
-        """0-based period indices inside the window."""
-        return range(self.t_arrive - 1, self.t_depart)
+    def energy_band(self, period_hours: float):
+        """(lowest, highest) energy in kWh each load's window can deliver."""
+        n = self.window_length()
+        return self.rate_min * n * period_hours, self.rate_max * n * period_hours
 
 
 @dataclass(frozen=True)
@@ -84,9 +108,9 @@ class MicrogridConfig:
     """Full static description of the microgrid over the horizon."""
 
     horizon: int
-    chp_units: tuple
-    phevs: tuple
-    deferrables: tuple
+    chp_units: ChpUnits
+    phevs: Phevs
+    deferrables: DeferrableLoads
     tariff: GridTariff
     base_power: np.ndarray
     base_heat: np.ndarray
@@ -94,9 +118,6 @@ class MicrogridConfig:
     period_hours: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "chp_units", tuple(self.chp_units))
-        object.__setattr__(self, "phevs", tuple(self.phevs))
-        object.__setattr__(self, "deferrables", tuple(self.deferrables))
         object.__setattr__(self, "base_power", _freeze(self.base_power))
         object.__setattr__(self, "base_heat", _freeze(self.base_heat))
 
@@ -152,8 +173,21 @@ class ValidationReport:
         }
 
 
+def _flag_first(rep, code, bad, message, **values):
+    """Add one `code` issue for the first index i where the mask `bad`
+    holds: `message` formatted with i and each of `values` (broadcast
+    over the mask) at i.  Returns whether any index does."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        i = int(hits[0])
+        rep.add(code, message.format(i=i, **{k: np.broadcast_to(v, bad.shape)[i].item()
+                                           for k, v in values.items()}))
+    return hits.size > 0
+
+
 def validate_config(config: MicrogridConfig) -> ValidationReport:
-    """Check every type invariant; violations become report entries."""
+    """Check every type invariant; violations become report entries, one
+    per check naming the first offending unit."""
     rep = ValidationReport()
     T = config.horizon
     h = config.period_hours
@@ -161,51 +195,56 @@ def validate_config(config: MicrogridConfig) -> ValidationReport:
         rep.add("HORIZON_NONPOSITIVE", f"horizon must be >= 1, got {T}")
         return rep
     # every other check reads NaN as in range, so a NaN ends the check
-    for name in _nan_fields(config):
-        rep.add("VALUE_NAN", f"{name} contains NaN")
+    named = {"period_hours": config.period_hours, "solar_capacity": config.solar_capacity,
+             "base_power": config.base_power, "base_heat": config.base_heat}
+    named.update((f"tariff.{f.name}", getattr(config.tariff, f.name)) for f in fields(GridTariff))
+    named.update((f"{what}[{{i}}].{f.name}", getattr(fleet, f.name)) for what, fleet in (
+        ("chp", config.chp_units), ("phev", config.phevs), ("deferrable", config.deferrables))
+        for f in fields(fleet))
+    for name, value in named.items():
+        _flag_first(rep, "VALUE_NAN", np.isnan(value), name + " contains NaN")
     if not rep.ok:
         return rep
     if h <= 0:
         rep.add("PERIOD_HOURS_NONPOSITIVE", f"period_hours must be > 0, got {h}")
 
-    for i, u in enumerate(config.chp_units):
-        if not (0 <= u.p_min <= u.p_max):
-            rep.add("CHP_CAPACITY_ORDER", f"chp[{i}]: need 0 <= p_min <= p_max, got [{u.p_min}, {u.p_max}]")
-        if u.alpha <= 0:
-            rep.add("CHP_ALPHA_NONPOSITIVE", f"chp[{i}]: alpha must be > 0, got {u.alpha}")
-        if u.cost_per_kwh < 0:
-            rep.add("CHP_COST_NEGATIVE", f"chp[{i}]: cost_per_kwh must be >= 0")
+    c = config.chp_units
+    _flag_first(rep, "CHP_CAPACITY_ORDER", ~((0 <= c.p_min) & (c.p_min <= c.p_max)),
+                "chp[{i}]: need 0 <= p_min <= p_max, got [{lo}, {hi}]", lo=c.p_min, hi=c.p_max)
+    _flag_first(rep, "CHP_ALPHA_NONPOSITIVE", c.alpha <= 0,
+                "chp[{i}]: alpha must be > 0, got {alpha}", alpha=c.alpha)
+    _flag_first(rep, "CHP_COST_NEGATIVE", c.cost_per_kwh < 0,
+                "chp[{i}]: cost_per_kwh must be >= 0")
 
-    for m, ev in enumerate(config.phevs):
-        if not (0 <= ev.e_min <= ev.e_initial <= ev.e_max):
-            rep.add(
-                "PHEV_ENERGY_ORDER",
-                f"phev[{m}]: need 0 <= e_min <= e_initial <= e_max, "
-                f"got ({ev.e_min}, {ev.e_initial}, {ev.e_max})",
-            )
-        if ev.charge_rate_max < 0 or ev.discharge_rate_max < 0:
-            rep.add("PHEV_RATE_NEGATIVE", f"phev[{m}]: rate limits must be >= 0")
-        if not (0 < ev.eta_charge <= 1) or not (0 < ev.eta_discharge <= 1):
-            rep.add("PHEV_ETA_RANGE", f"phev[{m}]: efficiencies must lie in (0, 1]")
-        if ev.degradation_cost_per_kwh < 0:
-            rep.add("PHEV_COST_NEGATIVE", f"phev[{m}]: degradation cost must be >= 0")
+    ev = config.phevs
+    _flag_first(rep, "PHEV_ENERGY_ORDER",
+                ~((0 <= ev.e_min) & (ev.e_min <= ev.e_initial) & (ev.e_initial <= ev.e_max)),
+                "phev[{i}]: need 0 <= e_min <= e_initial <= e_max, got ({lo}, {e0}, {hi})",
+                lo=ev.e_min, e0=ev.e_initial, hi=ev.e_max)
+    _flag_first(rep, "PHEV_RATE_NEGATIVE", (ev.charge_rate_max < 0) | (ev.discharge_rate_max < 0),
+                "phev[{i}]: rate limits must be >= 0")
+    _flag_first(rep, "PHEV_ETA_RANGE", ~((0 < ev.eta_charge) & (ev.eta_charge <= 1)
+                                         & (0 < ev.eta_discharge) & (ev.eta_discharge <= 1)),
+                "phev[{i}]: efficiencies must lie in (0, 1]")
+    _flag_first(rep, "PHEV_COST_NEGATIVE", ev.degradation_cost_per_kwh < 0,
+                "phev[{i}]: degradation cost must be >= 0")
 
-    for j, d in enumerate(config.deferrables):
-        if d.t_arrive > d.t_depart:
-            rep.add("WINDOW_REVERSED", f"deferrable[{j}]: t_arrive {d.t_arrive} > t_depart {d.t_depart}")
-            continue
-        if d.t_arrive < 1 or d.t_depart > T:
-            rep.add("WINDOW_OUT_OF_HORIZON", f"deferrable[{j}]: window [{d.t_arrive}, {d.t_depart}] outside [1, {T}]")
-        if not (0 <= d.rate_min <= d.rate_max):
-            rep.add("DEFER_RATE_ORDER", f"deferrable[{j}]: need 0 <= rate_min <= rate_max")
-        lo = d.rate_min * d.window_length() * h
-        hi = d.rate_max * d.window_length() * h
-        if not (lo <= d.energy_nominal <= hi):
-            rep.add(
-                "WINDOW_INFEASIBLE",
-                f"deferrable[{j}]: energy {d.energy_nominal} kWh outside deliverable "
-                f"range [{lo}, {hi}] kWh of its window",
-            )
+    # a reversed window gets no other window check
+    d = config.deferrables
+    reversed_ = d.t_arrive > d.t_depart
+    _flag_first(rep, "WINDOW_REVERSED", reversed_,
+                "deferrable[{i}]: t_arrive {ta} > t_depart {td}", ta=d.t_arrive, td=d.t_depart)
+    _flag_first(rep, "WINDOW_OUT_OF_HORIZON", ~reversed_ & ((d.t_arrive < 1) | (d.t_depart > T)),
+                "deferrable[{i}]: window [{ta}, {td}] outside [1, {T}]",
+                ta=d.t_arrive, td=d.t_depart, T=T)
+    _flag_first(rep, "DEFER_RATE_ORDER",
+                ~reversed_ & ~((0 <= d.rate_min) & (d.rate_min <= d.rate_max)),
+                "deferrable[{i}]: need 0 <= rate_min <= rate_max")
+    lo, hi = d.energy_band(h)
+    _flag_first(rep, "WINDOW_INFEASIBLE",
+                ~reversed_ & ~((lo <= d.energy_nominal) & (d.energy_nominal <= hi)),
+                "deferrable[{i}]: energy {e} kWh outside deliverable range [{lo}, {hi}] kWh "
+                "of its window", e=d.energy_nominal, lo=lo, hi=hi)
 
     tar = config.tariff
     for name, arr in (("price_buy", tar.price_buy), ("price_sell", tar.price_sell),
@@ -233,48 +272,32 @@ def validate_config(config: MicrogridConfig) -> ValidationReport:
     return rep
 
 
-def _nan_fields(config: MicrogridConfig) -> list:
-    """Names of the config's numbers and series that hold a NaN."""
-    named = {"period_hours": config.period_hours, "solar_capacity": config.solar_capacity,
-             "base_power": config.base_power, "base_heat": config.base_heat}
-    named.update((f"tariff.{f.name}", getattr(config.tariff, f.name)) for f in fields(GridTariff))
-    bad = [name for name, value in named.items() if np.isnan(value).any()]
-    for what, kind, units in (("chp", ChpUnit, config.chp_units), ("phev", Phev, config.phevs),
-                              ("deferrable", DeferrableLoad, config.deferrables)):
-        names = [f.name for f in fields(kind)]
-        values = np.array([[getattr(u, n) for n in names] for u in units], dtype=float)
-        bad += [f"{what}[{i}].{names[j]}" for i, j in zip(*np.nonzero(np.isnan(values)))]
-    return bad
-
-
 def validate_scenarios(scenarios, config: MicrogridConfig | None = None) -> ValidationReport:
     """Check a scenario set's values; with a config, also its shapes and
     the solar capacity.  Each message names the first offending scenario
-    (scenario 0 for a shape, which all scenarios share)."""
+    (scenario 0 for a shape, which all scenarios share).  A negative
+    probability never gets here: `ScenarioSet` rejects it."""
     rep = ValidationReport()
     S = len(scenarios)
-
-    def check(code, bad, message):
-        hits = np.flatnonzero(np.broadcast_to(bad, (S,)))
-        if hits.size:
-            rep.add(code, f"scenario {hits[0]}: {message}")
-        return hits.size > 0
-
-    check("PROBABILITY_NEGATIVE", scenarios.probabilities < 0, "probability < 0")
-    check("SOLAR_NEGATIVE", (scenarios.solar < 0).any(axis=1), "solar has negative entries")
-    check("PARKING_NOT_BINARY",
-          ((scenarios.parking != 0) & (scenarios.parking != 1)).any(axis=(1, 2)),
-          "parking entries must be 0 or 1")
+    _flag_first(rep, "SOLAR_NEGATIVE", (scenarios.solar < 0).any(axis=1),
+                "scenario {i}: solar has negative entries")
+    _flag_first(rep, "PARKING_NOT_BINARY",
+                ((scenarios.parking != 0) & (scenarios.parking != 1)).any(axis=(1, 2)),
+                "scenario {i}: parking entries must be 0 or 1")
     if config is None:
         return rep
     T = config.horizon
-    if not check("SOLAR_LENGTH", scenarios.solar.shape[1] != T, f"solar must have length {T}"):
-        check("SOLAR_ABOVE_CAPACITY", (scenarios.solar > config.solar_capacity + 1e-9).any(axis=1),
-              "solar exceeds installed capacity")
-    check("PARKING_SHAPE", scenarios.parking.shape[1:] != (config.n_phev, T),
-          f"parking must be ({config.n_phev}, {T})")
-    check("DEFER_ENERGY_LENGTH", scenarios.deferrable_energy.shape[1:] != (config.n_deferrable,),
-          f"deferrable_energy must have length {config.n_deferrable}")
+    if not _flag_first(rep, "SOLAR_LENGTH", np.full(S, scenarios.solar.shape[1] != T),
+                       "scenario {i}: solar must have length {T}", T=T):
+        _flag_first(rep, "SOLAR_ABOVE_CAPACITY",
+                    (scenarios.solar > config.solar_capacity + 1e-9).any(axis=1),
+                    "scenario {i}: solar exceeds installed capacity")
+    n_ev, n_def = config.n_phev, config.n_deferrable
+    _flag_first(rep, "PARKING_SHAPE", np.full(S, scenarios.parking.shape[1:] != (n_ev, T)),
+                "scenario {i}: parking must be ({n}, {T})", n=n_ev, T=T)
+    _flag_first(rep, "DEFER_ENERGY_LENGTH",
+                np.full(S, scenarios.deferrable_energy.shape[1:] != (n_def,)),
+                "scenario {i}: deferrable_energy must have length {n}", n=n_def)
     return rep
 
 
@@ -351,25 +374,21 @@ def derive_storage(config: MicrogridConfig, charge, discharge) -> np.ndarray:
     storage[s, m, t] = storage[s, m, t-1] + (eta+ * charge - discharge / eta-) * h,
     starting from each vehicle's initial energy.
     """
-    h = config.period_hours
-    eta_c = np.array([ev.eta_charge for ev in config.phevs])[:, None]
-    eta_d = np.array([ev.eta_discharge for ev in config.phevs])[:, None]
-    e0 = np.array([ev.e_initial for ev in config.phevs])[:, None]
-    delta = (eta_c * charge - discharge / eta_d) * h
-    return e0 + np.cumsum(delta, axis=-1)
+    ev = config.phevs
+    delta = (ev.eta_charge[:, None] * charge - discharge / ev.eta_discharge[:, None]) \
+        * config.period_hours
+    return ev.e_initial[:, None] + np.cumsum(delta, axis=-1)
 
 
 def cost_rates(config: MicrogridConfig, schedule: Schedule) -> np.ndarray:
     """Operating cost per hour of every scenario and period, (S, T):
     CHP production cost, PHEV degradation on throughput (charge weighted
     by eta+, discharge by 1/eta-), and grid purchases net of sales."""
-    c_ev = np.array([ev.degradation_cost_per_kwh for ev in config.phevs])
-    eta_c = np.array([ev.eta_charge for ev in config.phevs])
-    eta_d = np.array([ev.eta_discharge for ev in config.phevs])
+    ev = config.phevs
     rates = np.zeros(schedule.grid_buy.shape)
-    rates += np.array([u.cost_per_kwh for u in config.chp_units]) @ schedule.chp_power
-    rates += (c_ev * eta_c) @ schedule.charge
-    rates += (c_ev / eta_d) @ schedule.discharge
+    rates += config.chp_units.cost_per_kwh @ schedule.chp_power
+    rates += (ev.degradation_cost_per_kwh * ev.eta_charge) @ schedule.charge
+    rates += (ev.degradation_cost_per_kwh / ev.eta_discharge) @ schedule.discharge
     rates += config.tariff.price_buy * schedule.grid_buy
     rates -= config.tariff.price_sell * schedule.grid_sell
     return rates
@@ -433,8 +452,7 @@ def check_balance(config: MicrogridConfig, solar: np.ndarray, schedule: Schedule
         - (schedule.grid_sell + config.base_power + schedule.serve.sum(axis=1)
            + schedule.curtail)
     )
-    alphas = np.array([u.alpha for u in config.chp_units])
-    heat_surplus = alphas @ schedule.chp_power - config.base_heat
+    heat_surplus = config.chp_units.alpha @ schedule.chp_power - config.base_heat
 
     flags = [(int(s), int(t), "power") for s, t in zip(*np.nonzero(np.abs(power_residual) > tol))]
     flags += [(int(s), int(t), "heat") for s, t in zip(*np.nonzero(heat_surplus < -tol))]

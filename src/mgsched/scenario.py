@@ -153,9 +153,7 @@ def generate(spec: GenerationSpec, config: MicrogridConfig, count: int) -> Scena
     if spec.deferrable_energy_spread.shape != (n_def,):
         raise ValueError(f"deferrable_energy_spread must have length {n_def}")
 
-    h = config.period_hours
-    e_lo = np.array([d.rate_min * d.window_length() * h for d in config.deferrables])
-    e_hi = np.array([d.rate_max * d.window_length() * h for d in config.deferrables])
+    e_lo, e_hi = config.deferrables.energy_band(config.period_hours)
 
     if empirical:
         pick = np.empty(count, dtype=int)
@@ -295,11 +293,6 @@ class ReductionReport:
 
     def to_dict(self):
         return asdict(self)
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def reduce_fast_forward(scenario_set: ScenarioSet, keep: int,

@@ -1,28 +1,50 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from mgsched.model import ChpUnit, DeferrableLoad, GridTariff, MicrogridConfig, Phev
+from mgsched.model import ChpUnits, DeferrableLoads, GridTariff, MicrogridConfig, Phevs
 from mgsched.scenario import GenerationSpec
+
+
+def one(fleet, *values):
+    """A fleet of one unit, its field values given in declaration order."""
+    return fleet(*([v] for v in values))
+
+
+def unit(fleet, i):
+    """Unit i of a fleet as plain Python numbers, for loop-based oracles."""
+    return SimpleNamespace(**{f.name: getattr(fleet, f.name)[i].item()
+                              for f in dataclasses.fields(fleet)})
+
+
+def unit_entries(fleet):
+    """The fleet as JSON config entries, one per unit."""
+    names = [f.name for f in dataclasses.fields(fleet)]
+    return [dict(zip(names, row)) for row in zip(*(getattr(fleet, n).tolist() for n in names))]
+
+
+def assert_same_fleet(a, b):
+    """Same container type, and every field equal in value and dtype."""
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), f.name
 
 
 def make_config(T=6, n_chp=1, n_phev=1, n_def=1, cap=4000.0, period_hours=1.0):
     """Small self-consistent microgrid used across the suite."""
     price_buy = np.linspace(0.08, 0.14, T)
-    chp = tuple(
-        ChpUnit(p_min=0.0, p_max=150.0 + 20 * i, alpha=1.2, cost_per_kwh=0.085 + 0.005 * i)
-        for i in range(n_chp)
-    )
-    phevs = tuple(
-        Phev(e_min=4.0, e_max=18.0, e_initial=9.0, charge_rate_max=4.0,
-             discharge_rate_max=4.0, eta_charge=0.9, eta_discharge=0.9,
-             degradation_cost_per_kwh=0.0035)
-        for _ in range(n_phev)
-    )
-    defs = tuple(
-        DeferrableLoad(t_arrive=2, t_depart=min(T, 4), rate_min=0.0, rate_max=3.0,
-                       energy_nominal=4.0)
-        for _ in range(n_def)
-    )
+    i = np.arange(n_chp)
+    chp = ChpUnits(p_min=np.zeros(n_chp), p_max=150.0 + 20 * i, alpha=np.full(n_chp, 1.2),
+                   cost_per_kwh=0.085 + 0.005 * i)
+    phevs = Phevs(**{name: np.full(n_phev, value) for name, value in dict(
+        e_min=4.0, e_max=18.0, e_initial=9.0, charge_rate_max=4.0, discharge_rate_max=4.0,
+        eta_charge=0.9, eta_discharge=0.9, degradation_cost_per_kwh=0.0035).items()})
+    defs = DeferrableLoads(**{name: np.full(n_def, value) for name, value in dict(
+        t_arrive=2, t_depart=min(T, 4), rate_min=0.0, rate_max=3.0,
+        energy_nominal=4.0).items()})
     return MicrogridConfig(
         horizon=T,
         period_hours=period_hours,

@@ -160,12 +160,13 @@ def cost_by_hand(config, scenarios, schedule):
     for s, prob in enumerate(scenarios.probabilities.tolist()):
         for t in range(config.horizon):
             acc = 0.0
-            for i, unit in enumerate(config.chp_units):
-                acc += unit.cost_per_kwh * schedule.chp_power[s, i, t]
-            for m, ev in enumerate(config.phevs):
-                acc += ev.degradation_cost_per_kwh * (
-                    schedule.charge[s, m, t] * ev.eta_charge
-                    + schedule.discharge[s, m, t] / ev.eta_discharge
+            for i in range(config.n_chp):
+                acc += config.chp_units.cost_per_kwh[i] * schedule.chp_power[s, i, t]
+            ev = config.phevs
+            for m in range(config.n_phev):
+                acc += ev.degradation_cost_per_kwh[m] * (
+                    schedule.charge[s, m, t] * ev.eta_charge[m]
+                    + schedule.discharge[s, m, t] / ev.eta_discharge[m]
                 )
             acc += config.tariff.price_buy[t] * schedule.grid_buy[s, t]
             acc -= config.tariff.price_sell[t] * schedule.grid_sell[s, t]
@@ -181,8 +182,10 @@ def draw_scenarios(spec, config, count):
     T, n_ev, n_def = config.horizon, config.n_phev, config.n_deferrable
     h = config.period_hours
     prob = np.broadcast_to(np.asarray(spec.parking_prob, dtype=float), (n_ev, T))
-    e_lo = np.array([d.rate_min * d.window_length() * h for d in config.deferrables])
-    e_hi = np.array([d.rate_max * d.window_length() * h for d in config.deferrables])
+    d = config.deferrables
+    length = [int(d.t_depart[j]) - int(d.t_arrive[j]) + 1 for j in range(n_def)]
+    e_lo = np.array([float(d.rate_min[j]) * length[j] * h for j in range(n_def)])
+    e_hi = np.array([float(d.rate_max[j]) * length[j] * h for j in range(n_def)])
     rows = []
     for k in range(count):
         rng = np.random.default_rng([spec.rng_seed, k])

@@ -11,7 +11,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import make_config, make_genspec
+from conftest import make_config, make_genspec, one, unit
 from mgsched.experiments import (
     RunManifest,
     compare_policies,
@@ -30,11 +30,11 @@ from mgsched.lpcore import (
     solve_milp,
 )
 from mgsched.model import (
-    ChpUnit,
-    DeferrableLoad,
+    ChpUnits,
+    DeferrableLoads,
     GridTariff,
     MicrogridConfig,
-    Phev,
+    Phevs,
     check_balance,
 )
 from mgsched.scenario import (
@@ -145,9 +145,9 @@ def test_criterion_02_milp_oracle_equivalence():
 def micro_instance():
     cfg = MicrogridConfig(
         horizon=3,
-        chp_units=(ChpUnit(0.0, 3.0, 1.0, 0.06),),
-        phevs=(Phev(1.0, 5.0, 3.0, 2.0, 2.0, 1.0, 1.0, 0.01),),
-        deferrables=(DeferrableLoad(1, 3, 0.0, 2.0, 3.0),),
+        chp_units=one(ChpUnits, 0.0, 3.0, 1.0, 0.06),
+        phevs=one(Phevs, 1.0, 5.0, 3.0, 2.0, 2.0, 1.0, 1.0, 0.01),
+        deferrables=one(DeferrableLoads, 1, 3, 0.0, 2.0, 3.0),
         tariff=GridTariff([0.10, 0.20, 0.15], [0.08, 0.16, 0.12], [10.0] * 3),
         base_power=[2.0, 3.0, 2.0],
         base_heat=[1.0, 1.0, 1.0],
@@ -171,9 +171,9 @@ def grid_oracle_scenario(cfg, ss, s, step=0.5):
     cost and a bound on how far the grid optimum can sit above the
     continuous one.
     """
-    u = cfg.chp_units[0]
-    ev = cfg.phevs[0]
-    d = cfg.deferrables[0]
+    u = unit(cfg.chp_units, 0)
+    ev = unit(cfg.phevs, 0)
+    d = unit(cfg.deferrables, 0)
     pb = cfg.tariff.price_buy
     ps = cfg.tariff.price_sell
 

@@ -257,6 +257,27 @@ def test_invalid_loaded_scenarios_exit_two(tmp_path, capsys):
     assert not (tmp_path / "out" / "solution.json").exists()
 
 
+@pytest.mark.parametrize("via", ["scenarios-reduce", "manifest-scenarios"])
+def test_negative_scenario_probability_exits_two(tmp_path, capsys, via):
+    # the scenario set rejects it while loading, before any validation
+    config, gen = write_inputs(tmp_path)
+    assert main(["scenarios", "generate", "--config", str(config), "--genspec", str(gen),
+                 "--generate", "4", "--out", str(tmp_path / "bundle")]) == 0
+    data = json.loads((tmp_path / "bundle" / "scenarios.json").read_text())
+    for entry, p in zip(data["scenarios"], [0.5, 0.25, 0.5, -0.25]):
+        entry["probability"] = p
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    if via == "scenarios-reduce":
+        code = main(["scenarios", "reduce", "--input", str(tmp_path / "bad.json"),
+                     "--keep", "2", "--out", str(tmp_path / "out")])
+    else:
+        code = run_on_scenario_file(tmp_path, tmp_path / "bad.json")
+    assert code == 2
+    assert "scenario probabilities must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_scenario_file_exits_two(tmp_path, capsys):
     assert run_on_scenario_file(tmp_path, tmp_path / "nope.json") == 2
     assert "nope.json" in capsys.readouterr().err

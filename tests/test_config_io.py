@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import assert_same_fleet
 from mgsched.config_io import (
     IngestError,
     config_from_dict,
@@ -50,6 +51,22 @@ def test_inline_config_parses_and_validates():
     assert cfg.n_phev == 3  # count replication
     assert cfg.n_chp == 1
     assert validate_config(cfg).ok
+
+
+def test_count_gives_the_same_arrays_as_spelled_out_entries():
+    counted = config_from_dict(sample_dict())
+    data = sample_dict()
+    entry = {k: v for k, v in data["phevs"][0].items() if k != "count"}
+    data["phevs"] = [entry, entry, entry]
+    spelled = config_from_dict(data)
+    for fleet in ("chp_units", "phevs", "deferrables"):
+        assert_same_fleet(getattr(counted, fleet), getattr(spelled, fleet))
+    assert counted.phevs.e_max.shape == (3,)
+    # counts repeat each entry in place, in entry order
+    data["deferrables"] = [{**data["deferrables"][0], "count": 2},
+                           {**data["deferrables"][0], "t_arrive": 1}]
+    loads = config_from_dict(data).deferrables
+    assert loads.t_arrive.tolist() == [2, 2, 1] and loads.t_arrive.dtype == np.dtype(int)
 
 
 def test_load_from_file(tmp_path):
@@ -174,6 +191,8 @@ def test_generation_spec_rejects_bad_values():
     (lambda d, g: d["chp_units"][0].update(alpha=True),
      r"chp_units\[0\]\.alpha: expected a number"),
     (lambda d, g: d["deferrables"][0].update(t_arrive=2.5), r"deferrables\[0\]\.t_arrive"),
+    (lambda d, g: d["deferrables"][0].update(t_depart=10**30),
+     r"deferrables\[0\]\.t_depart: 1000000000000000000000000000000 does not fit a 64-bit"),
     (lambda d, g: d.update(solar_capacity="300"), r"solar_capacity: expected a number"),
     (lambda d, g: d.update(phevs={}), r"phevs: expected a list"),
     (lambda d, g: d["base_heat"].__setitem__(1, "40"),
@@ -199,7 +218,7 @@ def test_generation_spec_rejects_bad_values():
     (lambda d, g: g.update(solar_noise_model="empirical", solar_samples=[[1, 2, 3, 4], [5]]),
      r"solar_samples: rows of unequal length"),
 ], ids=["horizon-string", "horizon-fraction", "count-string", "e_min-string", "p_max-null",
-        "alpha-bool", "t_arrive-fraction", "solar-capacity-string", "phevs-not-a-list",
+        "alpha-bool", "t_arrive-fraction", "t_depart-beyond-64-bits", "solar-capacity-string", "phevs-not-a-list",
         "base_heat-entry-string", "price_buy-entry-bool", "base_power-entry-null",
         "solar_sigma-string", "solar_sigma-bool", "rng_seed-fraction", "rng_seed-string",
         "solar_profile_mean-entry-bool", "parking_prob-string", "parking_prob-entry-string",

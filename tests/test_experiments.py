@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_config, make_genspec
+from conftest import assert_same_fleet, make_config, make_genspec, one, unit_entries
 from mgsched import experiments
 from mgsched.experiments import (
     InfeasibleProblem,
@@ -33,10 +33,11 @@ from mgsched.config_io import IngestError, load_config, load_generation_spec
 from mgsched.formulation import FormulationOptions, build, schedule_to_vector
 from mgsched.lpcore import SolveSettings, check_point, solve_lp, solve_milp
 from mgsched.model import (
-    ChpUnit,
-    DeferrableLoad,
+    ChpUnits,
+    DeferrableLoads,
     GridTariff,
     MicrogridConfig,
+    Phevs,
     Schedule,
     check_balance,
     cost_rates,
@@ -49,9 +50,9 @@ def toy_two_scenario():
     """T=1, one CHP priced between sell and buy, solar all-or-nothing."""
     cfg = MicrogridConfig(
         horizon=1,
-        chp_units=(ChpUnit(0.0, 100.0, 1.0, 0.09),),
-        phevs=(),
-        deferrables=(),
+        chp_units=one(ChpUnits, 0.0, 100.0, 1.0, 0.09),
+        phevs=Phevs(),
+        deferrables=DeferrableLoads(),
         tariff=GridTariff([0.10], [0.08], [1000.0]),
         base_power=[50.0],
         base_heat=[0.0],
@@ -144,7 +145,7 @@ def test_buy_sell_exclusivity_at_optimum():
 def test_infeasible_instance_names_balance_rows():
     # demand exceeds every supply route plus the exchange cap
     cfg = MicrogridConfig(
-        horizon=2, chp_units=(), phevs=(), deferrables=(),
+        horizon=2, chp_units=ChpUnits(), phevs=Phevs(), deferrables=DeferrableLoads(),
         tariff=GridTariff([0.1, 0.1], [0.08, 0.08], [10.0, 10.0]),
         base_power=[100.0, 100.0], base_heat=[0.0, 0.0], solar_capacity=0.0,
     )
@@ -224,9 +225,7 @@ def policy_by_scenario(config, scenarios, policy, penalty):
     h = config.period_hours
     cap = config.tariff.exchange_cap
     serve = policy.serve[0]
-    e_min = np.array([ev.e_min for ev in config.phevs])
-    e_max = np.array([ev.e_max for ev in config.phevs])
-    e_init = np.array([ev.e_initial for ev in config.phevs])
+    e_min, e_max, e_init = config.phevs.e_min, config.phevs.e_max, config.phevs.e_initial
     expected, costs, violations = 0.0, [], []
     for s, prob in enumerate(scenarios.probabilities.tolist()):
         charge = policy.charge * scenarios.parking[s:s + 1]
@@ -277,17 +276,37 @@ def test_policy_prices_each_scenario_as_its_own_schedule(n_chp, n_phev, n_def, S
 
 
 def test_resize_window_is_symmetric_and_nested():
-    d = DeferrableLoad(10, 13, 0.0, 3.0, 6.0)
+    d = one(DeferrableLoads, 10, 13, 0.0, 3.0, 6.0)
     widths = [1, 2, 4, 6, 10, 24]
     resized = [resize_window(d, w, 24) for w in widths]
     for a, b in zip(resized, resized[1:]):
         assert b.t_arrive <= a.t_arrive <= a.t_depart <= b.t_depart
-    assert resize_window(d, 4, 24) == d
-    assert resize_window(d, 6, 24) == DeferrableLoad(9, 14, 0.0, 3.0, 6.0)
+    assert_same_fleet(resize_window(d, 4, 24), d)
+    assert_same_fleet(resize_window(d, 6, 24), one(DeferrableLoads, 9, 14, 0.0, 3.0, 6.0))
     wide = resize_window(d, 24, 24)
     assert (wide.t_arrive, wide.t_depart) == (1, 24)
     narrow = resize_window(d, 1, 24)
     assert narrow.window_length() == 1
+
+
+def resize_one(t_arrive, t_depart, width, horizon):
+    """resize_window's rule for one load, in plain integers."""
+    width = min(max(1, width), horizon)
+    ta = t_arrive - (width - (t_depart - t_arrive + 1)) // 2
+    ta = max(1, min(ta, horizon - width + 1))
+    return ta, min(horizon, ta + width - 1)
+
+
+def test_resize_window_resizes_every_load_as_alone():
+    # windows at both horizon edges, a point window, and a full one
+    windows = [(10, 13), (1, 2), (20, 24), (5, 5), (1, 24), (23, 24)]
+    loads = DeferrableLoads(*zip(*windows), *np.ones((3, len(windows))))
+    for width in (0, 1, 2, 3, 5, 8, 24, 30):
+        got = resize_window(loads, width, 24)
+        assert got.t_arrive.dtype == got.t_depart.dtype == np.dtype(int)
+        assert list(zip(got.t_arrive.tolist(), got.t_depart.tolist())) \
+            == [resize_one(ta, td, width, 24) for ta, td in windows]
+        np.testing.assert_array_equal(got.rate_max, loads.rate_max)
 
 
 # -- manifests and artifacts -----------------------------------------------------
@@ -298,9 +317,9 @@ def write_inputs(tmp_path, T=6):
     config = {
         "horizon": T,
         "solar_capacity": cfg.solar_capacity,
-        "chp_units": [dataclasses.asdict(u) for u in cfg.chp_units],
-        "phevs": [dataclasses.asdict(ev) for ev in cfg.phevs],
-        "deferrables": [dataclasses.asdict(d) for d in cfg.deferrables],
+        "chp_units": unit_entries(cfg.chp_units),
+        "phevs": unit_entries(cfg.phevs),
+        "deferrables": unit_entries(cfg.deferrables),
         "tariff": {
             "price_buy": cfg.tariff.price_buy.tolist(),
             "price_sell": cfg.tariff.price_sell.tolist(),

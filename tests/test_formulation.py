@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_config, make_genspec
+from conftest import make_config, make_genspec, one
 from mgsched.formulation import (
     COLUMN_KINDS,
     FormulationOptions,
@@ -17,9 +17,11 @@ from mgsched.formulation import (
 )
 from mgsched.lpcore import LpProblem, check_point, export_mps, solve_lp, solve_milp
 from mgsched.model import (
-    ChpUnit,
+    ChpUnits,
+    DeferrableLoads,
     GridTariff,
     MicrogridConfig,
+    Phevs,
     Schedule,
     check_balance,
     evaluate_cost,
@@ -47,9 +49,9 @@ def golden_build_instance():
 def chp_only_config(T=2):
     return MicrogridConfig(
         horizon=T,
-        chp_units=(ChpUnit(0.0, 100.0, 1.2, 0.09),),
-        phevs=(),
-        deferrables=(),
+        chp_units=one(ChpUnits, 0.0, 100.0, 1.2, 0.09),
+        phevs=Phevs(),
+        deferrables=DeferrableLoads(),
         tariff=GridTariff(np.full(T, 0.10), np.full(T, 0.08), np.full(T, 1000.0)),
         base_power=np.full(T, 50.0),
         base_heat=np.full(T, 30.0),
@@ -59,7 +61,7 @@ def chp_only_config(T=2):
 
 def flat_scenarios(config, n, solar=0.0):
     T = config.horizon
-    energy = [d.energy_nominal for d in config.deferrables]
+    energy = config.deferrables.energy_nominal
     return ScenarioSet(np.full(n, 1.0 / n), np.full((n, T), solar),
                        np.ones((n, config.n_phev, T)), np.tile(energy, (n, 1)))
 
@@ -170,8 +172,8 @@ def test_handmade_point_costs_the_same_via_both_routes():
 def test_zero_demand_solves_to_zero_schedule():
     T = 3
     cfg = MicrogridConfig(
-        horizon=T, chp_units=(ChpUnit(0.0, 50.0, 1.0, 0.1),), phevs=(),
-        deferrables=(),
+        horizon=T, chp_units=one(ChpUnits, 0.0, 50.0, 1.0, 0.1), phevs=Phevs(),
+        deferrables=DeferrableLoads(),
         tariff=GridTariff(np.full(T, 0.1), np.full(T, 0.0), np.full(T, 100.0)),
         base_power=np.zeros(T), base_heat=np.zeros(T), solar_capacity=0.0,
     )
@@ -330,8 +332,8 @@ def test_curtailment_column_absorbs_surplus():
     # oversupplied grid with a tiny sell cap is infeasible without spill
     T = 2
     cfg = MicrogridConfig(
-        horizon=T, chp_units=(ChpUnit(80.0, 100.0, 1.0, 0.01),), phevs=(),
-        deferrables=(),
+        horizon=T, chp_units=one(ChpUnits, 80.0, 100.0, 1.0, 0.01), phevs=Phevs(),
+        deferrables=DeferrableLoads(),
         tariff=GridTariff(np.full(T, 0.1), np.full(T, 0.05), np.full(T, 5.0)),
         base_power=np.full(T, 10.0), base_heat=np.zeros(T), solar_capacity=0.0,
     )

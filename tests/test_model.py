@@ -1,15 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_config
+from conftest import make_config, one, unit
 from mgsched.model import (
-    ChpUnit,
-    DeferrableLoad,
+    ChpUnits,
+    DeferrableLoads,
     GridTariff,
     MicrogridConfig,
-    Phev,
+    Phevs,
     Schedule,
     check_balance,
     derive_storage,
@@ -24,9 +26,9 @@ from oracles import cost_by_hand
 def config_one_of_each(T=2, **kw):
     defaults = dict(
         horizon=T,
-        chp_units=(ChpUnit(0.0, 200.0, 1.2, 0.05),),
-        phevs=(Phev(4.0, 18.0, 9.0, 4.0, 4.0, 0.9, 0.9, 0.0035),),
-        deferrables=(),
+        chp_units=one(ChpUnits, 0.0, 200.0, 1.2, 0.05),
+        phevs=one(Phevs, 4.0, 18.0, 9.0, 4.0, 4.0, 0.9, 0.9, 0.0035),
+        deferrables=DeferrableLoads(),
         tariff=GridTariff(np.full(T, 0.10), np.full(T, 0.08), np.full(T, 4000.0)),
         base_power=np.zeros(T),
         base_heat=np.zeros(T),
@@ -53,7 +55,7 @@ def test_case_study_phev_parameters_are_valid():
 
 def test_reversed_window_reported():
     cfg = config_one_of_each(
-        T=6, deferrables=(DeferrableLoad(5, 4, 0.0, 2.0, 1.0),),
+        T=6, deferrables=one(DeferrableLoads, 5, 4, 0.0, 2.0, 1.0),
         base_power=np.zeros(6), base_heat=np.zeros(6),
         tariff=GridTariff(np.full(6, 0.1), np.full(6, 0.08), np.full(6, 100.0)),
     )
@@ -65,7 +67,7 @@ def test_reversed_window_reported():
 def test_undeliverable_window_reported():
     # max 2 kW over a 3 h window cannot deliver 7 kWh
     cfg = config_one_of_each(
-        T=6, deferrables=(DeferrableLoad(2, 4, 0.0, 2.0, 7.0),),
+        T=6, deferrables=one(DeferrableLoads, 2, 4, 0.0, 2.0, 7.0),
         base_power=np.zeros(6), base_heat=np.zeros(6),
         tariff=GridTariff(np.full(6, 0.1), np.full(6, 0.08), np.full(6, 100.0)),
     )
@@ -88,9 +90,9 @@ def test_every_invariant_violation_has_a_code():
     T = 2
     cfg = MicrogridConfig(
         horizon=T,
-        chp_units=(ChpUnit(5.0, 2.0, -1.0, -0.1),),
-        phevs=(Phev(10.0, 5.0, 20.0, -1.0, 4.0, 1.5, 0.0, -0.1),),
-        deferrables=(DeferrableLoad(1, 9, 3.0, 1.0, 1.0),),
+        chp_units=one(ChpUnits, 5.0, 2.0, -1.0, -0.1),
+        phevs=one(Phevs, 10.0, 5.0, 20.0, -1.0, 4.0, 1.5, 0.0, -0.1),
+        deferrables=one(DeferrableLoads, 1, 9, 3.0, 1.0, 1.0),
         tariff=GridTariff([-0.1, 0.1], [0.05, 0.05], [10.0, 10.0]),
         base_power=[-5.0, 0.0],
         base_heat=[0.0, 0.0],
@@ -101,6 +103,66 @@ def test_every_invariant_violation_has_a_code():
             "PHEV_ENERGY_ORDER", "PHEV_RATE_NEGATIVE", "PHEV_ETA_RANGE",
             "WINDOW_OUT_OF_HORIZON", "DEFER_RATE_ORDER", "TARIFF_NEGATIVE",
             "BASE_NEGATIVE", "SOLAR_CAPACITY_NEGATIVE"} <= codes
+
+
+GOOD_PHEV = (4.0, 18.0, 9.0, 4.0, 4.0, 0.9, 0.9, 0.0035)
+
+
+def six_periods(**kw):
+    T = 6
+    return config_one_of_each(
+        T=T, base_power=np.zeros(T), base_heat=np.zeros(T),
+        tariff=GridTariff(np.full(T, 0.1), np.full(T, 0.08), np.full(T, 100.0)), **kw)
+
+
+def test_each_check_names_the_first_bad_unit_of_its_fleet():
+    # unit 0 of each fleet is valid; from unit 1 on each breaks one rule
+    cfg = six_periods(
+        chp_units=ChpUnits([0.0, 0.0], [200.0, 200.0], [1.2, -1.0], [0.05, 0.05]),
+        phevs=Phevs(*zip(GOOD_PHEV, (*GOOD_PHEV[:5], 1.5, 0.9, 0.0035),
+                         (*GOOD_PHEV[:5], 0.9, 0.0, 0.0035))),
+        deferrables=DeferrableLoads([2, 2], [4, 9], [0.0, 0.0], [2.0, 2.0], [1.0, 1.0]),
+    )
+    assert [(i.code, i.message) for i in validate_config(cfg).issues] == [
+        ("CHP_ALPHA_NONPOSITIVE", "chp[1]: alpha must be > 0, got -1.0"),
+        ("PHEV_ETA_RANGE", "phev[1]: efficiencies must lie in (0, 1]"),
+        ("WINDOW_OUT_OF_HORIZON", "deferrable[1]: window [2, 9] outside [1, 6]"),
+    ]
+
+
+def test_reversed_window_suppresses_that_loads_other_window_checks():
+    # load 0 is reversed, beyond the horizon, rate-disordered and undeliverable;
+    # load 1 is only beyond the horizon, and is still reported
+    cfg = six_periods(deferrables=DeferrableLoads([9, 5], [0, 7], [3.0, 0.0], [1.0, 2.0],
+                                                  [50.0, 1.0]))
+    assert [i.message for i in validate_config(cfg).issues] == [
+        "deferrable[0]: t_arrive 9 > t_depart 0",
+        "deferrable[1]: window [5, 7] outside [1, 6]",
+    ]
+
+
+@pytest.mark.parametrize("fleet, field, name", [
+    ("chp_units", "p_max", "chp[1].p_max"),
+    ("phevs", "eta_discharge", "phev[1].eta_discharge"),
+    ("deferrables", "energy_nominal", "deferrable[1].energy_nominal"),
+])
+def test_nan_is_named_by_unit_and_field(fleet, field, name):
+    cfg = make_config(n_chp=3, n_phev=3, n_def=3)
+    units = getattr(cfg, fleet)
+    values = getattr(units, field).copy()
+    values[1:] = np.nan
+    cfg = dataclasses.replace(cfg, **{fleet: dataclasses.replace(units, **{field: values})})
+    assert [(i.code, i.message) for i in validate_config(cfg).issues] \
+        == [("VALUE_NAN", f"{name} contains NaN")]
+
+
+def test_fleet_arrays_are_read_only_and_of_one_length():
+    cfg = make_config(n_phev=2)
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.phevs.e_max[0] = 1.0
+    assert cfg.deferrables.t_arrive.dtype == np.dtype(int)
+    with pytest.raises(ValueError, match="Phevs"):
+        dataclasses.replace(cfg.phevs, e_max=[18.0])
 
 
 def test_scenario_validation():
@@ -224,7 +286,8 @@ def test_storage_recursion_matches_loop():
     charge = rng.uniform(0, 4, (3, 2, 6))
     discharge = rng.uniform(0, 4, (3, 2, 6))
     got = derive_storage(cfg, charge, discharge)
-    for m, ev in enumerate(cfg.phevs):
+    for m in range(cfg.n_phev):
+        ev = unit(cfg.phevs, m)
         for s in range(3):
             e = ev.e_initial
             for t in range(6):
@@ -264,7 +327,7 @@ def test_heat_ratio_exactly_covers_demand():
 def test_undersupply_residual_is_flagged():
     # demand 50, solar 30, buy 15 -> residual -5, flagged
     cfg = config_one_of_each(
-        T=1, chp_units=(), phevs=(), base_power=[50.0], base_heat=[0.0],
+        T=1, chp_units=ChpUnits(), phevs=Phevs(), base_power=[50.0], base_heat=[0.0],
         tariff=GridTariff([0.1], [0.08], [100.0]),
     )
     buy = np.full((1, 1), 15.0)

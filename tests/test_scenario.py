@@ -116,7 +116,7 @@ def test_empirical_model_resamples_rows():
 
 def test_deferrable_energy_clipped_to_deliverable_range():
     cfg = make_config()
-    d = cfg.deferrables[0]
+    d = cfg.deferrables
     spec = dataclasses.replace(
         make_genspec(cfg),
         deferrable_energy_mean=np.array([4.0]),
@@ -124,8 +124,8 @@ def test_deferrable_energy_clipped_to_deliverable_range():
     )
     ss = generate(spec, cfg, 100)
     vals = ss.deferrable_energy
-    assert vals.min() >= d.rate_min * d.window_length() - 1e-12
-    assert vals.max() <= d.rate_max * d.window_length() + 1e-12
+    assert vals.min() >= d.rate_min[0] * d.window_length()[0] - 1e-12
+    assert vals.max() <= d.rate_max[0] * d.window_length()[0] + 1e-12
 
 
 def test_bad_spec_dimensions_rejected():
