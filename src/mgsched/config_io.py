@@ -138,7 +138,11 @@ def _fleet(entries, fleet, what):
                 raise IngestError(f"{where}.{name}: {value} does not fit a 64-bit integer")
             values.append(value)
         counts.append(count)
-    return fleet(**{name: np.repeat(values, counts) for name, values in columns.items()})
+    try:
+        return fleet(**{name: np.repeat(values, counts) for name, values in columns.items()})
+    except MemoryError as e:
+        k = int(np.argmax(counts))
+        raise IngestError(f"{what}[{k}].count: {counts[k]} units do not fit in memory") from e
 
 
 def config_from_dict(data: dict, base_dir=".") -> MicrogridConfig:

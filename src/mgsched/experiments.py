@@ -6,10 +6,13 @@ stochastic-versus-deterministic comparison.
 no decision is shared across scenarios, so the deterministic equivalent
 separates by scenario, binaries or not, and each scenario is a block
 weighted by its probability; in day-ahead-chp mode, and for a single
-scenario, the whole set is one block.  Each block is built, solved,
-mapped to a schedule and checked against its own rows and bounds, and
-the blocks' schedules are joined; the full problem is built only for the
-joint mode and for MPS export.  The deterministic baseline solves the
+scenario, the whole set is one block.  LP blocks differ only in rhs and
+bounds, so one is built as a template and each block is that template
+with its scenario's rhs and bounds; a block with exclusivity binaries is
+built on its own.  Each block is solved, mapped to a schedule and
+checked against its own rows and bounds, and the blocks' schedules are
+joined; the full problem is built only for the joint mode and for MPS
+export.  The deterministic baseline solves the
 probability-weighted mean scenario and its rigid schedule is then priced
 under every scenario at once with `cost_rates`: grid exchange re-adjusts
 within its caps, and anything the rigid plan cannot absorb (parking
@@ -34,7 +37,8 @@ import numpy as np
 from . import scenario as scn
 from .config_io import (IngestError, _number, _object, generation_spec_from_dict,
                         load_config, load_generation_spec)
-from .formulation import FormulationOptions, build, extract_schedule, schedule_to_vector
+from .formulation import (FormulationOptions, build, extract_schedule, scenario_data,
+                          schedule_to_vector)
 from .lpcore import (LpError, SolverStats, SolveSettings, check_point, export_mps, solve_lp,
                      solve_milp)
 from .model import (
@@ -258,17 +262,21 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
     weighted by its probability: only day-ahead-chp's nonanticipativity
     rows link scenarios (mode binaries and their rows are per scenario).
     Otherwise the whole set is one block of weight 1.
-    Every block is built, solved, mapped to a schedule and checked the
-    same way: the schedule's embedding (plus the solver's mode binaries)
+    LP blocks share the matrix and the costs, so the first block, built
+    once, is the template of all of them: each block is a copy of it with
+    its scenario's rhs and bounds (`formulation.scenario_data`).  The mode
+    rows of exclusivity binaries carry the parking gate in their
+    coefficients, so such a block is built from its scenario.
+    Every block is solved, mapped to a schedule and checked the same
+    way: the schedule's embedding (plus the solver's mode binaries)
     against the block's rows and bounds, with row names carrying the
     scenario index, so the report reads as a check of the full problem.
 
     `mip_gap`, `node_limit` and `iteration_limit` apply to each block, and
     `nodes` and `iterations` sum over the blocks; so with binaries the
     total is within sum_s p_s * mip_gap * max(1, |obj_s|) of the optimum.
-    LP blocks share the matrix and the costs, so each starts from the
-    previous block's optimal basis, in block order; MILP blocks start
-    their roots cold.
+    Each LP block starts from the previous block's optimal basis, in
+    block order; MILP blocks start their roots cold.
     """
     options = options or FormulationOptions()
     settings = settings or SolveSettings()
@@ -278,9 +286,15 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
     report = SolveReport(status="optimal", objective=0.0, iterations=0, nodes=0,
                          n_cols=0, n_rows=0, decomposed=decomposed)
     parts = []
-    basis = None
+    basis = template = None
+    if decomposed and not options.exclusivity_binaries:
+        template, index = build(config, scenarios.single(0), options)
+        rhs, lower, upper = scenario_data(config, scenarios, options)
     for s, (block, weight) in enumerate(blocks):
-        problem, index = build(config, block, options)
+        if template is None:
+            problem, index = build(config, block, options)
+        else:
+            problem = template.with_data(rhs=rhs[s], col_lower=lower[s], col_upper=upper[s])
         where = f" in scenario {s}" if decomposed else ""
         try:
             sol = (solve_milp(problem, settings) if problem.binary_cols

@@ -78,19 +78,19 @@ class VariableIndex:
             "curtail": 1 if self.has_curtail else 0,
             "mode": config.n_phev if options.exclusivity_binaries else 0,
         }
-        self._units = units
-        self._offset = {}
+        self._columns = {}
         pos = 0
         for kind in COLUMN_KINDS:
-            self._offset[kind] = pos
-            pos += S * T * units[kind]
+            shape = (S, T, units[kind])
+            self._columns[kind] = ids = pos + np.arange(np.prod(shape)).reshape(shape)
+            ids.flags.writeable = False
+            pos += ids.size
         self.n_cols = pos
 
     def columns(self, kind: str) -> np.ndarray:
-        """Column ids of one kind as an (S, T, n_unit) array; n_unit is 0
-        for a kind this formulation leaves out."""
-        shape = (self.dims["S"], self.dims["T"], self._units[kind])
-        return self._offset[kind] + np.arange(np.prod(shape)).reshape(shape)
+        """Column ids of one kind as a read-only (S, T, n_unit) array;
+        n_unit is 0 for a kind this formulation leaves out."""
+        return self._columns[kind]
 
     def column(self, kind: str, s: int, t: int, unit: int = 0) -> int:
         cols = self.columns(kind)
@@ -176,6 +176,71 @@ def symbol_audit():
     ]
 
 
+def _in_window(config: MicrogridConfig) -> np.ndarray:
+    """(T, n_deferrable) mask of the periods in each load's serving window."""
+    loads = config.deferrables
+    period = np.arange(config.horizon)[:, None]
+    return (period >= loads.t_arrive - 1) & (period < loads.t_depart)
+
+
+def _scenario_arrays(config: MicrogridConfig, scenarios, options: FormulationOptions):
+    """The column bounds and right-hand sides of the deterministic
+    equivalent, vectorized over the scenario axis.
+
+    Returns (bounds, rhs): bounds maps each column kind to (lower, upper),
+    each broadcastable to the kind's (S, T, n_unit); rhs holds the
+    right-hand sides of the per-scenario row families in row order, each
+    of shape (S, ...) (link, terminal, window sums, balance, heat, and the
+    exclusivity rows when present).  `build` lays them out over all
+    scenarios, `scenario_data` per one-scenario block.
+    """
+    T, S = config.horizon, len(scenarios)
+    ev, loads = config.phevs, config.deferrables
+    in_window = _in_window(config)
+    parking = scenarios.parking.transpose(0, 2, 1)  # (S, T, n_phev)
+    gate_c, gate_d = ev.charge_rate_max * parking, ev.discharge_rate_max * parking
+    cap = config.tariff.exchange_cap[:, None]
+    bounds = {
+        "chp": (config.chp_units.p_min, config.chp_units.p_max),
+        "charge": (0.0, gate_c),
+        "discharge": (0.0, gate_d),
+        "storage": (ev.e_min, ev.e_max),
+        "serve": (np.where(in_window, loads.rate_min, 0.0), np.where(in_window, loads.rate_max, 0.0)),
+        "buy": (0.0, cap),
+        "sell": (0.0, cap),
+        "curtail": (0.0, np.inf),
+        "mode": (0.0, 1.0),
+    }
+    link = np.zeros((S, T, config.n_phev))
+    link[:, 0] = ev.e_initial
+    rhs = [link, np.broadcast_to(ev.e_initial, (S, config.n_phev)), scenarios.deferrable_energy,
+           config.base_power - scenarios.solar, np.broadcast_to(config.base_heat, (S, T))]
+    if options.exclusivity_binaries:
+        rhs.append(np.stack([np.zeros_like(gate_d), gate_d], axis=-1))
+    return bounds, rhs
+
+
+def scenario_data(config: MicrogridConfig, scenarios, options: FormulationOptions | None = None):
+    """Every scenario's right-hand side (S, m) and column bounds (S, n),
+    (S, n) in the layout of a one-scenario block: row s holds the rhs and
+    bounds of build(config, scenarios.single(s), options).
+
+    A one-scenario block's matrix and costs do not depend on the scenario
+    unless it has exclusivity binaries, whose mode rows carry the parking
+    gate.  So the other blocks are one built block with these rows patched
+    in (`LpProblem.with_data`).
+    """
+    options = options or FormulationOptions()
+    bounds, rhs = _scenario_arrays(config, scenarios, options)
+    S = len(scenarios)
+    index = VariableIndex(config, 1, options)
+    lower, upper = np.zeros((S, index.n_cols)), np.zeros((S, index.n_cols))
+    for kind, (lo, hi) in bounds.items():
+        cols = index.columns(kind)[0]
+        lower[:, cols], upper[:, cols] = lo, hi
+    return np.concatenate([b.reshape(S, -1) for b in rhs], axis=1), lower, upper
+
+
 def build(config: MicrogridConfig, scenarios, options: FormulationOptions | None = None):
     """Assemble the deterministic equivalent; returns (LpProblem, VariableIndex)."""
     options = options or FormulationOptions()
@@ -193,33 +258,29 @@ def build(config: MicrogridConfig, scenarios, options: FormulationOptions | None
     index = VariableIndex(config, S, options)
     h = config.period_hours
     cols = {kind: index.columns(kind) for kind in COLUMN_KINDS}
+    bounds, (link_rhs, term_rhs, dsum_rhs, bal_rhs, heat_rhs, *exc_rhs) = \
+        _scenario_arrays(config, scenarios, options)
 
-    chp, ev, loads = config.chp_units, config.phevs, config.deferrables
-    period = np.arange(T)[:, None]
-    in_window = (period >= loads.t_arrive - 1) & (period < loads.t_depart)
-    parking = scenarios.parking.transpose(0, 2, 1)  # (S, T, n_phev)
-    gate_c, gate_d = ev.charge_rate_max * parking, ev.discharge_rate_max * parking
+    chp, ev = config.chp_units, config.phevs
+    gate_c, gate_d = bounds["charge"][1], bounds["discharge"][1]
     w = (scenarios.probabilities * h)[:, None, None]
-    cap = config.tariff.exchange_cap[:, None]
 
     n = index.n_cols
     obj = np.zeros(n)
     lo = np.zeros(n)
     hi = np.zeros(n)
-    # kind -> (lower, upper, cost), each broadcast over the kind's (S, T, n_unit)
-    for kind, (lower, upper, cost) in {
-        "chp": (chp.p_min, chp.p_max, w * chp.cost_per_kwh),
-        "charge": (0.0, gate_c, w * ev.degradation_cost_per_kwh * ev.eta_charge),
-        "discharge": (0.0, gate_d, w * ev.degradation_cost_per_kwh / ev.eta_discharge),
-        "storage": (ev.e_min, ev.e_max, 0.0),
-        "serve": (np.where(in_window, loads.rate_min, 0.0),
-                  np.where(in_window, loads.rate_max, 0.0), 0.0),
-        "buy": (0.0, cap, w * config.tariff.price_buy[:, None]),
-        "sell": (0.0, cap, -w * config.tariff.price_sell[:, None]),
-        "curtail": (0.0, np.inf, w * options.curtailment_penalty if index.has_curtail else 0.0),
-        "mode": (0.0, 1.0, 0.0),
+    for kind, (lower, upper) in bounds.items():
+        lo[cols[kind]], hi[cols[kind]] = lower, upper
+    # kind -> cost, broadcast over the kind's (S, T, n_unit)
+    for kind, cost in {
+        "chp": w * chp.cost_per_kwh,
+        "charge": w * ev.degradation_cost_per_kwh * ev.eta_charge,
+        "discharge": w * ev.degradation_cost_per_kwh / ev.eta_discharge,
+        "buy": w * config.tariff.price_buy[:, None],
+        "sell": -w * config.tariff.price_sell[:, None],
+        "curtail": w * options.curtailment_penalty if index.has_curtail else 0.0,
     }.items():
-        lo[cols[kind]], hi[cols[kind]], obj[cols[kind]] = lower, upper, cost
+        obj[cols[kind]] = cost
 
     senses, rhs, names, trips = [], [], [], []
 
@@ -235,30 +296,28 @@ def build(config: MicrogridConfig, scenarios, options: FormulationOptions | None
 
     every = np.s_[...]
     sto = cols["storage"]
-    link_rhs = np.zeros(sto.shape)
-    link_rhs[:, 0] = ev.e_initial
     add_rows("=", link_rhs, "link_m{2}_t{1}_s{0}".format, sto.shape,
              (every, sto, 1.0),
              (np.s_[:, 1:], sto[:, :-1], -1.0),
              (every, cols["charge"], -h * ev.eta_charge),
              (every, cols["discharge"], h / ev.eta_discharge))
-    add_rows("=", ev.e_initial, "term_m{1}_s{0}".format, (S, config.n_phev),
+    add_rows("=", term_rhs, "term_m{1}_s{0}".format, (S, config.n_phev),
              (every, sto[:, T - 1], 1.0))
-    add_rows("=", scenarios.deferrable_energy, "dsum_j{1}_s{0}".format,
-             (S, config.n_deferrable), (np.s_[:, None], cols["serve"], h * in_window))
+    add_rows("=", dsum_rhs, "dsum_j{1}_s{0}".format,
+             (S, config.n_deferrable), (np.s_[:, None], cols["serve"], h * _in_window(config)))
     per_period = np.s_[:, :, None]
-    add_rows("=", config.base_power - scenarios.solar, "bal_t{1}_s{0}".format,
+    add_rows("=", bal_rhs, "bal_t{1}_s{0}".format,
              (S, T), *((per_period, cols[kind], sign) for kind, sign in (
                  ("chp", 1.0), ("discharge", 1.0), ("charge", -1.0), ("buy", 1.0),
                  ("sell", -1.0), ("serve", -1.0), ("curtail", -1.0))))
-    add_rows(">=", config.base_heat, "heat_t{1}_s{0}".format, (S, T),
+    add_rows(">=", heat_rhs, "heat_t{1}_s{0}".format, (S, T),
              (per_period, cols["chp"], chp.alpha))
 
     # exclusivity: per (s, t, m) a charge row, then a discharge row
     mode = cols["mode"]
     if options.exclusivity_binaries:
         chg, dis = np.s_[..., 0], np.s_[..., 1]
-        add_rows("<=", np.stack([np.zeros_like(gate_d), gate_d], axis=-1),
+        add_rows("<=", exc_rhs[0],
                  lambda s, t, m, k: f"{('exc', 'exd')[k]}_m{m}_t{t}_s{s}", sto.shape + (2,),
                  (chg, cols["charge"], 1.0), (chg, mode, -gate_c),
                  (dis, cols["discharge"], 1.0), (dis, mode, gate_d))

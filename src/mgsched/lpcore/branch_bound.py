@@ -2,7 +2,9 @@
 
 Best-bound node selection with most-fractional branching; every tie
 resolves to the lowest column index so runs are reproducible.  Nodes are
-LP relaxations with tightened binary bounds; the root starts cold, and
+LP relaxations with tightened binary bounds, made by
+`LpProblem.with_data`, so every node shares the problem's matrix and
+simplex workspace; solve_lp ignores their binary marks.  The root starts cold, and
 each child starts from its parent's optimal basis, which stays dual
 feasible after the one bound change, so the dual simplex needs few
 pivots.  The incumbent is accepted
@@ -15,7 +17,6 @@ a node LP that stops at its limit ends the search with status "limit"
 node LP makes the whole problem "unbounded".
 """
 
-import copy
 import dataclasses
 import heapq
 import logging
@@ -26,15 +27,6 @@ from .problem import LpProblem, LpSolution, SolveSettings, SolverStats
 from .simplex import solve_lp
 
 log = logging.getLogger(__name__)
-
-
-def _with_bounds(problem, lower, upper):
-    """The node LP: the problem with new column bounds and no binary
-    marks.  A shallow copy, so every node shares the problem's matrix."""
-    node = copy.copy(problem)
-    node.col_lower, node.col_upper = lower, upper
-    node.binary_cols = frozenset()
-    return node
 
 
 def _gap(incumbent, bound):
@@ -62,7 +54,7 @@ def solve_milp(problem: LpProblem, settings: SolveSettings | None = None) -> LpS
     counter = 0
     heap = []
 
-    root = solve_lp(_with_bounds(problem, root_lo, root_hi), settings)
+    root = solve_lp(problem.with_data(col_lower=root_lo, col_upper=root_hi), settings)
     nodes_done += 1
     stats.add(root.stats)
     if root.status in ("infeasible", "unbounded"):
@@ -106,8 +98,8 @@ def solve_milp(problem: LpProblem, settings: SolveSettings | None = None) -> LpS
             if settings.iteration_limit is not None:
                 node_settings = dataclasses.replace(
                     settings, iteration_limit=settings.iteration_limit - stats.iterations)
-            child = solve_lp(_with_bounds(problem, child_lo, child_hi), node_settings,
-                             basis=sol.basis)
+            child = solve_lp(problem.with_data(col_lower=child_lo, col_upper=child_hi),
+                             node_settings, basis=sol.basis)
             nodes_done += 1
             stats.add(child.stats)
             if child.status == "unbounded":

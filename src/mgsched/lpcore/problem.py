@@ -4,8 +4,14 @@ Problems are stored in triplet form with per-column bounds and optional
 binary marks.  Minimization is the only objective sense.  Bounds with
 magnitude >= BOUND_INF are treated as infinite, mirroring the convention
 of most solver interchange formats.
+
+Problems that differ only in rhs and bounds (the scenario blocks of one
+template, the nodes of one branch-and-bound search) are shallow copies
+made by `LpProblem.with_data`.  They share the matrix and the simplex's
+sparse workspace, which is built on the first solve of any of them.
 """
 
+import copy
 import numbers
 from dataclasses import dataclass, field, fields
 
@@ -66,6 +72,8 @@ class LpProblem:
         self.row_names = list(row_names) if row_names is not None else None
         self.col_names = list(col_names) if col_names is not None else None
         self.name = name
+        # the simplex workspace, filled on first use and shared by copies
+        self._workspace = []
 
         rows, cols, vals = self._canonicalize(triplets)
         self.tri_rows = rows
@@ -106,10 +114,9 @@ class LpProblem:
         n, m = self.n_cols, self.n_rows
         if self.objective.shape != (n,):
             raise LpError("objective length != n_cols")
-        if self.rhs.shape != (m,) or len(self.row_sense) != m:
-            raise LpError("rhs/row_sense length != n_rows")
-        if self.col_lower.shape != (n,) or self.col_upper.shape != (n,):
-            raise LpError("bounds length != n_cols")
+        if len(self.row_sense) != m:
+            raise LpError("row_sense length != n_rows")
+        self._validate_data()
         if self.row_range is not None:
             if self.row_range.shape != (m,):
                 raise LpError("row_range length != n_rows")
@@ -127,11 +134,7 @@ class LpProblem:
             raise LpError("NaN or infinite coefficient in matrix")
         if not np.all(np.isfinite(self.objective)):
             raise LpError("NaN or infinite objective coefficient")
-        if not np.all(np.isfinite(self.rhs)):
-            raise LpError("NaN or infinite right-hand side")
         lo, up = self.lower_inf(), self.upper_inf()
-        if np.any(lo > up):
-            raise LpError("col_lower > col_upper")
         for j in self.binary_cols:
             if j < 0 or j >= n:
                 raise LpError("binary column index out of range")
@@ -141,6 +144,32 @@ class LpProblem:
             raise LpError("row_names length != n_rows")
         if self.col_names is not None and len(self.col_names) != n:
             raise LpError("col_names length != n_cols")
+
+    def _validate_data(self):
+        """The checks of the rhs and the bounds, which `with_data` replaces."""
+        if self.rhs.shape != (self.n_rows,):
+            raise LpError("rhs length != n_rows")
+        if self.col_lower.shape != (self.n_cols,) or self.col_upper.shape != (self.n_cols,):
+            raise LpError("bounds length != n_cols")
+        if not np.all(np.isfinite(self.rhs)):
+            raise LpError("NaN or infinite right-hand side")
+        if np.any(self.lower_inf() > self.upper_inf()):
+            raise LpError("col_lower > col_upper")
+
+    def with_data(self, rhs=None, col_lower=None, col_upper=None):
+        """This problem with another rhs and column bounds, where given.
+
+        A shallow copy: the matrix, objective, senses, names, binary marks
+        and the simplex workspace are the same objects as this problem's,
+        and the given arrays are taken as they are (not copied), so treat
+        them as read-only.  The new data get the construction checks.
+        """
+        new = copy.copy(self)
+        for name, value in (("rhs", rhs), ("col_lower", col_lower), ("col_upper", col_upper)):
+            if value is not None:
+                setattr(new, name, np.asarray(value, dtype=float))
+        new._validate_data()
+        return new
 
     # -- derived views ----------------------------------------------------
 
@@ -163,8 +192,12 @@ class LpProblem:
         b = self.rhs
         r = np.zeros(self.n_rows) if self.row_range is None else self.row_range
         ranged = r != 0.0
-        blo = np.select([ge | (eq & (r >= 0.0)), eq, ranged], [b, b + r, b - np.abs(r)], -np.inf)
-        bhi = np.select([le | (eq & ~(r > 0.0)), eq, ranged], [b, b + r, b + np.abs(r)], np.inf)
+        # np.select's rule (the first true case wins) as nested np.where,
+        # which costs less on the short rows of a scenario block
+        blo = np.where(ge | (eq & (r >= 0.0)), b,
+                       np.where(eq, b + r, np.where(ranged, b - np.abs(r), -np.inf)))
+        bhi = np.where(le | (eq & ~(r > 0.0)), b,
+                       np.where(eq, b + r, np.where(ranged, b + np.abs(r), np.inf)))
         return blo, bhi
 
     def matrix_csc(self):
@@ -174,6 +207,20 @@ class LpProblem:
             (self.tri_vals, (self.tri_rows, self.tri_cols)),
             shape=(self.n_rows, self.n_cols),
         )
+
+    def workspace(self):
+        """(A, [A | I], [A | I]'): the matrix in CSC form, with one slack
+        column per row appended, and that matrix's transpose, as the
+        simplex's equality form A x + s = b uses them.  Built on the first
+        call and then shared by this problem and every copy `with_data`
+        makes of it, before or after; read-only."""
+        if not self._workspace:
+            import scipy.sparse as sp
+
+            A = self.matrix_csc()
+            full = sp.hstack([A, sp.identity(self.n_rows, format="csc")], format="csc")
+            self._workspace.append((A, full, full.T))
+        return self._workspace[0]
 
     def row_activity(self, x):
         x = np.asarray(x, dtype=float)

@@ -50,6 +50,12 @@ free), or a dual ray (the LP is infeasible) sends the solve to the cold
 path, so phase 1 still names the infeasible rows, and the iterations
 already spent still count against `iteration_limit`.
 
+[A | I] and its transpose come from the problem's workspace
+(`LpProblem.workspace`), which the copies of one problem made by
+`LpProblem.with_data` share.  So a run of warm solves over scenario
+blocks or branch-and-bound nodes builds them once, and a cold solve only
+appends its artificials to them.
+
 The two loops differ only in how they choose the pivot: they share the
 sign array, the stall count, the pivot row and one basis exchange.  Both
 price first and check `iteration_limit` after, so "limit" means a pivot
@@ -80,7 +86,8 @@ class _NoWarmStart(Exception):
 def equality_form(problem: LpProblem):
     """The problem as A x + s = b over the columns [A | I].
 
-    Returns (A, b, lo, hi): b takes each row's finite upper activity
+    Returns (A, b, lo, hi): A is the problem's shared CSC matrix (see
+    `LpProblem.workspace`), b takes each row's finite upper activity
     bound, else its lower one, and lo, hi are the bounds of the
     structural columns followed by those of the slacks.
     """
@@ -89,23 +96,21 @@ def equality_form(problem: LpProblem):
     b = np.where(fin_hi, bhi, blo)
     lo = np.concatenate([problem.lower_inf(), np.where(fin_hi, 0.0, -np.inf)])
     hi = np.concatenate([problem.upper_inf(), np.where(fin_hi, bhi - blo, 0.0)])
-    return problem.matrix_csc(), b, lo, hi
+    return problem.workspace()[0], b, lo, hi
 
 
 class _Core:
     """Equality-form workspace shared by the phases and both loops.
 
     Without `start` the columns are [A | I | artificials] from the crash;
-    with a `Basis` they are [A | I] from that basis (see `dual`).  Counts
-    go to `stats`, which a fallback hands on to the cold core.
+    with a `Basis` they are [A | I] from that basis (see `dual`).  [A | I]
+    and its transpose come from the problem's shared workspace, so the
+    copies of one problem build them once; only artificials add columns.
+    Counts go to `stats`, which a fallback hands on to the cold core.
     """
 
     def __init__(self, problem: LpProblem, settings: SolveSettings,
                  stats: SolverStats | None = None, start: Basis | None = None):
-        # scipy.sparse is imported on first use, as in LpProblem.matrix_csc,
-        # so that importing the package does not load it
-        import scipy.sparse as sp
-
         self.settings = settings
         self.stats = stats if stats is not None else SolverStats()
         self.m = m = problem.n_rows
@@ -119,10 +124,16 @@ class _Core:
         sign = self._cold(A, lo, hi) if start is None else self._warm(lo, hi, start)
         self.gamma = np.ones(self.x.size)  # steepest-edge reference weights
         self.n_art = n_art = sign.size  # artificial k is sign[k] * e_(art_row[k])
-        art = sp.csc_matrix((sign, (self.art_row, np.arange(n_art))), shape=(m, n_art))
         self.objective = np.concatenate([problem.objective, np.zeros(m + n_art)])
-        self.full = sp.hstack([A, sp.identity(m, format="csc"), art], format="csc")
-        self.fullT = self.full.T
+        _, self.full, self.fullT = problem.workspace()
+        if n_art:
+            # scipy.sparse is imported on first use, as in LpProblem.workspace,
+            # so that importing the package does not load it
+            import scipy.sparse as sp
+
+            art = sp.csc_matrix((sign, (self.art_row, np.arange(n_art))), shape=(m, n_art))
+            self.full = sp.hstack([self.full, art], format="csc")
+            self.fullT = self.full.T
         self._refactor()
         if not np.all(np.isfinite(self.x)):
             raise LpError("basis is numerically singular")
@@ -251,8 +262,8 @@ class _Core:
         # fixed columns: moving a column off its bound changes v'x at the
         # rate -v * sgn (see _gain).  Nonbasic free columns move either
         # way; once basic they never leave (their ratios are inf).
-        self.sgn = np.select([movable & (vstat == AT_LOWER), movable & (vstat == AT_UPPER)],
-                             [-1.0, 1.0], 0.0)
+        self.sgn = np.where(movable & (vstat == AT_LOWER), -1.0,
+                            np.where(movable & (vstat == AT_UPPER), 1.0, 0.0))
         self.free = np.nonzero(vstat == FREE)[0]
 
     def _gain(self, v):

@@ -339,7 +339,9 @@ def reduce_fast_forward(scenario_set: ScenarioSet, keep: int,
             for lo in range(0, rows.size, _BAND_ROWS):
                 r = rows[lo:lo + _BAND_ROWS]
                 band = buf[:r.size]
-                np.take(C, r, axis=0, out=band)
+                # r is in range (flatnonzero), so "clip" never clips; it lets
+                # take write into `band` directly, where "raise" buffers it
+                np.take(C, r, axis=0, out=band, mode="clip")
                 np.clip(band, new[r, None], dmin[r, None], out=band)
                 z += p[r] @ new[r] - p[r] @ band
         dmin = new

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +365,29 @@ def test_config_value_of_the_wrong_type_or_nan_exits_two(tmp_path, capsys, break
                  "--genspec", str(DEMO_DATA / "genspec.json"), "--generate", "20",
                  "--keep", "2", "--seed", "3", "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fleet_count_beyond_memory_exits_two(tmp_path):
+    # 10^12 vehicles cannot be allocated; under a 3 GiB address-space limit
+    # no allocation of that size can succeed, whatever the machine
+    config = json.loads((DEMO_DATA / "config.json").read_text())
+    config["phevs"][0]["count"] = 10**12
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    limit = 3 << 30
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "mgsched.cli", "run", "--config", str(tmp_path / "config.json"),
+         "--genspec", str(DEMO_DATA / "genspec.json"), "--generate", "4", "--keep", "2",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert done.returncode == 2, done.stderr
+    assert "phevs[0].count: 1000000000000 units do not fit in memory" in done.stderr
+    assert "Traceback" not in done.stderr
     assert not out.exists()
 
 

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,3 +281,19 @@ def test_solar_samples_read_errors_are_ingest_errors(tmp_path):
     data["solar_samples"] = {"csv": "bad.csv"}
     with pytest.raises(IngestError, match="bad numeric data in solar_samples"):
         generation_spec_from_dict(data, base_dir=tmp_path)
+
+
+def test_ingestion_does_not_import_scipy():
+    # `mgs` startup (bench setup_s) is the import of mgsched.cli plus
+    # ingestion; scipy loads only when something is solved
+    data = Path(__file__).resolve().parents[1] / "demos" / "data"
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+            "import mgsched.cli\n"
+            "from mgsched.config_io import load_config, load_generation_spec\n"
+            f"load_config({str(data / 'config.json')!r})\n"
+            f"load_generation_spec({str(data / 'genspec.json')!r})\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -12,9 +12,11 @@ from mgsched.formulation import (
     build,
     expected_counts,
     extract_schedule,
+    scenario_data,
     schedule_to_vector,
     symbol_audit,
 )
+from mgsched.experiments import solve_stochastic
 from mgsched.lpcore import LpProblem, check_point, export_mps, solve_lp, solve_milp
 from mgsched.model import (
     ChpUnits,
@@ -140,6 +142,46 @@ def test_build_matches_golden_mps(name):
     cfg, ss = golden_build_instance()
     problem, _ = build(cfg, ss, GOLDEN_BUILDS[name])
     assert export_mps(problem) == (GOLDEN / "build" / f"{name}.mps").read_text()
+
+
+PROBLEM_ARRAYS = ("rhs", "col_lower", "col_upper", "objective", "tri_rows", "tri_cols",
+                  "tri_vals", "row_sense", "row_names", "col_names")
+
+
+@pytest.mark.parametrize("penalty", [None, 1.0], ids=["plain", "curtailment"])
+def test_patched_template_is_each_scenarios_own_build(penalty):
+    # a fully adaptive LP block is the template with its scenario's rhs and
+    # bounds; it must be exactly what building that scenario alone gives
+    cfg = make_config(T=6, n_chp=2, n_phev=3, n_def=2, period_hours=0.5)
+    ss = generate(make_genspec(cfg, seed=8, parking_prob=0.5), cfg, 5)
+    opts = FormulationOptions(curtailment_penalty=penalty)
+    template, index = build(cfg, ss.single(0), opts)
+    saved = {name: np.array(getattr(template, name)) for name in PROBLEM_ARRAYS}
+    rhs, lower, upper = scenario_data(cfg, ss, opts)
+    assert rhs.shape == (5, template.n_rows)
+    assert lower.shape == upper.shape == (5, template.n_cols)
+    blocks = [template.with_data(rhs=rhs[s], col_lower=lower[s], col_upper=upper[s])
+              for s in range(len(ss))]
+    assert not np.array_equal(blocks[0].col_upper, blocks[1].col_upper)  # parking differs
+    for s, block in enumerate(blocks):
+        own, own_index = build(cfg, ss.single(s), opts)
+        assert own_index.n_cols == index.n_cols
+        for name in PROBLEM_ARRAYS:
+            assert np.array_equal(getattr(block, name), getattr(own, name)), (s, name)
+
+    # the same warm-started block loop with one build per scenario
+    iterations, basis = 0, None
+    for s in range(len(ss)):
+        sol = solve_lp(build(cfg, ss.single(s), opts)[0], basis=basis)
+        iterations, basis = iterations + sol.iterations, sol.basis
+    for block in blocks:  # solving the patched copies writes nothing into the template
+        basis = solve_lp(block, basis=basis).basis
+    _, report = solve_stochastic(cfg, ss, opts)
+    assert report.iterations == iterations
+    assert report.stats.warm_starts == len(ss) - 1
+    for name in PROBLEM_ARRAYS:
+        assert np.array_equal(getattr(template, name), saved[name]), name
+    assert blocks[1].workspace() is template.workspace()
 
 
 def test_symbol_audit_mentions_every_column_and_row_kind():
