@@ -281,8 +281,7 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
     options = options or FormulationOptions()
     settings = settings or SolveSettings()
     decomposed = options.stage_mode == "fully-adaptive" and len(scenarios) > 1
-    blocks = (zip(map(scenarios.single, range(len(scenarios))), scenarios.probabilities)
-              if decomposed else [(scenarios, 1.0)])
+    weights = scenarios.probabilities if decomposed else [1.0]
     report = SolveReport(status="optimal", objective=0.0, iterations=0, nodes=0,
                          n_cols=0, n_rows=0, decomposed=decomposed)
     parts = []
@@ -290,9 +289,10 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
     if decomposed and not options.exclusivity_binaries:
         template, index = build(config, scenarios.single(0), options)
         rhs, lower, upper = scenario_data(config, scenarios, options)
-    for s, (block, weight) in enumerate(blocks):
+    for s, weight in enumerate(weights):
         if template is None:
-            problem, index = build(config, block, options)
+            problem, index = build(config, scenarios.single(s) if decomposed else scenarios,
+                                   options)
         else:
             problem = template.with_data(rhs=rhs[s], col_lower=lower[s], col_upper=upper[s])
         where = f" in scenario {s}" if decomposed else ""
@@ -312,7 +312,7 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
         if sol.status == "unbounded":
             raise UnboundedProblem(f"deterministic equivalent unbounded{where}")
         try:
-            part = extract_schedule(sol, index, config, block)
+            part = extract_schedule(sol, index, config)
         except ValueError as e:  # the storage columns disagree with the recursion
             raise NumericalFailure(f"{e}{where}") from e
         x = schedule_to_vector(part, index)

@@ -20,12 +20,14 @@ from itertools import product
 import numpy as np
 
 from .lpcore import LpProblem
-from .model import MicrogridConfig, Schedule, derive_storage, validate_config
+from .model import MicrogridConfig, Schedule, validate_config
 
 COLUMN_KINDS = ("chp", "charge", "discharge", "storage", "serve", "buy", "sell",
                 "curtail", "mode")
 
 STAGE_MODES = ("fully-adaptive", "day-ahead-chp")
+
+STORAGE_TOL = 1e-6  # kWh: extracted storage columns against the recursion
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,6 @@ class VariableIndex:
     def __init__(self, config: MicrogridConfig, n_scenarios: int,
                  options: FormulationOptions):
         T, S = config.horizon, n_scenarios
-        self.dims = {"T": T, "S": S, "chp": config.n_chp, "phev": config.n_phev,
-                     "deferrable": config.n_deferrable}
         self.has_curtail = options.curtailment_penalty is not None
         units = {
             "chp": config.n_chp,
@@ -91,14 +91,6 @@ class VariableIndex:
         """Column ids of one kind as a read-only (S, T, n_unit) array;
         n_unit is 0 for a kind this formulation leaves out."""
         return self._columns[kind]
-
-    def column(self, kind: str, s: int, t: int, unit: int = 0) -> int:
-        cols = self.columns(kind)
-        if cols.shape[2] == 0:
-            raise KeyError(f"column kind {kind!r} not present in this formulation")
-        if not all(0 <= i < n for i, n in zip((s, t, unit), cols.shape)):
-            raise IndexError(f"{kind}({unit}, t={t}, s={s}) out of range")
-        return int(cols[s, t, unit])
 
     def column_names(self):
         short = {"chp": "chp", "charge": "chg", "discharge": "dis", "storage": "sto",
@@ -367,23 +359,22 @@ def schedule_to_vector(schedule: Schedule, index: VariableIndex) -> np.ndarray:
     return x
 
 
-def extract_schedule(solution, index: VariableIndex, config: MicrogridConfig,
-                     scenarios, storage_tol: float = 1e-6) -> Schedule:
+def extract_schedule(solution, index: VariableIndex, config: MicrogridConfig) -> Schedule:
     """Map an LP solution back to a Schedule.
 
-    Storage is recomputed from the charge/discharge trajectories and must
-    agree with the solver's storage columns within storage_tol.
+    The schedule's storage, derived from the charge/discharge
+    trajectories, must agree with the solver's storage columns within
+    STORAGE_TOL.
     """
     if solution.status in ("infeasible", "unbounded") or solution.x is None:
         raise ValueError(f"cannot extract a schedule from status {solution.status!r}")
     chp, charge, discharge, lp_storage, serve, buy, sell, curtail = (
         solution.x[index.columns(kind)].transpose(0, 2, 1) for _, kind in _SCHEDULE_KINDS)
-
-    derived = derive_storage(config, charge, discharge)
-    if index.dims["phev"] and np.abs(derived - lp_storage).max() > storage_tol:
+    schedule = Schedule.from_decisions(config, chp, charge, discharge, serve, buy[:, 0],
+                                       sell[:, 0], curtail.sum(axis=1))
+    if config.n_phev and np.abs(schedule.storage - lp_storage).max() > STORAGE_TOL:
         raise ValueError(
             "storage columns disagree with the recursion by "
-            f"{np.abs(derived - lp_storage).max():.3g} kWh"
+            f"{np.abs(schedule.storage - lp_storage).max():.3g} kWh"
         )
-    return Schedule.from_decisions(config, chp, charge, discharge, serve, buy[:, 0], sell[:, 0],
-                                   curtail.sum(axis=1))
+    return schedule

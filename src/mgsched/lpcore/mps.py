@@ -51,26 +51,25 @@ def export_mps(problem: LpProblem) -> str:
     out.append(_pad("NAME", 14) + problem.name)
     out.append("ROWS")
     out.append(" N  " + OBJ_NAME)
-    for i, s in enumerate(problem.row_sense):
+    for i, s in enumerate(problem.row_sense.tolist()):
         out.append(f" {sense_code[s]}  {rows[i]}")
 
     out.append("COLUMNS")
     # Python scalars throughout: per-element numpy indexing and ufuncs on
     # scalars cost more than the formatting itself.
-    tr = problem.tri_rows.tolist()
-    tc = problem.tri_cols.tolist()
-    tv = problem.tri_vals.tolist()
+    A = problem.matrix_csc()
+    start = A.indptr.tolist()
+    tr = A.indices.tolist()
+    tv = A.data.tolist()
     objective = problem.objective.tolist()
-    k = 0
     for j in range(problem.n_cols):
         emitted = False
         if objective[j] != 0.0:
             out.append("    " + _pad(cols[j], 10) + _pad(OBJ_NAME, 10) + _fmt(objective[j]))
             emitted = True
-        while k < len(tc) and tc[k] == j:
+        for k in range(start[j], start[j + 1]):
             out.append("    " + _pad(cols[j], 10) + _pad(rows[tr[k]], 10) + _fmt(tv[k]))
             emitted = True
-            k += 1
         if not emitted:
             # declare the column so bounds can attach to it
             out.append("    " + _pad(cols[j], 10) + _pad(OBJ_NAME, 10) + "0.0")

@@ -1,9 +1,11 @@
 """Sparse linear-program container and point feasibility checks.
 
-Problems are stored in triplet form with per-column bounds and optional
-binary marks.  Minimization is the only objective sense.  Bounds with
-magnitude >= BOUND_INF are treated as infinite, mirroring the convention
-of most solver interchange formats.
+A problem holds its matrix as one canonical scipy CSC matrix, with
+per-column bounds and optional binary marks.  Minimization is the only
+objective sense.  Bounds with magnitude >= BOUND_INF are infinite,
+mirroring the convention of most solver interchange formats: the
+constructor and `LpProblem.with_data` store them as infinities, so the
+given bound arrays are converted, never kept as they are.
 
 Problems that differ only in rhs and bounds (the scenario blocks of one
 template, the nodes of one branch-and-bound search) are shallow copies
@@ -49,136 +51,113 @@ class SolveSettings:
 class LpProblem:
     """Immutable sparse LP: min c'x s.t. row senses/ranges, l <= x <= u.
 
-    Triplets are canonicalized at construction: sorted by (column, row),
-    duplicates merged, exact zeros dropped.  Exporters rely on this order
-    being stable.
+    The matrix is held once, as a canonical CSC matrix: entries sorted by
+    (column, row), duplicates summed, exact zeros dropped.  Exporters rely
+    on this order being stable.  Senses are one read-only "U2" array, and
+    bounds beyond +-BOUND_INF are stored as infinities.
     """
 
     def __init__(self, n_cols, n_rows, objective, triplets, row_sense, rhs,
                  col_lower, col_upper, binary_cols=(), row_range=None,
                  row_names=None, col_names=None, name="LP"):
-        self.n_cols = int(n_cols)
-        self.n_rows = int(n_rows)
-        self.objective = np.asarray(objective, dtype=float).copy()
-        self.row_sense = list(row_sense)
-        self.rhs = np.asarray(rhs, dtype=float).copy()
-        self.col_lower = np.asarray(col_lower, dtype=float).copy()
-        self.col_upper = np.asarray(col_upper, dtype=float).copy()
-        self.binary_cols = frozenset(int(j) for j in binary_cols)
+        self.n_cols = n = int(n_cols)
+        self.n_rows = m = int(n_rows)
+        self.objective = np.array(objective, dtype=float)
+        if self.objective.shape != (n,):
+            raise LpError("objective length != n_cols")
+        if not np.all(np.isfinite(self.objective)):
+            raise LpError("NaN or infinite objective coefficient")
+        # checked before the conversion, which would cut "<==" to "<="
+        sense = np.asarray(row_sense)
+        if sense.shape != (m,):
+            raise LpError("row_sense length != n_rows")
+        unknown = sense[~np.isin(sense, SENSES)]
+        if unknown.size:
+            raise LpError(f"unknown row sense {unknown[0].item()!r}")
+        self.row_sense = _read_only(sense.astype("U2"))
+        self._set_data(np.array(rhs, dtype=float), col_lower, col_upper)
         if row_range is None:
             self.row_range = None
         else:
-            self.row_range = np.asarray(row_range, dtype=float).copy()
-        self.row_names = list(row_names) if row_names is not None else None
-        self.col_names = list(col_names) if col_names is not None else None
-        self.name = name
-        # the simplex workspace, filled on first use and shared by copies
-        self._workspace = []
-
-        rows, cols, vals = self._canonicalize(triplets)
-        self.tri_rows = rows
-        self.tri_cols = cols
-        self.tri_vals = vals
-        self._validate()
-
-    def _canonicalize(self, triplets):
-        if isinstance(triplets, tuple) and len(triplets) == 3:
-            rows, cols, vals = triplets
-        else:
-            trip = list(triplets)
-            if trip:
-                rows, cols, vals = zip(*trip)
-            else:
-                rows, cols, vals = (), (), ()
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=float)
-        if rows.size == 0:
-            return rows, cols, vals
-        order = np.lexsort((rows, cols))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        # merge duplicates
-        key_change = np.empty(rows.size, dtype=bool)
-        key_change[0] = True
-        key_change[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        group = np.cumsum(key_change) - 1
-        merged = np.zeros(group[-1] + 1)
-        np.add.at(merged, group, vals)
-        rows = rows[key_change]
-        cols = cols[key_change]
-        vals = merged
-        keep = vals != 0.0
-        return rows[keep], cols[keep], vals[keep]
-
-    def _validate(self):
-        n, m = self.n_cols, self.n_rows
-        if self.objective.shape != (n,):
-            raise LpError("objective length != n_cols")
-        if len(self.row_sense) != m:
-            raise LpError("row_sense length != n_rows")
-        self._validate_data()
-        if self.row_range is not None:
+            self.row_range = np.array(row_range, dtype=float)
             if self.row_range.shape != (m,):
                 raise LpError("row_range length != n_rows")
             if np.any(np.isnan(self.row_range)):
                 raise LpError("NaN row range")
-        for s in self.row_sense:
-            if s not in SENSES:
-                raise LpError(f"unknown row sense {s!r}")
-        if self.tri_rows.size:
-            if self.tri_rows.min() < 0 or self.tri_rows.max() >= m:
-                raise LpError("triplet row index out of range")
-            if self.tri_cols.min() < 0 or self.tri_cols.max() >= n:
-                raise LpError("triplet column index out of range")
-        if not np.all(np.isfinite(self.tri_vals)):
-            raise LpError("NaN or infinite coefficient in matrix")
-        if not np.all(np.isfinite(self.objective)):
-            raise LpError("NaN or infinite objective coefficient")
-        lo, up = self.lower_inf(), self.upper_inf()
-        for j in self.binary_cols:
-            if j < 0 or j >= n:
-                raise LpError("binary column index out of range")
-            if lo[j] < -1e-12 or up[j] > 1 + 1e-12:
-                raise LpError(f"binary column {j} has bounds outside [0, 1]")
+        self._matrix = _csc(triplets, m, n)
+        bins = np.fromiter(binary_cols, dtype=np.int64)
+        if np.any((bins < 0) | (bins >= n)):
+            raise LpError("binary column index out of range")
+        outside = bins[(self.col_lower[bins] < -1e-12) | (self.col_upper[bins] > 1 + 1e-12)]
+        if outside.size:
+            raise LpError(f"binary column {outside.min()} has bounds outside [0, 1]")
+        self.binary_cols = frozenset(bins.tolist())
+        self.row_names = list(row_names) if row_names is not None else None
+        self.col_names = list(col_names) if col_names is not None else None
         if self.row_names is not None and len(self.row_names) != m:
             raise LpError("row_names length != n_rows")
         if self.col_names is not None and len(self.col_names) != n:
             raise LpError("col_names length != n_cols")
+        self.name = name
+        # the simplex workspace, filled on first use and shared by copies
+        self._workspace = []
 
-    def _validate_data(self):
-        """The checks of the rhs and the bounds, which `with_data` replaces."""
+    def _set_data(self, rhs, col_lower, col_upper):
+        """Check and store the rhs and the column bounds, the data that
+        `with_data` replaces; bounds beyond +-BOUND_INF become infinite."""
+        self.rhs = np.asarray(rhs, dtype=float)
         if self.rhs.shape != (self.n_rows,):
             raise LpError("rhs length != n_rows")
-        if self.col_lower.shape != (self.n_cols,) or self.col_upper.shape != (self.n_cols,):
-            raise LpError("bounds length != n_cols")
         if not np.all(np.isfinite(self.rhs)):
             raise LpError("NaN or infinite right-hand side")
-        if np.any(self.lower_inf() > self.upper_inf()):
+        lo = np.asarray(col_lower, dtype=float)
+        hi = np.asarray(col_upper, dtype=float)
+        if lo.shape != (self.n_cols,) or hi.shape != (self.n_cols,):
+            raise LpError("bounds length != n_cols")
+        self.col_lower = _read_only(np.where(lo <= -BOUND_INF, -np.inf, lo))
+        self.col_upper = _read_only(np.where(hi >= BOUND_INF, np.inf, hi))
+        if np.any(self.col_lower > self.col_upper):
             raise LpError("col_lower > col_upper")
 
     def with_data(self, rhs=None, col_lower=None, col_upper=None):
         """This problem with another rhs and column bounds, where given.
 
         A shallow copy: the matrix, objective, senses, names, binary marks
-        and the simplex workspace are the same objects as this problem's,
-        and the given arrays are taken as they are (not copied), so treat
-        them as read-only.  The new data get the construction checks.
+        and the simplex workspace are the same objects as this problem's.
+        The new data get the construction checks; the bounds are converted
+        to infinities like the constructor's, into new arrays, while a
+        given rhs is taken as it is (not copied), so treat it as read-only.
         """
         new = copy.copy(self)
-        for name, value in (("rhs", rhs), ("col_lower", col_lower), ("col_upper", col_upper)):
-            if value is not None:
-                setattr(new, name, np.asarray(value, dtype=float))
-        new._validate_data()
+        new._set_data(self.rhs if rhs is None else rhs,
+                      self.col_lower if col_lower is None else col_lower,
+                      self.col_upper if col_upper is None else col_upper)
         return new
 
     # -- derived views ----------------------------------------------------
 
     def lower_inf(self):
-        """Lower bounds with the infinity convention applied."""
-        return np.where(self.col_lower <= -BOUND_INF, -np.inf, self.col_lower)
+        """Lower bounds, -inf where unbounded (the stored array)."""
+        return self.col_lower
 
     def upper_inf(self):
-        return np.where(self.col_upper >= BOUND_INF, np.inf, self.col_upper)
+        """Upper bounds, +inf where unbounded (the stored array)."""
+        return self.col_upper
+
+    @property
+    def tri_rows(self):
+        """Row index of each matrix entry, in (column, row) order."""
+        return self._matrix.indices
+
+    @property
+    def tri_cols(self):
+        """Column index of each matrix entry, in (column, row) order."""
+        return np.repeat(np.arange(self.n_cols), np.diff(self._matrix.indptr))
+
+    @property
+    def tri_vals(self):
+        """Value of each matrix entry, in (column, row) order."""
+        return self._matrix.data
 
     def row_bounds(self):
         """Per-row activity interval [blo, bhi] implied by sense and range.
@@ -187,7 +166,7 @@ class LpProblem:
         for r < 0; a `<=` row [b - |r|, b] and a `>=` row [b, b + |r|],
         open on the far side when r is 0.
         """
-        sense = np.asarray(self.row_sense, dtype="U2")
+        sense = self.row_sense
         eq, le, ge = sense == "=", sense == "<=", sense == ">="
         b = self.rhs
         r = np.zeros(self.n_rows) if self.row_range is None else self.row_range
@@ -201,34 +180,23 @@ class LpProblem:
         return blo, bhi
 
     def matrix_csc(self):
-        import scipy.sparse as sp
-
-        return sp.csc_matrix(
-            (self.tri_vals, (self.tri_rows, self.tri_cols)),
-            shape=(self.n_rows, self.n_cols),
-        )
+        """The constraint matrix as a read-only scipy CSC matrix, the same
+        object on every call and in every copy `with_data` makes."""
+        return self._matrix
 
     def workspace(self):
-        """(A, [A | I], [A | I]'): the matrix in CSC form, with one slack
-        column per row appended, and that matrix's transpose, as the
-        simplex's equality form A x + s = b uses them.  Built on the first
-        call and then shared by this problem and every copy `with_data`
-        makes of it, before or after; read-only."""
+        """([A | I], [A | I]'): the matrix with one slack column per row
+        appended, and its transpose, as the simplex's equality form
+        A x + s = b uses them.  Built on the first call and then shared by
+        this problem and every copy `with_data` makes of it, before or
+        after; read-only."""
         if not self._workspace:
             import scipy.sparse as sp
 
-            A = self.matrix_csc()
-            full = sp.hstack([A, sp.identity(self.n_rows, format="csc")], format="csc")
-            self._workspace.append((A, full, full.T))
+            full = sp.hstack([self._matrix, sp.identity(self.n_rows, format="csc")],
+                             format="csc")
+            self._workspace.append((full, full.T))
         return self._workspace[0]
-
-    def row_activity(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_cols,):
-            raise LpError("point length != n_cols")
-        act = np.zeros(self.n_rows)
-        np.add.at(act, self.tri_rows, self.tri_vals * x[self.tri_cols])
-        return act
 
     def row_name(self, i):
         if self.row_names is not None:
@@ -239,6 +207,39 @@ class LpProblem:
         if self.col_names is not None:
             return self.col_names[j]
         return f"C{j + 1:04d}"
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def _csc(triplets, m, n):
+    """The m x n CSC matrix of (rows, cols, vals) arrays or of an iterable
+    of (row, col, val) entries, checked and made canonical."""
+    import scipy.sparse as sp
+
+    if isinstance(triplets, tuple) and len(triplets) == 3:
+        rows, cols, vals = triplets
+    else:
+        trip = list(triplets)
+        rows, cols, vals = zip(*trip) if trip else ((), (), ())
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=float)
+    if rows.size:
+        if rows.min() < 0 or rows.max() >= m:
+            raise LpError("triplet row index out of range")
+        if cols.min() < 0 or cols.max() >= n:
+            raise LpError("triplet column index out of range")
+    if not np.all(np.isfinite(vals)):
+        raise LpError("NaN or infinite coefficient in matrix")
+    # sorts by (column, row) and sums duplicates
+    A = sp.csc_matrix((vals, (rows, cols)), shape=(m, n))
+    A.eliminate_zeros()
+    for a in (A.data, A.indices, A.indptr):
+        _read_only(a)
+    return A
 
 
 @dataclass
@@ -299,7 +300,6 @@ class FeasibilityReport:
     max_row_violation: float
     max_bound_violation: float
     row_violations: dict  # row index -> violation amount (> 0 only)
-    bound_violations: dict  # col index -> violation amount (> 0 only)
 
     def ok(self, tol):
         return self.max_row_violation <= tol and self.max_bound_violation <= tol
@@ -308,7 +308,9 @@ class FeasibilityReport:
 def check_point(problem: LpProblem, x, tol: float = 1e-7) -> FeasibilityReport:
     """Evaluate a point against all rows and bounds of a problem."""
     x = np.asarray(x, dtype=float)
-    act = problem.row_activity(x)
+    if x.shape != (problem.n_cols,):
+        raise LpError("point length != n_cols")
+    act = problem.matrix_csc() @ x
     blo, bhi = problem.row_bounds()
     below = np.maximum(blo - act, 0.0)
     above = np.maximum(act - bhi, 0.0)
@@ -316,12 +318,9 @@ def check_point(problem: LpProblem, x, tol: float = 1e-7) -> FeasibilityReport:
     lo = problem.lower_inf()
     up = problem.upper_inf()
     bndviol = np.maximum(np.maximum(lo - x, 0.0), np.maximum(x - up, 0.0))
-    rows = {int(i): float(rowviol[i]) for i in np.nonzero(rowviol > tol)[0]}
-    bounds = {int(j): float(bndviol[j]) for j in np.nonzero(bndviol > tol)[0]}
     return FeasibilityReport(
         objective=float(problem.objective @ x),
         max_row_violation=float(rowviol.max()) if problem.n_rows else 0.0,
         max_bound_violation=float(bndviol.max()) if problem.n_cols else 0.0,
-        row_violations=rows,
-        bound_violations=bounds,
+        row_violations={int(i): float(rowviol[i]) for i in np.nonzero(rowviol > tol)[0]},
     )

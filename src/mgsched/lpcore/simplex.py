@@ -87,7 +87,7 @@ def equality_form(problem: LpProblem):
     """The problem as A x + s = b over the columns [A | I].
 
     Returns (A, b, lo, hi): A is the problem's shared CSC matrix (see
-    `LpProblem.workspace`), b takes each row's finite upper activity
+    `LpProblem.matrix_csc`), b takes each row's finite upper activity
     bound, else its lower one, and lo, hi are the bounds of the
     structural columns followed by those of the slacks.
     """
@@ -96,7 +96,7 @@ def equality_form(problem: LpProblem):
     b = np.where(fin_hi, bhi, blo)
     lo = np.concatenate([problem.lower_inf(), np.where(fin_hi, 0.0, -np.inf)])
     hi = np.concatenate([problem.upper_inf(), np.where(fin_hi, bhi - blo, 0.0)])
-    return problem.workspace()[0], b, lo, hi
+    return problem.matrix_csc(), b, lo, hi
 
 
 class _Core:
@@ -125,7 +125,7 @@ class _Core:
         self.gamma = np.ones(self.x.size)  # steepest-edge reference weights
         self.n_art = n_art = sign.size  # artificial k is sign[k] * e_(art_row[k])
         self.objective = np.concatenate([problem.objective, np.zeros(m + n_art)])
-        _, self.full, self.fullT = problem.workspace()
+        self.full, self.fullT = problem.workspace()
         if n_art:
             # scipy.sparse is imported on first use, as in LpProblem.workspace,
             # so that importing the package does not load it

@@ -163,15 +163,6 @@ class ValidationReport:
     def codes(self):
         return [i.code for i in self.issues]
 
-    def to_dict(self):
-        return {
-            "ok": self.ok,
-            "issues": [
-                {"code": i.code, "message": i.message, "severity": i.severity}
-                for i in self.issues
-            ],
-        }
-
 
 def _flag_first(rep, code, bad, message, **values):
     """Add one `code` issue for the first index i where the mask `bad`

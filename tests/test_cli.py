@@ -412,13 +412,13 @@ def _balance_with_a_flag(config, solar, schedule, tol=1e-6):
                                flags=[(1, 0, "power")])
 
 
-def _storage_off_by_one(config, charge, discharge):
-    return model.derive_storage(config, charge, discharge) + 1.0
+def _storage_off_by_one(config, charge, discharge, derive=model.derive_storage):
+    return derive(config, charge, discharge) + 1.0
 
 
 @pytest.mark.parametrize("target, fake, message", [
     ("mgsched.experiments.check_balance", _balance_with_a_flag, "fails balance check"),
-    ("mgsched.formulation.derive_storage", _storage_off_by_one, "disagree with the recursion"),
+    ("mgsched.model.derive_storage", _storage_off_by_one, "disagree with the recursion"),
 ], ids=["balance", "storage"])
 def test_failed_post_solve_check_exits_six(tmp_path, monkeypatch, capsys, target, fake,
                                            message):

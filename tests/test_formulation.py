@@ -83,7 +83,7 @@ def test_minimal_instance_has_six_columns():
     for kind, nu in (("chp", 1), ("buy", 1), ("sell", 1)):
         for t in range(2):
             for u in range(nu):
-                seen.add(index.column(kind, 0, t, u))
+                seen.add(index.columns(kind)[0, t, u])
     assert seen == set(range(6))
     assert expected_counts(cfg, 1, FormulationOptions())["n_cols"] == 6
 
@@ -94,10 +94,6 @@ def test_index_is_a_bijection():
     index = VariableIndex(cfg, 2, opts)
     every = np.concatenate([index.columns(kind).ravel() for kind in COLUMN_KINDS])
     assert every.tolist() == list(range(index.n_cols))
-    for kind in COLUMN_KINDS:
-        cols = index.columns(kind)
-        for s, t, u in product(*map(range, cols.shape)):
-            assert index.column(kind, s, t, u) == cols[s, t, u]
     assert len(index.column_names()) == index.n_cols
     assert len(set(index.column_names())) == index.n_cols
 
@@ -106,8 +102,8 @@ def test_unparked_vehicle_has_zero_rate_bounds():
     cfg = make_config(T=3, n_phev=1, n_def=0)
     problem, index = build(cfg, one_scenario(np.zeros(3), np.zeros((1, 3))))
     for t in range(3):
-        assert problem.col_upper[index.column("charge", 0, t, 0)] == 0.0
-        assert problem.col_upper[index.column("discharge", 0, t, 0)] == 0.0
+        assert problem.col_upper[index.columns("charge")[0, t, 0]] == 0.0
+        assert problem.col_upper[index.columns("discharge")[0, t, 0]] == 0.0
 
 
 def test_case_study_shape_counts_match_formulas():
@@ -142,6 +138,22 @@ def test_build_matches_golden_mps(name):
     cfg, ss = golden_build_instance()
     problem, _ = build(cfg, ss, GOLDEN_BUILDS[name])
     assert export_mps(problem) == (GOLDEN / "build" / f"{name}.mps").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BUILDS))
+def test_check_point_row_activity_is_the_triplet_sum(name):
+    # A @ x adds each row's products in column order, as the sum over the
+    # triplets does, so every reported violation matches it bit for bit
+    cfg, ss = golden_build_instance()
+    problem, _ = build(cfg, ss, GOLDEN_BUILDS[name])
+    x = np.random.default_rng(3).normal(scale=50.0, size=problem.n_cols)
+    act = np.zeros(problem.n_rows)
+    np.add.at(act, problem.tri_rows, problem.tri_vals * x[problem.tri_cols])
+    blo, bhi = problem.row_bounds()
+    viol = np.maximum(np.maximum(blo - act, 0.0), np.maximum(act - bhi, 0.0))
+    rep = check_point(problem, x, tol=0.0)
+    assert rep.row_violations == {i: v for i, v in enumerate(viol.tolist()) if v > 0.0}
+    assert len(rep.row_violations) > problem.n_rows // 2
 
 
 PROBLEM_ARRAYS = ("rhs", "col_lower", "col_upper", "objective", "tri_rows", "tri_cols",
@@ -182,6 +194,8 @@ def test_patched_template_is_each_scenarios_own_build(penalty):
     for name in PROBLEM_ARRAYS:
         assert np.array_equal(getattr(template, name), saved[name]), name
     assert blocks[1].workspace() is template.workspace()
+    assert template.matrix_csc() is template.matrix_csc()
+    assert all(block.matrix_csc() is template.matrix_csc() for block in blocks)
 
 
 def test_symbol_audit_mentions_every_column_and_row_kind():
@@ -223,7 +237,7 @@ def test_zero_demand_solves_to_zero_schedule():
     problem, index = build(cfg, ss)
     sol = solve_lp(problem)
     assert sol.status == "optimal"
-    sched = extract_schedule(sol, index, cfg, ss)
+    sched = extract_schedule(sol, index, cfg)
     assert evaluate_cost(cfg, ss, sched) == pytest.approx(0.0, abs=1e-12)
     assert np.abs(sched.chp_power).max() == 0.0
     assert np.abs(sched.grid_buy).max() == 0.0
@@ -235,7 +249,7 @@ def test_end_to_end_schedule_passes_balance():
     problem, index = build(cfg, ss)
     sol = solve_lp(problem)
     assert sol.status == "optimal"
-    sched = extract_schedule(sol, index, cfg, ss)
+    sched = extract_schedule(sol, index, cfg)
     rep = check_balance(cfg, ss.solar, sched, 1e-6)
     assert rep.ok, rep.flags
     assert evaluate_cost(cfg, ss, sched) == pytest.approx(sol.objective, abs=1e-9)
@@ -247,7 +261,7 @@ def test_lp_objective_equals_evaluate_cost_at_optimum():
     ss = generate(make_genspec(cfg, seed=19), cfg, 4)
     problem, index = build(cfg, ss)
     sol = solve_lp(problem)
-    sched = extract_schedule(sol, index, cfg, ss)
+    sched = extract_schedule(sol, index, cfg)
     assert evaluate_cost(cfg, ss, sched) == pytest.approx(
         sol.objective, rel=1e-9, abs=1e-9)
 
@@ -258,7 +272,7 @@ def test_day_ahead_mode_equalizes_chp_across_scenarios():
     problem, index = build(cfg, ss, FormulationOptions(stage_mode="day-ahead-chp"))
     sol = solve_lp(problem)
     assert sol.status == "optimal"
-    sched = extract_schedule(sol, index, cfg, ss)
+    sched = extract_schedule(sol, index, cfg)
     for s in range(1, 4):
         assert np.abs(sched.chp_power[s] - sched.chp_power[0]).max() <= 1e-8
 
@@ -278,7 +292,7 @@ def test_half_hour_periods_solve_consistently():
     problem, index = build(cfg, ss)
     sol = solve_lp(problem)
     assert sol.status == "optimal"
-    sched = extract_schedule(sol, index, cfg, ss)
+    sched = extract_schedule(sol, index, cfg)
     assert evaluate_cost(cfg, ss, sched) == pytest.approx(sol.objective, abs=1e-9)
     assert check_balance(cfg, ss.solar, sched, 1e-6).ok
     # delivered deferrable energy equals the scenario's requirement in kWh
@@ -311,7 +325,7 @@ def test_exclusivity_milp_matches_mode_pattern_enumeration():
         lo = problem.col_lower.copy()
         hi = problem.col_upper.copy()
         for t, v in enumerate(pattern):
-            j = index.column("mode", 0, t, 0)
+            j = index.columns("mode")[0, t, 0]
             lo[j] = hi[j] = v
         fixed = LpProblem(problem.n_cols, problem.n_rows, problem.objective,
                           (problem.tri_rows, problem.tri_cols, problem.tri_vals),
@@ -330,7 +344,7 @@ def test_exclusivity_forbids_simultaneous_charge_discharge():
     ss = generate(make_genspec(cfg, seed=3), cfg, 2)
     problem, index = build(cfg, ss, FormulationOptions(exclusivity_binaries=True))
     sol = solve_milp(problem)
-    sched = extract_schedule(sol, index, cfg, ss)
+    sched = extract_schedule(sol, index, cfg)
     assert np.max(sched.charge * sched.discharge) <= 1e-9
 
 
@@ -355,7 +369,7 @@ def test_extract_requires_usable_status():
     _, index = build(cfg, ss)
     from mgsched.lpcore import LpSolution
     with pytest.raises(ValueError, match="status"):
-        extract_schedule(LpSolution(status="infeasible"), index, cfg, ss)
+        extract_schedule(LpSolution(status="infeasible"), index, cfg)
 
 
 def test_extract_checks_storage_consistency():
@@ -364,10 +378,10 @@ def test_extract_checks_storage_consistency():
     problem, index = build(cfg, ss)
     sol = solve_lp(problem)
     x = sol.x.copy()
-    x[index.column("storage", 0, 1, 0)] += 0.5  # corrupt one storage value
+    x[index.columns("storage")[0, 1, 0]] += 0.5  # corrupt one storage value
     sol.x = x
     with pytest.raises(ValueError, match="storage"):
-        extract_schedule(sol, index, cfg, ss)
+        extract_schedule(sol, index, cfg)
 
 
 def test_curtailment_column_absorbs_surplus():
@@ -385,4 +399,4 @@ def test_curtailment_column_absorbs_surplus():
     spilled, index = build(cfg, ss, FormulationOptions(curtailment_penalty=5.0))
     sol = solve_lp(spilled)
     assert sol.status == "optimal"
-    assert sol.x[index.column("curtail", 0, 0)] > 0
+    assert sol.x[index.columns("curtail")[0, 0, 0]] > 0

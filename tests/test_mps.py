@@ -81,7 +81,7 @@ def test_round_trip_preserves_problem_semantics():
         assert np.array_equal(q.tri_cols, p.tri_cols)
         assert np.array_equal(q.lower_inf(), p.lower_inf())
         assert np.array_equal(q.upper_inf(), p.upper_inf())
-        assert q.row_sense == p.row_sense
+        assert np.array_equal(q.row_sense, p.row_sense)
 
 
 def test_binary_columns_emit_bv_and_round_trip():

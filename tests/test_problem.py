@@ -41,6 +41,7 @@ def test_triplets_are_canonicalized():
     (dict(triplets=[(0, 7, 1.0)]), "column index"),
     (dict(triplets=[(0, 0, np.nan)]), "NaN"),
     (dict(col_lower=[5.0, 5.0], col_upper=[0.0, 0.0]), "col_lower"),
+    (dict(row_sense=["<=="]), "sense"),  # would pass if cut to two characters first
 ])
 def test_malformed_problems_rejected(mutate, msg):
     base = dict(
@@ -67,6 +68,26 @@ def test_nan_row_range_rejected_at_construction():
 def test_binary_bounds_must_fit_unit_interval():
     with pytest.raises(LpError, match="binary"):
         LpProblem(1, 0, [1.0], [], [], [], [0.0], [2.0], binary_cols=[0])
+
+
+def test_bounds_beyond_bound_inf_read_as_infinite():
+    # min -x0 + x1 s.t. x0 + x1 <= 4, x0 free, x1 >= -1: x = (5, -1)
+    def problem(lower, upper):
+        return LpProblem(2, 1, [-1.0, 1.0], [(0, 0, 1.0), (0, 1, 1.0)], ["<="], [4.0],
+                         lower, upper)
+
+    ref = problem([-np.inf, -1.0], [np.inf, np.inf])
+    given = problem([-1e30, -1.0], [1e30, 2e30])
+    patched = ref.with_data(col_lower=[-1e30, -1.0], col_upper=[1e30, 2e30])
+    want = solve_lp(ref)
+    assert want.x.tolist() == [5.0, -1.0]
+    for p in (given, patched):
+        assert p.lower_inf().tolist() == [-np.inf, -1.0]
+        assert p.upper_inf().tolist() == [np.inf, np.inf]
+        assert check_point(p, [-1e31, 3e30]).max_bound_violation == 0.0
+        sol = solve_lp(p)
+        assert sol.x.tobytes() == want.x.tobytes()
+        assert sol.iterations == want.iterations
 
 
 def test_check_point_on_optimal_point():
