@@ -10,8 +10,9 @@ optional "count" repeats it.  A scalar field, and each entry of an inline
 series or list, must be a JSON number, integral where the model takes an
 int; anything else is an IngestError naming the field (and the entry's
 index), and so is a document, `tariff` or fleet entry that is not a JSON
-object; the generation spec follows the same rule.  `load_config` also
-rejects a config that fails `validate_config`, a NaN anywhere included.
+object; the generation spec follows the same rule.  `read_json` rejects
+NaN, Infinity and -Infinity, which are not JSON numbers.  `load_config`
+also rejects a config that fails `validate_config`.
 """
 
 import csv
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import ChpUnits, DeferrableLoads, GridTariff, MicrogridConfig, Phevs, validate_config
-from .scenario import GenerationSpec
+from .scenario import GenerationSpec, reject_constant
 
 
 class IngestError(ValueError):
@@ -170,13 +171,13 @@ def config_from_dict(data: dict, base_dir=".") -> MicrogridConfig:
 
 
 def read_json(path: Path):
-    """The document in a JSON file; unreadable or invalid JSON is an
-    IngestError."""
+    """The document in a JSON file; unreadable or invalid JSON, NaN and
+    +-Infinity included, is an IngestError."""
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(), parse_constant=reject_constant)
     except OSError as e:
         raise IngestError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or reject_constant's
         raise IngestError(f"{path}: invalid JSON: {e}") from e
 
 

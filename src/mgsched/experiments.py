@@ -145,8 +145,6 @@ class RunManifest:
 class SolveReport:
     status: str
     objective: float
-    iterations: int
-    nodes: int
     n_cols: int
     n_rows: int
     decomposed: bool
@@ -156,11 +154,20 @@ class SolveReport:
     infeasible_rows: list = field(default_factory=list)
     stats: SolverStats = field(default_factory=SolverStats)  # summed over blocks
 
+    @property
+    def iterations(self):
+        return self.stats.iterations
+
+    @property
+    def nodes(self):
+        return self.stats.nodes
+
     def to_dict(self):
-        """The deterministic part; `stats` goes to trace.json instead."""
+        """The deterministic part, with the iteration and node totals;
+        the other counters of `stats` go to trace.json instead."""
         payload = dataclasses.asdict(self)
         del payload["stats"]
-        return payload
+        return {**payload, "iterations": self.iterations, "nodes": self.nodes}
 
 
 class SolveFailure(RuntimeError):
@@ -273,7 +280,7 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
     scenario index, so the report reads as a check of the full problem.
 
     `mip_gap`, `node_limit` and `iteration_limit` apply to each block, and
-    `nodes` and `iterations` sum over the blocks; so with binaries the
+    the report's `stats` sums the blocks' counters; so with binaries the
     total is within sum_s p_s * mip_gap * max(1, |obj_s|) of the optimum.
     Each LP block starts from the previous block's optimal basis, in
     block order; MILP blocks start their roots cold.
@@ -282,8 +289,8 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
     settings = settings or SolveSettings()
     decomposed = options.stage_mode == "fully-adaptive" and len(scenarios) > 1
     weights = scenarios.probabilities if decomposed else [1.0]
-    report = SolveReport(status="optimal", objective=0.0, iterations=0, nodes=0,
-                         n_cols=0, n_rows=0, decomposed=decomposed)
+    report = SolveReport(status="optimal", objective=0.0, n_cols=0, n_rows=0,
+                         decomposed=decomposed)
     parts = []
     basis = template = None
     if decomposed and not options.exclusivity_binaries:
@@ -302,11 +309,10 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
         except LpError as e:
             raise NumericalFailure(f"{e}{where}") from e
         basis = sol.basis
-        report.iterations += sol.iterations
         report.stats.add(sol.stats)
         if sol.status == "infeasible":
             raise InfeasibleProblem(
-                [_shift_scenario_name(problem.row_name(i), s) for i in sol.infeasible_rows])
+                [_shift_scenario_name(problem.row_names[i], s) for i in sol.infeasible_rows])
         if sol.status == "limit":
             raise SolverLimit(f"node or iteration limit reached{where}")
         if sol.status == "unbounded":
@@ -320,13 +326,12 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
         x[mode] = sol.x[mode]
         rep = check_point(problem, x, settings.feasibility_tol)
         report.objective += weight * sol.objective
-        report.nodes += sol.nodes
         report.n_cols += problem.n_cols
         report.n_rows += problem.n_rows
         report.max_row_violation = max(report.max_row_violation, rep.max_row_violation)
         report.max_bound_violation = max(report.max_bound_violation, rep.max_bound_violation)
-        report.row_violations.update(
-            (_shift_scenario_name(problem.row_name(i), s), v) for i, v in rep.row_violations.items())
+        report.row_violations.update((_shift_scenario_name(problem.row_names[i], s), v)
+                                     for i, v in rep.row_violations.items())
         parts.append(part)
     schedule = Schedule.from_decisions(config, *(
         np.concatenate([getattr(p, name) for p in parts])

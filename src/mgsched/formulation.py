@@ -329,7 +329,7 @@ def build(config: MicrogridConfig, scenarios, options: FormulationOptions | None
         n_cols=n,
         n_rows=len(senses),
         objective=obj,
-        triplets=tuple(np.concatenate(part) for part in zip(*trips)),
+        triplets=np.column_stack([np.concatenate(part) for part in zip(*trips)]),
         row_sense=senses,
         rhs=np.concatenate(rhs),
         col_lower=lo,

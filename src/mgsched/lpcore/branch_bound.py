@@ -4,17 +4,18 @@ Best-bound node selection with most-fractional branching; every tie
 resolves to the lowest column index so runs are reproducible.  Nodes are
 LP relaxations with tightened binary bounds, made by
 `LpProblem.with_data`, so every node shares the problem's matrix and
-simplex workspace; solve_lp ignores their binary marks.  The root starts cold, and
-each child starts from its parent's optimal basis, which stays dual
-feasible after the one bound change, so the dual simplex needs few
-pivots.  The incumbent is accepted
-when all binary columns are integral within the integrality tolerance,
-and the search stops once the relative gap between incumbent and best
-open bound is below mip_gap.  `iteration_limit` bounds the simplex
-iterations of the whole search: each node LP gets what is left of it, and
-a node LP that stops at its limit ends the search with status "limit"
-(its parent stays open, so the best bound stays valid).  An unbounded
-node LP makes the whole problem "unbounded".
+simplex workspace; solve_lp ignores their binary marks.  The root starts
+cold, and each child starts from its parent's optimal basis, which stays
+dual feasible after the one bound change, so the dual simplex needs few
+pivots.  The incumbent is accepted when all binary columns are integral
+within the integrality tolerance, and the search stops once the relative
+gap between incumbent and best open bound is below mip_gap.
+`iteration_limit` bounds the simplex iterations of the whole search:
+each node LP gets what is left of it, and a node LP that stops at its
+limit ends the search with status "limit" (its parent stays open, so the
+best bound stays valid).  An unbounded node LP makes the whole problem
+"unbounded".  The solution's `stats` sums the counters of every node LP
+and counts those LPs, the root included, in `stats.nodes`.
 """
 
 import dataclasses
@@ -50,19 +51,16 @@ def solve_milp(problem: LpProblem, settings: SolveSettings | None = None) -> LpS
     stats = SolverStats()
     incumbent = None
     incumbent_obj = np.inf
-    nodes_done = 0
     counter = 0
     heap = []
 
     root = solve_lp(problem.with_data(col_lower=root_lo, col_upper=root_hi), settings)
-    nodes_done += 1
     stats.add(root.stats)
+    stats.nodes += 1
     if root.status in ("infeasible", "unbounded"):
-        root.nodes = nodes_done
-        return root
+        return dataclasses.replace(root, stats=stats)
     if root.status == "limit":
-        return LpSolution(status="limit", iterations=stats.iterations, nodes=nodes_done,
-                          best_bound=-np.inf, stats=stats)
+        return LpSolution(status="limit", best_bound=-np.inf, stats=stats)
     heapq.heappush(heap, (root.objective, counter, root, root_lo, root_hi))
 
     status = "optimal"
@@ -70,7 +68,7 @@ def solve_milp(problem: LpProblem, settings: SolveSettings | None = None) -> LpS
         best_bound = heap[0][0]
         if incumbent is not None and _gap(incumbent_obj, best_bound) <= settings.mip_gap:
             break
-        if settings.node_limit is not None and nodes_done >= settings.node_limit:
+        if settings.node_limit is not None and stats.nodes >= settings.node_limit:
             status = "limit"
             break
 
@@ -83,7 +81,7 @@ def solve_milp(problem: LpProblem, settings: SolveSettings | None = None) -> LpS
             if sol.objective < incumbent_obj - 1e-12:
                 incumbent = sol
                 incumbent_obj = sol.objective
-                log.debug("incumbent %.9g after %d nodes", incumbent_obj, nodes_done)
+                log.debug("incumbent %.9g after %d nodes", incumbent_obj, stats.nodes)
             continue
 
         j = int(bincols[np.argmax(frac)])
@@ -100,11 +98,10 @@ def solve_milp(problem: LpProblem, settings: SolveSettings | None = None) -> LpS
                     settings, iteration_limit=settings.iteration_limit - stats.iterations)
             child = solve_lp(problem.with_data(col_lower=child_lo, col_upper=child_hi),
                              node_settings, basis=sol.basis)
-            nodes_done += 1
             stats.add(child.stats)
+            stats.nodes += 1
             if child.status == "unbounded":
-                return LpSolution(status="unbounded", iterations=stats.iterations,
-                                  nodes=nodes_done, stats=stats)
+                return LpSolution(status="unbounded", stats=stats)
             if child.status == "limit":
                 # the unsolved child keeps the node open at the parent's bound
                 status = "limit"
@@ -123,10 +120,8 @@ def solve_milp(problem: LpProblem, settings: SolveSettings | None = None) -> LpS
     best_bound = min([h[0] for h in heap], default=incumbent_obj)
     if incumbent is None:
         if status == "limit":
-            return LpSolution(status="limit", iterations=stats.iterations, nodes=nodes_done,
-                              best_bound=best_bound, stats=stats)
-        return LpSolution(status="infeasible", iterations=stats.iterations, nodes=nodes_done,
-                          stats=stats)
+            return LpSolution(status="limit", best_bound=best_bound, stats=stats)
+        return LpSolution(status="infeasible", stats=stats)
 
     x = incumbent.x.copy()
     x[bincols] = np.round(x[bincols])
@@ -135,8 +130,6 @@ def solve_milp(problem: LpProblem, settings: SolveSettings | None = None) -> LpS
         x=x,
         duals=incumbent.duals,
         objective=float(problem.objective @ x),
-        iterations=stats.iterations,
-        nodes=nodes_done,
         best_bound=float(min(best_bound, incumbent_obj)),
         stats=stats,
     )

@@ -18,6 +18,9 @@ from .problem import LpProblem
 
 OBJ_NAME = "COST"
 
+SENSE_CODE = {"=": "E", "<=": "L", ">=": "G"}
+SENSE_OF_CODE = {code: sense for sense, code in SENSE_CODE.items()}
+
 
 class MpsFormatError(ValueError):
     """Unparseable or unsupported MPS content."""
@@ -34,25 +37,16 @@ def _pad(s: str, width: int) -> str:
     return s.ljust(width) if len(s) < width else s + " "
 
 
-def _row_names(problem):
-    return [problem.row_name(i) for i in range(problem.n_rows)]
-
-
-def _col_names(problem):
-    return [problem.col_name(j) for j in range(problem.n_cols)]
-
-
 def export_mps(problem: LpProblem) -> str:
     """Serialize a problem to canonical fixed-format MPS text."""
-    rows = _row_names(problem)
-    cols = _col_names(problem)
-    sense_code = {"=": "E", "<=": "L", ">=": "G"}
+    cols = problem.col_names
     out = []
     out.append(_pad("NAME", 14) + problem.name)
     out.append("ROWS")
     out.append(" N  " + OBJ_NAME)
-    for i, s in enumerate(problem.row_sense.tolist()):
-        out.append(f" {sense_code[s]}  {rows[i]}")
+    for s, name in zip(problem.row_sense.tolist(), problem.row_names):
+        out.append(f" {SENSE_CODE[s]}  {name}")
+    rows = [_pad(name, 10) for name in problem.row_names]
 
     out.append("COLUMNS")
     # Python scalars throughout: per-element numpy indexing and ufuncs on
@@ -63,27 +57,25 @@ def export_mps(problem: LpProblem) -> str:
     tv = A.data.tolist()
     objective = problem.objective.tolist()
     for j in range(problem.n_cols):
-        emitted = False
+        col = "    " + _pad(cols[j], 10)
         if objective[j] != 0.0:
-            out.append("    " + _pad(cols[j], 10) + _pad(OBJ_NAME, 10) + _fmt(objective[j]))
-            emitted = True
-        for k in range(start[j], start[j + 1]):
-            out.append("    " + _pad(cols[j], 10) + _pad(rows[tr[k]], 10) + _fmt(tv[k]))
-            emitted = True
-        if not emitted:
+            out.append(col + _pad(OBJ_NAME, 10) + _fmt(objective[j]))
+        elif start[j] == start[j + 1]:
             # declare the column so bounds can attach to it
-            out.append("    " + _pad(cols[j], 10) + _pad(OBJ_NAME, 10) + "0.0")
+            out.append(col + _pad(OBJ_NAME, 10) + "0.0")
+        for k in range(start[j], start[j + 1]):
+            out.append(col + rows[tr[k]] + _fmt(tv[k]))
 
     out.append("RHS")
     for i, r in enumerate(problem.rhs.tolist()):
         if r != 0.0:
-            out.append("    " + _pad("RHS", 10) + _pad(rows[i], 10) + _fmt(r))
+            out.append("    " + _pad("RHS", 10) + rows[i] + _fmt(r))
 
     if problem.row_range is not None and np.any(problem.row_range != 0.0):
         out.append("RANGES")
         for i, r in enumerate(problem.row_range.tolist()):
             if r != 0.0:
-                out.append("    " + _pad("RNG", 10) + _pad(rows[i], 10) + _fmt(r))
+                out.append("    " + _pad("RNG", 10) + rows[i] + _fmt(r))
 
     out.append("BOUNDS")
     lo = problem.lower_inf().tolist()
@@ -169,7 +161,7 @@ def parse_mps(text: str) -> LpProblem:
                     obj_name = rname
                 continue
             try:
-                sense = {"E": "=", "L": "<=", "G": ">="}[code]
+                sense = SENSE_OF_CODE[code]
             except KeyError:
                 raise MpsFormatError(f"unknown row type {code!r}") from None
             row_index[rname] = len(row_names)

@@ -1,11 +1,12 @@
 """Sparse linear-program container and point feasibility checks.
 
-A problem holds its matrix as one canonical scipy CSC matrix, with
-per-column bounds and optional binary marks.  Minimization is the only
-objective sense.  Bounds with magnitude >= BOUND_INF are infinite,
-mirroring the convention of most solver interchange formats: the
-constructor and `LpProblem.with_data` store them as infinities, so the
-given bound arrays are converted, never kept as they are.
+A problem takes its matrix as (row, col, value) entries and holds it as
+one canonical scipy CSC matrix, with per-column bounds, optional binary
+marks, and row and column names.  Minimization is the only objective
+sense.  Bounds with magnitude >= BOUND_INF are infinite, mirroring the
+convention of most solver interchange formats: the constructor and
+`LpProblem.with_data` store them as infinities, so the given bound
+arrays are converted, never kept as they are.
 
 Problems that differ only in rhs and bounds (the scenario blocks of one
 template, the nodes of one branch-and-bound search) are shallow copies
@@ -39,8 +40,9 @@ class SolveSettings:
 
     def __post_init__(self):
         for name in ("feasibility_tol", "optimality_tol", "integrality_tol", "mip_gap"):
-            if not getattr(self, name) > 0:
-                raise LpError(f"{name} must be positive")
+            # an infinite feasibility_tol would let phase 1 call any LP feasible
+            if not 0 < getattr(self, name) < np.inf:
+                raise LpError(f"{name} must be positive and finite")
         for name in ("node_limit", "iteration_limit"):
             limit = getattr(self, name)
             if limit is not None and (isinstance(limit, bool)
@@ -51,10 +53,13 @@ class SolveSettings:
 class LpProblem:
     """Immutable sparse LP: min c'x s.t. row senses/ranges, l <= x <= u.
 
-    The matrix is held once, as a canonical CSC matrix: entries sorted by
-    (column, row), duplicates summed, exact zeros dropped.  Exporters rely
-    on this order being stable.  Senses are one read-only "U2" array, and
-    bounds beyond +-BOUND_INF are stored as infinities.
+    `triplets` are the (row, col, value) entries of the matrix, a sequence
+    of triples or one (nnz, 3) array.  The matrix is held once, as a
+    canonical CSC matrix: entries sorted by (column, row), duplicates
+    summed, exact zeros dropped.  Exporters rely on this order being
+    stable.  Senses are one read-only "U2" array, bounds beyond
+    +-BOUND_INF are stored as infinities, and names default to
+    R0001.../C0001....
     """
 
     def __init__(self, n_cols, n_rows, objective, triplets, row_sense, rhs,
@@ -92,11 +97,13 @@ class LpProblem:
         if outside.size:
             raise LpError(f"binary column {outside.min()} has bounds outside [0, 1]")
         self.binary_cols = frozenset(bins.tolist())
-        self.row_names = list(row_names) if row_names is not None else None
-        self.col_names = list(col_names) if col_names is not None else None
-        if self.row_names is not None and len(self.row_names) != m:
+        self.row_names = (list(row_names) if row_names is not None
+                          else [f"R{i + 1:04d}" for i in range(m)])
+        self.col_names = (list(col_names) if col_names is not None
+                          else [f"C{j + 1:04d}" for j in range(n)])
+        if len(self.row_names) != m:
             raise LpError("row_names length != n_rows")
-        if self.col_names is not None and len(self.col_names) != n:
+        if len(self.col_names) != n:
             raise LpError("col_names length != n_cols")
         self.name = name
         # the simplex workspace, filled on first use and shared by copies
@@ -116,8 +123,8 @@ class LpProblem:
             raise LpError("bounds length != n_cols")
         self.col_lower = _read_only(np.where(lo <= -BOUND_INF, -np.inf, lo))
         self.col_upper = _read_only(np.where(hi >= BOUND_INF, np.inf, hi))
-        if np.any(self.col_lower > self.col_upper):
-            raise LpError("col_lower > col_upper")
+        if not np.all(self.col_lower <= self.col_upper):  # false for a NaN bound too
+            raise LpError("col_lower > col_upper, or a NaN column bound")
 
     def with_data(self, rhs=None, col_lower=None, col_upper=None):
         """This problem with another rhs and column bounds, where given.
@@ -198,16 +205,6 @@ class LpProblem:
             self._workspace.append((full, full.T))
         return self._workspace[0]
 
-    def row_name(self, i):
-        if self.row_names is not None:
-            return self.row_names[i]
-        return f"R{i + 1:04d}"
-
-    def col_name(self, j):
-        if self.col_names is not None:
-            return self.col_names[j]
-        return f"C{j + 1:04d}"
-
 
 def _read_only(a):
     a.flags.writeable = False
@@ -215,23 +212,23 @@ def _read_only(a):
 
 
 def _csc(triplets, m, n):
-    """The m x n CSC matrix of (rows, cols, vals) arrays or of an iterable
-    of (row, col, val) entries, checked and made canonical."""
+    """The m x n CSC matrix of (row, col, value) entries, a sequence of
+    triples or one (nnz, 3) array, checked and made canonical."""
     import scipy.sparse as sp
 
-    if isinstance(triplets, tuple) and len(triplets) == 3:
-        rows, cols, vals = triplets
-    else:
-        trip = list(triplets)
-        rows, cols, vals = zip(*trip) if trip else ((), (), ())
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=float)
-    if rows.size:
-        if rows.min() < 0 or rows.max() >= m:
-            raise LpError("triplet row index out of range")
-        if cols.min() < 0 or cols.max() >= n:
-            raise LpError("triplet column index out of range")
+    entries = np.asarray(triplets, dtype=float)
+    if entries.shape == (0,):  # an empty sequence
+        entries = entries.reshape(0, 3)
+    if entries.ndim != 2 or entries.shape[1] != 3:
+        raise LpError(f"matrix entries must be (row, col, value) triples, not {entries.shape}")
+    index = entries[:, :2]
+    if not np.array_equal(index, np.trunc(index)):  # NaN fails too
+        raise LpError("triplet index is not an integer")
+    for k, (axis, size) in enumerate((("row", m), ("column", n))):
+        if np.any((index[:, k] < 0) | (index[:, k] >= size)):
+            raise LpError(f"triplet {axis} index out of range")
+    rows, cols = index.astype(np.int64).T
+    vals = entries[:, 2]
     if not np.all(np.isfinite(vals)):
         raise LpError("NaN or infinite coefficient in matrix")
     # sorts by (column, row) and sums duplicates
@@ -248,7 +245,8 @@ class SolverStats:
 
     `warm_starts` counts LPs started from a given basis, `warm_fallbacks`
     those of them that went on to the cold path; iterations spent before
-    a fallback stay counted.
+    a fallback stay counted.  `nodes` counts branch-and-bound node LPs,
+    the root included; a plain LP solve leaves it at 0.
     """
     phase1_iterations: int = 0
     phase2_iterations: int = 0
@@ -257,6 +255,7 @@ class SolverStats:
     bland_switches: int = 0
     warm_starts: int = 0
     warm_fallbacks: int = 0
+    nodes: int = 0
 
     @property
     def iterations(self):
@@ -282,12 +281,18 @@ class LpSolution:
     x: np.ndarray | None = None
     duals: np.ndarray | None = None
     objective: float = np.nan
-    iterations: int = 0
-    nodes: int = 0
     best_bound: float = np.nan
     infeasible_rows: list = field(default_factory=list)
     basis: Basis | None = None  # the final basis of an optimal LP solve
     stats: SolverStats = field(default_factory=SolverStats)
+
+    @property
+    def iterations(self):
+        return self.stats.iterations
+
+    @property
+    def nodes(self):
+        return self.stats.nodes
 
     @property
     def ok(self):

@@ -588,7 +588,7 @@ def solve_lp(problem: LpProblem, settings: SolveSettings | None = None,
         try:
             core = _Core(problem, settings, stats, start=basis)
             if core.dual(core.objective) == "limit":
-                sol = LpSolution(status="limit", iterations=core.iterations)
+                sol = LpSolution(status="limit")
             else:
                 sol = _phase2(core, problem)
         except (_NoWarmStart, LpError) as e:
@@ -612,16 +612,14 @@ def _two_phase(core, problem, settings):
         phase1[core.n + core.m :] = 1.0
         status = core.run(phase1, phase=1)
         if status == "limit":
-            return LpSolution(status="limit", iterations=core.iterations)
+            return LpSolution(status="limit")
         core.cleanup()
         art_vals = core.x[core.n + core.m :]
         if art_vals.sum() > settings.feasibility_tol * scale:
             rows = sorted(
                 int(core.art_row[k]) for k in np.nonzero(art_vals > settings.feasibility_tol)[0]
             )
-            return LpSolution(
-                status="infeasible", iterations=core.iterations, infeasible_rows=rows
-            )
+            return LpSolution(status="infeasible", infeasible_rows=rows)
         # pin artificials at zero for phase 2
         core.lo[core.n + core.m :] = 0.0
         core.hi[core.n + core.m :] = 0.0
@@ -635,7 +633,7 @@ def _phase2(core, problem):
     proves optimality the same way for cold and warm starts."""
     status = core.run(core.objective, phase=2)
     if status != "optimal":  # limit or unbounded
-        return LpSolution(status=status, iterations=core.iterations)
+        return LpSolution(status=status)
 
     core.cleanup()
     y = core.btran(core.objective[core.basis])
@@ -645,7 +643,6 @@ def _phase2(core, problem):
         x=x,
         duals=y,
         objective=float(problem.objective @ x),
-        iterations=core.iterations,
         basis=core.final_basis(),
     )
 

@@ -405,8 +405,14 @@ def save_json(scenario_set: ScenarioSet, path):
     )
 
 
+def reject_constant(name):
+    """json's parse_constant hook: NaN and +-Infinity are not JSON numbers."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_json(path) -> ScenarioSet:
-    return scenario_set_from_dict(json.loads(Path(path).read_text()))
+    return scenario_set_from_dict(
+        json.loads(Path(path).read_text(), parse_constant=reject_constant))
 
 
 def save_csv_bundle(scenario_set: ScenarioSet, directory):

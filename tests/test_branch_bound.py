@@ -82,6 +82,23 @@ def test_infeasible_milp_detected():
     assert solve_milp(p).status == "infeasible"
 
 
+def test_node_and_iteration_counts_are_the_stats():
+    rng = np.random.default_rng(17)
+    value, weight = rng.uniform(1, 10, 6), rng.uniform(1, 6, 6)
+    p = build(-value, weight[None, :], ["<="], [float(weight.sum()) * 0.5],
+              np.zeros(6), np.ones(6), binary_cols=range(6))
+    sol = solve_milp(p)
+    assert sol.status == "optimal" and sol.stats.nodes >= 3  # it branches
+    assert sol.nodes == sol.stats.nodes
+    assert sol.iterations == sol.stats.iterations
+    # a root that is already infeasible is one node
+    infeasible = build([1.0], [[1.0], [1.0]], [">=", "<="], [1.5, 0.2], [0.0], [1.0],
+                       binary_cols=[0])
+    root = solve_milp(infeasible)
+    assert (root.status, root.nodes) == ("infeasible", 1)
+    assert root.iterations == root.stats.iterations > 0
+
+
 def test_node_limit_yields_limit_status():
     rng = np.random.default_rng(31)
     n = 8

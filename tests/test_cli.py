@@ -87,7 +87,9 @@ def test_usage_errors_return_two_and_help_returns_zero(capsys, argv, code):
     ({**SWEEP, "formulation": {"parking_mode": "decision-binary"}}, [], "parking_mode"),
     ({**SWEEP, "solver": {"iteration_limit": "10"}}, [], "iteration_limit"),
     ({**SWEEP, "solver": {"node_limit": -1}}, [], "node_limit"),
-    ({**SWEEP, "solver": {"mip_gap": float("nan")}}, [], "mip_gap"),
+    ({**SWEEP, "solver": {"mip_gap": float("nan")}}, [], "m.json: invalid JSON: NaN is not"),
+    ({**SWEEP, "solver": {"feasibility_tol": float("inf")}}, [],
+     "m.json: invalid JSON: Infinity is not"),
     ({**SWEEP, "write_mps": "false"}, [], "write_mps"),
     ({**SWEEP, "seed": -1}, [], "seed"),
     ({**SWEEP, "seed": True}, [], "seed"),
@@ -99,9 +101,9 @@ def test_usage_errors_return_two_and_help_returns_zero(capsys, argv, code):
     ({**SWEEP, "levels": [0.5, True]}, [], "levels[1]"),
 ], ids=["not-an-object", "keep-not-a-number", "level-not-a-number", "formulation-not-an-object",
         "exclusivity-string", "penalty-string", "penalty-bool", "parking-mode",
-        "iteration-limit-string", "node-limit-negative", "mip-gap-nan", "write-mps-string",
-        "seed-negative", "seed-bool", "generate-string", "keep-fraction", "width-string",
-        "width-fraction", "level-string", "level-bool"])
+        "iteration-limit-string", "node-limit-negative", "mip-gap-nan", "feasibility-tol-infinity",
+        "write-mps-string", "seed-negative", "seed-bool", "generate-string", "keep-fraction",
+        "width-string", "width-fraction", "level-string", "level-bool"])
 def test_malformed_manifest_exits_two(tmp_path, capsys, document, flags, names):
     write_inputs(tmp_path)
     (tmp_path / "m.json").write_text(json.dumps(document))
@@ -282,6 +284,38 @@ def test_negative_scenario_probability_exits_two(tmp_path, capsys, via):
     assert not (tmp_path / "out").exists()
 
 
+def test_genspec_infinity_exits_two(tmp_path, capsys):
+    spec = json.loads((DEMO_DATA / "genspec.json").read_text())
+    spec["solar_sigma"] = float("inf")
+    (tmp_path / "gen.json").write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(DEMO_DATA / "config.json"),
+                 "--genspec", str(tmp_path / "gen.json"), "--generate", "20",
+                 "--keep", "2", "--out", str(out)]) == 2
+    assert "gen.json: invalid JSON: Infinity is not a JSON number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("via", ["scenarios-reduce", "manifest-scenarios"])
+def test_nan_in_scenario_file_exits_two(tmp_path, capsys, via):
+    # a NaN solar entry once passed loading and failed reduction on the probabilities
+    config, gen = write_inputs(tmp_path)
+    assert main(["scenarios", "generate", "--config", str(config), "--genspec", str(gen),
+                 "--generate", "4", "--out", str(tmp_path / "bundle")]) == 0
+    data = json.loads((tmp_path / "bundle" / "scenarios.json").read_text())
+    data["scenarios"][2]["solar"][1] = float("nan")
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    if via == "scenarios-reduce":
+        code = main(["scenarios", "reduce", "--input", str(tmp_path / "bad.json"),
+                     "--keep", "2", "--out", str(tmp_path / "out")])
+    else:
+        code = run_on_scenario_file(tmp_path, tmp_path / "bad.json")
+    assert code == 2
+    assert "bad.json: NaN is not a JSON number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_scenario_file_exits_two(tmp_path, capsys):
     assert run_on_scenario_file(tmp_path, tmp_path / "nope.json") == 2
     assert "nope.json" in capsys.readouterr().err
@@ -350,12 +384,28 @@ def test_config_failing_validation_exits_two(tmp_path, capsys):
     (lambda c: c["phevs"][0].update(e_min="4"), "phevs[0].e_min: expected a number"),
     (lambda c: c["chp_units"][0].update(p_max=None), "chp_units[0].p_max: expected a number"),
     (lambda c: c["tariff"]["price_buy"].__setitem__(3, float("nan")),
-     "invalid config: tariff.price_buy contains NaN"),
-    (lambda c: c["base_heat"].__setitem__(3, float("nan")), "invalid config: base_heat contains NaN"),
+     "config.json: invalid JSON: NaN is not a JSON number"),
+    (lambda c: c["base_heat"].__setitem__(3, float("nan")),
+     "config.json: invalid JSON: NaN is not a JSON number"),
     (lambda c: c.update(solar_capacity=float("nan")),
-     "invalid config: solar_capacity contains NaN"),
+     "config.json: invalid JSON: NaN is not a JSON number"),
+    # Python's json module writes and reads these constants; JSON has none
+    (lambda c: c["tariff"]["price_buy"].__setitem__(3, float("inf")),
+     "config.json: invalid JSON: Infinity is not a JSON number"),
+    (lambda c: c["base_power"].__setitem__(0, float("inf")),
+     "config.json: invalid JSON: Infinity is not a JSON number"),
+    (lambda c: c["tariff"]["exchange_cap"].__setitem__(5, float("inf")),
+     "config.json: invalid JSON: Infinity is not a JSON number"),
+    (lambda c: c["phevs"][0].update(e_max=float("inf")),
+     "config.json: invalid JSON: Infinity is not a JSON number"),
+    (lambda c: c.update(solar_capacity=float("inf")),
+     "config.json: invalid JSON: Infinity is not a JSON number"),
+    (lambda c: c.update(solar_capacity=-float("inf")),
+     "config.json: invalid JSON: -Infinity is not a JSON number"),
 ], ids=["count-string", "horizon-string", "e_min-string", "p_max-null", "price_buy-nan",
-        "base_heat-nan", "solar_capacity-nan"])
+        "base_heat-nan", "solar_capacity-nan", "price_buy-infinity", "base_power-infinity",
+        "exchange_cap-infinity", "e_max-infinity", "solar_capacity-infinity",
+        "solar_capacity-minus-infinity"])
 def test_config_value_of_the_wrong_type_or_nan_exits_two(tmp_path, capsys, breaker, message):
     config = json.loads((DEMO_DATA / "config.json").read_text())
     breaker(config)
@@ -552,6 +602,20 @@ def test_run_twice_byte_identical(tmp_path):
     a = (tmp_path / "r1" / "solution.json").read_bytes()
     b = (tmp_path / "r2" / "solution.json").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("flags", [[], ["--exclusivity"]], ids=["lp", "exclusivity"])
+def test_trace_counts_are_the_solve_counts(tmp_path, flags):
+    config, gen = write_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--genspec", str(gen), "--generate", "4",
+                 "--keep", "2", *flags, "--out", str(out)]) == 0
+    solve = json.loads((out / "solution.json").read_text())["solve"]
+    trace = json.loads((out / "trace.json").read_text())["solver"]
+    assert trace["nodes"] == solve["nodes"]
+    assert (solve["nodes"] > 0) == bool(flags)  # 0 without branch-and-bound
+    assert solve["iterations"] == sum(trace[f"{kind}_iterations"]
+                                      for kind in ("phase1", "phase2", "dual"))
 
 
 def test_exclusivity_flag_runs_milp(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -262,10 +263,12 @@ def test_integral_floats_are_accepted_where_integers_are_expected():
 def test_nan_values_fail_validation_by_name(tmp_path, breaker, field):
     data = sample_dict()
     breaker(data)
-    assert set(validate_config(config_from_dict(data)).codes()) == {"VALUE_NAN"}
+    report = validate_config(config_from_dict(data))
+    assert set(report.codes()) == {"VALUE_NAN"}
+    assert re.fullmatch(f"{field} contains NaN", "; ".join(i.message for i in report.errors))
     p = tmp_path / "config.json"
-    p.write_text(json.dumps(data))  # JSON's NaN literal, as Python's json module reads it
-    with pytest.raises(IngestError, match=f"invalid config: {field} contains NaN"):
+    p.write_text(json.dumps(data))  # Python's json module writes NaN, which is not JSON
+    with pytest.raises(IngestError, match=r"config\.json: invalid JSON: NaN is not a JSON number"):
         load_config(p)
 
 

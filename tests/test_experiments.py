@@ -82,7 +82,7 @@ def test_decomposed_solve_matches_full_lp():
     rep = check_point(problem, schedule_to_vector(sched, index), SolveSettings().feasibility_tol)
     assert report.max_row_violation == rep.max_row_violation
     assert report.max_bound_violation == rep.max_bound_violation
-    assert report.row_violations == {problem.row_name(i): v
+    assert report.row_violations == {problem.row_names[i]: v
                                      for i, v in rep.row_violations.items()}
 
 

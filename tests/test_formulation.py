@@ -328,7 +328,8 @@ def test_exclusivity_milp_matches_mode_pattern_enumeration():
             j = index.columns("mode")[0, t, 0]
             lo[j] = hi[j] = v
         fixed = LpProblem(problem.n_cols, problem.n_rows, problem.objective,
-                          (problem.tri_rows, problem.tri_cols, problem.tri_vals),
+                          np.column_stack((problem.tri_rows, problem.tri_cols,
+                                           problem.tri_vals)),
                           problem.row_sense, problem.rhs, lo, hi)
         sol = solve_lp(fixed)
         if sol.status == "optimal":

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mgsched.lpcore import (
+    LpError,
     LpProblem,
     MpsFormatError,
     export_mps,
@@ -122,6 +123,14 @@ ENDATA
     assert 1 in p.binary_cols
     # two-pairs-per-line form parsed
     assert p.tri_vals.tolist() == [1.0, 1.0]
+
+
+def test_nan_bound_token_rejected():
+    text = export_mps(golden_single()).replace(" UP BND       C0001     10.0",
+                                               " UP BND       C0001     nan")
+    assert "nan" in text
+    with pytest.raises(LpError, match="NaN column bound"):
+        parse_mps(text)
 
 
 def test_parser_rejects_garbage():

@@ -42,6 +42,10 @@ def test_triplets_are_canonicalized():
     (dict(triplets=[(0, 0, np.nan)]), "NaN"),
     (dict(col_lower=[5.0, 5.0], col_upper=[0.0, 0.0]), "col_lower"),
     (dict(row_sense=["<=="]), "sense"),  # would pass if cut to two characters first
+    (dict(triplets=[(0, 0.5, 1.0)]), "not an integer"),
+    (dict(triplets=np.array([[0.0, 0.0]])), r"\(row, col, value\) triples"),
+    (dict(col_lower=[np.nan, 0.0]), "NaN column bound"),
+    (dict(col_upper=[1.0, np.nan]), "NaN column bound"),
 ])
 def test_malformed_problems_rejected(mutate, msg):
     base = dict(
@@ -51,6 +55,44 @@ def test_malformed_problems_rejected(mutate, msg):
     base.update(mutate)
     with pytest.raises(LpError, match=msg):
         LpProblem(**base)
+
+
+def test_matrix_entries_are_triples_in_every_form():
+    # a tuple of exactly three entries once read as (rows, cols, vals)
+    entries = [(0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.0)]
+
+    def matrix(triplets):
+        return LpProblem(3, 3, [0.0] * 3, triplets, ["="] * 3, [1.0] * 3, [0.0] * 3,
+                         [1.0] * 3).matrix_csc().toarray()
+
+    assert matrix(entries).tolist() == np.diag([1.0, 2.0, 3.0]).tolist()
+    assert matrix(tuple(entries)).tolist() == matrix(entries).tolist()
+    assert matrix(np.array(entries)).tolist() == matrix(entries).tolist()
+
+
+def test_unnamed_problem_has_default_names_shared_by_copies():
+    p = LpProblem(2, 2, [1.0, 2.0], [(0, 0, 1.0), (1, 1, 1.0)], ["=", "="], [1.0, 1.0],
+                  [0.0, 0.0], [5.0, 5.0])
+    assert p.row_names == ["R0001", "R0002"]
+    assert p.col_names == ["C0001", "C0002"]
+    q = p.with_data(rhs=[2.0, 2.0])
+    assert q.row_names is p.row_names and q.col_names is p.col_names
+
+
+def test_nan_bounds_rejected_by_with_data():
+    # solve_lp once took a NaN lower bound as "optimal" at the upper bound
+    p = LpProblem(1, 1, [1.0], [(0, 0, 1.0)], [">="], [1.0], [0.0], [5.0])
+    for bounds in (dict(col_lower=[np.nan]), dict(col_upper=[np.nan])):
+        with pytest.raises(LpError, match="NaN column bound"):
+            p.with_data(**bounds)
+
+
+@pytest.mark.parametrize("name", ["feasibility_tol", "optimality_tol", "integrality_tol",
+                                  "mip_gap"])
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0])
+def test_solver_tolerances_must_be_positive_and_finite(name, value):
+    with pytest.raises(LpError, match=f"{name} must be positive and finite"):
+        SolveSettings(**{name: value})
 
 
 @pytest.mark.parametrize("rhs", [np.inf, -np.inf])
