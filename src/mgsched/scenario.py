@@ -12,10 +12,12 @@ empty set, repeatedly add the scenario that minimizes the
 probability-weighted distance between the full set and the kept set,
 then move each discarded scenario's probability to its nearest kept
 neighbour.  Candidates within a relative 1e-12 of the minimum are tied
-and go to the lowest index.  The S x S distance matrix is the only array
-of that size: it is built in place, and each greedy step updates the
-candidates' distances from just the rows of it that the last pick
-brought closer, a band of rows at a time.
+and go to the lowest index.  The S x S distance matrix is the only large
+array: the feature matrix is filled in place and freed once its Gram
+product is taken, the product becomes distances in place, and each
+greedy step updates the candidates' distances from just the rows of it
+that the last pick brought closer.  Both passes over the matrix work in
+blocks of a few dozen rows, each through one reused buffer of about 1 MB.
 
 Every scenario draws from its own substream seeded by (seed, index), so
 generation is reproducible regardless of chunking or parallelism; the
@@ -187,9 +189,11 @@ def generate(spec: GenerationSpec, config: MicrogridConfig, count: int) -> Scena
 # --------------------------------------------------------------------------
 # distances and reduction
 
-# Rows per band in the distance matrix and in the greedy update: bounds
-# the S-wide temporaries at _BAND_ROWS x S.
-_BAND_ROWS = 256
+# Rows per block in the distance matrix and in the greedy update.  Each
+# pass reuses one _BAND_ROWS x S buffer (768 kB at S = 3000), so the S x S
+# distance matrix stays the only large array; a few dozen rows per block
+# keep numpy's per-call overhead small.
+_BAND_ROWS = 32
 
 # Relative tolerance under which two greedy candidates count as tied.
 _TIE_RTOL = 1e-12
@@ -222,12 +226,16 @@ class DistanceWeights:
 
 
 def _feature_matrix(scenario_set: ScenarioSet, weights: DistanceWeights) -> np.ndarray:
-    blocks = [
-        weights.solar * scenario_set.solar,
-        weights.parking * scenario_set.parking.reshape(len(scenario_set), -1),
-        weights.deferrable * scenario_set.deferrable_energy,
-    ]
-    return np.hstack([b for b in blocks if b.size])
+    S = len(scenario_set)
+    blocks = [(weights.solar, scenario_set.solar),
+              (weights.parking, scenario_set.parking.reshape(S, -1)),
+              (weights.deferrable, scenario_set.deferrable_energy)]
+    X = np.empty((S, sum(a.shape[1] for _, a in blocks)))
+    lo = 0
+    for w, a in blocks:  # each weighted block straight into its columns
+        np.multiply(w, a, out=X[:, lo:lo + a.shape[1]])
+        lo += a.shape[1]
+    return X
 
 
 def scenario_distance(scenario_set: ScenarioSet, i: int, j: int,
@@ -245,19 +253,27 @@ def scenario_distance(scenario_set: ScenarioSet, i: int, j: int,
 def _distance_matrix(scenario_set: ScenarioSet, weights: DistanceWeights) -> np.ndarray:
     """Pairwise distances sqrt(max(|x_i|^2 + |x_j|^2 - 2 x_i.x_j, 0)).
 
-    The Gram matrix is the only S x S allocation: it is doubled and then
-    turned into distances in place, one band of rows at a time, so each
-    element sees the same operations in the same order as the one-shot
-    formula.  The Gram product itself is not banded, because a banded
-    gemm rounds differently.
+    The Gram matrix is the only S x S allocation, and the feature matrix
+    is freed as soon as its Gram product is taken.  The squared row norms,
+    and then the distances, are taken _BAND_ROWS rows at a time: the Gram
+    matrix is doubled and turned into distances in place, through one
+    reused buffer, so each element sees the same operations in the same
+    order as the one-shot formula.  The Gram product itself is not banded,
+    because a banded gemm rounds differently.
     """
     X = _feature_matrix(scenario_set, weights)
-    sq = (X**2).sum(axis=1)
+    S = len(X)
+    sq = np.empty(S)
+    for lo in range(0, S, _BAND_ROWS):
+        np.square(X[lo:lo + _BAND_ROWS]).sum(axis=1, out=sq[lo:lo + _BAND_ROWS])
     d = X @ X.T
+    del X
     d *= 2.0
-    for lo in range(0, len(sq), _BAND_ROWS):
+    buf = np.empty((min(_BAND_ROWS, S), S))
+    for lo in range(0, S, _BAND_ROWS):
         band = d[lo:lo + _BAND_ROWS]
-        np.subtract(sq[lo:lo + _BAND_ROWS, None] + sq[None, :], band, out=band)
+        sums = np.add(sq[lo:lo + _BAND_ROWS, None], sq[None, :], out=buf[:len(band)])
+        np.subtract(sums, band, out=band)
         np.maximum(band, 0.0, out=band)
         np.sqrt(band, out=band)
     np.fill_diagonal(d, 0.0)
@@ -312,8 +328,11 @@ def reduce_fast_forward(scenario_set: ScenarioSet, keep: int,
     z is updated incrementally: a pick lowers dmin only on some rows, and
     for each such row, with new <= old, min(new, c) - min(old, c) equals
     new - clip(c, new, old).  So a step reads only the changed rows of C,
-    a band of rows at a time into one reused buffer, and the only S x S
-    array in memory is C itself.
+    _BAND_ROWS of them at a time, clipped into one reused buffer (straight
+    from C when a block's rows are contiguous, else through a gather into
+    the same buffer), and the only S x S array in memory is C itself.
+    The block size sets only the order in which z sums a step's rows, a
+    rounding-level difference that the tie tolerance absorbs.
     """
     S = len(scenario_set)
     if not (1 <= keep <= S):
@@ -339,10 +358,14 @@ def reduce_fast_forward(scenario_set: ScenarioSet, keep: int,
             for lo in range(0, rows.size, _BAND_ROWS):
                 r = rows[lo:lo + _BAND_ROWS]
                 band = buf[:r.size]
-                # r is in range (flatnonzero), so "clip" never clips; it lets
-                # take write into `band` directly, where "raise" buffers it
-                np.take(C, r, axis=0, out=band, mode="clip")
-                np.clip(band, new[r, None], dmin[r, None], out=band)
+                if r[-1] - r[0] == r.size - 1:  # contiguous: read C in place
+                    src = C[r[0]:r[-1] + 1]
+                else:
+                    # r is in range (flatnonzero), so "clip" never clips; it
+                    # lets take write into `band` directly, where "raise"
+                    # buffers it
+                    src = np.take(C, r, axis=0, out=band, mode="clip")
+                np.clip(src, new[r, None], dmin[r, None], out=band)
                 z += p[r] @ new[r] - p[r] @ band
         dmin = new
 

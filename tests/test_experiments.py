@@ -86,6 +86,24 @@ def test_decomposed_solve_matches_full_lp():
                                      for i, v in rep.row_violations.items()}
 
 
+def test_infeasible_block_rows_carry_their_scenario_index():
+    # scenario 1 asks every deferrable load for more energy than its window
+    # can deliver; its block is a copy of scenario 0's template, whose row
+    # names end in _s0, so the reported names must be shifted to _s1
+    data = Path(__file__).resolve().parents[1] / "demos" / "data"
+    config = load_config(data / "config.json")
+    spec = load_generation_spec(data / "genspec.json")
+    _, e_hi = config.deferrables.energy_band(config.period_hours)
+    T = config.horizon
+    ss = ScenarioSet(np.full(2, 0.5), np.tile(spec.solar_profile_mean, (2, 1)),
+                     np.ones((2, config.n_phev, T)),
+                     np.stack([config.deferrables.energy_nominal, 1.5 * e_hi]))
+    with pytest.raises(InfeasibleProblem) as err:
+        solve_stochastic(config, ss)
+    assert err.value.rows
+    assert all(name.endswith("_s1") for name in err.value.rows), err.value.rows
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(T=st.integers(1, 4), n_chp=st.integers(1, 2), n_phev=st.integers(0, 2),
        n_def=st.integers(0, 2), weights=st.lists(st.integers(1, 5), min_size=2, max_size=4),

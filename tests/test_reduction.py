@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import make_config, make_genspec
 from mgsched.config_io import load_config, load_generation_spec
 from mgsched.scenario import (
+    _BAND_ROWS,
     DistanceWeights,
     ScenarioSet,
     _distance_matrix,
@@ -223,7 +224,9 @@ def test_demo_reduction_matches_golden():
 @pytest.mark.parametrize("T, n_phev, n_def, S", [
     (24, 5, 2, 700),    # demo shape: 146 features
     (24, 50, 5, 300),   # fleet shape: 1229 features
-], ids=["demo", "fleet"])
+    # set sizes at the edges of the row blocks
+    *((24, 5, 2, S) for S in (1, _BAND_ROWS - 1, _BAND_ROWS, _BAND_ROWS + 1)),
+], ids=["demo", "fleet", "one", "block-1", "block", "block+1"])
 def test_distance_matrix_is_the_one_shot_formula(T, n_phev, n_def, S):
     cfg = make_config(T=T, n_phev=n_phev, n_def=n_def)
     ss = generate(make_genspec(cfg, seed=S), cfg, S)
@@ -239,17 +242,20 @@ def test_distance_matrix_is_the_one_shot_formula(T, n_phev, n_def, S):
 
 
 def test_reduction_holds_one_distance_matrix():
-    # the greedy loop works in row bands: its traced peak stays within
-    # half a matrix of the S x S distance matrix itself
+    # the distance matrix and the greedy loop work in small row blocks:
+    # the traced peak is the S x S distance matrix, the S x F feature
+    # matrix it is taken from, and at most 1 MiB of blocks and vectors
     S = 2000
     ss = demo_set(S, 3)
+    F = _feature_matrix(ss, DistanceWeights.from_set(ss)).shape[1]
     tracemalloc.start()
     try:
         reduce_fast_forward(ss, 25)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 8 * S * S, f"peak {peak / (8 * S * S):.2f} x S^2 doubles"
+    extra = peak - 8 * S * S - 8 * S * F
+    assert extra < 2**20, f"peak exceeds S^2 + S*F doubles by {extra / 2**20:.2f} MiB"
 
 
 def test_kantorovich_distance_holds_one_difference_at_a_time():
