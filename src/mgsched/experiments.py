@@ -6,21 +6,20 @@ stochastic-versus-deterministic comparison.
 no decision is shared across scenarios, so the deterministic equivalent
 separates by scenario, binaries or not, and each scenario is a block
 weighted by its probability; in day-ahead-chp mode, and for a single
-scenario, the whole set is one block.  LP blocks differ only in rhs and
-bounds, so one is built as a template and each block is that template
-with its scenario's rhs and bounds; a block with exclusivity binaries is
-built on its own.  Each block is solved, mapped to a schedule and
-checked against its own rows and bounds, and the blocks' schedules are
-joined; the full problem is built only for the joint mode and for MPS
-export.  The deterministic baseline solves the
-probability-weighted mean scenario and its rigid schedule is then priced
-under every scenario at once with `cost_rates`: grid exchange re-adjusts
-within its caps, and anything the rigid plan cannot absorb (parking
-shortfalls, storage excursions, energy mismatches, exchange overflow) is
-charged at a penalty price and flagged.  The solar sweep runs that
-comparison at every level.  Every artifact write is atomic and
-timestamp-free, so identical manifests and seeds produce byte-identical
-outputs.
+scenario, the whole set is one block.  The blocks differ only in rhs
+and bounds, binaries or not, so the first is built as a template and
+each later block is that template with its scenario's rhs and bounds.
+Each block is solved, mapped to a schedule and checked against its own
+rows and bounds, and the blocks' schedules are joined; the full problem
+is built only for the joint mode and for MPS export.  The deterministic
+baseline solves the probability-weighted mean scenario and its rigid
+schedule is then priced under every scenario at once with `cost_rates`:
+grid exchange re-adjusts within its caps, and anything the rigid plan
+cannot absorb (parking shortfalls, storage excursions, energy
+mismatches, exchange overflow) is charged at a penalty price and
+flagged.  The solar sweep runs that comparison at every level.  Every
+artifact write is atomic and timestamp-free, so identical manifests and
+seeds produce byte-identical outputs.
 """
 
 import contextlib
@@ -269,11 +268,10 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
     weighted by its probability: only day-ahead-chp's nonanticipativity
     rows link scenarios (mode binaries and their rows are per scenario).
     Otherwise the whole set is one block of weight 1.
-    LP blocks share the matrix and the costs, so the first block, built
-    once, is the template of all of them: each block is a copy of it with
-    its scenario's rhs and bounds (`formulation.scenario_data`).  The mode
-    rows of exclusivity binaries carry the parking gate in their
-    coefficients, so such a block is built from its scenario.
+    The blocks share the matrix and the costs, mode rows included (the
+    parking gate is in the rate bounds), so the first block, built once,
+    is the template of all of them: each later block is a copy of it with
+    its scenario's rhs and bounds (`formulation.scenario_data`).
     Every block is solved, mapped to a schedule and checked the same
     way: the schedule's embedding (plus the solver's mode binaries)
     against the block's rows and bounds, with row names carrying the
@@ -292,16 +290,13 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
     report = SolveReport(status="optimal", objective=0.0, n_cols=0, n_rows=0,
                          decomposed=decomposed)
     parts = []
-    basis = template = None
-    if decomposed and not options.exclusivity_binaries:
-        template, index = build(config, scenarios.single(0), options)
+    basis = None
+    template, index = build(config, scenarios.single(0) if decomposed else scenarios, options)
+    if decomposed:
         rhs, lower, upper = scenario_data(config, scenarios, options)
     for s, weight in enumerate(weights):
-        if template is None:
-            problem, index = build(config, scenarios.single(s) if decomposed else scenarios,
-                                   options)
-        else:
-            problem = template.with_data(rhs=rhs[s], col_lower=lower[s], col_upper=upper[s])
+        problem = template.with_data(rhs=rhs[s], col_lower=lower[s],
+                                     col_upper=upper[s]) if s else template
         where = f" in scenario {s}" if decomposed else ""
         try:
             sol = (solve_milp(problem, settings) if problem.binary_cols

@@ -133,41 +133,6 @@ def expected_counts(config: MicrogridConfig, n_scenarios: int,
     return {"n_cols": cols, "n_rows": rows}
 
 
-def symbol_audit():
-    """Where each model quantity lives in the formulation.
-
-    One entry per quantity: (quantity, element).  Kept as data so tests
-    and docs can assert the mapping is complete.
-    """
-    return [
-        ("CHP power output", "column kind 'chp'"),
-        ("CHP capacity limits", "bounds of 'chp' columns"),
-        ("CHP production cost", "objective coefficient of 'chp'"),
-        ("power-to-heat ratio", "coefficients of 'heat' rows"),
-        ("PHEV charge rate", "column kind 'charge'"),
-        ("PHEV discharge rate", "column kind 'discharge'"),
-        ("PHEV stored energy", "column kind 'storage'"),
-        ("storage dynamics", "'link' equality rows (rates scaled by period_hours)"),
-        ("storage capacity window", "bounds of 'storage' columns"),
-        ("rate limits gated by parking", "bounds of 'charge'/'discharge' columns"),
-        ("terminal stored energy", "'terminal' equality rows"),
-        ("degradation cost", "objective coefficients of 'charge'/'discharge'"),
-        ("deferrable serving rate", "column kind 'serve'"),
-        ("serving window and rate band", "bounds of 'serve' columns"),
-        ("required energy per load", "'defer_sum' equality rows"),
-        ("grid import/export", "column kinds 'buy'/'sell'"),
-        ("exchange capacity", "bounds of 'buy'/'sell' columns"),
-        ("energy prices", "objective coefficients of 'buy'/'sell'"),
-        ("power balance with solar and base load", "'balance' equality rows"),
-        ("heat demand", "'heat' inequality rows"),
-        ("scenario probability", "objective scaling per scenario"),
-        ("solar output", "right-hand side of 'balance' rows"),
-        ("optional spill", "column kind 'curtail' in 'balance' rows"),
-        ("optional mode binary", "column kind 'mode' with coupling rows"),
-        ("day-ahead CHP coupling", "'nonanticipative' equality rows"),
-    ]
-
-
 def _in_window(config: MicrogridConfig) -> np.ndarray:
     """(T, n_deferrable) mask of the periods in each load's serving window."""
     loads = config.deferrables
@@ -190,12 +155,11 @@ def _scenario_arrays(config: MicrogridConfig, scenarios, options: FormulationOpt
     ev, loads = config.phevs, config.deferrables
     in_window = _in_window(config)
     parking = scenarios.parking.transpose(0, 2, 1)  # (S, T, n_phev)
-    gate_c, gate_d = ev.charge_rate_max * parking, ev.discharge_rate_max * parking
     cap = config.tariff.exchange_cap[:, None]
     bounds = {
         "chp": (config.chp_units.p_min, config.chp_units.p_max),
-        "charge": (0.0, gate_c),
-        "discharge": (0.0, gate_d),
+        "charge": (0.0, ev.charge_rate_max * parking),
+        "discharge": (0.0, ev.discharge_rate_max * parking),
         "storage": (ev.e_min, ev.e_max),
         "serve": (np.where(in_window, loads.rate_min, 0.0), np.where(in_window, loads.rate_max, 0.0)),
         "buy": (0.0, cap),
@@ -208,7 +172,9 @@ def _scenario_arrays(config: MicrogridConfig, scenarios, options: FormulationOpt
     rhs = [link, np.broadcast_to(ev.e_initial, (S, config.n_phev)), scenarios.deferrable_energy,
            config.base_power - scenarios.solar, np.broadcast_to(config.base_heat, (S, T))]
     if options.exclusivity_binaries:
-        rhs.append(np.stack([np.zeros_like(gate_d), gate_d], axis=-1))
+        exc = np.zeros((S, T, config.n_phev, 2))
+        exc[..., 1] = ev.discharge_rate_max
+        rhs.append(exc)
     return bounds, rhs
 
 
@@ -217,10 +183,10 @@ def scenario_data(config: MicrogridConfig, scenarios, options: FormulationOption
     (S, n) in the layout of a one-scenario block: row s holds the rhs and
     bounds of build(config, scenarios.single(s), options).
 
-    A one-scenario block's matrix and costs do not depend on the scenario
-    unless it has exclusivity binaries, whose mode rows carry the parking
-    gate.  So the other blocks are one built block with these rows patched
-    in (`LpProblem.with_data`).
+    A one-scenario block's matrix and costs do not depend on the scenario:
+    the parking gate is in the rate bounds, and the exclusivity rows
+    carry the ungated rates.  So the other blocks are one built block with
+    these rows patched in (`LpProblem.with_data`).
     """
     options = options or FormulationOptions()
     bounds, rhs = _scenario_arrays(config, scenarios, options)
@@ -254,7 +220,6 @@ def build(config: MicrogridConfig, scenarios, options: FormulationOptions | None
         _scenario_arrays(config, scenarios, options)
 
     chp, ev = config.chp_units, config.phevs
-    gate_c, gate_d = bounds["charge"][1], bounds["discharge"][1]
     w = (scenarios.probabilities * h)[:, None, None]
 
     n = index.n_cols
@@ -305,14 +270,15 @@ def build(config: MicrogridConfig, scenarios, options: FormulationOptions | None
     add_rows(">=", heat_rhs, "heat_t{1}_s{0}".format, (S, T),
              (per_period, cols["chp"], chp.alpha))
 
-    # exclusivity: per (s, t, m) a charge row, then a discharge row
+    # exclusivity: per (s, t, m) a charge row, then a discharge row, with
+    # the ungated rates (the bounds gate them), so every scenario's rows match
     mode = cols["mode"]
     if options.exclusivity_binaries:
         chg, dis = np.s_[..., 0], np.s_[..., 1]
         add_rows("<=", exc_rhs[0],
                  lambda s, t, m, k: f"{('exc', 'exd')[k]}_m{m}_t{t}_s{s}", sto.shape + (2,),
-                 (chg, cols["charge"], 1.0), (chg, mode, -gate_c),
-                 (dis, cols["discharge"], 1.0), (dis, mode, gate_d))
+                 (chg, cols["charge"], 1.0), (chg, mode, -ev.charge_rate_max),
+                 (dis, cols["discharge"], 1.0), (dis, mode, ev.discharge_rate_max))
     if options.stage_mode == "day-ahead-chp":
         chp_cols = cols["chp"]
         add_rows("=", 0.0, lambda s, t, i: f"nac_i{i}_t{t}_s{s + 1}", chp_cols[1:].shape,

@@ -238,18 +238,6 @@ def _feature_matrix(scenario_set: ScenarioSet, weights: DistanceWeights) -> np.n
     return X
 
 
-def scenario_distance(scenario_set: ScenarioSet, i: int, j: int,
-                      weights: DistanceWeights | None = None) -> float:
-    """Weighted L2 distance between scenarios i and j of a set, over
-    (solar, flattened parking, deferrable energy)."""
-    weights = weights or DistanceWeights()
-    d2 = 0.0
-    for w, a in ((weights.solar, scenario_set.solar), (weights.parking, scenario_set.parking),
-                 (weights.deferrable, scenario_set.deferrable_energy)):
-        d2 += w**2 * float(((a[i] - a[j]) ** 2).sum())
-    return float(np.sqrt(d2))
-
-
 def _distance_matrix(scenario_set: ScenarioSet, weights: DistanceWeights) -> np.ndarray:
     """Pairwise distances sqrt(max(|x_i|^2 + |x_j|^2 - 2 x_i.x_j, 0)).
 

@@ -4,9 +4,10 @@ These deliberately share no code with mgsched.lpcore: LPs are solved by
 enumerating basic solutions of the equality form over all basis subsets
 and nonbasic bound patterns, MILPs by exhausting binary assignments.
 Only practical for a handful of columns, which is all the tests need.
-The scenario-reduction greedy is re-derived with exact sums, row
-activity bounds one row at a time, and scenario generation one scenario
-at a time.
+The scenario-reduction greedy is re-derived with exact sums, scenario
+distances one pair at a time, row activity bounds one row at a time, and
+scenario generation one scenario at a time.  `symbol_audit` maps each
+model quantity to where the formulation holds it.
 """
 
 import math
@@ -239,6 +240,52 @@ def greedy_reduction(C, p, keep, rtol=1e-12):
         if k not in mass:
             mass[min(kept, key=lambda i: (C[k][i], i))].append(p[k])
     return selected, steps, [math.fsum(mass[i]) for i in kept]
+
+
+def scenario_distance(scenario_set, i, j, weights):
+    """Weighted L2 distance between scenarios i and j of a set, over
+    (solar, flattened parking, deferrable energy): the reference for the
+    reduction's vectorized distance matrix."""
+    d2 = 0.0
+    for w, a in ((weights.solar, scenario_set.solar), (weights.parking, scenario_set.parking),
+                 (weights.deferrable, scenario_set.deferrable_energy)):
+        d2 += w**2 * float(((a[i] - a[j]) ** 2).sum())
+    return float(np.sqrt(d2))
+
+
+def symbol_audit():
+    """Where each model quantity lives in the formulation.
+
+    One entry per quantity: (quantity, element).  Kept as data so a test
+    can assert the mapping is complete.
+    """
+    return [
+        ("CHP power output", "column kind 'chp'"),
+        ("CHP capacity limits", "bounds of 'chp' columns"),
+        ("CHP production cost", "objective coefficient of 'chp'"),
+        ("power-to-heat ratio", "coefficients of 'heat' rows"),
+        ("PHEV charge rate", "column kind 'charge'"),
+        ("PHEV discharge rate", "column kind 'discharge'"),
+        ("PHEV stored energy", "column kind 'storage'"),
+        ("storage dynamics", "'link' equality rows (rates scaled by period_hours)"),
+        ("storage capacity window", "bounds of 'storage' columns"),
+        ("rate limits gated by parking", "bounds of 'charge'/'discharge' columns"),
+        ("terminal stored energy", "'terminal' equality rows"),
+        ("degradation cost", "objective coefficients of 'charge'/'discharge'"),
+        ("deferrable serving rate", "column kind 'serve'"),
+        ("serving window and rate band", "bounds of 'serve' columns"),
+        ("required energy per load", "'defer_sum' equality rows"),
+        ("grid import/export", "column kinds 'buy'/'sell'"),
+        ("exchange capacity", "bounds of 'buy'/'sell' columns"),
+        ("energy prices", "objective coefficients of 'buy'/'sell'"),
+        ("power balance with solar and base load", "'balance' equality rows"),
+        ("heat demand", "'heat' inequality rows"),
+        ("scenario probability", "objective scaling per scenario"),
+        ("solar output", "right-hand side of 'balance' rows"),
+        ("optional spill", "column kind 'curtail' in 'balance' rows"),
+        ("optional mode binary", "column kind 'mode' with coupling rows"),
+        ("day-ahead CHP coupling", "'nonanticipative' equality rows"),
+    ]
 
 
 def row_bounds_by_row(problem):

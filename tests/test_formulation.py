@@ -14,8 +14,8 @@ from mgsched.formulation import (
     extract_schedule,
     scenario_data,
     schedule_to_vector,
-    symbol_audit,
 )
+from mgsched import experiments
 from mgsched.experiments import solve_stochastic
 from mgsched.lpcore import LpProblem, check_point, export_mps, solve_lp, solve_milp
 from mgsched.model import (
@@ -29,6 +29,7 @@ from mgsched.model import (
     evaluate_cost,
 )
 from mgsched.scenario import ScenarioSet, generate
+from oracles import symbol_audit
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -160,13 +161,14 @@ PROBLEM_ARRAYS = ("rhs", "col_lower", "col_upper", "objective", "tri_rows", "tri
                   "tri_vals", "row_sense", "row_names", "col_names")
 
 
-@pytest.mark.parametrize("penalty", [None, 1.0], ids=["plain", "curtailment"])
-def test_patched_template_is_each_scenarios_own_build(penalty):
-    # a fully adaptive LP block is the template with its scenario's rhs and
+@pytest.mark.parametrize("opts", [FormulationOptions(), FormulationOptions(curtailment_penalty=1.0),
+                                  FormulationOptions(exclusivity_binaries=True)],
+                         ids=["plain", "curtailment", "exclusivity"])
+def test_patched_template_is_each_scenarios_own_build(opts, monkeypatch):
+    # a fully adaptive block is the template with its scenario's rhs and
     # bounds; it must be exactly what building that scenario alone gives
     cfg = make_config(T=6, n_chp=2, n_phev=3, n_def=2, period_hours=0.5)
     ss = generate(make_genspec(cfg, seed=8, parking_prob=0.5), cfg, 5)
-    opts = FormulationOptions(curtailment_penalty=penalty)
     template, index = build(cfg, ss.single(0), opts)
     saved = {name: np.array(getattr(template, name)) for name in PROBLEM_ARRAYS}
     rhs, lower, upper = scenario_data(cfg, ss, opts)
@@ -181,16 +183,24 @@ def test_patched_template_is_each_scenarios_own_build(penalty):
         for name in PROBLEM_ARRAYS:
             assert np.array_equal(getattr(block, name), getattr(own, name)), (s, name)
 
-    # the same warm-started block loop with one build per scenario
-    iterations, basis = 0, None
+    # the same block loop with one build per scenario: LP blocks
+    # warm-started from the previous block, MILP blocks cold
+    iterations, nodes, basis = 0, 0, None
     for s in range(len(ss)):
-        sol = solve_lp(build(cfg, ss.single(s), opts)[0], basis=basis)
-        iterations, basis = iterations + sol.iterations, sol.basis
+        own = build(cfg, ss.single(s), opts)[0]
+        sol = solve_milp(own) if own.binary_cols else solve_lp(own, basis=basis)
+        iterations, nodes, basis = iterations + sol.iterations, nodes + sol.nodes, sol.basis
     for block in blocks:  # solving the patched copies writes nothing into the template
-        basis = solve_lp(block, basis=basis).basis
+        basis = (solve_milp(block) if block.binary_cols else solve_lp(block, basis=basis)).basis
+    builds = []
+    monkeypatch.setattr(experiments, "build", lambda *args: builds.append(args) or build(*args))
     _, report = solve_stochastic(cfg, ss, opts)
-    assert report.iterations == iterations
-    assert report.stats.warm_starts == len(ss) - 1
+    assert len(builds) == 1
+    assert (report.iterations, report.nodes) == (iterations, nodes)
+    if not opts.exclusivity_binaries:
+        assert report.stats.warm_starts == len(ss) - 1
+    else:
+        assert nodes > len(ss)  # some block branched
     for name in PROBLEM_ARRAYS:
         assert np.array_equal(getattr(template, name), saved[name]), name
     assert blocks[1].workspace() is template.workspace()
@@ -310,10 +320,14 @@ def test_default_formulation_is_a_pure_lp():
     assert not problem.binary_cols
 
 
-def test_exclusivity_milp_matches_mode_pattern_enumeration():
-    # 1 PHEV over T=3; enumerate all 2^3 charge/discharge mode patterns
+@pytest.mark.parametrize("parking", [[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.5, 1.0, 0.25]],
+                         ids=["parked", "away", "fractional"])
+def test_exclusivity_milp_matches_mode_pattern_enumeration(parking):
+    # 1 PHEV over T=3; enumerate all 2^3 charge/discharge mode patterns.
+    # Fractional parking is the mean scenario's: the rate bounds are
+    # scaled, the mode rows are not
     cfg = make_config(T=3, n_chp=1, n_phev=1, n_def=0)
-    ss = one_scenario([0.0, 150.0, 0.0], np.ones((1, 3)))
+    ss = one_scenario([0.0, 150.0, 0.0], np.array([parking]))
     opts = FormulationOptions(exclusivity_binaries=True)
     problem, index = build(cfg, ss, opts)
     assert len(problem.binary_cols) == 3

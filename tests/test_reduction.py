@@ -20,9 +20,8 @@ from mgsched.scenario import (
     generate,
     kantorovich_distance,
     reduce_fast_forward,
-    scenario_distance,
 )
-from oracles import greedy_reduction
+from oracles import greedy_reduction, scenario_distance
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "reduction"

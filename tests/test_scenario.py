@@ -14,11 +14,10 @@ from mgsched.scenario import (
     load_json,
     save_csv_bundle,
     save_json,
-    scenario_distance,
     scenario_set_from_dict,
     scenario_set_to_dict,
 )
-from oracles import draw_scenarios
+from oracles import draw_scenarios, scenario_distance
 
 BLOCKS = ("probabilities", "solar", "parking", "deferrable_energy")
 
