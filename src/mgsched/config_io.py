@@ -114,21 +114,29 @@ def _require(data: dict, key: str, what: str):
     return data[key]
 
 
-def _fleet(entries, fleet, what):
+def _fleet(entries, fleet, what, horizon):
     """A `fleet` container from a list of unit entries.  Each field is
     parsed per entry with `_number` (an int for the fleet's `int_fields`)
-    and repeated over the entry's optional `count`."""
+    and repeated over the entry's optional `count`.  The formulation gives
+    every unit at least one column per period, and its sparse matrices
+    index with 32-bit integers, so a fleet whose summed count times the
+    horizon reaches 2**31 is an IngestError before anything is allocated."""
     if not isinstance(entries, list):
         raise IngestError(f"{what}: expected a list")
     names = [f.name for f in fields(fleet)]
     columns = {name: [] for name in names}
     counts = []
+    units = 0
     for k, raw in enumerate(entries):
         where = f"{what}[{k}]"
         _object(raw, where)
         count = _number(raw.get("count", 1), int, f"{where}.count")
         if count < 1:
             raise IngestError(f"{where}: count must be >= 1")
+        units += count
+        if units * max(horizon, 1) >= 2**31:
+            raise IngestError(f"{where}.count: {count} units do not fit in memory: the units "
+                              f"of {what} times the horizon ({horizon}) must stay below 2**31")
         unknown = [key for key in raw if key not in columns and key != "count"]
         if unknown:
             raise IngestError(f"{where}: unknown field {unknown[0]!r}")
@@ -159,9 +167,9 @@ def config_from_dict(data: dict, base_dir=".") -> MicrogridConfig:
     return MicrogridConfig(
         horizon=horizon,
         period_hours=_number(data.get("period_hours", 1.0), float, "period_hours"),
-        chp_units=_fleet(data.get("chp_units", []), ChpUnits, "chp_units"),
-        phevs=_fleet(data.get("phevs", []), Phevs, "phevs"),
-        deferrables=_fleet(data.get("deferrables", []), DeferrableLoads, "deferrables"),
+        chp_units=_fleet(data.get("chp_units", []), ChpUnits, "chp_units", horizon),
+        phevs=_fleet(data.get("phevs", []), Phevs, "phevs", horizon),
+        deferrables=_fleet(data.get("deferrables", []), DeferrableLoads, "deferrables", horizon),
         tariff=tariff,
         base_power=_series(_require(data, "base_power", "config"), base_dir, "base_power"),
         base_heat=_series(_require(data, "base_heat", "config"), base_dir, "base_heat"),

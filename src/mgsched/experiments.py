@@ -38,8 +38,8 @@ from .config_io import (IngestError, _number, _object, generation_spec_from_dict
                         load_config, load_generation_spec)
 from .formulation import (FormulationOptions, build, extract_schedule, scenario_data,
                           schedule_to_vector)
-from .lpcore import (LpError, SolverStats, SolveSettings, check_point, export_mps, solve_lp,
-                     solve_milp)
+from .lpcore import (LpError, SolverStats, SolveSettings, check_point, export_mps, float_texts,
+                     solve_lp, solve_milp)
 from .model import (
     MicrogridConfig,
     Schedule,
@@ -434,14 +434,77 @@ def _write_atomic(path: Path, text: str):
     os.replace(tmp, path)
 
 
+def _json_float(v: float) -> str:
+    """A float as json writes it."""
+    if v != v:
+        return "NaN"
+    if v == math.inf:
+        return "Infinity"
+    if v == -math.inf:
+        return "-Infinity"
+    return repr(v)
+
+
+def _json_array(a: np.ndarray, level: int) -> str:
+    """json.dumps(a.tolist(), indent=2) for a float64 array, as it reads
+    where its "[" follows text indented `level` steps: the values joined
+    by one separator string per roll-over depth (how many trailing axes
+    start over between two values)."""
+    if a.ndim == 0 or a.size == 0:  # a number, or lists without numbers
+        return json.dumps(a.tolist(), indent=2).replace("\n", "\n" + "  " * level)
+    k = a.ndim
+
+    def closing(depth):  # close `depth` lists, innermost first
+        return "".join("\n" + "  " * (level + k - 1 - i) + "]" for i in range(depth))
+
+    def opening(depth):  # open `depth` lists below the items of list k - depth
+        return "".join("[\n" + "  " * (level + k - depth + 1 + i) for i in range(depth))
+
+    seps = np.empty(k, dtype=object)
+    seps[:] = [closing(r) + ",\n" + "  " * (level + k - r) + opening(r) for r in range(k)]
+    values = float_texts(a, _json_float).ravel()
+    i = np.arange(1, a.size)
+    depth = sum(i % size == 0 for size in np.cumprod(a.shape[:0:-1]))
+    pieces = np.empty(2 * a.size - 1, dtype=object)
+    pieces[0::2] = values
+    pieces[1::2] = seps[depth]
+    return opening(k) + "".join(pieces.tolist()) + closing(k)
+
+
+def _json_text(payload) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2), where a float64
+    array may stand anywhere for its list: it is written as that list
+    would be, a whole array at a time (`_json_array`)."""
+    arrays = []
+
+    def default(o):
+        if isinstance(o, np.ndarray) and o.dtype == np.float64:
+            arrays.append(o)
+            return ""  # a placeholder, the encoder's next chunk
+        return json.JSONEncoder.default(encoder, o)
+
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, default=default)
+    chunks = []
+    line = ""  # the last chunk that started a line: it ends in the line's indent
+    for chunk in encoder.iterencode(payload):
+        if arrays:
+            indent = line[line.rfind("\n") + 1:]
+            chunk = _json_array(arrays.pop(), (len(indent) - len(indent.lstrip(" "))) // 2)
+        elif "\n" in chunk:
+            line = chunk
+        chunks.append(chunk)
+    return "".join(chunks)
+
+
 def _write_json(path: Path, payload: dict):
-    _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_atomic(path, _json_text(payload) + "\n")
 
 
 def _write_csv(path: Path, header, rows):
+    floats = iter(float_texts([v for row in rows for v in row if isinstance(v, float)]))
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(next(floats) if isinstance(v, float) else str(v) for v in row))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -487,7 +550,10 @@ def run_single(manifest: RunManifest) -> dict:
     """Solve one instance and write solution.json / balance_report.json
     (and problem.mps on request) into the output directory, plus the
     solver counters summed over the run in trace.json, which is kept
-    apart because its content may vary with the solver's version."""
+    apart because its content may vary with the solver's version.
+    Returns solution.json's payload, in which the schedule's fields and
+    the probabilities are float arrays (`_json_text` writes them as
+    lists)."""
     config = load_config(manifest.config_path)
     scenarios, _, reduction = prepare_scenarios(manifest, config)
     out = Path(manifest.out_dir)
@@ -510,7 +576,7 @@ def run_single(manifest: RunManifest) -> dict:
         "evaluated_cost": cost,
         "solve": report.to_dict(),
         "schedule": schedule.to_dict(),
-        "probabilities": scenarios.probabilities.tolist(),
+        "probabilities": scenarios.probabilities,
     }
     if reduction is not None:
         payload["reduction"] = reduction.to_dict()

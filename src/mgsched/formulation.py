@@ -15,7 +15,7 @@ vehicle's final stored energy to its initial value.
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import product
+from string import Formatter
 
 import numpy as np
 
@@ -99,14 +99,26 @@ class VariableIndex:
         names = []
         for kind in COLUMN_KINDS:
             unit = "" if kind in ("buy", "sell", "curtail") else "{2}"
-            names += _labels((short[kind] + unit + "_t{1}_s{0}").format,
-                             self.columns(kind).shape)
+            names += _labels(short[kind] + unit + "_t{1}_s{0}", self.columns(kind).shape)
         return names
 
 
-def _labels(name, shape):
-    """name(*idx) for every index of an array of `shape`, in C order."""
-    return [name(*idx) for idx in product(*map(range, shape))]
+def _labels(template, shape, tables=None):
+    """template.format(*idx) for every index of an array of `shape`, in C
+    order, where `tables` may give the text of an axis's indices in place
+    of str(i).  Each name is a concatenation of per-index strings, made one
+    array axis at a time."""
+    tables = tables or {}
+    names = np.array("", dtype=object)
+    for literal, field, _, _ in Formatter().parse(template):
+        if field is None:
+            names = names + literal
+            continue
+        axis = int(field)
+        text = np.empty(shape[axis], dtype=object)
+        text[:] = [literal + t for t in tables.get(axis, map(str, range(shape[axis])))]
+        names = names + text.reshape([-1 if k == axis else 1 for k in range(len(shape))])
+    return np.broadcast_to(names, shape).ravel().tolist()
 
 
 def expected_counts(config: MicrogridConfig, n_scenarios: int,
@@ -241,33 +253,34 @@ def build(config: MicrogridConfig, scenarios, options: FormulationOptions | None
 
     senses, rhs, names, trips = [], [], [], []
 
-    def add_rows(sense, b, name, shape, *coefs):
-        """Append a row family of `shape`, in C order.  `name(*idx)` labels
-        each row; each coef (rows, cols, vals) is broadcast over ids[rows]."""
+    def add_rows(sense, b, name, shape, *coefs, tables=None):
+        """Append a row family of `shape`, in C order, labelled
+        `_labels(name, shape, tables)`; each coef (rows, cols, vals) is
+        broadcast over ids[rows]."""
         ids = len(senses) + np.arange(np.prod(shape, dtype=int)).reshape(shape)
         senses.extend([sense] * ids.size)
         rhs.append(np.broadcast_to(b, shape).ravel())
-        names.extend(_labels(name, shape))
+        names.extend(_labels(name, shape, tables))
         for where, c, v in coefs:
             trips.append([a.ravel() for a in np.broadcast_arrays(ids[where], c, v)])
 
     every = np.s_[...]
     sto = cols["storage"]
-    add_rows("=", link_rhs, "link_m{2}_t{1}_s{0}".format, sto.shape,
+    add_rows("=", link_rhs, "link_m{2}_t{1}_s{0}", sto.shape,
              (every, sto, 1.0),
              (np.s_[:, 1:], sto[:, :-1], -1.0),
              (every, cols["charge"], -h * ev.eta_charge),
              (every, cols["discharge"], h / ev.eta_discharge))
-    add_rows("=", term_rhs, "term_m{1}_s{0}".format, (S, config.n_phev),
+    add_rows("=", term_rhs, "term_m{1}_s{0}", (S, config.n_phev),
              (every, sto[:, T - 1], 1.0))
-    add_rows("=", dsum_rhs, "dsum_j{1}_s{0}".format,
+    add_rows("=", dsum_rhs, "dsum_j{1}_s{0}",
              (S, config.n_deferrable), (np.s_[:, None], cols["serve"], h * _in_window(config)))
     per_period = np.s_[:, :, None]
-    add_rows("=", bal_rhs, "bal_t{1}_s{0}".format,
+    add_rows("=", bal_rhs, "bal_t{1}_s{0}",
              (S, T), *((per_period, cols[kind], sign) for kind, sign in (
                  ("chp", 1.0), ("discharge", 1.0), ("charge", -1.0), ("buy", 1.0),
                  ("sell", -1.0), ("serve", -1.0), ("curtail", -1.0))))
-    add_rows(">=", heat_rhs, "heat_t{1}_s{0}".format, (S, T),
+    add_rows(">=", heat_rhs, "heat_t{1}_s{0}", (S, T),
              (per_period, cols["chp"], chp.alpha))
 
     # exclusivity: per (s, t, m) a charge row, then a discharge row, with
@@ -275,14 +288,15 @@ def build(config: MicrogridConfig, scenarios, options: FormulationOptions | None
     mode = cols["mode"]
     if options.exclusivity_binaries:
         chg, dis = np.s_[..., 0], np.s_[..., 1]
-        add_rows("<=", exc_rhs[0],
-                 lambda s, t, m, k: f"{('exc', 'exd')[k]}_m{m}_t{t}_s{s}", sto.shape + (2,),
+        add_rows("<=", exc_rhs[0], "{3}_m{2}_t{1}_s{0}", sto.shape + (2,),
                  (chg, cols["charge"], 1.0), (chg, mode, -ev.charge_rate_max),
-                 (dis, cols["discharge"], 1.0), (dis, mode, ev.discharge_rate_max))
+                 (dis, cols["discharge"], 1.0), (dis, mode, ev.discharge_rate_max),
+                 tables={3: ("exc", "exd")})
     if options.stage_mode == "day-ahead-chp":
         chp_cols = cols["chp"]
-        add_rows("=", 0.0, lambda s, t, i: f"nac_i{i}_t{t}_s{s + 1}", chp_cols[1:].shape,
-                 (every, chp_cols[1:], 1.0), (every, chp_cols[:1], -1.0))
+        add_rows("=", 0.0, "nac_i{2}_t{1}_s{0}", chp_cols[1:].shape,
+                 (every, chp_cols[1:], 1.0), (every, chp_cols[:1], -1.0),
+                 tables={0: map(str, range(1, S))})
 
     expect = expected_counts(config, S, options)
     if len(senses) != expect["n_rows"] or n != expect["n_cols"]:

@@ -2,7 +2,7 @@
 revised simplex, branch-and-bound, MPS interchange, and feasibility checks."""
 
 from .branch_bound import solve_milp
-from .mps import MpsFormatError, export_mps, parse_mps
+from .mps import MpsFormatError, export_mps, float_texts, parse_mps
 from .problem import (
     BOUND_INF,
     FeasibilityReport,
@@ -27,6 +27,7 @@ __all__ = [
     "check_point",
     "dual_objective",
     "export_mps",
+    "float_texts",
     "parse_mps",
     "solve_lp",
     "solve_milp",

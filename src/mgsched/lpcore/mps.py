@@ -8,9 +8,14 @@ round-tripping decimal notation and may overflow their nominal field
 width; fields never contain embedded blanks, so any whitespace-delimited
 MPS reader accepts the files.  parse_mps inverts the writer exactly:
 export -> parse -> export is byte-identical.
-"""
 
-import math
+The writer builds each section an array at a time: every line's fields
+are object arrays of shared strings (padded names, one text per distinct
+number from `float_texts`), COLUMNS places each column's objective line
+before its entries by computed positions, BOUNDS merges one mask per line
+kind in column order, and a section's text is one join over its pieces.
+`float_texts` is the number formatter of every artifact writer.
+"""
 
 import numpy as np
 
@@ -26,90 +31,121 @@ class MpsFormatError(ValueError):
     """Unparseable or unsupported MPS content."""
 
 
-def _fmt(v: float) -> str:
-    v = float(v)
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return repr(v)
+def float_texts(values, text=repr):
+    """text(v) for every value of a float array, as an object array of the
+    same shape.  `text` runs once per distinct bit pattern, so -0.0 and 0.0
+    stay apart, and every artifact writer formats its numbers this way."""
+    a = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(a.view(np.int64).ravel(), return_inverse=True)
+    table = np.empty(bits.size, dtype=object)
+    table[:] = [text(v) for v in bits.view(np.float64).tolist()]
+    return table[inverse].reshape(a.shape)
+
+
+def _fmt(values):
+    """The MPS number text of every value, -0.0 written as 0.0."""
+    return float_texts(np.asarray(values, dtype=np.float64) + 0.0)
 
 
 def _pad(s: str, width: int) -> str:
-    return s.ljust(width) if len(s) < width else s + " "
+    return (s + " ").ljust(width)
+
+
+def _lines(*fields) -> str:
+    """The text of lines that each concatenate `fields`, given per line as
+    equal-length sequences or as one string for every line."""
+    n = max((len(f) for f in fields if not isinstance(f, str)), default=0)
+    pieces = np.empty((n, len(fields) + 1), dtype=object)
+    for k, f in enumerate(fields):
+        pieces[:, k] = f
+    pieces[:, -1] = "\n"
+    return "".join(pieces.ravel().tolist())
+
+
+def _strings(values) -> np.ndarray:
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+def _padded(names, width: int) -> np.ndarray:
+    """`_pad(name, width)` of every name, as an object array."""
+    return _strings([(s + " ").ljust(width) for s in names])
 
 
 def export_mps(problem: LpProblem) -> str:
     """Serialize a problem to canonical fixed-format MPS text."""
-    cols = problem.col_names
-    out = []
-    out.append(_pad("NAME", 14) + problem.name)
-    out.append("ROWS")
-    out.append(" N  " + OBJ_NAME)
-    for s, name in zip(problem.row_sense.tolist(), problem.row_names):
-        out.append(f" {SENSE_CODE[s]}  {name}")
-    rows = [_pad(name, 10) for name in problem.row_names]
+    n = problem.n_cols
+    names = _strings(problem.col_names)
+    padded = _padded(problem.col_names, 10)
+    rows = _padded(problem.row_names, 10)
+    code = np.empty(problem.n_rows, dtype=object)
+    for sense, c in SENSE_CODE.items():
+        code[problem.row_sense == sense] = f" {c}  "
+    text = [_pad("NAME", 14) + problem.name + "\nROWS\n N  " + OBJ_NAME + "\n",
+            _lines(code, problem.row_names), "COLUMNS\n"]
 
-    out.append("COLUMNS")
-    # Python scalars throughout: per-element numpy indexing and ufuncs on
-    # scalars cost more than the formatting itself.
+    # per column its objective entry (also the declaration of an empty
+    # column, so bounds can attach to it), then its rows in row order
     A = problem.matrix_csc()
-    start = A.indptr.tolist()
-    tr = A.indices.tolist()
-    tv = A.data.tolist()
-    objective = problem.objective.tolist()
-    for j in range(problem.n_cols):
-        col = "    " + _pad(cols[j], 10)
-        if objective[j] != 0.0:
-            out.append(col + _pad(OBJ_NAME, 10) + _fmt(objective[j]))
-        elif start[j] == start[j + 1]:
-            # declare the column so bounds can attach to it
-            out.append(col + _pad(OBJ_NAME, 10) + "0.0")
-        for k in range(start[j], start[j + 1]):
-            out.append(col + rows[tr[k]] + _fmt(tv[k]))
+    nnz = np.diff(A.indptr)
+    has_obj = (problem.objective != 0.0) | (nnz == 0)
+    counts = nnz + has_obj
+    obj_at = (np.cumsum(counts) - counts)[has_obj]
+    entry = np.ones(counts.sum(), dtype=bool)
+    entry[obj_at] = False
+    row_text = np.empty(entry.size, dtype=object)
+    row_text[obj_at] = _pad(OBJ_NAME, 10)
+    row_text[entry] = rows[A.indices]
+    values = np.empty(entry.size)
+    values[obj_at] = problem.objective[has_obj]
+    values[entry] = A.data
+    text.append(_lines("    ", np.repeat(padded, counts), row_text, _fmt(values)))
 
-    out.append("RHS")
-    for i, r in enumerate(problem.rhs.tolist()):
-        if r != 0.0:
-            out.append("    " + _pad("RHS", 10) + rows[i] + _fmt(r))
+    text.append("RHS\n")
+    i = np.flatnonzero(problem.rhs)
+    text.append(_lines("    " + _pad("RHS", 10), rows[i], _fmt(problem.rhs[i])))
+    if problem.row_range is not None and np.any(problem.row_range):
+        i = np.flatnonzero(problem.row_range)
+        text += ["RANGES\n",
+                 _lines("    " + _pad("RNG", 10), rows[i], _fmt(problem.row_range[i]))]
 
-    if problem.row_range is not None and np.any(problem.row_range != 0.0):
-        out.append("RANGES")
-        for i, r in enumerate(problem.row_range.tolist()):
-            if r != 0.0:
-                out.append("    " + _pad("RNG", 10) + rows[i] + _fmt(r))
-
-    out.append("BOUNDS")
-    lo = problem.lower_inf().tolist()
-    hi = problem.upper_inf().tolist()
-    for j in range(problem.n_cols):
-        name = _pad("BND", 10) + cols[j]
-        namev = _pad("BND", 10) + _pad(cols[j], 10)
-        if j in problem.binary_cols:
-            out.append(" BV " + name)
-            l, u = lo[j], hi[j]
-            if l == u:
-                out.append(" FX " + namev + _fmt(l))
-            else:
-                if l != 0.0:
-                    out.append(" LO " + namev + _fmt(l))
-                if u != 1.0:
-                    out.append(" UP " + namev + _fmt(u))
-            continue
-        l, u = lo[j], hi[j]
-        if l == u:
-            out.append(" FX " + namev + _fmt(l))
-        elif l == -math.inf and u == math.inf:
-            out.append(" FR " + name)
-        elif l == -math.inf:
-            out.append(" MI " + name)
-            out.append(" UP " + namev + _fmt(u))
+    # per column its lines in the order of `kinds`; a kind without a bound
+    # names the column unpadded and writes no value
+    lo, hi = problem.lower_inf(), problem.upper_inf()
+    binary = np.zeros(n, dtype=bool)
+    binary[list(problem.binary_cols)] = True
+    fixed = lo == hi
+    below = ~binary & ~fixed & (lo == -np.inf)  # FR or MI
+    up_finite = np.isfinite(hi)
+    kinds = {
+        "BV": (binary, None),
+        "FX": (fixed, lo),
+        "FR": (below & ~up_finite, None),
+        "MI": (below & up_finite, None),
+        "LO": (~fixed & (lo != 0.0) & (lo != -np.inf), lo),
+        "UP": (~fixed & np.where(binary, hi != 1.0, up_finite), hi),
+    }
+    masks = np.array([mask for mask, _ in kinds.values()])
+    counts = masks.sum(axis=0)
+    line_at = (np.cumsum(counts) - counts) + np.cumsum(masks, axis=0) - masks
+    label = np.empty(counts.sum(), dtype=object)
+    col_text = np.empty(label.size, dtype=object)
+    values = np.zeros(label.size)
+    valued = np.zeros(label.size, dtype=bool)
+    for (kind, (mask, bound)), at in zip(kinds.items(), line_at):
+        at = at[mask]
+        label[at] = f" {kind} " + _pad("BND", 10)
+        if bound is None:
+            col_text[at] = names[mask]
         else:
-            if l != 0.0 or (u < 0.0 and math.isfinite(u)):
-                out.append(" LO " + namev + _fmt(l))
-            if math.isfinite(u):
-                out.append(" UP " + namev + _fmt(u))
-
-    out.append("ENDATA")
-    return "\n".join(out) + "\n"
+            col_text[at] = padded[mask]
+            values[at] = bound[mask]
+            valued[at] = True
+    value_text = _fmt(values)
+    value_text[~valued] = ""
+    text += ["BOUNDS\n", _lines(label, col_text, value_text), "ENDATA\n"]
+    return "".join(text)
 
 
 def parse_mps(text: str) -> LpProblem:

@@ -353,9 +353,9 @@ class Schedule:
 
     def to_dict(self):
         """Every field in solution.json's (unit, period, scenario) layout,
-        (period, scenario) for grid exchange and spill."""
-        return {f.name: np.moveaxis(getattr(self, f.name), 0, -1).tolist()
-                for f in fields(self)}
+        (period, scenario) for grid exchange and spill, as read-only array
+        views (their `tolist()` is the JSON list)."""
+        return {f.name: np.moveaxis(getattr(self, f.name), 0, -1) for f in fields(self)}
 
 
 def derive_storage(config: MicrogridConfig, charge, discharge) -> np.ndarray:

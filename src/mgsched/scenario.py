@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .lpcore import float_texts
 from .model import MicrogridConfig, _freeze
 
 NOISE_MODELS = ("multiplicative-lognormal", "truncated-normal", "empirical")
@@ -431,30 +432,26 @@ def save_csv_bundle(scenario_set: ScenarioSet, directory):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     ss = scenario_set
-    _, n_ev, T = ss.parking.shape
-    n_def = ss.deferrable_energy.shape[1]
+    S, n_ev, T = ss.parking.shape
+    scenario = [str(s) for s in range(S)]
+    periods = [f"t{t + 1}" for t in range(T)]
+    _write_table(directory / "solar.csv", ["scenario", *periods], scenario, ss.solar)
+    _write_table(directory / "parking.csv", ["scenario", "phev", *periods],
+                 [f"{s},{m}" for s in range(S) for m in range(n_ev)],
+                 ss.parking.reshape(S * n_ev, T))
+    _write_table(directory / "deferrable.csv",
+                 ["scenario"] + [f"load{j + 1}" for j in range(ss.deferrable_energy.shape[1])],
+                 scenario, ss.deferrable_energy)
+    _write_table(directory / "probabilities.csv", ["scenario", "probability"], scenario,
+                 ss.probabilities[:, None])
 
-    with open(directory / "solar.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["scenario"] + [f"t{t + 1}" for t in range(T)])
-        for s, row in enumerate(ss.solar):
-            w.writerow([s] + [repr(float(v)) for v in row])
-    with open(directory / "parking.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["scenario", "phev"] + [f"t{t + 1}" for t in range(T)])
-        for s, mat in enumerate(ss.parking):
-            for m in range(n_ev):
-                w.writerow([s, m] + [repr(float(v)) for v in mat[m]])
-    with open(directory / "deferrable.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["scenario"] + [f"load{j + 1}" for j in range(n_def)])
-        for s, row in enumerate(ss.deferrable_energy):
-            w.writerow([s] + [repr(float(v)) for v in row])
-    with open(directory / "probabilities.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["scenario", "probability"])
-        for s, p in enumerate(ss.probabilities):
-            w.writerow([s, repr(float(p))])
+
+def _write_table(path, header, keys, values):
+    """A CSV file as csv.writer writes it (CRLF line ends): the header, then
+    per row its key text and the repr of each of its values."""
+    lines = [",".join(header)]
+    lines += [",".join([key, *row]) for key, row in zip(keys, float_texts(values).tolist())]
+    path.write_text("\r\n".join(lines) + "\r\n", newline="")
 
 
 def load_csv_bundle(directory) -> ScenarioSet:

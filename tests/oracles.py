@@ -7,11 +7,15 @@ Only practical for a handful of columns, which is all the tests need.
 The scenario-reduction greedy is re-derived with exact sums, scenario
 distances one pair at a time, row activity bounds one row at a time, and
 scenario generation one scenario at a time.  `symbol_audit` maps each
-model quantity to where the formulation holds it.
+model quantity to where the formulation holds it.  The artifact writers
+have per-value references: an MPS writer one column at a time and a
+scenario-bundle writer one value at a time.
 """
 
+import csv
 import math
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 
@@ -312,3 +316,102 @@ def row_bounds_by_row(problem):
             if r != 0.0:
                 bhi[i] = b + abs(r)
     return blo, bhi
+
+
+def export_mps_by_column(problem):
+    """Canonical MPS text of an LpProblem, one column and one value at a
+    time: the reference for the section-at-a-time `export_mps`."""
+    def fmt(v):
+        v = float(v)
+        return repr(0.0 if v == 0.0 else v)  # -0.0 is written 0.0
+
+    def pad(s, width):
+        return s.ljust(width) if len(s) < width else s + " "
+
+    codes = {"=": "E", "<=": "L", ">=": "G"}
+    cols = problem.col_names
+    out = [pad("NAME", 14) + problem.name, "ROWS", " N  COST"]
+    for s, name in zip(problem.row_sense.tolist(), problem.row_names):
+        out.append(f" {codes[s]}  {name}")
+    rows = [pad(name, 10) for name in problem.row_names]
+    out.append("COLUMNS")
+    A = problem.matrix_csc()
+    start, tr, tv = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+    objective = problem.objective.tolist()
+    for j in range(problem.n_cols):
+        col = "    " + pad(cols[j], 10)
+        if objective[j] != 0.0:
+            out.append(col + pad("COST", 10) + fmt(objective[j]))
+        elif start[j] == start[j + 1]:
+            out.append(col + pad("COST", 10) + "0.0")
+        for k in range(start[j], start[j + 1]):
+            out.append(col + rows[tr[k]] + fmt(tv[k]))
+    out.append("RHS")
+    for i, r in enumerate(problem.rhs.tolist()):
+        if r != 0.0:
+            out.append("    " + pad("RHS", 10) + rows[i] + fmt(r))
+    if problem.row_range is not None and np.any(problem.row_range != 0.0):
+        out.append("RANGES")
+        for i, r in enumerate(problem.row_range.tolist()):
+            if r != 0.0:
+                out.append("    " + pad("RNG", 10) + rows[i] + fmt(r))
+    out.append("BOUNDS")
+    lo, hi = problem.lower_inf().tolist(), problem.upper_inf().tolist()
+    for j in range(problem.n_cols):
+        name = pad("BND", 10) + cols[j]
+        namev = pad("BND", 10) + pad(cols[j], 10)
+        l, u = lo[j], hi[j]
+        if j in problem.binary_cols:
+            out.append(" BV " + name)
+            if l == u:
+                out.append(" FX " + namev + fmt(l))
+            else:
+                if l != 0.0:
+                    out.append(" LO " + namev + fmt(l))
+                if u != 1.0:
+                    out.append(" UP " + namev + fmt(u))
+        elif l == u:
+            out.append(" FX " + namev + fmt(l))
+        elif l == -math.inf and u == math.inf:
+            out.append(" FR " + name)
+        elif l == -math.inf:
+            out.append(" MI " + name)
+            out.append(" UP " + namev + fmt(u))
+        else:
+            if l != 0.0 or (u < 0.0 and math.isfinite(u)):
+                out.append(" LO " + namev + fmt(l))
+            if math.isfinite(u):
+                out.append(" UP " + namev + fmt(u))
+    out.append("ENDATA")
+    return "\n".join(out) + "\n"
+
+
+def save_csv_bundle_by_value(scenario_set, directory):
+    """A scenario set's CSV bundle through csv.writer, one repr per value:
+    the reference for `scenario.save_csv_bundle`."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    ss = scenario_set
+    _, n_ev, T = ss.parking.shape
+    periods = [f"t{t + 1}" for t in range(T)]
+    with open(directory / "solar.csv", "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["scenario"] + periods)
+        for s, row in enumerate(ss.solar):
+            w.writerow([s] + [repr(float(v)) for v in row])
+    with open(directory / "parking.csv", "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["scenario", "phev"] + periods)
+        for s, mat in enumerate(ss.parking):
+            for m in range(n_ev):
+                w.writerow([s, m] + [repr(float(v)) for v in mat[m]])
+    with open(directory / "deferrable.csv", "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["scenario"] + [f"load{j + 1}" for j in range(ss.deferrable_energy.shape[1])])
+        for s, row in enumerate(ss.deferrable_energy):
+            w.writerow([s] + [repr(float(v)) for v in row])
+    with open(directory / "probabilities.csv", "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["scenario", "probability"])
+        for s, p in enumerate(ss.probabilities):
+            w.writerow([s, repr(float(p))])

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +439,27 @@ def test_fleet_count_beyond_memory_exits_two(tmp_path):
     assert done.returncode == 2, done.stderr
     assert "phevs[0].count: 1000000000000 units do not fit in memory" in done.stderr
     assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+def test_fleet_count_beyond_the_formulation_exits_two_before_allocating(tmp_path, capsys):
+    # 10^8 vehicles over 24 periods pass the 2**31 columns a sparse matrix
+    # index can hold: rejected before any per-vehicle array exists
+    config = json.loads((DEMO_DATA / "config.json").read_text())
+    config["phevs"][0]["count"] = 10**8
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", str(tmp_path / "config.json"),
+                     "--genspec", str(DEMO_DATA / "genspec.json"), "--generate", "4",
+                     "--keep", "2", "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 10 * 2**20
+    assert "phevs[0].count: 100000000 units do not fit in memory" in capsys.readouterr().err
     assert not out.exists()
 
 

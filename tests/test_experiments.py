@@ -2,12 +2,14 @@ import ast
 import dataclasses
 import importlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import assert_same_fleet, make_config, make_genspec, one, unit_entries
 from mgsched import experiments
@@ -454,6 +456,52 @@ def test_run_single_writes_mps_on_request(tmp_path):
     run_single(m)
     text = (tmp_path / "out" / "problem.mps").read_text()
     assert text.startswith("NAME") and text.rstrip().endswith("ENDATA")
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.1]
+json_floats = st.sampled_from(SPECIAL_FLOATS) | st.floats()
+json_arrays = arrays(np.float64, st.sampled_from([(0,), (3, 0), (1,), (1, 1, 1), (2, 3, 4), ()])
+                     | array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+                     elements=json_floats)
+json_payloads = st.recursive(
+    json_arrays | json_floats | json_floats.map(np.float64) | st.booleans() | st.integers()
+    | st.none() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+def as_lists(payload):
+    if isinstance(payload, np.ndarray):
+        return payload.tolist()
+    if isinstance(payload, list):
+        return [as_lists(v) for v in payload]
+    if isinstance(payload, dict):
+        return {k: as_lists(v) for k, v in payload.items()}
+    return payload
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(json_payloads)
+@example({"a": np.array([[0.0, -0.0], [math.nan, -math.inf]]), "b": [np.zeros((3, 0))],
+          "\u00e9\x00\n": [np.float64(-0.0), True, 1, None, np.ones((1, 1, 1)) * 5e-324]})
+@example(np.arange(-12.0, 12.0).reshape(2, 3, 4) * 1e16)
+def test_json_writer_matches_json_dumps_of_the_lists(payload):
+    expected = json.dumps(as_lists(payload), sort_keys=True, indent=2)
+    assert experiments._json_text(payload) == expected
+
+
+def test_json_writer_rejects_what_json_rejects():
+    for value in (np.arange(3), np.int64(1), {1, 2}):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            experiments._json_text({"x": [value]})
+
+
+def test_csv_writer_writes_floats_as_repr(tmp_path):
+    rows = [(1, -0.0, "optimal"), (2, np.float64(0.1), ""), (3, 1e16, "x"), (4, 5e-324, "y")]
+    experiments._write_csv(tmp_path / "t.csv", ["k", "v", "s"], rows)
+    assert (tmp_path / "t.csv").read_text() == \
+        "k,v,s\n1,-0.0,optimal\n2,0.1,\n3,1e+16,x\n4,5e-324,y\n"
 
 
 def test_solar_sweep_monotone_and_ordered(tmp_path):

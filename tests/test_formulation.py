@@ -9,6 +9,7 @@ from mgsched.formulation import (
     COLUMN_KINDS,
     FormulationOptions,
     VariableIndex,
+    _labels,
     build,
     expected_counts,
     extract_schedule,
@@ -72,6 +73,19 @@ def flat_scenarios(config, n, solar=0.0):
 def one_scenario(solar, parking):
     """A single scenario of probability 1 with no deferrable load."""
     return ScenarioSet([1.0], [solar], [parking], np.zeros((1, 0)))
+
+
+@pytest.mark.parametrize("template, shape, tables, name", [
+    ("link_m{2}_t{1}_s{0}", (3, 4, 2), None, lambda s, t, m: f"link_m{m}_t{t}_s{s}"),
+    ("{3}_m{2}_t{1}_s{0}", (2, 3, 2, 2), {3: ("exc", "exd")},
+     lambda s, t, m, k: f"{('exc', 'exd')[k]}_m{m}_t{t}_s{s}"),
+    ("nac_i{2}_t{1}_s{0}", (2, 3, 2), {0: ["1", "2"]}, lambda s, t, i: f"nac_i{i}_t{t}_s{s + 1}"),
+    ("buy_t{1}_s{0}", (2, 3, 0), None, lambda s, t, u: f"buy_t{t}_s{s}"),
+    ("buy_t{1}_s{0}", (2, 3, 1), None, lambda s, t, u: f"buy_t{t}_s{s}"),
+])
+def test_labels_match_formatting_each_name(template, shape, tables, name):
+    expected = [name(*idx) for idx in product(*map(range, shape))]
+    assert _labels(template, shape, tables) == expected
 
 
 def test_minimal_instance_has_six_columns():

@@ -11,6 +11,7 @@ from mgsched.lpcore import (
     parse_mps,
     solve_lp,
 )
+from oracles import export_mps_by_column
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -140,3 +141,55 @@ def test_parser_rejects_garbage():
         parse_mps("NAME X\nROWS\n Z  r1\nENDATA\n")
     with pytest.raises(MpsFormatError):
         parse_mps("NAME X\nROWS\n N obj\nCOLUMNS\n    c1 missing 1.0\nENDATA\n")
+
+
+# (lower, upper) pairs that reach every BOUNDS branch: FX (also at -0.0 and
+# at an infinity), FR, MI + UP, LO + UP with a negative UP, LO alone, UP
+# alone, and -0.0 bounds that are written as 0.0
+CONTINUOUS_BOUNDS = [(0.0, np.inf), (-np.inf, np.inf), (-np.inf, 3.5), (-np.inf, -0.0),
+                     (2.0, 2.0), (-0.0, -0.0), (np.inf, np.inf), (-np.inf, -np.inf),
+                     (-5.0, -2.0), (0.0, 7.0), (-0.0, 7.0), (1.5, np.inf), (-1.0, -0.0)]
+# binary columns: plain, FX at 1 and 0, LO, UP, both, and -0.0 bounds
+BINARY_BOUNDS = [(0.0, 1.0), (1.0, 1.0), (0.0, 0.0), (-0.0, -0.0), (0.5, 1.0), (0.0, 0.5),
+                 (0.25, 0.75), (-0.0, 1.0)]
+
+
+def oracle_cases():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        m, n = int(rng.integers(0, 7)), int(rng.integers(1, 12))
+        A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.5)
+        A[:, rng.random(n) < 0.25] = 0.0  # empty columns
+        A[rng.random((m, n)) < 0.1] = 1.0  # repeated values
+        trips = [(i, j, A[i, j]) for i in range(m) for j in range(n) if A[i, j] != 0]
+
+        def draw(size, *specials):
+            v = rng.normal(size=size)
+            pick = rng.random(size) < 0.5
+            v[pick] = rng.choice(np.array([0.0, -0.0, 1.0, *specials]), size=int(pick.sum()))
+            return v
+
+        binary = rng.random(n) < 0.3
+        pools = [BINARY_BOUNDS if b else CONTINUOUS_BOUNDS for b in binary]
+        pairs = np.array([pool[rng.integers(len(pool))] for pool in pools]).reshape(n, 2)
+        senses = [("=", "<=", ">=")[k] for k in rng.integers(0, 3, m)]
+        ranges = draw(m, 1e16, 5e-324) if rng.random() < 0.5 else None
+        yield LpProblem(n, m, draw(n, 1e16), trips, senses, draw(m, 5e-324), pairs[:, 0],
+                        pairs[:, 1], binary_cols=np.flatnonzero(binary), row_range=ranges, name="ORACLE")
+
+
+def test_export_matches_the_per_column_writer():
+    kinds = set()
+    for p in oracle_cases():
+        text = export_mps(p)
+        assert text == export_mps_by_column(p)
+        assert export_mps(parse_mps(text)) == text
+        kinds.update(line[:4] for line in text.splitlines() if line[:1] == " ")
+        kinds.update(line for line in text.splitlines() if line == "RANGES")
+    assert {" BV ", " FX ", " FR ", " MI ", " LO ", " UP ", "RANGES"} <= kinds
+
+
+@pytest.mark.parametrize("name", ["single", "mixed", "microgrid"])
+def test_golden_files_match_the_per_column_writer(name):
+    p = parse_mps((GOLDEN / f"{name}.mps").read_text())
+    assert export_mps(p) == export_mps_by_column(p)

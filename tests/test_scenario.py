@@ -17,7 +17,7 @@ from mgsched.scenario import (
     scenario_set_from_dict,
     scenario_set_to_dict,
 )
-from oracles import draw_scenarios, scenario_distance
+from oracles import draw_scenarios, save_csv_bundle_by_value, scenario_distance
 
 BLOCKS = ("probabilities", "solar", "parking", "deferrable_energy")
 
@@ -241,6 +241,19 @@ def test_csv_bundle_round_trip(tmp_path):
     back = load_csv_bundle(tmp_path)
     assert len(back) == 5
     assert_same_set(back, ss)
+
+
+@pytest.mark.parametrize("n_phev, n_def", [(2, 2), (0, 0)])
+def test_csv_bundle_matches_the_per_value_writer(tmp_path, n_phev, n_def):
+    cfg = make_config(n_phev=n_phev, n_def=n_def)
+    ss = generate(make_genspec(cfg), cfg, 6)
+    solar = ss.solar.copy()
+    solar[0, :3] = [-0.0, 5e-324, 1e16]  # distinct from 0.0, and repr's exponent forms
+    ss = dataclasses.replace(ss, solar=solar)
+    save_csv_bundle(ss, tmp_path / "new")
+    save_csv_bundle_by_value(ss, tmp_path / "old")
+    for name in ("solar.csv", "parking.csv", "deferrable.csv", "probabilities.csv"):
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
 
 
 def test_json_file_round_trip(tmp_path):
