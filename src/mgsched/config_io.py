@@ -12,11 +12,13 @@ int; anything else is an IngestError naming the field (and the entry's
 index), and so is a document, `tariff` or fleet entry that is not a JSON
 object; the generation spec follows the same rule.  `read_json` rejects
 NaN, Infinity and -Infinity, which are not JSON numbers.  `load_config`
-also rejects a config that fails `validate_config`.
+also rejects a config that fails `validate_config`, and logs each of its
+warnings.
 """
 
 import csv
 import json
+import logging
 from dataclasses import fields
 from pathlib import Path
 
@@ -24,6 +26,8 @@ import numpy as np
 
 from .model import ChpUnits, DeferrableLoads, GridTariff, MicrogridConfig, Phevs, validate_config
 from .scenario import GenerationSpec, reject_constant
+
+log = logging.getLogger(__name__)
 
 
 class IngestError(ValueError):
@@ -190,13 +194,17 @@ def read_json(path: Path):
 
 
 def load_config(path) -> MicrogridConfig:
-    """Read and validate a config file; a `validate_config` error (not a
-    warning) is an IngestError naming every such issue."""
+    """Read and validate a config file; a `validate_config` error is an
+    IngestError naming every such issue, and a warning is logged."""
     path = Path(path)
     config = config_from_dict(read_json(path), base_dir=path.parent)
-    errors = [i.message for i in validate_config(config).errors]
+    report = validate_config(config)
+    errors = [i.message for i in report.errors]
     if errors:
         raise IngestError(f"{path}: invalid config: " + "; ".join(errors))
+    for issue in report.issues:
+        if issue.severity == "warning":
+            log.warning("%s: %s (%s)", path, issue.message, issue.code)
     return config
 
 

@@ -27,7 +27,6 @@ import dataclasses
 import json
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,6 +48,7 @@ from .model import (
     validate_config,
     validate_scenarios,
 )
+from .scenario import write_atomic as _write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -425,13 +425,6 @@ def compare_policies(config, scenarios, options=None, settings=None):
 
 # --------------------------------------------------------------------------
 # artifact writing
-
-
-def _write_atomic(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _json_float(v: float) -> str:

@@ -9,7 +9,9 @@ cold, and each child starts from its parent's optimal basis, which stays
 dual feasible after the one bound change, so the dual simplex needs few
 pivots.  The incumbent is accepted when all binary columns are integral
 within the integrality tolerance, and the search stops once the relative
-gap between incumbent and best open bound is below mip_gap.
+gap between incumbent and best open bound is below mip_gap.  Nodes leave
+the heap in bound order, so no open node is below an incumbent: the
+search ends at the next pop, and no node is ever pruned against one.
 `iteration_limit` bounds the simplex iterations of the whole search:
 each node LP gets what is left of it, and a node LP that stops at its
 limit ends the search with status "limit" (its parent stays open, so the
@@ -73,11 +75,8 @@ def solve_milp(problem: LpProblem, settings: SolveSettings | None = None) -> LpS
             break
 
         _, _, sol, lo, hi = heapq.heappop(heap)
-        if incumbent is not None and _gap(incumbent_obj, sol.objective) <= settings.mip_gap:
-            continue  # pruned by a newer incumbent
-
         frac = np.abs(sol.x[bincols] - np.round(sol.x[bincols]))
-        if frac.size == 0 or frac.max() <= itol:
+        if frac.max() <= itol:
             if sol.objective < incumbent_obj - 1e-12:
                 incumbent = sol
                 incumbent_obj = sol.objective
@@ -110,14 +109,12 @@ def solve_milp(problem: LpProblem, settings: SolveSettings | None = None) -> LpS
                 break
             if child.status != "optimal":
                 continue
-            if incumbent is not None and _gap(incumbent_obj, child.objective) <= settings.mip_gap:
-                continue
             counter += 1
             heapq.heappush(heap, (child.objective, counter, child, child_lo, child_hi))
         if status == "limit":
             break
 
-    best_bound = min([h[0] for h in heap], default=incumbent_obj)
+    best_bound = heap[0][0] if heap else incumbent_obj
     if incumbent is None:
         if status == "limit":
             return LpSolution(status="limit", best_bound=best_bound, stats=stats)

@@ -26,6 +26,16 @@ OBJ_NAME = "COST"
 SENSE_CODE = {"=": "E", "<=": "L", ">=": "G"}
 SENSE_OF_CODE = {code: sense for sense, code in SENSE_CODE.items()}
 
+BOUND_KINDS = {
+    "LO": lambda lo, up, v: (v, up),
+    "UP": lambda lo, up, v: (lo, v),
+    "FX": lambda lo, up, v: (v, v),
+    "FR": lambda lo, up, v: (-np.inf, np.inf),
+    "MI": lambda lo, up, v: (-np.inf, up),
+    "PL": lambda lo, up, v: (lo, np.inf),
+    "BV": lambda lo, up, v: (0.0, 1.0),
+}
+
 
 class MpsFormatError(ValueError):
     """Unparseable or unsupported MPS content."""
@@ -149,148 +159,103 @@ def export_mps(problem: LpProblem) -> str:
 
 
 def parse_mps(text: str) -> LpProblem:
-    """Parse MPS text into a problem; inverse of export_mps on its output."""
+    """Parse MPS text into a problem; inverse of export_mps on its output.
+    README's "MPS interchange" lists what else it reads and rejects."""
     name = "LP"
     section = None
-    row_names = []
-    row_sense = []
-    row_index = {}
     obj_name = None
-    col_names = []
-    col_index = {}
+    row_index = {}  # constraint row name -> index, in declaration order
+    row_sense = []
+    col_index = {}  # column name -> index, in order of first mention
     objective = {}
     triplets = []
-    rhs = {}
-    ranges = {}
-    bounds = {}
+    values = {"RHS": {}, "RANGES": {}}  # row index -> value, per section
+    lower = {}
+    upper = {}
     binaries = set()
     in_integer = False
 
-    def col_id(cname):
-        if cname not in col_index:
-            col_index[cname] = len(col_names)
-            col_names.append(cname)
-        return col_index[cname]
+    def row(rname, what):
+        if rname not in row_index:
+            raise MpsFormatError(f"{what} for unknown row {rname!r}")
+        return row_index[rname]
+
+    def dense(entries, index, fill=0.0):
+        return [entries.get(k, fill) for k in range(len(index))]
 
     for raw in text.splitlines():
         if not raw.strip() or raw.lstrip().startswith("*"):
             continue
+        tok = raw.split()
         if raw[0] not in " \t":
-            tok = raw.split()
             key = tok[0].upper()
             if key == "NAME":
                 name = tok[1] if len(tok) > 1 else "LP"
             elif key in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS"):
                 section = key
             elif key == "ENDATA":
-                section = None
                 break
             else:
                 raise MpsFormatError(f"unsupported section {key!r}")
-            continue
-
-        tok = raw.split()
-        if section == "ROWS":
+        elif section == "ROWS":
+            if len(tok) < 2:
+                raise MpsFormatError(f"ROWS line {raw.strip()!r} needs a type and a name")
             code, rname = tok[0].upper(), tok[1]
-            if code == "N":
-                if obj_name is None:
-                    obj_name = rname
-                continue
-            try:
-                sense = SENSE_OF_CODE[code]
-            except KeyError:
-                raise MpsFormatError(f"unknown row type {code!r}") from None
-            row_index[rname] = len(row_names)
-            row_names.append(rname)
-            row_sense.append(sense)
+            if code != "N" and code not in SENSE_OF_CODE:
+                raise MpsFormatError(f"unknown row type {code!r}")
+            if rname in row_index or rname == obj_name:
+                raise MpsFormatError(f"duplicate row {rname!r}")
+            if code != "N":
+                row_index[rname] = len(row_sense)
+                row_sense.append(SENSE_OF_CODE[code])
+            elif obj_name is None:
+                obj_name = rname
+        elif section == "COLUMNS" and len(tok) >= 3 and tok[1] == "'MARKER'":
+            in_integer = tok[2] == "'INTORG'"
+        elif section in ("COLUMNS", "RHS", "RANGES") and len(tok) % 2 == 0:
+            raise MpsFormatError(f"{section} line {raw.strip()!r} has an unpaired field")
         elif section == "COLUMNS":
-            if len(tok) >= 3 and tok[1] == "'MARKER'":
-                in_integer = tok[2] == "'INTORG'"
-                continue
-            cname = tok[0]
-            j = col_id(cname)
+            j = col_index.setdefault(tok[0], len(col_index))
             if in_integer:
                 binaries.add(j)
             for rname, val in zip(tok[1::2], tok[2::2]):
                 v = float(val)
                 if rname == obj_name:
                     objective[j] = objective.get(j, 0.0) + v
-                elif rname in row_index:
-                    triplets.append((row_index[rname], j, v))
                 else:
-                    raise MpsFormatError(f"coefficient for unknown row {rname!r}")
-        elif section == "RHS":
+                    triplets.append((row(rname, "coefficient"), j, v))
+        elif section in values:
             for rname, val in zip(tok[1::2], tok[2::2]):
-                if rname == obj_name:
-                    continue
-                if rname not in row_index:
-                    raise MpsFormatError(f"RHS for unknown row {rname!r}")
-                rhs[row_index[rname]] = float(val)
-        elif section == "RANGES":
-            for rname, val in zip(tok[1::2], tok[2::2]):
-                if rname not in row_index:
-                    raise MpsFormatError(f"RANGES for unknown row {rname!r}")
-                ranges[row_index[rname]] = float(val)
+                if section == "RANGES" or rname != obj_name:
+                    i = row(rname, section)
+                    values[section][i] = float(val)
         elif section == "BOUNDS":
-            btype = tok[0].upper()
-            if btype in ("FR", "MI", "PL", "BV"):
-                cname = tok[2]
-                j = col_id(cname)
-                lo, up = bounds.get(j, (0.0, np.inf))
-                if btype == "FR":
-                    bounds[j] = (-np.inf, np.inf)
-                elif btype == "MI":
-                    bounds[j] = (-np.inf, up)
-                elif btype == "PL":
-                    bounds[j] = (lo, np.inf)
-                else:
-                    binaries.add(j)
-                    bounds[j] = (0.0, 1.0)
-            elif btype in ("LO", "UP", "FX"):
-                cname, val = tok[2], float(tok[3])
-                j = col_id(cname)
-                lo, up = bounds.get(j, (0.0, np.inf))
-                if btype == "LO":
-                    bounds[j] = (val, up)
-                elif btype == "UP":
-                    bounds[j] = (lo, val)
-                else:
-                    bounds[j] = (val, val)
-            else:
-                raise MpsFormatError(f"unsupported bound type {btype!r}")
-        elif section is None:
-            raise MpsFormatError("data line outside any section")
+            kind = tok[0].upper()
+            if kind not in BOUND_KINDS:
+                raise MpsFormatError(f"unsupported bound type {kind!r}")
+            valued = kind in ("LO", "UP", "FX")
+            if len(tok) < 3 + valued:
+                raise MpsFormatError(f"BOUNDS line {raw.strip()!r} is missing a field")
+            v = float(tok[3]) if valued else None
+            j = col_index.setdefault(tok[2], len(col_index))
+            if kind == "BV":
+                binaries.add(j)
+            lower[j], upper[j] = BOUND_KINDS[kind](lower.get(j, 0.0), upper.get(j, np.inf), v)
         else:
-            raise MpsFormatError(f"unhandled section {section!r}")
+            raise MpsFormatError("data line outside any section")
 
-    n, m = len(col_names), len(row_names)
-    obj = np.zeros(n)
-    for j, v in objective.items():
-        obj[j] = v
-    rhs_arr = np.zeros(m)
-    for i, v in rhs.items():
-        rhs_arr[i] = v
-    range_arr = None
-    if ranges:
-        range_arr = np.zeros(m)
-        for i, v in ranges.items():
-            range_arr[i] = v
-    col_lower = np.zeros(n)
-    col_upper = np.full(n, np.inf)
-    for j, (l, u) in bounds.items():
-        col_lower[j], col_upper[j] = l, u
     return LpProblem(
-        n_cols=n,
-        n_rows=m,
-        objective=obj,
+        n_cols=len(col_index),
+        n_rows=len(row_index),
+        objective=dense(objective, col_index),
         triplets=triplets,
         row_sense=row_sense,
-        rhs=rhs_arr,
-        col_lower=col_lower,
-        col_upper=col_upper,
+        rhs=dense(values["RHS"], row_index),
+        col_lower=dense(lower, col_index),
+        col_upper=dense(upper, col_index, np.inf),
         binary_cols=binaries,
-        row_range=range_arr,
-        row_names=row_names,
-        col_names=col_names,
+        row_range=dense(values["RANGES"], row_index) if values["RANGES"] else None,
+        row_names=list(row_index),
+        col_names=list(col_index),
         name=name,
     )

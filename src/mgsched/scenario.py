@@ -23,10 +23,14 @@ Every scenario draws from its own substream seeded by (seed, index), so
 generation is reproducible regardless of chunking or parallelism; the
 draws land in rows of the set's arrays, and the transforms (exp, clip,
 Bernoulli threshold) run once over whole arrays.
+
+`write_atomic` is the file writer of every artifact, the scenario
+bundle's included.
 """
 
 import csv
 import json
+import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -411,10 +415,19 @@ def scenario_set_from_dict(data: dict) -> ScenarioSet:
     )
 
 
+def write_atomic(path, text: str):
+    """Write `text` to `path` as it is, line ends included, through a
+    temporary file and a rename, so a failed write leaves the earlier
+    file whole."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_text(text, newline="")
+    os.replace(tmp, path)
+
+
 def save_json(scenario_set: ScenarioSet, path):
-    Path(path).write_text(
-        json.dumps(scenario_set_to_dict(scenario_set), sort_keys=True) + "\n"
-    )
+    write_atomic(path, json.dumps(scenario_set_to_dict(scenario_set), sort_keys=True) + "\n")
 
 
 def reject_constant(name):
@@ -430,7 +443,6 @@ def load_json(path) -> ScenarioSet:
 def save_csv_bundle(scenario_set: ScenarioSet, directory):
     """Write solar.csv, parking.csv, deferrable.csv, probabilities.csv."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     ss = scenario_set
     S, n_ev, T = ss.parking.shape
     scenario = [str(s) for s in range(S)]
@@ -451,7 +463,7 @@ def _write_table(path, header, keys, values):
     per row its key text and the repr of each of its values."""
     lines = [",".join(header)]
     lines += [",".join([key, *row]) for key, row in zip(keys, float_texts(values).tolist())]
-    path.write_text("\r\n".join(lines) + "\r\n", newline="")
+    write_atomic(path, "\r\n".join(lines) + "\r\n")
 
 
 def load_csv_bundle(directory) -> ScenarioSet:

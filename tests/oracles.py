@@ -1,15 +1,17 @@
 """Independent brute-force solvers used to cross-check the real ones.
 
-These deliberately share no code with mgsched.lpcore: LPs are solved by
-enumerating basic solutions of the equality form over all basis subsets
-and nonbasic bound patterns, MILPs by exhausting binary assignments.
+The solvers deliberately share no code with mgsched.lpcore: LPs are
+solved by enumerating basic solutions of the equality form over all
+basis subsets and nonbasic bound patterns, MILPs by exhausting binary
+assignments.
 Only practical for a handful of columns, which is all the tests need.
 The scenario-reduction greedy is re-derived with exact sums, scenario
 distances one pair at a time, row activity bounds one row at a time, and
 scenario generation one scenario at a time.  `symbol_audit` maps each
 model quantity to where the formulation holds it.  The artifact writers
 have per-value references: an MPS writer one column at a time and a
-scenario-bundle writer one value at a time.
+scenario-bundle writer one value at a time; the MPS reader has a
+reference with one branch per section and per bound kind.
 """
 
 import csv
@@ -18,6 +20,9 @@ from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
+
+from mgsched.lpcore import LpProblem, MpsFormatError
+from mgsched.lpcore.mps import SENSE_OF_CODE
 
 
 def brute_force_lp(c, A, senses, b, lo, hi, tol=1e-9):
@@ -415,3 +420,155 @@ def save_csv_bundle_by_value(scenario_set, directory):
         w.writerow(["scenario", "probability"])
         for s, p in enumerate(ss.probabilities):
             w.writerow([s, repr(float(p))])
+
+
+def parse_mps_by_branch(text):
+    """MPS text parsed with one branch per section and per bound kind and
+    one loop per array: the reference for `parse_mps`.  It keeps the old
+    reader's handling of malformed data lines (an unpaired field is
+    dropped, a repeated row name takes the later entries, a missing field
+    is an IndexError), which `parse_mps` rejects."""
+    name = "LP"
+    section = None
+    row_names = []
+    row_sense = []
+    row_index = {}
+    obj_name = None
+    col_names = []
+    col_index = {}
+    objective = {}
+    triplets = []
+    rhs = {}
+    ranges = {}
+    bounds = {}
+    binaries = set()
+    in_integer = False
+
+    def col_id(cname):
+        if cname not in col_index:
+            col_index[cname] = len(col_names)
+            col_names.append(cname)
+        return col_index[cname]
+
+    for raw in text.splitlines():
+        if not raw.strip() or raw.lstrip().startswith("*"):
+            continue
+        if raw[0] not in " \t":
+            tok = raw.split()
+            key = tok[0].upper()
+            if key == "NAME":
+                name = tok[1] if len(tok) > 1 else "LP"
+            elif key in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS"):
+                section = key
+            elif key == "ENDATA":
+                section = None
+                break
+            else:
+                raise MpsFormatError(f"unsupported section {key!r}")
+            continue
+
+        tok = raw.split()
+        if section == "ROWS":
+            code, rname = tok[0].upper(), tok[1]
+            if code == "N":
+                if obj_name is None:
+                    obj_name = rname
+                continue
+            try:
+                sense = SENSE_OF_CODE[code]
+            except KeyError:
+                raise MpsFormatError(f"unknown row type {code!r}") from None
+            row_index[rname] = len(row_names)
+            row_names.append(rname)
+            row_sense.append(sense)
+        elif section == "COLUMNS":
+            if len(tok) >= 3 and tok[1] == "'MARKER'":
+                in_integer = tok[2] == "'INTORG'"
+                continue
+            cname = tok[0]
+            j = col_id(cname)
+            if in_integer:
+                binaries.add(j)
+            for rname, val in zip(tok[1::2], tok[2::2]):
+                v = float(val)
+                if rname == obj_name:
+                    objective[j] = objective.get(j, 0.0) + v
+                elif rname in row_index:
+                    triplets.append((row_index[rname], j, v))
+                else:
+                    raise MpsFormatError(f"coefficient for unknown row {rname!r}")
+        elif section == "RHS":
+            for rname, val in zip(tok[1::2], tok[2::2]):
+                if rname == obj_name:
+                    continue
+                if rname not in row_index:
+                    raise MpsFormatError(f"RHS for unknown row {rname!r}")
+                rhs[row_index[rname]] = float(val)
+        elif section == "RANGES":
+            for rname, val in zip(tok[1::2], tok[2::2]):
+                if rname not in row_index:
+                    raise MpsFormatError(f"RANGES for unknown row {rname!r}")
+                ranges[row_index[rname]] = float(val)
+        elif section == "BOUNDS":
+            btype = tok[0].upper()
+            if btype in ("FR", "MI", "PL", "BV"):
+                cname = tok[2]
+                j = col_id(cname)
+                lo, up = bounds.get(j, (0.0, np.inf))
+                if btype == "FR":
+                    bounds[j] = (-np.inf, np.inf)
+                elif btype == "MI":
+                    bounds[j] = (-np.inf, up)
+                elif btype == "PL":
+                    bounds[j] = (lo, np.inf)
+                else:
+                    binaries.add(j)
+                    bounds[j] = (0.0, 1.0)
+            elif btype in ("LO", "UP", "FX"):
+                cname, val = tok[2], float(tok[3])
+                j = col_id(cname)
+                lo, up = bounds.get(j, (0.0, np.inf))
+                if btype == "LO":
+                    bounds[j] = (val, up)
+                elif btype == "UP":
+                    bounds[j] = (lo, val)
+                else:
+                    bounds[j] = (val, val)
+            else:
+                raise MpsFormatError(f"unsupported bound type {btype!r}")
+        elif section is None:
+            raise MpsFormatError("data line outside any section")
+        else:
+            raise MpsFormatError(f"unhandled section {section!r}")
+
+    n, m = len(col_names), len(row_names)
+    obj = np.zeros(n)
+    for j, v in objective.items():
+        obj[j] = v
+    rhs_arr = np.zeros(m)
+    for i, v in rhs.items():
+        rhs_arr[i] = v
+    range_arr = None
+    if ranges:
+        range_arr = np.zeros(m)
+        for i, v in ranges.items():
+            range_arr[i] = v
+    col_lower = np.zeros(n)
+    col_upper = np.full(n, np.inf)
+    for j, (l, u) in bounds.items():
+        col_lower[j], col_upper[j] = l, u
+    return LpProblem(
+        n_cols=n,
+        n_rows=m,
+        objective=obj,
+        triplets=triplets,
+        row_sense=row_sense,
+        rhs=rhs_arr,
+        col_lower=col_lower,
+        col_upper=col_upper,
+        binary_cols=binaries,
+        row_range=range_arr,
+        row_names=row_names,
+        col_names=col_names,
+        name=name,
+    )

@@ -82,6 +82,18 @@ def test_infeasible_milp_detected():
     assert solve_milp(p).status == "infeasible"
 
 
+def test_infeasible_milp_with_a_feasible_relaxation():
+    # x0 + x1 + y = 1.5 with y <= 0.25: the root LP is feasible, no binary
+    # assignment is, and every branch ends in an infeasible node
+    args = ([1.0, 1.0, 0.5], [[1.0, 1.0, 1.0]], ["="], [1.5], [0.0, 0.0, 0.0],
+            [1.0, 1.0, 0.25])
+    p = build(*args, binary_cols=[0, 1])
+    assert solve_lp(p).status == "optimal"
+    assert brute_force_milp(*args, [0, 1])[0] == "infeasible"
+    sol = solve_milp(p)
+    assert sol.status == "infeasible" and sol.nodes > 1
+
+
 def test_node_and_iteration_counts_are_the_stats():
     rng = np.random.default_rng(17)
     value, weight = rng.uniform(1, 10, 6), rng.uniform(1, 6, 6)

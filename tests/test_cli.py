@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mgsched import model
+from mgsched import scenario as scn
 from mgsched.cli import main
 from mgsched.lpcore import LpError, LpSolution
 from test_experiments import write_inputs
@@ -379,6 +380,29 @@ def test_config_failing_validation_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def _run_mgs(*argv, **kwargs):
+    """`mgs` in a fresh interpreter at the default log level."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env.pop("MGS_LOG", None)
+    return subprocess.run([sys.executable, "-m", "mgsched.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120, **kwargs)
+
+
+def test_config_warning_is_logged_and_the_run_goes_on(tmp_path):
+    config = json.loads((DEMO_DATA / "config.json").read_text())
+    config["tariff"]["price_sell"] = [p + 0.01 for p in config["tariff"]["price_buy"]]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    done = _run_mgs("run", "--config", str(tmp_path / "config.json"),
+                    "--genspec", str(DEMO_DATA / "genspec.json"), "--generate", "4",
+                    "--keep", "2", "--out", str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    assert (f"WARNING mgsched.config_io: {tmp_path / 'config.json'}: price_sell exceeds "
+            "price_buy in some period") in done.stderr
+    assert "(SELL_ABOVE_BUY)" in done.stderr
+
+
 @pytest.mark.parametrize("breaker, message", [
     (lambda c: c["phevs"][0].update(count="abc"), "phevs[0].count: expected an integer"),
     (lambda c: c.update(horizon="x"), "horizon: expected an integer"),
@@ -419,6 +443,26 @@ def test_config_value_of_the_wrong_type_or_nan_exits_two(tmp_path, capsys, break
     assert not out.exists()
 
 
+@pytest.mark.parametrize("csv_text, reference, message", [
+    ("", {"csv": "series.csv"}, "series.csv: empty CSV"),
+    ("base\n1\n", {"column": "base"}, "base_power: csv reference needs a 'csv' key"),
+    ("a,b\n1,2\n", {"csv": "series.csv"}, "series.csv: multiple columns, specify one of"),
+    ("a,b\n1,2\n3,x\n", {"csv": "series.csv", "column": "b"},
+     "series.csv: bad numeric data in column 'b'"),
+], ids=["empty", "no-csv-key", "no-column-of-several", "non-numeric-cell"])
+def test_bad_csv_series_reference_exits_two(tmp_path, capsys, csv_text, reference, message):
+    config = json.loads((DEMO_DATA / "config.json").read_text())
+    config["base_power"] = reference
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    (tmp_path / "series.csv").write_text(csv_text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "config.json"),
+                 "--genspec", str(DEMO_DATA / "genspec.json"), "--generate", "4",
+                 "--keep", "2", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fleet_count_beyond_memory_exits_two(tmp_path):
     # 10^12 vehicles cannot be allocated; under a 3 GiB address-space limit
     # no allocation of that size can succeed, whatever the machine
@@ -427,15 +471,10 @@ def test_fleet_count_beyond_memory_exits_two(tmp_path):
     (tmp_path / "config.json").write_text(json.dumps(config))
     out = tmp_path / "out"
     limit = 3 << 30
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "mgsched.cli", "run", "--config", str(tmp_path / "config.json"),
-         "--genspec", str(DEMO_DATA / "genspec.json"), "--generate", "4", "--keep", "2",
-         "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    done = _run_mgs("run", "--config", str(tmp_path / "config.json"),
+                    "--genspec", str(DEMO_DATA / "genspec.json"), "--generate", "4", "--keep", "2",
+                    "--out", str(out),
+                    preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert done.returncode == 2, done.stderr
     assert "phevs[0].count: 1000000000000 units do not fit in memory" in done.stderr
     assert "Traceback" not in done.stderr
@@ -560,6 +599,25 @@ def test_scenarios_generate_and_reduce_round_trip(tmp_path, capsys):
     probs = (tmp_path / "reduced" / "probabilities.csv").read_text().splitlines()[1:]
     total = sum(float(line.split(",")[1]) for line in probs)
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_failed_scenario_write_keeps_the_earlier_files(tmp_path, monkeypatch):
+    config, gen = write_inputs(tmp_path)
+    out = tmp_path / "bundle"
+    argv = ["scenarios", "generate", "--config", str(config), "--genspec", str(gen),
+            "--generate", "6", "--out", str(out)]
+    assert main([*argv, "--seed", "1"]) == 0
+    names = ["deferrable.csv", "parking.csv", "probabilities.csv", "scenarios.json", "solar.csv"]
+    assert sorted(p.name for p in out.iterdir()) == names
+    before = {name: (out / name).read_bytes() for name in names}
+
+    def no_rename(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(scn.os, "replace", no_rename)
+    with pytest.raises(OSError, match="disk full"):
+        main([*argv, "--seed", "2"])
+    assert {name: (out / name).read_bytes() for name in names} == before
 
 
 def test_scenarios_generate_zero_exits_two(tmp_path, capsys):

@@ -149,6 +149,22 @@ def test_load_config_rejects_validation_errors_only(tmp_path):
         load_config(p)
 
 
+def test_load_config_logs_validation_warnings(tmp_path, caplog):
+    data = sample_dict()
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(data))
+    load_config(p)
+    assert not caplog.records
+    data["tariff"]["price_sell"] = [0.2] * 4
+    p.write_text(json.dumps(data))
+    load_config(p)
+    [record] = caplog.records
+    assert (record.name, record.levelname) == ("mgsched.config_io", "WARNING")
+    assert record.getMessage() == (f"{p}: price_sell exceeds price_buy in some period; buy/sell "
+                                   "exclusivity of optimal schedules is no longer guaranteed "
+                                   "(SELL_ABOVE_BUY)")
+
+
 def test_generation_spec_parsing(tmp_path):
     data = sample_spec_dict()
     spec = generation_spec_from_dict(data)

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import assert_same_fleet, make_config, make_genspec, one, unit_entries
 from mgsched import experiments
+from mgsched import scenario as scn
 from mgsched.experiments import (
     InfeasibleProblem,
     NumericalFailure,
@@ -537,6 +538,23 @@ def test_window_sweep_monotone_with_error_rows(tmp_path):
     assert all(b <= a + 1e-6 for a, b in zip(costs, costs[1:]))
     text = (tmp_path / "out" / "window_sweep.csv").read_text()
     assert "infeasible" in text
+
+
+def test_window_sweep_writes_a_row_for_an_infeasible_solve(tmp_path, caplog):
+    # width 2 delivers at most 6 kWh: the nominal 4 kWh passes the config
+    # check, but the second scenario draws 7 kWh and its block is infeasible
+    T = 6
+    scenarios = ScenarioSet([0.5, 0.5], np.full((2, T), 50.0), np.ones((2, 2, T)),
+                            [[4.0], [7.0]])
+    scn.save_json(scenarios, tmp_path / "scenarios.json")
+    rows = run_window_sweep(manifest_for(tmp_path, widths=(2, 3), keep=2, generation=None,
+                                         scenarios_path=str(tmp_path / "scenarios.json")))
+    assert [(w, status) for w, _, status in rows] == [(2, "infeasible"), (3, "optimal")]
+    lines = (tmp_path / "out" / "window_sweep.csv").read_text().splitlines()
+    assert lines[:2] == ["width,avg_cost,status", "2,,infeasible"]
+    [record] = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert record.getMessage() == ("width 2 infeasible: problem infeasible; "
+                                   "violated rows: ['dsum_j0_s1']")
 
 
 def test_window_sweep_propagates_errors_other_than_infeasibility(tmp_path, monkeypatch):
