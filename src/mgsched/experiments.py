@@ -277,9 +277,9 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
     against the block's rows and bounds, with row names carrying the
     scenario index, so the report reads as a check of the full problem.
 
-    `mip_gap`, `node_limit` and `iteration_limit` apply to each block, and
-    the report's `stats` sums the blocks' counters; so with binaries the
-    total is within sum_s p_s * mip_gap * max(1, |obj_s|) of the optimum.
+    `node_limit` and `iteration_limit` apply to each block, and the
+    report's `stats` sums the blocks' counters.  Each MILP block is
+    solved to optimality (`solve_milp`), so the total is optimal too.
     Each LP block starts from the previous block's optimal basis, in
     block order; MILP blocks start their roots cold.
     """

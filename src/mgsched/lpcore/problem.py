@@ -34,12 +34,11 @@ class SolveSettings:
     feasibility_tol: float = 1e-7
     optimality_tol: float = 1e-7
     integrality_tol: float = 1e-6
-    mip_gap: float = 1e-6
     node_limit: int | None = None
     iteration_limit: int | None = None
 
     def __post_init__(self):
-        for name in ("feasibility_tol", "optimality_tol", "integrality_tol", "mip_gap"):
+        for name in ("feasibility_tol", "optimality_tol", "integrality_tol"):
             # an infinite feasibility_tol would let phase 1 call any LP feasible
             if not 0 < getattr(self, name) < np.inf:
                 raise LpError(f"{name} must be positive and finite")

@@ -418,12 +418,16 @@ def scenario_set_from_dict(data: dict) -> ScenarioSet:
 def write_atomic(path, text: str):
     """Write `text` to `path` as it is, line ends included, through a
     temporary file and a rename, so a failed write leaves the earlier
-    file whole."""
+    file whole and no temporary file beside it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, newline="")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, newline="")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_json(scenario_set: ScenarioSet, path):

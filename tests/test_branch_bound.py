@@ -118,10 +118,32 @@ def test_node_limit_yields_limit_status():
     weight = rng.uniform(1, 6, n)
     p = build(-value, weight[None, :], ["<="], [float(weight.sum()) * 0.5],
               np.zeros(n), np.ones(n), binary_cols=range(n))
-    sol = solve_milp(p, SolveSettings(node_limit=2))
-    assert sol.status in ("limit", "optimal")
-    if sol.status == "limit":
-        assert sol.nodes >= 2
+    full = solve_milp(p)
+    N = full.nodes
+    assert full.status == "optimal" and N >= 3  # it branches
+    bounds = []
+    # node_limit counts node LPs, the root included, as iteration_limit counts pivots
+    for k in range(N + 2):
+        sol = solve_milp(p, SolveSettings(node_limit=k))
+        assert sol.nodes == min(k, N), k
+        if k >= N:
+            assert (sol.status, sol.objective, sol.best_bound, sol.stats) == \
+                (full.status, full.objective, full.best_bound, full.stats)
+            assert sol.x.tobytes() == full.x.tobytes()
+            assert sol.duals.tobytes() == full.duals.tobytes()
+        else:
+            assert sol.status == "limit" and sol.x is None, k
+            assert sol.best_bound <= full.objective + 1e-9
+            bounds.append(sol.best_bound)
+    assert bounds[0] == -np.inf and bounds == sorted(bounds)
+
+    # a root LP that is already integral is the whole search
+    integral = build([1.0, -2.0], [[1.0, 1.0]], ["<="], [1.5], [0.0, 0.0], [1.0, 1.0],
+                     binary_cols=[0, 1])
+    root = solve_milp(integral, SolveSettings(node_limit=1))
+    assert (root.status, root.nodes, root.objective) == ("optimal", 1, -2.0)
+    none = solve_milp(integral, SolveSettings(node_limit=0))
+    assert (none.status, none.nodes, none.iterations) == ("limit", 0, 0)
 
 
 @pytest.mark.parametrize("seed", [6, 24])

@@ -124,6 +124,21 @@ def _manifest(**fields):
                        "keep": 2, **fields}}
 
 
+DEMO_CONFIG, DEMO_GENSPEC = json.loads(CONFIG.read_text()), json.loads(GENSPEC.read_text())
+SMALL_RUN = ["--generate", "4", "--keep", "2", "--out", "out"]
+RUN_CONFIG = ["run", "--config", "config.json", "--genspec", str(GENSPEC), *SMALL_RUN]
+RUN_GENSPEC = ["run", "--config", str(CONFIG), "--genspec", "gen.json", *SMALL_RUN]
+
+
+def _config(**fields):
+    return {"config.json": {**DEMO_CONFIG, **fields}}
+
+
+def _genspec(**fields):
+    return {"gen.json": {**DEMO_GENSPEC, **fields}}
+
+
+# documents of the wrong JSON type, then documents that parse but fail a check
 @pytest.mark.parametrize("files, argv, message", [
     ({"gen.json": []}, ["run", "--config", str(CONFIG), "--genspec", "gen.json"],
      "generation spec: expected an object"),
@@ -138,9 +153,32 @@ def _manifest(**fields):
      "scenarios: expected a list"),
     ({"s.json": {"scenarios": 5}}, ["scenarios", "reduce", "--input", "s.json", "--keep", "2",
                                     "--out", "out"], "scenarios: expected a list"),
+    (_manifest(levels=5), RUN_MANIFEST, "levels: expected a list"),
+    (_config(horizon=0), RUN_CONFIG, "horizon must be >= 1"),
+    (_config(period_hours=0), RUN_CONFIG, "period_hours must be > 0"),
+    (_config(tariff={**DEMO_CONFIG["tariff"], "price_buy": [0.1] * 23}), RUN_CONFIG,
+     "tariff.price_buy must have length 24"),
+    (_config(base_power=[100.0] * 23), RUN_CONFIG, "base_power must have length 24"),
+    (_genspec(solar_noise_model="gaussian"), RUN_GENSPEC, "unknown noise model"),
+    (_genspec(solar_sigma=-0.1), RUN_GENSPEC, "solar_sigma must be >= 0"),
+    (_genspec(solar_profile_mean=[-1.0] * 24), RUN_GENSPEC,
+     "solar_profile_mean must be nonnegative"),
+    (_genspec(solar_noise_model="empirical"), RUN_GENSPEC,
+     "empirical noise model needs solar_samples"),
+    (_genspec(solar_noise_model="empirical", solar_samples=[[1.0] * 23]), RUN_GENSPEC,
+     "solar_samples rows must have length T"),
+    (_genspec(deferrable_energy_spread=[0.1] * 9), RUN_GENSPEC,
+     "deferrable_energy_spread must have length"),
+    ({"m.json": {"generation": str(GENSPEC)}}, RUN_MANIFEST,
+     "missing required field 'config'"),
+    ({"m.json": {"config": str(CONFIG)}}, RUN_MANIFEST,
+     "needs either 'generation' or 'scenarios'"),
 ], ids=["genspec-list", "tariff-number", "manifest-out", "manifest-config",
         "manifest-scenarios", "manifest-generation", "scenario-set-via-manifest",
-        "scenario-set-via-reduce"])
+        "scenario-set-via-reduce", "manifest-levels", "horizon-0", "period-hours-0",
+        "price-buy-23", "base-power-23", "noise-model", "solar-sigma-negative",
+        "solar-mean-negative", "empirical-without-samples", "samples-23", "spread-9",
+        "manifest-without-config", "manifest-without-scenarios"])
 def test_document_of_the_wrong_json_type_exits_two(tmp_path, monkeypatch, capsys, files, argv,
                                                    message):
     # every run writes to tmp_path/out unless it fails at ingestion
@@ -618,6 +656,17 @@ def test_failed_scenario_write_keeps_the_earlier_files(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         main([*argv, "--seed", "2"])
     assert {name: (out / name).read_bytes() for name in names} == before
+    assert sorted(p.name for p in out.iterdir()) == names  # no temporary file left
+
+
+def test_failed_atomic_write_removes_its_temporary_file(tmp_path):
+    # a lone surrogate cannot be encoded, so the write itself fails
+    path = tmp_path / "x.csv"
+    scn.write_atomic(path, "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        scn.write_atomic(path, "new \udc80\n")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
 
 def test_scenarios_generate_zero_exits_two(tmp_path, capsys):

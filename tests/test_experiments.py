@@ -120,11 +120,10 @@ def test_decomposed_equals_joint(T, n_chp, n_phev, n_def, weights, seed, options
     cfg = make_config(T=T, n_chp=n_chp, n_phev=n_phev, n_def=n_def if T >= 3 else 0)
     drawn = generate(make_genspec(cfg, seed=seed), cfg, len(weights))
     ss = dataclasses.replace(drawn, probabilities=np.divide(weights, sum(weights)))
-    exact = SolveSettings(mip_gap=1e-12)
-    _, report = solve_stochastic(cfg, ss, options, exact)
+    _, report = solve_stochastic(cfg, ss, options, SolveSettings())
     assert report.decomposed
     problem, _ = build(cfg, ss, options)
-    full = solve_milp(problem, exact)
+    full = solve_milp(problem, SolveSettings())
     assert full.status == "optimal"
     assert report.objective == pytest.approx(full.objective, rel=1e-7, abs=1e-9)
     assert (report.n_cols, report.n_rows) == (problem.n_cols, problem.n_rows)
@@ -405,9 +404,9 @@ def test_manifest_validation_errors(tmp_path):
         run_solar_sweep(manifest_for(tmp_path, levels=()))
     with pytest.raises(IngestError, match="widths"):
         run_window_sweep(manifest_for(tmp_path, widths=(4, 2)))
-    # the solver settings are the six of SolveSettings; former fields are rejected
+    # the solver settings are the five of SolveSettings; former fields are rejected
     config_path, gen_path = write_inputs(tmp_path)
-    for removed in ("time_limit", "refactor_interval", "stall_limit"):
+    for removed in ("time_limit", "refactor_interval", "stall_limit", "mip_gap"):
         doc = {"config": config_path.name, "generation": gen_path.name,
                "solver": {removed: 1}, "out": "out"}
         with pytest.raises(IngestError, match="solver settings"):

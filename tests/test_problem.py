@@ -87,8 +87,7 @@ def test_nan_bounds_rejected_by_with_data():
             p.with_data(**bounds)
 
 
-@pytest.mark.parametrize("name", ["feasibility_tol", "optimality_tol", "integrality_tol",
-                                  "mip_gap"])
+@pytest.mark.parametrize("name", ["feasibility_tol", "optimality_tol", "integrality_tol"])
 @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0])
 def test_solver_tolerances_must_be_positive_and_finite(name, value):
     with pytest.raises(LpError, match=f"{name} must be positive and finite"):

@@ -75,6 +75,24 @@ def test_empty_subset_rejected():
         kantorovich_distance(ss, [], UNIT)
 
 
+@pytest.mark.parametrize("subset", [[0, 2], [-1, 1]])
+def test_out_of_range_subset_rejected(subset):
+    ss = line_set([0.0, 1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="subset index out of range"):
+        kantorovich_distance(ss, subset, UNIT)
+
+
+def test_empty_blocks_get_weight_zero():
+    # no PHEVs and no deferrable loads: np.std of an empty block would warn,
+    # which fails under -W error; the blocks weigh 0 and the set still reduces
+    ss = line_set([0.0, 1.0, 3.0], [0.2, 0.3, 0.5])
+    weights = DistanceWeights.from_set(ss)
+    assert weights == DistanceWeights(1.0 / float(np.std(ss.solar)), 0.0, 0.0)
+    red, rep = reduce_fast_forward(ss, 2)
+    assert len(red) == 2 and rep.n_kept == 2
+    assert kantorovich_distance(ss, rep.kept_indices) == pytest.approx(rep.kantorovich_distance)
+
+
 def test_keep_equal_to_size_reproduces_input():
     ss = line_set([0.0, 1.0, 3.0, 7.0], [0.1, 0.2, 0.3, 0.4])
     red, rep = reduce_fast_forward(ss, 4, UNIT)
