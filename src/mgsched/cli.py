@@ -61,7 +61,9 @@ def _absolute(path):
     return str(Path(path).absolute())
 
 
-def _add_run_flags(p):
+def _run_flags():
+    """The flags every run-like subcommand shares, as an argparse parent."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--manifest", help="JSON run manifest")
     p.add_argument("--config", type=_absolute,
                    help="microgrid config JSON (overrides manifest)")
@@ -77,6 +79,7 @@ def _add_run_flags(p):
     p.add_argument("--curtailment-penalty", type=float,
                    help="enable a penalized spill column at this price")
     p.add_argument("--write-mps", action="store_true", help="also write problem.mps")
+    return p
 
 
 def _manifest_from_args(args) -> RunManifest:
@@ -123,25 +126,22 @@ def main(argv=None) -> int:
         prog="mgs", description="Stochastic microgrid scheduling toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    run_flags = [_run_flags()]
 
-    p_run = sub.add_parser("run", help="solve one instance and write artifacts")
-    _add_run_flags(p_run)
-
-    p_solar = sub.add_parser("sweep-solar", help="cost versus solar penetration level")
-    _add_run_flags(p_solar)
+    sub.add_parser("run", parents=run_flags, help="solve one instance and write artifacts")
+    p_solar = sub.add_parser("sweep-solar", parents=run_flags,
+                             help="cost versus solar penetration level")
     p_solar.add_argument("--levels", type=lambda v: [float(x) for x in v.split(",")],
                          help="comma-separated multipliers, ascending")
 
-    p_window = sub.add_parser("sweep-window", help="cost versus serving-window width")
-    _add_run_flags(p_window)
+    p_window = sub.add_parser("sweep-window", parents=run_flags,
+                              help="cost versus serving-window width")
     p_window.add_argument("--widths", type=lambda v: [int(x) for x in v.split(",")],
                           help="comma-separated widths, ascending")
 
-    p_cmp = sub.add_parser("compare", help="stochastic versus deterministic baseline")
-    _add_run_flags(p_cmp)
-
-    p_mps = sub.add_parser("export-mps", help="write the problem in MPS format")
-    _add_run_flags(p_mps)
+    sub.add_parser("compare", parents=run_flags,
+                   help="stochastic versus deterministic baseline")
+    sub.add_parser("export-mps", parents=run_flags, help="write the problem in MPS format")
 
     p_scen = sub.add_parser("scenarios", help="scenario utilities")
     scen_sub = p_scen.add_subparsers(dest="scen_command", required=True)

@@ -1,7 +1,13 @@
 """Revised simplex method for LPs with general column bounds.
 
 Two-phase method on the equality form A x + s = b, where one slack column
-is appended per row.  The starting basis comes from a triangular crash
+is appended per row.  Each structural column starts on a bound (Maros,
+*Computational Techniques of the Simplex Method*, 2003, ch. 9): its
+lower one if finite, else its upper one, else free at 0.  A boxed column
+starts at its upper bound instead when raising it moves the inequality
+rows violated at that start towards their ranges on balance: with push
++1 on a row whose activity lies below its range and -1 above it, when
+(A' push)_j > 0.  The starting basis then comes from a triangular crash
 (Bixby 1992): structural columns take the place of the fixed slacks of
 equality rows wherever that keeps the basis lower-triangular and the
 column within its bounds.  The other rows start on their slack, and
@@ -143,8 +149,13 @@ class _Core:
         return self.stats.iterations
 
     def _cold(self, A, lo, hi):
-        """Crash basis, and an artificial column for each row whose slack
-        would leave its bounds; returns the signs of the artificials."""
+        """Starting bounds, crash basis, and an artificial column for each
+        row whose slack would leave its bounds; returns the signs of the
+        artificials.  Each column starts at its lower bound if finite, else
+        at its upper one, else free at 0.  A boxed column with (A' push)_j
+        > 0, where push is +1 on each inequality row whose activity at
+        that start is below its range and -1 on each above it, starts at
+        its upper bound instead, so fewer rows need an artificial."""
         n, m, b = self.n, self.m, self.b
         slack_lo, slack_hi = lo[n:], hi[n:]
         fin_lo, fin_hi = np.isfinite(lo[:n]), np.isfinite(hi[:n])
@@ -152,6 +163,16 @@ class _Core:
         vstat = np.full(n + m, AT_LOWER, dtype=np.int8)
         vstat[:n][~fin_lo & fin_hi] = AT_UPPER
         vstat[:n][~fin_lo & ~fin_hi] = FREE
+
+        # boxed columns start on the bound their violated inequality rows
+        # ask for; a slack above its range means activity below the row's
+        cand = b - A @ x
+        ineq = slack_lo < slack_hi
+        push = np.where(ineq & (cand > slack_hi), 1.0,
+                        np.where(ineq & (cand < slack_lo), -1.0, 0.0))
+        up = fin_lo & fin_hi & (lo[:n] < hi[:n]) & (A.T @ push > 0.0)
+        x[up] = hi[:n][up]
+        vstat[:n][up] = AT_UPPER
 
         crash_cols, crash_rows = _crash(A, b, lo[:n], hi[:n], x, eq_row=slack_lo == slack_hi)
         vstat[crash_cols] = BASIC

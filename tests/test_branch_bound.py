@@ -103,9 +103,17 @@ def test_node_and_iteration_counts_are_the_stats():
     assert sol.status == "optimal" and sol.stats.nodes >= 3  # it branches
     assert sol.nodes == sol.stats.nodes
     assert sol.iterations == sol.stats.iterations
-    # a root that is already infeasible is one node
+    # a root that is already infeasible is one node; this one starts with x
+    # at its upper bound, which phase 1 proves infeasible without a pivot
     infeasible = build([1.0], [[1.0], [1.0]], [">=", "<="], [1.5, 0.2], [0.0], [1.0],
                        binary_cols=[0])
+    root = solve_milp(infeasible)
+    assert (root.status, root.nodes) == ("infeasible", 1)
+    assert root.iterations == root.stats.iterations
+    # here the two rows pull each column both ways, so both start at 0 and
+    # phase 1 pivots before it proves the root infeasible
+    infeasible = build([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [">=", "<="], [1.5, 0.2],
+                       [0.0, 0.0], [1.0, 1.0], binary_cols=[0, 1])
     root = solve_milp(infeasible)
     assert (root.status, root.nodes) == ("infeasible", 1)
     assert root.iterations == root.stats.iterations > 0

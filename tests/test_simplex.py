@@ -146,12 +146,13 @@ def case_study_lp():
 
 def test_case_study_scenario_lp_iteration_count(case_study_lp):
     # 2694 iterations from the all-slack start; the crash basis cuts this
-    # to 658 with Dantzig pricing, and steepest edge from a reference
-    # start (every weight 1) to about 252; iteration counts are
+    # to 658 with Dantzig pricing, steepest edge from a reference start
+    # (every weight 1) to 252, and starting boxed columns on the bound
+    # their violated rows ask for to about 180; iteration counts are
     # deterministic
     sol = solve_lp(case_study_lp)
     assert sol.status == "optimal"
-    assert sol.iterations <= 350
+    assert sol.iterations <= 220
 
 
 def test_crash_basis_on_case_study_scenario_lp(case_study_lp):
@@ -167,6 +168,46 @@ def test_crash_basis_on_case_study_scenario_lp(case_study_lp):
     e = np.ones(core.m)
     assert np.abs(core.lu.solve(core.full[:, core.basis] @ e) - e).max() <= 1e-9
     assert np.abs(core.full @ core.x - core.b).max() <= 1e-9
+
+
+def test_cold_start_puts_boxed_columns_on_the_bound_violated_rows_ask_for(case_study_lp):
+    p = case_study_lp
+    core = _Core(p, SolveSettings())
+    # at every column's lower bound each heat row (CHP heat >= demand) is
+    # violated; the start's upper bounds leave artificials on the five
+    # deferrable-energy rows only (29 rows from the all-lower start)
+    assert [p.row_names[i] for i in core.art_row] == [f"dsum_j{j}_s0" for j in range(5)]
+
+    # the rule, from the problem's own data: +1 on an inequality row whose
+    # activity at the all-lower start is below its range, -1 above it
+    A = p.matrix_csc().toarray()
+    lo, hi = p.lower_inf(), p.upper_inf()
+    rlo, rhi = p.row_bounds()
+    act = A @ lo
+    ineq = rlo < rhi
+    push = np.where(ineq & (act < rlo), 1.0, np.where(ineq & (act > rhi), -1.0, 0.0))
+    moved = (lo < hi) & (A.T @ push > 0.0)
+    nonbasic = core.vstat[: core.n] != BASIC
+    assert np.count_nonzero(moved & nonbasic) >= 24
+    assert np.all(core.x[: core.n][moved & nonbasic] == hi[moved & nonbasic])
+    assert np.all(core.vstat[: core.n][moved & nonbasic] == AT_UPPER)
+    # every other nonbasic structural column starts at its finite lower bound
+    rest = ~moved & nonbasic
+    assert np.all(core.vstat[: core.n][rest] == AT_LOWER)
+    assert np.all(core.x[: core.n][rest] == lo[rest])
+
+
+def test_cold_start_leaves_a_column_pulled_both_ways_at_its_lower_bound():
+    # x0 + x1 >= 3 asks x0 up, x0 - x1 <= -1 asks it down: A'push is 0 for
+    # x0 and 2 for x1, so only x1 starts at its upper bound
+    p = build([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [">=", "<="], [3.0, -1.0],
+              [0.0, 0.0], [4.0, 4.0])
+    core = _Core(p, SolveSettings())
+    assert list(core.vstat[:2]) == [AT_LOWER, AT_UPPER]
+    assert list(core.x[:2]) == [0.0, 4.0]
+    assert core.n_art == 0  # x1 = 4 satisfies both rows
+    sol = solve_lp(p)
+    assert sol.status == "optimal" and sol.objective == pytest.approx(3.0)
 
 
 def test_infeasible_equality_lp_names_rows():
