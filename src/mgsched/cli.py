@@ -82,6 +82,16 @@ def _run_flags():
     return p
 
 
+def _list_of(kind, form):
+    """An argparse type for comma-separated `kind` values; `form` names them."""
+    def parse(text):
+        try:
+            return [kind(x) for x in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+    return parse
+
+
 def _manifest_from_args(args) -> RunManifest:
     """Merge the flags over the manifest JSON (formulation flags field by
     field) and parse the result once, so a bad flag fails ingestion just
@@ -131,12 +141,12 @@ def main(argv=None) -> int:
     sub.add_parser("run", parents=run_flags, help="solve one instance and write artifacts")
     p_solar = sub.add_parser("sweep-solar", parents=run_flags,
                              help="cost versus solar penetration level")
-    p_solar.add_argument("--levels", type=lambda v: [float(x) for x in v.split(",")],
+    p_solar.add_argument("--levels", type=_list_of(float, "comma-separated numbers"),
                          help="comma-separated multipliers, ascending")
 
     p_window = sub.add_parser("sweep-window", parents=run_flags,
                               help="cost versus serving-window width")
-    p_window.add_argument("--widths", type=lambda v: [int(x) for x in v.split(",")],
+    p_window.add_argument("--widths", type=_list_of(int, "comma-separated integers"),
                           help="comma-separated widths, ascending")
 
     sub.add_parser("compare", parents=run_flags,
@@ -174,15 +184,16 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    if args.command == "scenarios":
+        return _dispatch_scenarios(args)
+    manifest = _manifest_from_args(args)
     if args.command == "run":
-        manifest = _manifest_from_args(args)
         payload = run_single(manifest)
         print(f"status: {payload['status']}  objective: {payload['objective']:.6f}")
         print(f"artifacts in {manifest.out_dir}")
         return EXIT_OK
 
     if args.command == "sweep-solar":
-        manifest = _manifest_from_args(args)
         rows = run_solar_sweep(manifest)
         for level, st, det in rows:
             print(f"level {level:g}: stochastic {st:.6f}  deterministic {det:.6f}")
@@ -190,7 +201,6 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "sweep-window":
-        manifest = _manifest_from_args(args)
         rows = run_window_sweep(manifest)
         for width, cost, status in rows:
             label = f"{cost:.6f}" if status == "optimal" else status
@@ -199,7 +209,6 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "compare":
-        manifest = _manifest_from_args(args)
         result = run_compare(manifest)
         print(f"stochastic cost:           {result['stochastic_cost']:.6f}")
         print(f"deterministic policy cost: {result['deterministic_policy_cost']:.6f}")
@@ -207,16 +216,12 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "export-mps":
-        manifest = _manifest_from_args(args)
         config = load_config(manifest.config_path)
         scenarios, _, _ = prepare_scenarios(manifest, config)
         path = Path(manifest.out_dir) / "problem.mps"
         problem = write_problem_mps(config, scenarios, manifest.options, path)
         print(f"wrote {path} ({problem.n_rows} rows, {problem.n_cols} cols)")
         return EXIT_OK
-
-    if args.command == "scenarios":
-        return _dispatch_scenarios(args)
     raise AssertionError(f"unhandled command {args.command}")
 
 

@@ -2,16 +2,15 @@
 -> reports, plus the solar-penetration and serving-window sweeps and the
 stochastic-versus-deterministic comparison.
 
-`solve_stochastic` runs one loop over blocks.  In fully-adaptive mode
-no decision is shared across scenarios, so the deterministic equivalent
-separates by scenario, binaries or not, and each scenario is a block
-weighted by its probability; in day-ahead-chp mode, and for a single
-scenario, the whole set is one block.  The blocks differ only in rhs
-and bounds, binaries or not, so the first is built as a template and
-each later block is that template with its scenario's rhs and bounds.
-Each block is solved, mapped to a schedule and checked against its own
-rows and bounds, and the blocks' schedules are joined; the full problem
-is built only for the joint mode and for MPS export.  The deterministic
+In fully-adaptive mode no decision is shared across scenarios, so the
+deterministic equivalent separates by scenario, binaries or not, and
+each scenario is a block weighted by its probability; in day-ahead-chp
+mode, and for a single scenario, the whole set is one block.  The blocks
+differ only in rhs and bounds, so one pass, `solve_blocks`, makes and
+solves each as a template with its own rhs and bounds.  Its assembly,
+`solve_stochastic`, maps each block to a schedule, checks it against its
+own rows and bounds, and joins the schedules; the full problem is built
+only for the joint mode and for MPS export.  The deterministic
 baseline solves the probability-weighted mean scenario and its rigid
 schedule is then priced under every scenario at once with `cost_rates`:
 grid exchange re-adjusts within its caps, and anything the rigid plan
@@ -258,30 +257,39 @@ def prepare_scenarios(manifest: RunManifest, config: MicrogridConfig):
 # solving
 
 
+def solve_blocks(template, rhs, lower, upper, settings: SolveSettings):
+    """Yield (problem, solution) for each block of `template` in order:
+    block s is the template with `rhs[s]`, `lower[s]` and `upper[s]` as
+    its rhs and column bounds.  An LP block starts from the previous
+    block's basis, a MILP block's root cold; an `LpError` ends the pass."""
+    basis = None
+    for s in range(len(rhs)):
+        problem = template.with_data(rhs=rhs[s], col_lower=lower[s], col_upper=upper[s])
+        sol = (solve_milp(problem, settings) if problem.binary_cols
+               else solve_lp(problem, settings, basis=basis))
+        basis = sol.basis
+        yield problem, sol
+
+
 def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
                      options: FormulationOptions | None = None,
                      settings: SolveSettings | None = None):
     """Solve the deterministic equivalent; returns (schedule, report).
 
-    The problem is solved as a list of blocks.  In fully-adaptive mode
-    with more than one scenario, each scenario is a block of its own,
-    weighted by its probability: only day-ahead-chp's nonanticipativity
-    rows link scenarios (mode binaries and their rows are per scenario).
-    Otherwise the whole set is one block of weight 1.
-    The blocks share the matrix and the costs, mode rows included (the
-    parking gate is in the rate bounds), so the first block, built once,
-    is the template of all of them: each later block is a copy of it with
-    its scenario's rhs and bounds (`formulation.scenario_data`).
-    Every block is solved, mapped to a schedule and checked the same
-    way: the schedule's embedding (plus the solver's mode binaries)
-    against the block's rows and bounds, with row names carrying the
-    scenario index, so the report reads as a check of the full problem.
+    In fully-adaptive mode with more than one scenario, each scenario is
+    a block of its own, weighted by its probability: only day-ahead-chp's
+    nonanticipativity rows link scenarios.  Otherwise the whole set is one
+    block of weight 1.  The blocks share the matrix and the costs, so the
+    first, built once, is the template that `solve_blocks` patches with
+    each block's rhs and bounds (`formulation.scenario_data`).  This is
+    the assembly: it pulls one block at a time, raises on the first that
+    is not optimal (so no later block is solved), and checks each block's
+    schedule embedding (plus the solver's mode binaries) against the
+    block's rows and bounds, with row names carrying the scenario index.
 
     `node_limit` and `iteration_limit` apply to each block, and the
     report's `stats` sums the blocks' counters.  Each MILP block is
     solved to optimality (`solve_milp`), so the total is optimal too.
-    Each LP block starts from the previous block's optimal basis, in
-    block order; MILP blocks start their roots cold.
     """
     options = options or FormulationOptions()
     settings = settings or SolveSettings()
@@ -290,20 +298,16 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
     report = SolveReport(status="optimal", objective=0.0, n_cols=0, n_rows=0,
                          decomposed=decomposed)
     parts = []
-    basis = None
     template, index = build(config, scenarios.single(0) if decomposed else scenarios, options)
-    if decomposed:
-        rhs, lower, upper = scenario_data(config, scenarios, options)
+    data = (scenario_data(config, scenarios, options) if decomposed
+            else (template.rhs[None], template.col_lower[None], template.col_upper[None]))
+    blocks = solve_blocks(template, *data, settings)
     for s, weight in enumerate(weights):
-        problem = template.with_data(rhs=rhs[s], col_lower=lower[s],
-                                     col_upper=upper[s]) if s else template
         where = f" in scenario {s}" if decomposed else ""
         try:
-            sol = (solve_milp(problem, settings) if problem.binary_cols
-                   else solve_lp(problem, settings, basis=basis))
+            problem, sol = next(blocks)
         except LpError as e:
             raise NumericalFailure(f"{e}{where}") from e
-        basis = sol.basis
         report.stats.add(sol.stats)
         if sol.status == "infeasible":
             raise InfeasibleProblem(

@@ -151,16 +151,6 @@ class LpProblem:
         return self.col_upper
 
     @property
-    def tri_rows(self):
-        """Row index of each matrix entry, in (column, row) order."""
-        return self._matrix.indices
-
-    @property
-    def tri_cols(self):
-        """Column index of each matrix entry, in (column, row) order."""
-        return np.repeat(np.arange(self.n_cols), np.diff(self._matrix.indptr))
-
-    @property
     def tri_vals(self):
         """Value of each matrix entry, in (column, row) order."""
         return self._matrix.data

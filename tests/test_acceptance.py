@@ -5,6 +5,7 @@ the case-study-sized instance; everything else is small.
 """
 
 import functools
+import json
 import time
 from itertools import product
 
@@ -382,6 +383,25 @@ def test_criterion_10_determinism(tmp_path):
     run_compare(manifest("cb"))
     assert (tmp_path / "ca" / "compare.json").read_bytes() == \
         (tmp_path / "cb" / "compare.json").read_bytes()
+
+
+@pytest.mark.parametrize("options", [
+    FormulationOptions(),
+    FormulationOptions(stage_mode="day-ahead-chp"),
+    FormulationOptions(exclusivity_binaries=True),
+    FormulationOptions(curtailment_penalty=1.0),
+], ids=["fully-adaptive", "day-ahead-chp", "exclusivity", "curtailment"])
+@criterion(10, "identical manifest and seed give byte-identical artifacts, trace included")
+def test_criterion_10_determinism_of_each_block_kind(tmp_path, options):
+    config_path, gen_path = write_inputs(tmp_path, T=12)
+    for out in ("a", "b"):
+        run_single(RunManifest(config_path=str(config_path), generation=str(gen_path),
+                               generate_count=30, keep=4, out_dir=str(tmp_path / out),
+                               seed=1010, options=options, write_mps=True))
+    for name in ("solution.json", "balance_report.json", "trace.json", "problem.mps"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+    if options.exclusivity_binaries:  # the MILP blocks branched
+        assert json.loads((tmp_path / "a" / "trace.json").read_text())["solver"]["nodes"] > 4
 
 
 # -- criterion 11 ------------------------------------------------------------------

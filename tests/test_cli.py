@@ -76,6 +76,17 @@ def test_usage_errors_return_two_and_help_returns_zero(capsys, argv, code):
     assert "usage: mgs" in (err if code else out)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep-solar", "--levels", "x"],
+     "argument --levels: expected comma-separated numbers, got 'x'"),
+    (["sweep-window", "--widths", "2,4.5"],
+     "argument --widths: expected comma-separated integers, got '2,4.5'"),
+], ids=["level-not-a-number", "width-not-an-integer"])
+def test_list_flag_usage_error_names_the_expected_form(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("document, flags, names", [
     ([], [], "manifest"),
     ({"config": "config.json", "generation": "gen.json", "keep": "many"}, [], "keep"),
@@ -89,7 +100,9 @@ def test_usage_errors_return_two_and_help_returns_zero(capsys, argv, code):
     ({**SWEEP, "formulation": {"parking_mode": "decision-binary"}}, [], "parking_mode"),
     ({**SWEEP, "solver": {"iteration_limit": "10"}}, [], "iteration_limit"),
     ({**SWEEP, "solver": {"node_limit": -1}}, [], "node_limit"),
-    ({**SWEEP, "solver": {"mip_gap": float("nan")}}, [], "m.json: invalid JSON: NaN is not"),
+    ({**SWEEP, "solver": {"feasibility_tol": float("nan")}}, [],
+     "m.json: invalid JSON: NaN is not"),
+    ({**SWEEP, "solver": {"mip_gap": 1e-6}}, [], "solver settings"),  # a removed setting
     ({**SWEEP, "solver": {"feasibility_tol": float("inf")}}, [],
      "m.json: invalid JSON: Infinity is not"),
     ({**SWEEP, "write_mps": "false"}, [], "write_mps"),
@@ -103,9 +116,10 @@ def test_usage_errors_return_two_and_help_returns_zero(capsys, argv, code):
     ({**SWEEP, "levels": [0.5, True]}, [], "levels[1]"),
 ], ids=["not-an-object", "keep-not-a-number", "level-not-a-number", "formulation-not-an-object",
         "exclusivity-string", "penalty-string", "penalty-bool", "parking-mode",
-        "iteration-limit-string", "node-limit-negative", "mip-gap-nan", "feasibility-tol-infinity",
-        "write-mps-string", "seed-negative", "seed-bool", "generate-string", "keep-fraction",
-        "width-string", "width-fraction", "level-string", "level-bool"])
+        "iteration-limit-string", "node-limit-negative", "mip-gap-nan", "mip-gap-removed",
+        "feasibility-tol-infinity", "write-mps-string", "seed-negative", "seed-bool",
+        "generate-string", "keep-fraction", "width-string", "width-fraction", "level-string",
+        "level-bool"])
 def test_malformed_manifest_exits_two(tmp_path, capsys, document, flags, names):
     write_inputs(tmp_path)
     (tmp_path / "m.json").write_text(json.dumps(document))

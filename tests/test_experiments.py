@@ -34,7 +34,7 @@ from mgsched.experiments import (
 from mgsched.cli import main
 from mgsched.config_io import IngestError, load_config, load_generation_spec
 from mgsched.formulation import FormulationOptions, build, schedule_to_vector
-from mgsched.lpcore import SolveSettings, check_point, solve_lp, solve_milp
+from mgsched.lpcore import LpError, SolveSettings, check_point, solve_lp, solve_milp
 from mgsched.model import (
     ChpUnits,
     DeferrableLoads,
@@ -105,6 +105,56 @@ def test_infeasible_block_rows_carry_their_scenario_index():
         solve_stochastic(config, ss)
     assert err.value.rows
     assert all(name.endswith("_s1") for name in err.value.rows), err.value.rows
+
+
+def four_demo_blocks(infeasible=()):
+    """The demo config and four equally likely scenarios at the mean
+    solar profile, every vehicle parked; the scenarios in `infeasible`
+    ask each deferrable load for more energy than its window delivers."""
+    data = Path(__file__).resolve().parents[1] / "demos" / "data"
+    config = load_config(data / "config.json")
+    spec = load_generation_spec(data / "genspec.json")
+    _, e_hi = config.deferrables.energy_band(config.period_hours)
+    energy = np.tile(config.deferrables.energy_nominal, (4, 1))
+    energy[list(infeasible)] = 1.5 * e_hi
+    return config, ScenarioSet(np.full(4, 0.25), np.tile(spec.solar_profile_mean, (4, 1)),
+                               np.ones((4, config.n_phev, config.horizon)), energy)
+
+
+def counting_solve_lp(monkeypatch, fail_at=None):
+    """Patch the block pass's `solve_lp` to count its calls, raising
+    LpError on call `fail_at`; returns the list of calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == fail_at:
+            raise LpError("singular basis")
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_lp", counted)
+    return calls
+
+
+def test_first_infeasible_block_ends_the_pass(monkeypatch):
+    # block 1 of 4 is infeasible: blocks 0 and 1 are solved, 2 and 3 never are
+    config, ss = four_demo_blocks(infeasible=[1])
+    calls = counting_solve_lp(monkeypatch)
+    with pytest.raises(InfeasibleProblem) as err:
+        solve_stochastic(config, ss)
+    assert len(calls) == 2
+    assert err.value.rows
+    assert all(name.endswith("_s1") for name in err.value.rows), err.value.rows
+
+
+def test_solver_error_in_a_block_names_its_scenario(monkeypatch):
+    # an LpError from the third block solve is a numerical failure of
+    # scenario 2, and the fourth block is never solved
+    config, ss = four_demo_blocks()
+    calls = counting_solve_lp(monkeypatch, fail_at=3)
+    with pytest.raises(NumericalFailure, match=r"^singular basis in scenario 2$"):
+        solve_stochastic(config, ss)
+    assert len(calls) == 3
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)

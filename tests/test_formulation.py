@@ -163,7 +163,8 @@ def test_check_point_row_activity_is_the_triplet_sum(name):
     problem, _ = build(cfg, ss, GOLDEN_BUILDS[name])
     x = np.random.default_rng(3).normal(scale=50.0, size=problem.n_cols)
     act = np.zeros(problem.n_rows)
-    np.add.at(act, problem.tri_rows, problem.tri_vals * x[problem.tri_cols])
+    A = problem.matrix_csc().tocoo()  # the entries in (column, row) order
+    np.add.at(act, A.row, A.data * x[A.col])
     blo, bhi = problem.row_bounds()
     viol = np.maximum(np.maximum(blo - act, 0.0), np.maximum(act - bhi, 0.0))
     rep = check_point(problem, x, tol=0.0)
@@ -171,8 +172,16 @@ def test_check_point_row_activity_is_the_triplet_sum(name):
     assert len(rep.row_violations) > problem.n_rows // 2
 
 
-PROBLEM_ARRAYS = ("rhs", "col_lower", "col_upper", "objective", "tri_rows", "tri_cols",
-                  "tri_vals", "row_sense", "row_names", "col_names")
+PROBLEM_ARRAYS = ("rhs", "col_lower", "col_upper", "objective", "tri_vals", "row_sense",
+                  "row_names", "col_names")
+
+
+def problem_arrays(problem):
+    """Every array of a problem, its matrix as the CSC index arrays plus
+    `tri_vals`."""
+    A = problem.matrix_csc()
+    return {"indices": A.indices, "indptr": A.indptr,
+            **{name: getattr(problem, name) for name in PROBLEM_ARRAYS}}
 
 
 @pytest.mark.parametrize("opts", [FormulationOptions(), FormulationOptions(curtailment_penalty=1.0),
@@ -184,7 +193,7 @@ def test_patched_template_is_each_scenarios_own_build(opts, monkeypatch):
     cfg = make_config(T=6, n_chp=2, n_phev=3, n_def=2, period_hours=0.5)
     ss = generate(make_genspec(cfg, seed=8, parking_prob=0.5), cfg, 5)
     template, index = build(cfg, ss.single(0), opts)
-    saved = {name: np.array(getattr(template, name)) for name in PROBLEM_ARRAYS}
+    saved = {name: np.array(a) for name, a in problem_arrays(template).items()}
     rhs, lower, upper = scenario_data(cfg, ss, opts)
     assert rhs.shape == (5, template.n_rows)
     assert lower.shape == upper.shape == (5, template.n_cols)
@@ -194,8 +203,9 @@ def test_patched_template_is_each_scenarios_own_build(opts, monkeypatch):
     for s, block in enumerate(blocks):
         own, own_index = build(cfg, ss.single(s), opts)
         assert own_index.n_cols == index.n_cols
-        for name in PROBLEM_ARRAYS:
-            assert np.array_equal(getattr(block, name), getattr(own, name)), (s, name)
+        own_arrays = problem_arrays(own)
+        for name, a in problem_arrays(block).items():
+            assert np.array_equal(a, own_arrays[name]), (s, name)
 
     # the same block loop with one build per scenario: LP blocks
     # warm-started from the previous block, MILP blocks cold
@@ -215,8 +225,8 @@ def test_patched_template_is_each_scenarios_own_build(opts, monkeypatch):
         assert report.stats.warm_starts == len(ss) - 1
     else:
         assert nodes > len(ss)  # some block branched
-    for name in PROBLEM_ARRAYS:
-        assert np.array_equal(getattr(template, name), saved[name]), name
+    for name, a in problem_arrays(template).items():
+        assert np.array_equal(a, saved[name]), name
     assert blocks[1].workspace() is template.workspace()
     assert template.matrix_csc() is template.matrix_csc()
     assert all(block.matrix_csc() is template.matrix_csc() for block in blocks)
@@ -355,9 +365,9 @@ def test_exclusivity_milp_matches_mode_pattern_enumeration(parking):
         for t, v in enumerate(pattern):
             j = index.columns("mode")[0, t, 0]
             lo[j] = hi[j] = v
+        A = problem.matrix_csc().tocoo()
         fixed = LpProblem(problem.n_cols, problem.n_rows, problem.objective,
-                          np.column_stack((problem.tri_rows, problem.tri_cols,
-                                           problem.tri_vals)),
+                          np.column_stack((A.row, A.col, A.data)),
                           problem.row_sense, problem.rhs, lo, hi)
         sol = solve_lp(fixed)
         if sol.status == "optimal":

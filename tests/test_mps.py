@@ -79,8 +79,8 @@ def test_round_trip_preserves_problem_semantics():
         assert export_mps(q) == text
         assert np.array_equal(q.objective, p.objective)
         assert np.array_equal(q.tri_vals, p.tri_vals)
-        assert np.array_equal(q.tri_rows, p.tri_rows)
-        assert np.array_equal(q.tri_cols, p.tri_cols)
+        assert np.array_equal(q.matrix_csc().indices, p.matrix_csc().indices)
+        assert np.array_equal(q.matrix_csc().indptr, p.matrix_csc().indptr)
         assert np.array_equal(q.lower_inf(), p.lower_inf())
         assert np.array_equal(q.upper_inf(), p.upper_inf())
         assert np.array_equal(q.row_sense, p.row_sense)

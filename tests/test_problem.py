@@ -29,7 +29,8 @@ def test_triplets_are_canonicalized():
         col_lower=[0, 0], col_upper=[1, 1],
     )
     # duplicates merged, zeros dropped, sorted by (col, row)
-    assert p.tri_cols.tolist() == [1]
+    assert p.matrix_csc().indptr.tolist() == [0, 0, 1]  # one entry, in column 1
+    assert p.matrix_csc().indices.tolist() == [0]
     assert p.tri_vals.tolist() == [5.0]
 
 
