@@ -148,7 +148,7 @@ class SolveReport:
     decomposed: bool
     max_row_violation: float = 0.0
     max_bound_violation: float = 0.0
-    row_violations: dict = field(default_factory=dict)  # row name -> amount
+    row_violations: dict = field(default_factory=dict)  # empty: a violation raises
     infeasible_rows: list = field(default_factory=list)
     stats: SolverStats = field(default_factory=SolverStats)  # summed over blocks
 
@@ -191,7 +191,7 @@ class UnboundedProblem(SolveFailure):
 
 class NumericalFailure(SolveFailure):
     """The solver gave up on numerical grounds (an `LpError`), or its
-    schedule failed the post-solve balance or storage check."""
+    schedule failed the post-solve point, balance or storage check."""
     status = "numerical"
 
 
@@ -257,7 +257,7 @@ def prepare_scenarios(manifest: RunManifest, config: MicrogridConfig):
 # solving
 
 
-def solve_blocks(template, rhs, lower, upper, settings: SolveSettings):
+def solve_blocks(template, rhs, lower, upper, settings: SolveSettings | None):
     """Yield (problem, solution) for each block of `template` in order:
     block s is the template with `rhs[s]`, `lower[s]` and `upper[s]` as
     its rhs and column bounds.  An LP block starts from the previous
@@ -285,14 +285,14 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
     the assembly: it pulls one block at a time, raises on the first that
     is not optimal (so no later block is solved), and checks each block's
     schedule embedding (plus the solver's mode binaries) against the
-    block's rows and bounds, with row names carrying the scenario index.
+    block's rows and bounds: a violation beyond `FEASIBILITY_TOL` is a
+    NumericalFailure, with row names carrying the scenario index.
 
     `node_limit` and `iteration_limit` apply to each block, and the
     report's `stats` sums the blocks' counters.  Each MILP block is
     solved to optimality (`solve_milp`), so the total is optimal too.
     """
     options = options or FormulationOptions()
-    settings = settings or SolveSettings()
     decomposed = options.stage_mode == "fully-adaptive" and len(scenarios) > 1
     weights = scenarios.probabilities if decomposed else [1.0]
     report = SolveReport(status="optimal", objective=0.0, n_cols=0, n_rows=0,
@@ -323,14 +323,16 @@ def solve_stochastic(config: MicrogridConfig, scenarios: scn.ScenarioSet,
         x = schedule_to_vector(part, index)
         mode = index.columns("mode")
         x[mode] = sol.x[mode]
-        rep = check_point(problem, x, settings.feasibility_tol)
+        rep = check_point(problem, x)
+        if not rep.ok():
+            rows = [_shift_scenario_name(problem.row_names[i], s) for i in rep.row_violations]
+            raise NumericalFailure(f"schedule fails the point check{where}: rows {rows[:5]}, "
+                                   f"bound violation {rep.max_bound_violation:.3g}")
         report.objective += weight * sol.objective
         report.n_cols += problem.n_cols
         report.n_rows += problem.n_rows
         report.max_row_violation = max(report.max_row_violation, rep.max_row_violation)
         report.max_bound_violation = max(report.max_bound_violation, rep.max_bound_violation)
-        report.row_violations.update((_shift_scenario_name(problem.row_names[i], s), v)
-                                     for i, v in rep.row_violations.items())
         parts.append(part)
     schedule = Schedule.from_decisions(config, *(
         np.concatenate([getattr(p, name) for p in parts])
@@ -410,7 +412,6 @@ def evaluate_policy(config: MicrogridConfig, scenarios: scn.ScenarioSet,
 def compare_policies(config, scenarios, options=None, settings=None):
     """Stochastic solve versus mean-scenario policy; VSS is their gap."""
     options = options or FormulationOptions()
-    settings = settings or SolveSettings()
     sched, report = solve_stochastic(config, scenarios, options, settings)
     stochastic_cost = report.objective
     det_sched, det_report = solve_deterministic(config, scenarios, options, settings)
@@ -529,10 +530,10 @@ def write_problem_mps(config, scenarios, options, path: Path):
     return problem
 
 
-def _verified_balance(config, scenarios, schedule, tol=1e-6):
+def _verified_balance(config, scenarios, schedule):
     """The balance report of every scenario; NumericalFailure if any
     period is off."""
-    report = check_balance(config, scenarios.solar, schedule, tol)
+    report = check_balance(config, scenarios.solar, schedule)
     if not report.ok:
         raise NumericalFailure(f"schedule fails balance check: (scenario, period, kind) "
                                f"{report.flags[:5]}")

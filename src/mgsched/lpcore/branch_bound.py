@@ -9,8 +9,8 @@ simplex workspace; solve_lp ignores their binary marks.  The root starts
 cold, and each child starts from its parent's optimal basis, which stays
 dual feasible after the one bound change, so the dual simplex needs few
 pivots.  Nodes leave the heap in bound order, so the first node popped
-whose binary columns are all integral within the integrality tolerance
-is optimal: the search returns it, with its LP bound as `best_bound`.
+whose binary columns are all within `INTEGRALITY_TOL` of 0 or 1 is
+optimal: the search returns it, with its LP bound as `best_bound`.
 
 The root and every child go through one node step.  `node_limit` counts
 the node LPs, the root included, and `iteration_limit` the simplex
@@ -28,7 +28,7 @@ import heapq
 
 import numpy as np
 
-from .problem import LpProblem, LpSolution, SolveSettings, SolverStats
+from .problem import INTEGRALITY_TOL, LpProblem, LpSolution, SolveSettings, SolverStats
 from .simplex import solve_lp
 
 
@@ -70,7 +70,7 @@ def solve_milp(problem: LpProblem, settings: SolveSettings | None = None) -> LpS
     while heap:
         bound, _, sol, lo, hi = heapq.heappop(heap)
         frac = np.abs(sol.x[bincols] - np.round(sol.x[bincols]))
-        if frac.max() <= settings.integrality_tol:
+        if frac.max() <= INTEGRALITY_TOL:
             x = sol.x.copy()
             x[bincols] = np.round(x[bincols])
             return LpSolution(status="optimal", x=x, duals=sol.duals,

@@ -22,6 +22,11 @@ import numpy as np
 
 BOUND_INF = 1e30
 
+# the solver's fixed tolerances
+FEASIBILITY_TOL = 1e-7  # on rows, bounds and phase 1's artificials
+OPTIMALITY_TOL = 1e-7  # on the reduced costs that decide optimality
+INTEGRALITY_TOL = 1e-6  # on a binary column's distance from 0 or 1
+
 SENSES = ("=", "<=", ">=")
 
 
@@ -31,17 +36,12 @@ class LpError(ValueError):
 
 @dataclass(frozen=True)
 class SolveSettings:
-    feasibility_tol: float = 1e-7
-    optimality_tol: float = 1e-7
-    integrality_tol: float = 1e-6
+    """Work limits, None for none (the `branch_bound` module doc says what
+    each counts); the tolerances are the constants above, not settings."""
     node_limit: int | None = None
     iteration_limit: int | None = None
 
     def __post_init__(self):
-        for name in ("feasibility_tol", "optimality_tol", "integrality_tol"):
-            # an infinite feasibility_tol would let phase 1 call any LP feasible
-            if not 0 < getattr(self, name) < np.inf:
-                raise LpError(f"{name} must be positive and finite")
         for name in ("node_limit", "iteration_limit"):
             limit = getattr(self, name)
             if limit is not None and (isinstance(limit, bool)
@@ -295,11 +295,11 @@ class FeasibilityReport:
     max_bound_violation: float
     row_violations: dict  # row index -> violation amount (> 0 only)
 
-    def ok(self, tol):
+    def ok(self, tol=FEASIBILITY_TOL):
         return self.max_row_violation <= tol and self.max_bound_violation <= tol
 
 
-def check_point(problem: LpProblem, x, tol: float = 1e-7) -> FeasibilityReport:
+def check_point(problem: LpProblem, x, tol: float = FEASIBILITY_TOL) -> FeasibilityReport:
     """Evaluate a point against all rows and bounds of a problem."""
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n_cols,):

@@ -73,7 +73,8 @@ import logging
 
 import numpy as np
 
-from .problem import Basis, LpError, LpProblem, LpSolution, SolveSettings, SolverStats
+from .problem import (FEASIBILITY_TOL, OPTIMALITY_TOL, Basis, LpError, LpProblem, LpSolution,
+                      SolveSettings, SolverStats)
 
 log = logging.getLogger(__name__)
 
@@ -344,9 +345,7 @@ class _Core:
         """Primal simplex to optimality of `costs` with steepest-edge
         pricing (see the module doc); returns a status string.  `fresh`
         says z was computed from scratch, which "optimal" requires."""
-        st = self.settings
-        opt_tol = st.optimality_tol
-        limit = st.iteration_limit
+        limit = self.settings.iteration_limit
         self._enter("primal")
         vstat, sgn = self.vstat, self.sgn
         ratios = np.empty(self.m)
@@ -354,7 +353,7 @@ class _Core:
 
         while True:
             gain = self._gain(z)
-            cand = gain > opt_tol
+            cand = gain > OPTIMALITY_TOL
             if not cand.any():
                 if fresh:
                     return "optimal"
@@ -439,22 +438,20 @@ class _Core:
         dual-infeasible start, a dual ray (the LP is infeasible) or a
         vanished pivot, which the cold path then sorts out.
         """
-        st = self.settings
-        opt_tol, feas_tol = st.optimality_tol, st.feasibility_tol
-        limit = st.iteration_limit
+        limit = self.settings.iteration_limit
         lo, hi, x, vstat = self.lo, self.hi, self.x, self.vstat
         self._enter("dual")
         sgn = self.sgn
         z = self._reduced_costs(costs)
 
         boxed = np.isfinite(lo) & np.isfinite(hi)
-        to_hi = boxed & (sgn < 0) & (z < -opt_tol)
-        to_lo = boxed & (sgn > 0) & (z > opt_tol)
+        to_hi = boxed & (sgn < 0) & (z < -OPTIMALITY_TOL)
+        to_lo = boxed & (sgn > 0) & (z > OPTIMALITY_TOL)
         if to_hi.any() or to_lo.any():
             vstat[to_hi], x[to_hi], sgn[to_hi] = AT_UPPER, hi[to_hi], 1.0
             vstat[to_lo], x[to_lo], sgn[to_lo] = AT_LOWER, lo[to_lo], -1.0
             self._recompute_basics()
-        if np.any(self._gain(z) > opt_tol):
+        if np.any(self._gain(z) > OPTIMALITY_TOL):
             raise _NoWarmStart("start is not dual feasible")
 
         while True:
@@ -462,8 +459,8 @@ class _Core:
             lo_b, hi_b = lo[self.basis], hi[self.basis]
             below, above = lo_b - xb, xb - hi_b
             infeas = np.maximum(below, above)
-            r = int(np.argmax(infeas > feas_tol)) if self.bland else int(np.argmax(infeas))
-            if not infeas[r] > feas_tol:
+            r = int(np.argmax(infeas > FEASIBILITY_TOL)) if self.bland else int(np.argmax(infeas))
+            if not infeas[r] > FEASIBILITY_TOL:
                 return "feasible"
             if limit is not None and self.iterations >= limit:
                 return "limit"
@@ -617,14 +614,14 @@ def solve_lp(problem: LpProblem, settings: SolveSettings | None = None,
             log.debug("LP %s: warm start abandoned: %s", problem.name, e)
     if sol is None:
         core = _Core(problem, settings, stats)
-        sol = _two_phase(core, problem, settings)
+        sol = _two_phase(core, problem)
     sol.stats = stats
     log.debug("LP %s %s: %d crash columns, %d artificials, %s",
               problem.name, sol.status, core.n_crash, core.n_art, stats)
     return sol
 
 
-def _two_phase(core, problem, settings):
+def _two_phase(core, problem):
     """Phase 1 on the artificials, if there are any, then phase 2."""
     scale = max(1.0, np.abs(core.b).max())
 
@@ -636,10 +633,9 @@ def _two_phase(core, problem, settings):
             return LpSolution(status="limit")
         core.cleanup()
         art_vals = core.x[core.n + core.m :]
-        if art_vals.sum() > settings.feasibility_tol * scale:
-            rows = sorted(
-                int(core.art_row[k]) for k in np.nonzero(art_vals > settings.feasibility_tol)[0]
-            )
+        if art_vals.sum() > FEASIBILITY_TOL * scale:
+            rows = sorted(int(core.art_row[k])
+                          for k in np.nonzero(art_vals > FEASIBILITY_TOL)[0])
             return LpSolution(status="infeasible", infeasible_rows=rows)
         # pin artificials at zero for phase 2
         core.lo[core.n + core.m :] = 0.0

@@ -410,13 +410,13 @@ class BalanceReport:
         return not self.flags
 
     def to_dict(self):
-        """One entry per scenario, each with its own flags."""
+        """One entry per scenario: its flags, and its residual rows as float arrays."""
         return {"tol": self.tol, "scenarios": [
             {
                 "scenario": s,
                 "ok": not any(f[0] == s for f in self.flags),
-                "power_residual": self.power_residual[s].tolist(),
-                "heat_surplus": self.heat_surplus[s].tolist(),
+                "power_residual": self.power_residual[s],
+                "heat_surplus": self.heat_surplus[s],
                 "flags": [{"t": t, "kind": k} for r, t, k in self.flags if r == s],
             }
             for s in range(len(self.power_residual))

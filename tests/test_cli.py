@@ -13,7 +13,7 @@ import pytest
 from mgsched import model
 from mgsched import scenario as scn
 from mgsched.cli import main
-from mgsched.lpcore import LpError, LpSolution
+from mgsched.lpcore import LpError, LpSolution, solve_milp
 from test_experiments import write_inputs
 
 DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -100,10 +100,14 @@ def test_list_flag_usage_error_names_the_expected_form(capsys, argv, message):
     ({**SWEEP, "formulation": {"parking_mode": "decision-binary"}}, [], "parking_mode"),
     ({**SWEEP, "solver": {"iteration_limit": "10"}}, [], "iteration_limit"),
     ({**SWEEP, "solver": {"node_limit": -1}}, [], "node_limit"),
-    ({**SWEEP, "solver": {"feasibility_tol": float("nan")}}, [],
+    # the NaN and Infinity rows keep their ids from when they set a tolerance
+    ({**SWEEP, "solver": {"node_limit": float("nan")}}, [],
      "m.json: invalid JSON: NaN is not"),
     ({**SWEEP, "solver": {"mip_gap": 1e-6}}, [], "solver settings"),  # a removed setting
-    ({**SWEEP, "solver": {"feasibility_tol": float("inf")}}, [],
+    ({**SWEEP, "solver": {"feasibility_tol": 1e-7}}, [], "solver settings"),
+    ({**SWEEP, "solver": {"optimality_tol": 1e-7}}, [], "solver settings"),
+    ({**SWEEP, "solver": {"integrality_tol": 1e-6}}, [], "solver settings"),
+    ({**SWEEP, "solver": {"node_limit": float("inf")}}, [],
      "m.json: invalid JSON: Infinity is not"),
     ({**SWEEP, "write_mps": "false"}, [], "write_mps"),
     ({**SWEEP, "seed": -1}, [], "seed"),
@@ -117,6 +121,7 @@ def test_list_flag_usage_error_names_the_expected_form(capsys, argv, message):
 ], ids=["not-an-object", "keep-not-a-number", "level-not-a-number", "formulation-not-an-object",
         "exclusivity-string", "penalty-string", "penalty-bool", "parking-mode",
         "iteration-limit-string", "node-limit-negative", "mip-gap-nan", "mip-gap-removed",
+        "feasibility-tol-removed", "optimality-tol-removed", "integrality-tol-removed",
         "feasibility-tol-infinity", "write-mps-string", "seed-negative", "seed-bool",
         "generate-string", "keep-fraction", "width-string", "width-fraction", "level-string",
         "level-bool"])
@@ -579,11 +584,28 @@ def _storage_off_by_one(config, charge, discharge, derive=model.derive_storage):
     return derive(config, charge, discharge) + 1.0
 
 
-@pytest.mark.parametrize("target, fake, message", [
-    ("mgsched.experiments.check_balance", _balance_with_a_flag, "fails balance check"),
-    ("mgsched.model.derive_storage", _storage_off_by_one, "disagree with the recursion"),
-], ids=["balance", "storage"])
-def test_failed_post_solve_check_exits_six(tmp_path, monkeypatch, capsys, target, fake,
+def _mode_off_where_charging(problem, settings=None):
+    # the real search, then a vehicle's mode binary set to 0 in a period
+    # where it charges: its exclusivity row "exc_..." is violated
+    sol = solve_milp(problem, settings)
+    rows = problem.matrix_csc().tocsr()
+    for i, name in enumerate(problem.row_names):
+        cols, vals = rows[i].indices, rows[i].data
+        if name.startswith("exc_") and sol.x[cols[vals > 0]].max() > 1e-3:
+            x = sol.x.copy()
+            x[cols[vals < 0]] = 0.0
+            return dataclasses.replace(sol, x=x)
+    raise AssertionError("no vehicle charges")
+
+
+@pytest.mark.parametrize("target, fake, flags, message", [
+    ("mgsched.experiments.check_balance", _balance_with_a_flag, [], "fails balance check"),
+    ("mgsched.model.derive_storage", _storage_off_by_one, [], "disagree with the recursion"),
+    # a row that neither the balance nor the storage check reads
+    ("mgsched.experiments.solve_milp", _mode_off_where_charging, ["--exclusivity"],
+     "fails the point check"),
+], ids=["balance", "storage", "point"])
+def test_failed_post_solve_check_exits_six(tmp_path, monkeypatch, capsys, target, fake, flags,
                                            message):
     monkeypatch.setattr(target, fake)
     config, gen = write_inputs(tmp_path)
@@ -592,7 +614,7 @@ def test_failed_post_solve_check_exits_six(tmp_path, monkeypatch, capsys, target
     (out / "solution.json").write_text('{"status": "optimal"}\n')  # from an earlier run
     (out / "balance_report.json").write_text("from an earlier run\n")
     assert main(["run", "--config", str(config), "--genspec", str(gen), "--generate", "10",
-                 "--keep", "2", "--out", str(out)]) == 6
+                 "--keep", "2", *flags, "--out", str(out)]) == 6
     assert message in capsys.readouterr().err
     report = json.loads((out / "solution.json").read_text())
     assert report["status"] == "numerical"

@@ -82,7 +82,7 @@ def test_decomposed_solve_matches_full_lp():
     assert report.objective == pytest.approx(full.objective, abs=1e-6)
     assert report.max_row_violation <= 1e-6
     # the per-subproblem checks report what a check of the full problem would
-    rep = check_point(problem, schedule_to_vector(sched, index), SolveSettings().feasibility_tol)
+    rep = check_point(problem, schedule_to_vector(sched, index))
     assert report.max_row_violation == rep.max_row_violation
     assert report.max_bound_violation == rep.max_bound_violation
     assert report.row_violations == {problem.row_names[i]: v
@@ -435,7 +435,7 @@ def test_manifest_round_trip(tmp_path):
         "keep": 10,
         "seed": 3,
         "formulation": {"stage_mode": "day-ahead-chp"},
-        "solver": {"feasibility_tol": 1e-8},
+        "solver": {"node_limit": 7},
         "out": "artifacts",
         "levels": [0.0, 1.0, 2.0],
     }
@@ -444,7 +444,7 @@ def test_manifest_round_trip(tmp_path):
     m = RunManifest.from_dict(json.loads(p.read_text()), base_dir=tmp_path)
     assert m.generate_count == 100 and m.keep == 10
     assert m.options.stage_mode == "day-ahead-chp"
-    assert m.settings.feasibility_tol == 1e-8
+    assert m.settings.node_limit == 7
     assert m.levels == (0.0, 1.0, 2.0)
     assert m.config_path.endswith("config.json")
 
@@ -454,9 +454,10 @@ def test_manifest_validation_errors(tmp_path):
         run_solar_sweep(manifest_for(tmp_path, levels=()))
     with pytest.raises(IngestError, match="widths"):
         run_window_sweep(manifest_for(tmp_path, widths=(4, 2)))
-    # the solver settings are the five of SolveSettings; former fields are rejected
+    # the solver settings are the two limits of SolveSettings; former fields are rejected
     config_path, gen_path = write_inputs(tmp_path)
-    for removed in ("time_limit", "refactor_interval", "stall_limit", "mip_gap"):
+    for removed in ("time_limit", "refactor_interval", "stall_limit", "mip_gap",
+                    "feasibility_tol", "optimality_tol", "integrality_tol"):
         doc = {"config": config_path.name, "generation": gen_path.name,
                "solver": {removed: 1}, "out": "out"}
         with pytest.raises(IngestError, match="solver settings"):
